@@ -9,7 +9,7 @@
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
    quality resistive stability sweep clustered lot par kernel store serve
-   micro mc ndet
+   mc ndet micro, and swift (only when named: minutes of reference runs)
 
    The [kernel] section additionally writes BENCH_fault_sim.json
    (machine-readable old-vs-new throughput gate) to the working directory
@@ -1296,6 +1296,51 @@ let cluster_bench () =
        is reduced to a %.2fx no-regression bound.\n"
       cores min_speedup
 
+(* ------------------------------------------------------------------ swift *)
+
+(* The compiled switch-level engine against the retained reference on the
+   inputs of a default cold pipeline: detections and region solves must be
+   identical (exit 1 otherwise), and both wall times are printed.  Not in
+   the default set: the reference takes about a minute on c432s and five on
+   c880s. *)
+let swift_bench () =
+  section_banner "Swift" "compiled switch-level engine vs Swift.Reference";
+  let t =
+    Table.create
+      [ ("circuit", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
+        ("region solves", Table.Right); ("pipeline s", Table.Right);
+        ("reference s", Table.Right); ("compiled s", Table.Right);
+        ("speed-up", Table.Right) ]
+  in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  List.iter
+    (fun name ->
+      let circuit = Option.get (Dl_netlist.Benchmarks.by_name name) in
+      let e, pipeline_s = timed (fun () -> Experiment.run (Experiment.config circuit)) in
+      let net = Dl_switch.Network.build (Dl_cell.Mapping.flatten e.mapped_circuit) in
+      let faults = e.extraction.faults and vectors = e.vectors in
+      let fast, fast_s = timed (fun () -> Dl_switch.Swift.run net ~faults ~vectors) in
+      let slow, slow_s =
+        timed (fun () -> Dl_switch.Swift.Reference.run net ~faults ~vectors)
+      in
+      if fast.detection <> slow.detection || fast.region_solves <> slow.region_solves
+      then begin
+        Printf.printf "FAIL %s: compiled engine differs from Swift.Reference\n" name;
+        exit 1
+      end;
+      Table.add_row t
+        [ name; string_of_int (Array.length faults);
+          string_of_int (Array.length vectors); string_of_int fast.region_solves;
+          Printf.sprintf "%.2f" pipeline_s; Printf.sprintf "%.2f" slow_s;
+          Printf.sprintf "%.2f" fast_s; Printf.sprintf "%.1fx" (slow_s /. fast_s) ])
+    [ "c432s"; "c880s" ];
+  Table.print t;
+  print_endline "identical detections and region solves on every circuit."
+
 (* ---------------------------------------------------------- micro-benches *)
 
 let micro () =
@@ -1323,6 +1368,15 @@ let micro () =
         (List.filter_map (fun g -> Dl_switch.Network.owner_instance network g) [ a; b ])
       ~modifications:[ Dl_switch.Solver.Bridge_nodes { node_a = a; node_b = b } ]
   in
+  let bridge_compiled = Dl_switch.Solver.compile bridge_region in
+  let bridge_scratch = Dl_switch.Solver.scratch () in
+  let bridge_ext =
+    Array.map (fun _ -> Dl_logic.Ternary.V1) (Dl_switch.Solver.external_nodes bridge_compiled)
+  in
+  let bridge_charge =
+    Array.map (fun _ -> Dl_logic.Ternary.VX) (Dl_switch.Solver.solved_nodes bridge_compiled)
+  in
+  let bridge_out = Array.copy bridge_charge in
   let kernel = Dl_netlist.Kernel.of_circuit c432 in
   let kernel_buf = Dl_netlist.Kernel.create_words kernel in
   let tests =
@@ -1350,6 +1404,11 @@ let micro () =
                (Dl_switch.Solver.solve bridge_region
                   ~external_value:(fun _ -> Dl_logic.Ternary.V1)
                   ~charge:(fun _ -> Dl_logic.Ternary.VX))));
+      Test.make ~name:"switch solver compiled: bridge region"
+        (Staged.stage (fun () ->
+             ignore
+               (Dl_switch.Solver.solve_compiled bridge_compiled bridge_scratch
+                  ~ext:bridge_ext ~charge:bridge_charge ~out:bridge_out)));
       Test.make ~name:"layout: c432s_small synthesize"
         (Staged.stage (fun () -> ignore (Dl_layout.Layout.synthesize mapping)));
       Test.make ~name:"ifa: c432s_small extract"
@@ -1681,16 +1740,19 @@ let sections =
     ("serve", serve_bench);
     ("serve-load", serve_load_bench);
     ("cluster", cluster_bench);
-    ("micro", micro);
     ("mc", mc_bench);
     ("ndet", ndet_bench);
+    (* Last: after a Bechamel run, the c880s pipeline of [ndet] grew the
+       heap past 1.5 GB on OCaml 5.1 (it stays near 150 MB otherwise). *)
+    ("micro", micro);
+    ("swift", swift_bench);
   ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
-    | _ -> List.map fst sections
+    | _ -> List.filter (fun s -> s <> "swift") (List.map fst sections)
   in
   List.iter
     (fun name ->

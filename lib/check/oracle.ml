@@ -941,6 +941,72 @@ let ndet_dl_monotone (case : Testcase.t) =
     in
     row 0
 
+(* --- swift-reference: compiled switch-level engine vs Swift.Reference ---- *)
+
+module Swift = Dl_switch.Swift
+
+(* The case's circuit through the realistic-fault flow (decompose, flatten,
+   synthesize, inductive fault analysis), then the compiled engine against
+   the retained reference in every drop mode, plus one fault's tester
+   signature.  The reference costs tens of microseconds per region solve,
+   so at most 32 faults (a stride over the extracted list) and the first
+   24 vectors are simulated; both depend only on the case, so a failure
+   shrinks like any other. *)
+let swift_reference (case : Testcase.t) =
+  let vectors =
+    Array.sub case.Testcase.vectors 0 (min 24 (Array.length case.vectors))
+  in
+  let m = Dl_cell.Mapping.flatten (Transform.decompose_for_cells case.circuit) in
+  let net = Dl_switch.Network.build m in
+  let all = (Dl_extract.Ifa.extract (Dl_layout.Layout.synthesize m)).faults in
+  let stride = max 1 ((Array.length all + 31) / 32) in
+  let faults =
+    Array.init ((Array.length all + stride - 1) / stride) (fun i -> all.(i * stride))
+  in
+  let first = function Some k -> string_of_int k | None -> "never" in
+  let rec modes = function
+    | [] -> None
+    | (name, drop_when) :: rest -> (
+        let fast = Swift.run ~drop_when net ~faults ~vectors in
+        let slow = Swift.Reference.run ~drop_when net ~faults ~vectors in
+        let differs = ref None in
+        Array.iteri
+          (fun i (d : Swift.detection) ->
+            if !differs = None && d <> slow.detection.(i) then differs := Some i)
+          fast.detection;
+        match !differs with
+        | Some i ->
+            failf
+              "swift-reference (drop %s): fault %s detected at voltage %s / \
+               iddq %s vs reference %s / %s"
+              name
+              (Dl_switch.Realistic.describe faults.(i))
+              (first fast.detection.(i).voltage) (first fast.detection.(i).iddq)
+              (first slow.detection.(i).voltage) (first slow.detection.(i).iddq)
+        | None ->
+            if fast.region_solves <> slow.region_solves then
+              failf "swift-reference (drop %s): region_solves %d vs reference %d"
+                name fast.region_solves slow.region_solves
+            else modes rest)
+  in
+  match modes [ ("both", `Both); ("voltage", `Voltage); ("never", `Never) ] with
+  | Some _ as err -> err
+  | None ->
+      if Array.length faults = 0 then None
+      else
+        let fault = faults.(abs case.seed mod Array.length faults) in
+        let want = Array.make (Array.length vectors) false in
+        let (_ : Swift.result) =
+          Swift.Reference.run ~drop_when:`Never
+            ~on_voltage_detect:(fun ~fault_index:_ ~vector_index ->
+              want.(vector_index) <- true)
+            net ~faults:[| fault |] ~vectors
+        in
+        if Swift.signature net ~fault ~vectors <> want then
+          failf "swift-reference: signature of %s differs from the reference"
+            (Dl_switch.Realistic.describe fault)
+        else None
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -1041,6 +1107,12 @@ let all =
         "Dl_n table on a synthetic weighted theta: DL@T* non-increasing \
          and k@T* non-decreasing in n, every row reaching t*";
       kind = Case ndet_dl_monotone };
+    { name = "swift-reference";
+      doc =
+        "compiled switch-level engine vs Swift.Reference on extracted \
+         realistic faults: detections and region_solves in every drop mode, \
+         one fault's signature";
+      kind = Case swift_reference };
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

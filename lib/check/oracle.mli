@@ -56,7 +56,12 @@ val all : t list
       in n;
     - ["ndet-dl-monotone"]: the {!Dl_core.Dl_n} table over a synthetic
       weighted Θ stand-in has DL@T* non-increasing and k@T*
-      non-decreasing in n, every row reaching the shared target. *)
+      non-decreasing in n, every row reaching the shared target;
+    - ["swift-reference"]: {!Dl_switch.Swift.run} is bit-identical to
+      [Swift.Reference.run] on the realistic faults extracted from the
+      case's circuit (decompose, flatten, synthesize, IFA): detections and
+      [region_solves] under every drop mode, and one fault's
+      {!Dl_switch.Swift.signature}. *)
 
 val find : string -> t option
 val names : unit -> string list

@@ -4,7 +4,8 @@ val decompose_for_cells : ?max_stack:int -> Circuit.t -> Circuit.t
 (** Rewrite a circuit so every gate fits a standard-cell library:
     XOR/XNOR become trees of 2-input gates, and AND/OR/NAND/NOR wider than
     [max_stack] (default 4, the longest practical CMOS series stack) are
-    split into trees.  Signal names of original nodes are preserved, so
+    split into trees, and one-input gates of those kinds become buffers or
+    inverters.  Signal names of original nodes are preserved, so
     fault sites and coverage results remain comparable; helper nodes get a
     ["_dx"] suffix. *)
 

@@ -1,12 +1,11 @@
 module Ternary = Dl_logic.Ternary
+module Cone = Dl_logic.Propagate.Cone
 module Mapping = Dl_cell.Mapping
 
 type detection = { voltage : int option; iddq : int option }
 
-let signal_of (m : Mapping.network) g =
-  let n = Dl_netlist.Circuit.node_count m.circuit in
-  if g >= 2 && g < 2 + n then Some (g - 2) else None
-
+(* One compiled solve per vector from unknown charge, with the good
+   machine's values at the region's inputs (no feedback iteration). *)
 let detect ?(resistance = 0.0) net ~node_a ~node_b ~vectors =
   let m = Network.mapping net in
   let c = m.Mapping.circuit in
@@ -15,38 +14,31 @@ let detect ?(resistance = 0.0) net ~node_a ~node_b ~vectors =
       (List.filter_map (fun g -> Network.owner_instance net g) [ node_a; node_b ])
   in
   let region =
-    Solver.make net ~instances
-      ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ]
+    Solver.compile
+      (Solver.make net ~instances
+         ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ])
   in
-  let output_signals =
-    List.filter_map
-      (fun g -> match signal_of m g with Some cn -> Some (g, cn) | None -> None)
-      (Solver.observable_nodes region)
-  in
+  let signal g = match Swift.signal_of m g with Some cn -> cn | None -> -1 in
+  let ext_signal = Array.map signal (Solver.external_nodes region) in
+  let out_signal = Array.map signal (Solver.solved_nodes region) in
+  let ext = Array.make (Array.length ext_signal) Ternary.VX in
+  let charge = Array.make (Array.length out_signal) Ternary.VX in
+  let out = Array.make (Array.length out_signal) Ternary.VX in
+  let scratch = Solver.scratch () and cone = Cone.create c in
   let goods = Swift.good_values net vectors in
   let voltage = ref None and iddq = ref None in
   (try
      Array.iteri
        (fun k good ->
-         let ext g =
-           match signal_of m g with
-           | Some cn -> Ternary.of_bool good.(cn)
-           | None -> Ternary.VX
-         in
-         let outcome =
-           Solver.solve region ~external_value:ext ~charge:(fun _ -> Ternary.VX)
-         in
-         if !iddq = None && outcome.fight then iddq := Some k;
-         let seeds =
-           List.filter_map
-             (fun (g, cn) ->
-               match List.assoc_opt g outcome.values with
-               | Some v -> Some (cn, v)
-               | None -> None)
-             output_signals
-         in
-         let map = Dl_logic.Propagate.run c good seeds in
-         if !voltage = None && Dl_logic.Propagate.po_detects c good map then voltage := Some k;
+         Array.iteri
+           (fun j cn -> ext.(j) <- (if cn < 0 then Ternary.VX else Ternary.of_bool good.(cn)))
+           ext_signal;
+         let fight = Solver.solve_compiled region scratch ~ext ~charge ~out in
+         if !iddq = None && fight then iddq := Some k;
+         Cone.start cone good;
+         Array.iteri (fun i cn -> if cn >= 0 then Cone.seed cone cn out.(i)) out_signal;
+         Cone.propagate cone;
+         if !voltage = None && Cone.po_detects cone then voltage := Some k;
          if !voltage <> None && !iddq <> None then raise Exit)
        goods
    with Exit -> ());

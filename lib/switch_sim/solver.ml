@@ -113,7 +113,7 @@ let make (net : Network.t) ~instances ~modifications =
     (function
       | Bridge_nodes { node_a; node_b } -> add_bridge node_a node_b r_bridge
       | Resistive_bridge { node_a; node_b; resistance } ->
-          if resistance < 0.0 then
+          if Float.is_nan resistance || resistance < 0.0 then
             invalid_arg "Solver: bridge resistance must be non-negative";
           add_bridge node_a node_b resistance
       | Remove_transistor _ | Short_transistor _ -> ())
@@ -281,3 +281,337 @@ let solve t ~external_value ~charge =
     @ List.map (fun (l, _) -> (t.globals.(l), values.(l))) t.pi_nodes
   in
   { values = report; fight = !fight }
+
+(* --- compiled regions ---------------------------------------------------- *)
+
+(* A region lowered once into arrays.  Locals keep [make]'s numbering, so
+   the exact Dijkstra below scans nodes in the reference's order and breaks
+   ties the same way.  Edges that can never relax (self loops, infinite
+   resistance) are dropped.  Each gate terminal is resolved to a local
+   (a solved node, or a rail whose scratch value never changes) or to an
+   external slot. *)
+type compiled = {
+  n : int;
+  c_gnd : int;
+  c_vdd : int;
+  e_chan : int array;  (* per edge: 0 always on, 1 NMOS, 2 PMOS *)
+  e_gate : int array;  (* gate operand: local >= 0, or -1 - external slot *)
+  adj_start : int array;  (* CSR adjacency over locals *)
+  adj_edge : int array;
+  adj_other : int array;
+  adj_r : float array;
+  solved : int array;  (* resolved locals, then pad-driven locals *)
+  n_resolved : int;
+  solved_global : int array;
+  pad_local : int array;
+  pad_slot : int array;
+  pad_r : float array;
+  ext_global : int array;  (* external slot -> global node *)
+  exact_only : bool;  (* a path sum might overflow: always run Dijkstra *)
+}
+
+let compile t =
+  let n = Array.length t.globals in
+  let slots = Hashtbl.create 8 in
+  let ext = ref [] and n_ext = ref 0 in
+  let slot g =
+    match Hashtbl.find_opt slots g with
+    | Some s -> s
+    | None ->
+        let s = !n_ext in
+        incr n_ext;
+        Hashtbl.replace slots g s;
+        ext := g :: !ext;
+        s
+  in
+  let solved = Array.of_list (t.resolved @ List.map fst t.pi_nodes) in
+  let is_solved = Array.make n false in
+  Array.iter (fun l -> is_solved.(l) <- true) solved;
+  let pads = Array.of_list t.pi_nodes in
+  let pad_slot = Array.map (fun (_, g) -> slot g) pads in
+  let operand gnode =
+    match Hashtbl.find_opt t.local_of gnode with
+    | Some l when is_solved.(l) || l = t.gnd || l = t.vdd -> l
+    | _ -> -1 - slot gnode
+  in
+  let edges =
+    List.filter
+      (fun e -> e.endpoint_a <> e.endpoint_b && e.resistance < infinite)
+      (Array.to_list t.edges)
+    |> Array.of_list
+  in
+  let e_chan = Array.make (Array.length edges) 0 in
+  let e_gate = Array.make (Array.length edges) 0 in
+  Array.iteri
+    (fun i e ->
+      match e.gating with
+      | Always_on -> ()
+      | Gated (g, channel) ->
+          e_chan.(i) <- (match channel with Cell.Nmos -> 1 | Cell.Pmos -> 2);
+          e_gate.(i) <- operand g)
+    edges;
+  let adj_start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun e ->
+      adj_start.(e.endpoint_a + 1) <- adj_start.(e.endpoint_a + 1) + 1;
+      adj_start.(e.endpoint_b + 1) <- adj_start.(e.endpoint_b + 1) + 1)
+    edges;
+  for l = 1 to n do
+    adj_start.(l) <- adj_start.(l) + adj_start.(l - 1)
+  done;
+  let fill = Array.sub adj_start 0 n in
+  let adj_edge = Array.make adj_start.(n) 0 in
+  let adj_other = Array.make adj_start.(n) 0 in
+  let adj_r = Array.make adj_start.(n) 0.0 in
+  let add u other i r =
+    adj_edge.(fill.(u)) <- i;
+    adj_other.(fill.(u)) <- other;
+    adj_r.(fill.(u)) <- r;
+    fill.(u) <- fill.(u) + 1
+  in
+  Array.iteri
+    (fun i e ->
+      add e.endpoint_a e.endpoint_b i e.resistance;
+      add e.endpoint_b e.endpoint_a i e.resistance)
+    edges;
+  (* No path is longer than a pad driver (< 1) plus every edge in series;
+     while that stays far below [max_float], no distance sum overflows. *)
+  let total = Array.fold_left (fun acc e -> acc +. e.resistance) 1.0 edges in
+  {
+    n;
+    c_gnd = t.gnd;
+    c_vdd = t.vdd;
+    e_chan;
+    e_gate;
+    adj_start;
+    adj_edge;
+    adj_other;
+    adj_r;
+    solved;
+    n_resolved = List.length t.resolved;
+    solved_global = Array.map (fun l -> t.globals.(l)) solved;
+    pad_local = Array.map fst pads;
+    pad_slot;
+    pad_r = Array.map (fun (l, _) -> r_driver t.globals.(l)) pads;
+    ext_global = Array.of_list (List.rev !ext);
+    exact_only = not (total < 1e300);
+  }
+
+let external_nodes cr = Array.copy cr.ext_global
+let solved_nodes cr = Array.copy cr.solved_global
+let charged_count cr = cr.n_resolved
+
+type scratch = {
+  mutable values : Ternary.t array;
+  mutable reach : int array;  (* per local: one bit per pass below *)
+  mutable queue : int array;
+  mutable dist_dn : float array;
+  mutable dist_up : float array;
+  mutable visited : bool array;
+  mutable cond : int array;  (* per edge: [off], [on] or [maybe] *)
+}
+
+let scratch () =
+  { values = [||]; reach = [||]; queue = [||]; dist_dn = [||]; dist_up = [||];
+    visited = [||]; cond = [||] }
+
+let ensure s cr =
+  let n = cr.n in
+  if Array.length s.values < n then begin
+    s.values <- Array.make n Ternary.VX;
+    s.reach <- Array.make n 0;
+    s.queue <- Array.make n 0;
+    s.dist_dn <- Array.make n infinite;
+    s.dist_up <- Array.make n infinite;
+    s.visited <- Array.make n false
+  end;
+  let m = Array.length cr.e_chan in
+  if Array.length s.cond < m then s.cond <- Array.make m 0
+
+let off = 0
+let on = 1
+let maybe = 2
+let def_dn = 1
+let def_up = 2
+let pos_dn = 4
+let pos_up = 8
+
+let is_rail cr u = u = cr.c_gnd || u = cr.c_vdd
+
+(* Whether a pad driving [v] extends the rail of this pass (the matching
+   rule of [solve]'s [distances]). *)
+let pad_matches v ~up ~definite =
+  match v with Ternary.V1 -> up | Ternary.V0 -> not up | Ternary.VX -> not definite
+
+let accepts c ~definite = c = on || ((not definite) && c = maybe)
+
+(* The set of nodes [solve]'s [distances] leaves at a finite distance:
+   Dijkstra's frontier rules without the distances.  Every edge here has
+   finite resistance, so a relaxation from a reached node always lowers an
+   infinite distance. *)
+let reach_pass cr s ~ext ~source ~definite bit =
+  let reach = s.reach and queue = s.queue in
+  reach.(source) <- reach.(source) lor bit;
+  queue.(0) <- source;
+  let tail = ref 1 in
+  let up = source = cr.c_vdd in
+  for p = 0 to Array.length cr.pad_local - 1 do
+    let l = cr.pad_local.(p) in
+    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite && reach.(l) land bit = 0
+    then begin
+      reach.(l) <- reach.(l) lor bit;
+      queue.(!tail) <- l;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    if not (is_rail cr u && u <> source) then
+      for k = cr.adj_start.(u) to cr.adj_start.(u + 1) - 1 do
+        let v = cr.adj_other.(k) in
+        if accepts s.cond.(cr.adj_edge.(k)) ~definite && reach.(v) land bit = 0
+        then begin
+          reach.(v) <- reach.(v) lor bit;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+  done
+
+(* [solve]'s [distances], bit for bit: same seeding, same O(V^2) scan with
+   the lowest-index tie-break, same [dist.(u) +. r] sums. *)
+let shortest cr s ~ext ~source ~definite dist =
+  let n = cr.n in
+  Array.fill dist 0 n infinite;
+  dist.(source) <- 0.0;
+  let up = source = cr.c_vdd in
+  for p = 0 to Array.length cr.pad_local - 1 do
+    let l = cr.pad_local.(p) and r = cr.pad_r.(p) in
+    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite && r < dist.(l) then
+      dist.(l) <- r
+  done;
+  let visited = s.visited in
+  Array.fill visited 0 n false;
+  let continue = ref true in
+  while !continue do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if (not visited.(i)) && dist.(i) < infinite then
+        if !best < 0 || dist.(i) < dist.(!best) then best := i
+    done;
+    if !best < 0 then continue := false
+    else begin
+      let u = !best in
+      visited.(u) <- true;
+      if not (is_rail cr u && u <> source) then
+        for k = cr.adj_start.(u) to cr.adj_start.(u + 1) - 1 do
+          if accepts s.cond.(cr.adj_edge.(k)) ~definite then begin
+            let v = cr.adj_other.(k) in
+            let d = dist.(u) +. cr.adj_r.(k) in
+            if d < dist.(v) then dist.(v) <- d
+          end
+        done
+    end
+  done
+
+let mark_finite cr s dist bit =
+  for l = 0 to cr.n - 1 do
+    if dist.(l) < infinite then s.reach.(l) <- s.reach.(l) lor bit
+  done
+
+(* One relaxation round's four rail passes into [s.reach]; when some solved
+   node is definitely driven from both rails, also the exact definite
+   distances, which decide who wins the fight. *)
+let rail_passes cr s ~ext =
+  Array.fill s.reach 0 cr.n 0;
+  if cr.exact_only then begin
+    shortest cr s ~ext ~source:cr.c_gnd ~definite:false s.dist_dn;
+    mark_finite cr s s.dist_dn pos_dn;
+    shortest cr s ~ext ~source:cr.c_vdd ~definite:false s.dist_dn;
+    mark_finite cr s s.dist_dn pos_up;
+    shortest cr s ~ext ~source:cr.c_gnd ~definite:true s.dist_dn;
+    mark_finite cr s s.dist_dn def_dn;
+    shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up;
+    mark_finite cr s s.dist_up def_up
+  end
+  else begin
+    reach_pass cr s ~ext ~source:cr.c_gnd ~definite:true def_dn;
+    reach_pass cr s ~ext ~source:cr.c_vdd ~definite:true def_up;
+    reach_pass cr s ~ext ~source:cr.c_gnd ~definite:false pos_dn;
+    reach_pass cr s ~ext ~source:cr.c_vdd ~definite:false pos_up;
+    let both = ref false in
+    for i = 0 to Array.length cr.solved - 1 do
+      if s.reach.(cr.solved.(i)) land (def_dn lor def_up) = def_dn lor def_up then
+        both := true
+    done;
+    if !both then begin
+      shortest cr s ~ext ~source:cr.c_gnd ~definite:true s.dist_dn;
+      shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up
+    end
+  end
+
+let solve_compiled cr s ~ext ~charge ~out =
+  ensure s cr;
+  let values = s.values in
+  Array.fill values 0 cr.n Ternary.VX;
+  values.(cr.c_gnd) <- Ternary.V0;
+  values.(cr.c_vdd) <- Ternary.V1;
+  for p = 0 to Array.length cr.pad_local - 1 do
+    values.(cr.pad_local.(p)) <- ext.(cr.pad_slot.(p))
+  done;
+  let fight = ref false in
+  let stable = ref false in
+  let rounds = ref 0 in
+  let max_rounds = 4 * (cr.n + 2) in
+  while (not !stable) && !rounds < max_rounds do
+    incr rounds;
+    for e = 0 to Array.length cr.e_chan - 1 do
+      let chan = cr.e_chan.(e) in
+      s.cond.(e) <-
+        (if chan = 0 then on
+         else
+           let g = cr.e_gate.(e) in
+           match if g >= 0 then values.(g) else ext.(-1 - g) with
+           | Ternary.VX -> maybe
+           | Ternary.V1 -> if chan = 1 then on else off
+           | Ternary.V0 -> if chan = 1 then off else on)
+    done;
+    rail_passes cr s ~ext;
+    let reach = s.reach in
+    stable := true;
+    for i = 0 to Array.length cr.solved - 1 do
+      let l = cr.solved.(i) in
+      let r = reach.(l) in
+      let du = r land def_up <> 0 and dd = r land def_dn <> 0 in
+      let pu = r land pos_up <> 0 and pd = r land pos_dn <> 0 in
+      let v =
+        if du && dd then begin
+          fight := true;
+          let up = s.dist_up.(l) and dn = s.dist_dn.(l) in
+          if up < dn then Ternary.V1 else if dn < up then Ternary.V0 else Ternary.VX
+        end
+        else if du then if pd then Ternary.VX else Ternary.V1
+        else if dd then if pu then Ternary.VX else Ternary.V0
+        else if pu || pd then Ternary.VX
+        else charge.(i)
+      in
+      (* Ternary values are immediates: physical equality is equality. *)
+      if v != values.(l) then begin
+        values.(l) <- v;
+        stable := false
+      end
+    done;
+    for p = 0 to Array.length cr.pad_local - 1 do
+      let r = reach.(cr.pad_local.(p)) in
+      match ext.(cr.pad_slot.(p)) with
+      | Ternary.V1 -> if r land def_dn <> 0 then fight := true
+      | Ternary.V0 -> if r land def_up <> 0 then fight := true
+      | Ternary.VX -> ()
+    done
+  done;
+  for i = 0 to Array.length cr.solved - 1 do
+    out.(i) <- values.(cr.solved.(i))
+  done;
+  !fight

@@ -59,6 +59,50 @@ val solve :
     value of region nodes for floating-node retention ([Ternary.VX] for an
     unknown initial state).
 
+    This is the reference solver, kept as the oracle of {!solve_compiled}.
     Diagnostics: set the [DL_SOLVER_DEBUG] environment variable to trace
     every relaxation round (per-node rail distances, edge conduction) on
-    stderr. *)
+    stderr; it applies to this function only. *)
+
+(** {2 Compiled regions}
+
+    The production solver: {!solve} on a region lowered once into arrays,
+    with results bit-identical to it.  Each relaxation round decides the
+    rail passes by reachability and runs the exact shortest-path passes
+    only when some node is driven definitely from both rails, since only
+    then do the distances themselves matter. *)
+
+type compiled
+
+val compile : t -> compiled
+
+val external_nodes : compiled -> int array
+(** Global ids of the nodes whose values a compiled solve reads from
+    outside the region (gate terminals, bridged PI drivers), in slot
+    order. *)
+
+val solved_nodes : compiled -> int array
+(** Global ids of the nodes a compiled solve reports, in the order of
+    [(solve t ...).values]. *)
+
+val charged_count : compiled -> int
+(** The solved nodes whose charge a solve can read: the first
+    [charged_count] of {!solved_nodes}.  Pad-driven nodes are always
+    driven. *)
+
+type scratch
+(** Working arrays, grown on demand; one per simulation run. *)
+
+val scratch : unit -> scratch
+
+val solve_compiled :
+  compiled ->
+  scratch ->
+  ext:Ternary.t array ->
+  charge:Ternary.t array ->
+  out:Ternary.t array ->
+  bool
+(** [solve_compiled cr s ~ext ~charge ~out] reads [ext.(i)], the value of
+    external slot [i], and [charge.(i)], the previous value of solved node
+    [i]; it writes the value of solved node [i] into [out.(i)] and returns
+    [fight].  Equal to {!solve} on the same inputs. *)

@@ -32,7 +32,31 @@ val run :
     controls fault dropping: [`Voltage] stops simulating a fault once
     voltage-detected (fastest), [`Both] once both mechanisms have fired
     (default; exact first-detection data for both curves), [`Never] runs
-    everything (dictionary-grade data). *)
+    everything (dictionary-grade data).
+
+    Each region is compiled once ({!Solver.compile}) and its solves are
+    memoised per fault on the exact inputs a solve reads (external values
+    and charge); the fault effect propagates through a reusable cone
+    walker ({!Dl_logic.Propagate.Cone}).  [region_solves] counts logical
+    region evaluations, a memo hit included.  Results are bit-identical to
+    {!Reference.run}. *)
+
+(** The original engine: a {!Solver.solve} per region evaluation and a
+    {!Dl_logic.Propagate.run} per propagation.  Kept as the oracle of
+    {!run}. *)
+module Reference : sig
+  val run :
+    ?drop_when:[ `Voltage | `Both | `Never ] ->
+    ?on_voltage_detect:(fault_index:int -> vector_index:int -> unit) ->
+    Network.t ->
+    faults:Realistic.t array ->
+    vectors:bool array array ->
+    result
+end
+
+val signal_of : Dl_cell.Mapping.network -> int -> int option
+(** The circuit node of a network node, when it is a signal node (not a
+    rail or a cell-internal node). *)
 
 val weighted_coverage : result -> Dl_fault.Coverage.t
 (** Θ(k): voltage-detection coverage weighted by fault weights (eq. 6). *)

@@ -64,7 +64,7 @@ let test_harness_unknown_check () =
 
 let test_registry_is_consistent () =
   let names = Oracle.names () in
-  Alcotest.(check int) "twenty-three checks" 23 (List.length names);
+  Alcotest.(check int) "twenty-four checks" 24 (List.length names);
   List.iter
     (fun n ->
       match Oracle.find n with
@@ -155,6 +155,33 @@ let test_repro_roundtrip () =
       Alcotest.(check string) "replayed check" "sim2-flat" name;
       Alcotest.(check bool) "no longer failing" true (verdict = None))
 
+(* The switch-level oracle derives its realistic faults from the case's
+   circuit alone, so a saved case replays, and shrinking keeps it
+   judgeable. *)
+let test_swift_reference_repro () =
+  with_tmp_dir "swift" (fun dir ->
+      let case = Testcase.generate ~family:"tree-like" ~seed:5 ~gates:20 ~n_vectors:7 () in
+      let judge = match Oracle.find "swift-reference" with
+        | Some { Oracle.kind = Oracle.Case f; _ } -> f
+        | _ -> Alcotest.fail "swift-reference is not a case check"
+      in
+      Alcotest.(check (option string)) "passes" None (judge case);
+      (* Every candidate the shrinker builds is judged on the way. *)
+      let shrunk, _ =
+        Shrink.minimize ~max_checks:50
+          ~fails:(fun c ->
+            ignore (judge c);
+            if Array.length c.Testcase.vectors > 0 then Some "has vectors" else None)
+          case
+      in
+      Alcotest.(check (option string)) "shrunk case passes" None (judge shrunk);
+      let path =
+        Testcase.save_repro ~dir ~name:"sw" ~check:"swift-reference" ~message:"m" case
+      in
+      let name, verdict = Harness.replay (Testcase.load_repro path) in
+      Alcotest.(check string) "replayed check" "swift-reference" name;
+      Alcotest.(check bool) "no longer failing" true (verdict = None))
+
 (* --- mutation self-test ----------------------------------------------------- *)
 
 let test_mutation_self_test () =
@@ -235,7 +262,10 @@ let () =
           Alcotest.test_case "check budget" `Quick test_shrink_respects_budget;
         ] );
       ( "repro",
-        [ Alcotest.test_case "save/load/replay" `Quick test_repro_roundtrip ] );
+        [
+          Alcotest.test_case "save/load/replay" `Quick test_repro_roundtrip;
+          Alcotest.test_case "swift-reference replays" `Quick test_swift_reference_repro;
+        ] );
       ( "self-test",
         [
           Alcotest.test_case "mutants caught and shrunk" `Quick

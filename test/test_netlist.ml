@@ -484,6 +484,29 @@ let test_decompose_wide_gates () =
       (Dl_logic.Sim2.output_bits c' v)
   done
 
+(* The cell library has no one-input AND/NAND/OR/NOR/XOR/XNOR cells: such
+   gates become buffers or inverters, and the result flattens. *)
+let test_decompose_single_input_gates () =
+  let b = Circuit.Builder.create ~title:"unary" in
+  Circuit.Builder.add_input b "a";
+  let kinds = Gate.[ And; Nand; Or; Nor; Xor; Xnor ] in
+  List.iter
+    (fun k ->
+      let name = "g_" ^ Gate.to_string k in
+      Circuit.Builder.add_gate b name k [ "a" ];
+      Circuit.Builder.add_output b name)
+    kinds;
+  let c = Circuit.Builder.finalize b in
+  Alcotest.(check bool) "not mappable" false (Transform.is_cell_mappable c);
+  let c' = Transform.decompose_for_cells c in
+  Alcotest.(check bool) "mappable after" true (Transform.is_cell_mappable c');
+  ignore (Dl_cell.Mapping.flatten c');
+  List.iter
+    (fun a ->
+      Alcotest.(check (array bool)) "equivalent" (Dl_logic.Sim2.output_bits c [| a |])
+        (Dl_logic.Sim2.output_bits c' [| a |]))
+    [ false; true ]
+
 let test_decompose_identity_when_mappable () =
   let c = Benchmarks.c17 () in
   let c' = Transform.decompose_for_cells c in
@@ -1276,6 +1299,7 @@ let () =
         [
           Alcotest.test_case "decompose wide gates" `Quick test_decompose_wide_gates;
           Alcotest.test_case "identity when mappable" `Quick test_decompose_identity_when_mappable;
+          Alcotest.test_case "single-input gates" `Quick test_decompose_single_input_gates;
           Alcotest.test_case "eliminate_node" `Quick test_eliminate_node;
           Alcotest.test_case "eliminate output node" `Quick test_eliminate_output_node;
           Alcotest.test_case "prune_dead" `Quick test_prune_dead;

@@ -380,6 +380,231 @@ let test_signature_consistent_with_first_detection () =
   Alcotest.(check bool) "signature first = detection first" true
     (first_fail = r.detection.(0).voltage)
 
+
+(* --- Compiled engine vs reference ------------------------------------------- *)
+
+(* A one-cell circuit per library cell: every input a pad-driven PI. *)
+let cell_fixture (kind, arity) =
+  let b = Circuit.Builder.create ~title:"cell" in
+  let ins = List.init arity (fun i -> Printf.sprintf "i%d" i) in
+  List.iter (Circuit.Builder.add_input b) ins;
+  Circuit.Builder.add_gate b "o" kind ins;
+  Circuit.Builder.add_output b "o";
+  let c = Circuit.Builder.finalize b in
+  let m = Mapping.flatten c in
+  (c, m, Network.build m)
+
+let cell_modifications c (m : Mapping.network) =
+  let inst = m.Mapping.instances.(0) in
+  let n_ts = List.length inst.cell.Dl_cell.Cell.transistors in
+  let ts = List.init n_ts (fun k -> inst.first_transistor + k) in
+  let out = inst.output_node in
+  let pis = Array.to_list (Array.map (fun pi -> m.Mapping.signal_node.(pi)) c.Circuit.inputs) in
+  let pairs =
+    List.map (fun p -> (out, p)) pis
+    @ [ (out, m.Mapping.gnd); (out, m.Mapping.vdd) ]
+    @ List.map (fun nd -> (nd, out)) (Array.to_list inst.internal_nodes)
+    @ List.map (fun nd -> (nd, m.Mapping.gnd)) (Array.to_list inst.internal_nodes)
+    @ (match pis with a :: b :: _ -> [ (a, b) ] | _ -> [])
+  in
+  List.map (fun ti -> Solver.Remove_transistor ti) ts
+  @ List.map (fun ti -> Solver.Short_transistor ti) ts
+  @ List.map (fun (a, b) -> Solver.Bridge_nodes { node_a = a; node_b = b }) pairs
+  @ List.concat_map
+      (fun (a, b) ->
+        List.map
+          (fun resistance -> Solver.Resistive_bridge { node_a = a; node_b = b; resistance })
+          (* [max_float] makes the region run every pass as exact Dijkstra:
+             its distance sums could overflow. *)
+          [ 0.0; 0.5; 64.0; Float.max_float; infinity ])
+      [ (out, List.hd pis); (out, m.Mapping.gnd) ]
+
+let all_assignments n =
+  let vals = [| T3.V0; T3.V1; T3.VX |] in
+  let total = int_of_float (3.0 ** float_of_int n) in
+  List.init total (fun code ->
+      Array.init n (fun i -> vals.(code / int_of_float (3.0 ** float_of_int i) mod 3)))
+
+let test_compiled_solve_every_cell () =
+  let scratch = Solver.scratch () in
+  let solves = ref 0 in
+  List.iter
+    (fun ((kind, arity) as cell) ->
+      let c, m, net = cell_fixture cell in
+      List.iter
+        (fun md ->
+          let region = Solver.make net ~instances:[ 0 ] ~modifications:[ md ] in
+          let cr = Solver.compile region in
+          let ext_nodes = Solver.external_nodes cr in
+          let solved = Solver.solved_nodes cr in
+          let out = Array.make (Array.length solved) T3.VX in
+          List.iter
+            (fun ext ->
+              List.iter
+                (fun q ->
+                  let external_value g =
+                    let rec find i =
+                      if i >= Array.length ext_nodes then T3.VX
+                      else if ext_nodes.(i) = g then ext.(i)
+                      else find (i + 1)
+                    in
+                    find 0
+                  in
+                  let want = Solver.solve region ~external_value ~charge:(fun _ -> q) in
+                  let charge = Array.make (Array.length solved) q in
+                  let fight = Solver.solve_compiled cr scratch ~ext ~charge ~out in
+                  incr solves;
+                  let got = List.combine (Array.to_list solved) (Array.to_list out) in
+                  if got <> want.values || fight <> want.fight then
+                    Alcotest.failf "%s/%d: compiled solve differs (ext %s, charge %c)"
+                      (Gate.to_string kind) arity
+                      (String.init (Array.length ext) (fun i -> T3.to_char ext.(i)))
+                      (T3.to_char q))
+                [ T3.V0; T3.V1; T3.VX ])
+            (all_assignments (Array.length ext_nodes)))
+        (cell_modifications c m))
+    Dl_cell.Cell.all_kinds;
+  Alcotest.(check bool) "some solves compared" true (!solves > 1000)
+
+let test_nan_resistance_rejected () =
+  let c, m, net = inv_fixture () in
+  let a = m.Mapping.signal_node.(c.Circuit.outputs.(0)) in
+  let bridge resistance =
+    Solver.make net ~instances:[ 0 ]
+      ~modifications:
+        [ Solver.Resistive_bridge { node_a = a; node_b = m.Mapping.gnd; resistance } ]
+  in
+  Alcotest.check_raises "nan"
+    (Invalid_argument "Solver: bridge resistance must be non-negative") (fun () ->
+      ignore (bridge Float.nan));
+  (* An infinite resistance is an open bridge: the inverter works. *)
+  let cr = Solver.compile (bridge infinity) in
+  let out = Array.make (Array.length (Solver.solved_nodes cr)) T3.VX in
+  ignore
+    (Solver.solve_compiled cr (Solver.scratch ()) ~ext:[| T3.V1 |]
+       ~charge:(Array.copy out) ~out);
+  Alcotest.(check char) "inverter output" '0' (T3.to_char out.(0))
+
+let realistic_faults name =
+  let c, m, net = build name in
+  let ext = Dl_extract.Ifa.extract (Dl_layout.Layout.synthesize m) in
+  (c, net, ext.Dl_extract.Ifa.faults)
+
+let check_same_as_reference net ~faults ~vectors =
+  List.iter
+    (fun drop_when ->
+      let fast = Swift.run ~drop_when net ~faults ~vectors in
+      let slow = Swift.Reference.run ~drop_when net ~faults ~vectors in
+      Array.iteri
+        (fun i (d : Swift.detection) ->
+          if d <> slow.detection.(i) then
+            Alcotest.failf "fault %s: detection differs from the reference"
+              faults.(i).Realistic.label)
+        fast.detection;
+      Alcotest.(check int) "region solves" slow.region_solves fast.region_solves)
+    [ `Both; `Voltage; `Never ]
+
+let test_swift_matches_reference_c17 () =
+  let c, net, faults = realistic_faults "c17" in
+  check_same_as_reference net ~faults ~vectors:(exhaustive_vectors c)
+
+let test_swift_matches_reference_c432s_small () =
+  let c, net, faults = realistic_faults "c432s_small" in
+  check_same_as_reference net ~faults ~vectors:(random_vectors c 24)
+
+(* [Resistive.detect] written on the reference solver and the Hashtbl cone
+   walk: one solve per vector from unknown charge, no feedback. *)
+let reference_resistive net ~resistance ~node_a ~node_b ~vectors =
+  let m = Network.mapping net in
+  let c = m.Mapping.circuit in
+  let region =
+    Solver.make net
+      ~instances:
+        (List.sort_uniq compare
+           (List.filter_map (Network.owner_instance net) [ node_a; node_b ]))
+      ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ]
+  in
+  let first p = List.find_opt (fun k -> p k) (List.init (Array.length vectors) Fun.id) in
+  let goods = Swift.good_values net vectors in
+  let outcome k =
+    let ext g = match Swift.signal_of m g with Some s -> T3.of_bool goods.(k).(s) | None -> T3.VX in
+    Solver.solve region ~external_value:ext ~charge:(fun _ -> T3.VX)
+  in
+  let voltage k =
+    let seeds =
+      List.filter_map
+        (fun (g, v) -> Option.map (fun s -> (s, v)) (Swift.signal_of m g))
+        (outcome k).values
+    in
+    Dl_logic.Propagate.(po_detects c goods.(k) (run c goods.(k) seeds))
+  in
+  (first voltage, first (fun k -> (outcome k).fight))
+
+let test_resistive_matches_reference_solver () =
+  let c, _, net = build "c432s_small" in
+  let _, _, faults = realistic_faults "c432s_small" in
+  let vectors = random_vectors c 12 in
+  let bridges =
+    List.filter_map
+      (fun (f : Realistic.t) ->
+        match f.kind with Realistic.Bridge { node_a; node_b } -> Some (node_a, node_b) | _ -> None)
+      (Array.to_list faults)
+    |> List.filteri (fun i _ -> i mod 7 = 0)
+  in
+  List.iter
+    (fun (node_a, node_b) ->
+      List.iter
+        (fun resistance ->
+          let d = Resistive.detect ~resistance net ~node_a ~node_b ~vectors in
+          let voltage, iddq = reference_resistive net ~resistance ~node_a ~node_b ~vectors in
+          (* [detect] stops at the later of its two first detections. *)
+          Alcotest.(check (pair (option int) (option int)))
+            (Printf.sprintf "bridge %d/%d at R=%g" node_a node_b resistance)
+            (voltage, iddq) (d.voltage, d.iddq))
+        [ 0.0; 0.5; 3.0; 64.0; infinity ])
+    bridges
+
+(* The reusable cone walker against the Hashtbl walk it replaces. *)
+let prop_cone_matches_run =
+  QCheck.Test.make ~name:"Cone = Propagate.run + po_detects" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Dl_util.Rng.create seed in
+      let c =
+        Generator.random ~seed ~inputs:(3 + (seed mod 5)) ~outputs:(1 + (seed mod 3))
+          ~profile:
+            [ (Gate.Nand, 8); (Gate.Nor, 4); (Gate.And, 3); (Gate.Or, 3);
+              (Gate.Xor, 2); (Gate.Xnor, 1); (Gate.Not, 3); (Gate.Buf, 1) ]
+          ()
+      in
+      let n = Circuit.node_count c in
+      let cone = Dl_logic.Propagate.Cone.create c in
+      List.for_all
+        (fun _ ->
+          let good = Dl_logic.Sim2.run_single c
+              (Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng)) in
+          let seeds =
+            List.init (Dl_util.Rng.int rng 4) (fun _ ->
+                ( Dl_util.Rng.int rng n,
+                  match Dl_util.Rng.int rng 3 with 0 -> T3.V0 | 1 -> T3.V1 | _ -> T3.VX ))
+          in
+          let map = Dl_logic.Propagate.run c good seeds in
+          Dl_logic.Propagate.Cone.start cone good;
+          List.iter (fun (id, v) -> Dl_logic.Propagate.Cone.seed cone id v) seeds;
+          Dl_logic.Propagate.Cone.propagate cone;
+          List.for_all
+            (fun id ->
+              let got =
+                if Dl_logic.Propagate.Cone.mem cone id then
+                  Some (Dl_logic.Propagate.Cone.get cone id)
+                else None
+              in
+              got = Hashtbl.find_opt map id)
+            (List.init n Fun.id)
+          && Dl_logic.Propagate.Cone.po_detects cone
+             = Dl_logic.Propagate.po_detects c good map)
+        (List.init 8 Fun.id))
+
 let () =
   Alcotest.run "dl_switch"
     [
@@ -389,7 +614,12 @@ let () =
           Alcotest.test_case "owners" `Quick test_network_owners;
         ] );
       ( "solver",
-        [ Alcotest.test_case "fault-free cells = gates" `Quick test_solver_fault_free_cells ] );
+        [
+          Alcotest.test_case "fault-free cells = gates" `Quick test_solver_fault_free_cells;
+          Alcotest.test_case "compiled = reference, every cell" `Quick
+            test_compiled_solve_every_cell;
+          Alcotest.test_case "nan resistance rejected" `Quick test_nan_resistance_rejected;
+        ] );
       ( "faults",
         [
           Alcotest.test_case "stuck-open needs two patterns" `Quick test_stuck_open_two_pattern;
@@ -409,5 +639,12 @@ let () =
           Alcotest.test_case "voltage-drop mode faster" `Quick test_drop_voltage_mode_faster;
           Alcotest.test_case "signature consistent" `Quick
             test_signature_consistent_with_first_detection;
+          Alcotest.test_case "compiled = reference, c17" `Quick
+            test_swift_matches_reference_c17;
+          Alcotest.test_case "compiled = reference, c432s_small" `Slow
+            test_swift_matches_reference_c432s_small;
+          Alcotest.test_case "resistive = reference solver" `Quick
+            test_resistive_matches_reference_solver;
         ] );
+      ("propagate", [ QCheck_alcotest.to_alcotest prop_cone_matches_run ]);
     ]
