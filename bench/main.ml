@@ -9,7 +9,8 @@
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
    quality resistive stability sweep clustered lot par kernel store serve
-   mc ndet micro, and swift (only when named: minutes of reference runs)
+   mc ndet micro, and swift and atpg (only when named: reference runs of
+   minutes and seconds)
 
    The [kernel] section additionally writes BENCH_fault_sim.json
    (machine-readable old-vs-new throughput gate) to the working directory
@@ -1341,6 +1342,66 @@ let swift_bench () =
   Table.print t;
   print_endline "identical detections and region solves on every circuit."
 
+(* ------------------------------------------------------------------- atpg *)
+
+(* The compiled PODEM engine against the retained reference on the faults a
+   flow hands it: every collapsed fault of c432s, and the faults left after
+   the random phase on c499s (64 vectors, as in the gate-level benchmark)
+   and c880s (the pipeline default).  Outcomes and vectors must be
+   identical (exit 1 otherwise); both wall times are printed.  Not in the
+   default set: the reference takes about ten seconds. *)
+let atpg_bench () =
+  section_banner "Atpg" "compiled PODEM vs Podem.Reference";
+  let t =
+    Table.create
+      [ ("circuit", Table.Left); ("faults", Table.Right); ("tests", Table.Right);
+        ("untestable", Table.Right); ("aborted", Table.Right);
+        ("reference s", Table.Right); ("compiled s", Table.Right);
+        ("speed-up", Table.Right) ]
+  in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  List.iter
+    (fun (name, max_random) ->
+      let c =
+        Dl_netlist.Transform.decompose_for_cells
+          (Option.get (Dl_netlist.Benchmarks.by_name name))
+      in
+      let all = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
+      let faults =
+        match max_random with
+        | None -> all
+        | Some max_vectors ->
+            (Dl_atpg.Random_gen.run ~seed:7 ~max_vectors c ~faults:all).remaining
+      in
+      let scoap = Dl_atpg.Scoap.compute c in
+      let fast, fast_s =
+        timed (fun () ->
+            let ctx = Dl_atpg.Podem.compile ~scoap c in
+            Array.map (Dl_atpg.Podem.run ctx) faults)
+      in
+      let slow, slow_s =
+        timed (fun () -> Array.map (Dl_atpg.Podem.Reference.generate ~scoap c) faults)
+      in
+      if fast <> slow then begin
+        Printf.printf "FAIL %s: compiled PODEM differs from Podem.Reference\n" name;
+        exit 1
+      end;
+      let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 fast in
+      Table.add_row t
+        [ name; string_of_int (Array.length faults);
+          string_of_int (count (function Dl_atpg.Podem.Test _ -> true | _ -> false));
+          string_of_int (count (( = ) Dl_atpg.Podem.Untestable));
+          string_of_int (count (( = ) Dl_atpg.Podem.Aborted));
+          Printf.sprintf "%.3f" slow_s; Printf.sprintf "%.3f" fast_s;
+          Printf.sprintf "%.1fx" (slow_s /. fast_s) ])
+    [ ("c432s", None); ("c499s", Some 64); ("c880s", Some 4096) ];
+  Table.print t;
+  print_endline "identical outcomes and vectors on every circuit."
+
 (* ---------------------------------------------------------- micro-benches *)
 
 let micro () =
@@ -1355,7 +1416,7 @@ let micro () =
     Array.init 64 (fun _ ->
         Array.init (Dl_netlist.Circuit.input_count c432) (fun _ -> Dl_util.Rng.bool rng))
   in
-  let scoap = Dl_atpg.Scoap.compute c432 in
+  let podem = Dl_atpg.Podem.compile ~scoap:(Dl_atpg.Scoap.compute c432) c432 in
   let hard_fault = faults.(Array.length faults / 2) in
   let mapping = Dl_cell.Mapping.flatten small in
   let network = Dl_switch.Network.build mapping in
@@ -1395,7 +1456,7 @@ let micro () =
              ignore
                (Dl_fault.Fault_sim.Reference.run c432 ~faults ~vectors:vectors64)));
       Test.make ~name:"podem: one c432s fault"
-        (Staged.stage (fun () -> ignore (Dl_atpg.Podem.generate ~scoap c432 hard_fault)));
+        (Staged.stage (fun () -> ignore (Dl_atpg.Podem.run podem hard_fault)));
       Test.make ~name:"scoap: c432s"
         (Staged.stage (fun () -> ignore (Dl_atpg.Scoap.compute c432)));
       Test.make ~name:"switch solver: bridge region"
@@ -1746,13 +1807,15 @@ let sections =
        heap past 1.5 GB on OCaml 5.1 (it stays near 150 MB otherwise). *)
     ("micro", micro);
     ("swift", swift_bench);
+    ("atpg", atpg_bench);
   ]
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
-    | _ -> List.filter (fun s -> s <> "swift") (List.map fst sections)
+    | _ ->
+        List.filter (fun s -> s <> "swift" && s <> "atpg") (List.map fst sections)
   in
   List.iter
     (fun name ->

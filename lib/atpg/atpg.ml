@@ -23,7 +23,7 @@ type result = {
 let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
     ?(backtrack_limit = 10_000) (c : Circuit.t) ~faults =
   let random = Random_gen.run ~seed ~max_vectors:max_random ~stale_limit c ~faults in
-  let scoap = Scoap.compute c in
+  let podem = Podem.compile ~scoap:(Scoap.compute c) c in
   let deterministic = ref [] in
   let det_count = ref 0 in
   let untestable = ref 0 in
@@ -36,7 +36,7 @@ let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
     match !pending with
     | [] -> ()
     | target :: rest -> (
-        match Podem.generate ~backtrack_limit ~scoap c target with
+        match Podem.run ~backtrack_limit podem target with
         | Podem.Untestable ->
             incr untestable;
             untestable_list := target :: !untestable_list;
@@ -62,8 +62,12 @@ let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
                 | None -> if i > 0 then kept := remaining.(i - 1) :: !kept)
               r.first_detection;
             (* The targeted fault is detected by construction; if the oracle
-               ever disagreed we would still drop it to guarantee progress. *)
-            if r.first_detection.(0) = None then incr aborted;
+               ever disagreed we would still drop it to guarantee progress,
+               reporting it as aborted. *)
+            if r.first_detection.(0) = None then begin
+              incr aborted;
+              aborted_list := target :: !aborted_list
+            end;
             pending := List.rev !kept)
   done;
   let det_vectors = Array.of_list (List.rev !deterministic) in

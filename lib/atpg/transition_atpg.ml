@@ -15,7 +15,7 @@ let reduced_stuck (f : Transition.t) =
 (* Find a vector setting [node] to [value]: cheap random probing first, then
    a PODEM run on the complementary stuck-at (whose activation forces the
    node to [value]). *)
-let justify ?(seed = 1) ?backtrack_limit ?scoap (c : Circuit.t) ~node ~value =
+let justify ~seed ?backtrack_limit podem (c : Circuit.t) ~node ~value =
   let rng = Dl_util.Rng.create seed in
   let npi = Circuit.input_count c in
   let rec probe tries =
@@ -34,22 +34,25 @@ let justify ?(seed = 1) ?backtrack_limit ?scoap (c : Circuit.t) ~node ~value =
           polarity = (if value then Stuck_at.Sa0 else Stuck_at.Sa1);
         }
       in
-      match Podem.generate ?backtrack_limit ?scoap c complement with
+      match Podem.run ?backtrack_limit podem complement with
       | Podem.Test v -> Some v
       | Podem.Untestable | Podem.Aborted -> None)
 
-let generate ?(seed = 1) ?backtrack_limit ?scoap (c : Circuit.t)
-    (f : Transition.t) =
-  match Podem.generate ?backtrack_limit ?scoap c (reduced_stuck f) with
+let generate_in ~seed ?backtrack_limit podem (c : Circuit.t) (f : Transition.t) =
+  match Podem.run ?backtrack_limit podem (reduced_stuck f) with
   | Podem.Untestable -> Untestable
   | Podem.Aborted -> Aborted
   | Podem.Test capture -> (
-      match justify ~seed ?backtrack_limit ?scoap c ~node:f.node ~value:(launch_value f) with
+      match justify ~seed ?backtrack_limit podem c ~node:f.node ~value:(launch_value f) with
       | None -> Untestable
       | Some launch ->
           if Transition.detects_pair c f ~v1:launch ~v2:capture then
             Pair (launch, capture)
           else Aborted)
+
+let generate ?(seed = 1) ?backtrack_limit ?scoap (c : Circuit.t) f =
+  let scoap = match scoap with Some s -> s | None -> Scoap.compute c in
+  generate_in ~seed ?backtrack_limit (Podem.compile ~scoap c) c f
 
 type result = {
   pairs : (bool array * bool array) array;
@@ -59,14 +62,14 @@ type result = {
 }
 
 let run ?(seed = 1) (c : Circuit.t) ~faults =
-  let scoap = Scoap.compute c in
+  let podem = Podem.compile ~scoap:(Scoap.compute c) c in
   let n = Array.length faults in
   let live = Array.make n true in
   let pairs = ref [] in
   let untestable = ref 0 and aborted = ref 0 and detected = ref 0 in
   for i = 0 to n - 1 do
     if live.(i) then begin
-      match generate ~seed:(seed + i) ~scoap c faults.(i) with
+      match generate_in ~seed:(seed + i) podem c faults.(i) with
       | Untestable ->
           incr untestable;
           live.(i) <- false

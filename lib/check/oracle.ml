@@ -1007,6 +1007,47 @@ let swift_reference (case : Testcase.t) =
             (Dl_switch.Realistic.describe fault)
         else None
 
+(* --- podem-reference: compiled PODEM vs Podem.Reference ------------------ *)
+
+(* Every collapsed fault of the case's circuit after cell decomposition,
+   once at a backtrack limit of 100 and once at 3, so searches both finish
+   and abort into the restarts with randomized backtrace.  At the default
+   limit of 10,000 the reference spends seconds on one 60-gate case (long
+   untestability proofs, five full searches per abort), which would crowd
+   the other checks out of the harness's time budget; the tests and the
+   bench [atpg] section compare at the default limit.  One compiled
+   context serves every fault, as in a flow. *)
+let podem_reference (case : Testcase.t) =
+  let module Podem = Dl_atpg.Podem in
+  let c = Transform.decompose_for_cells case.Testcase.circuit in
+  let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
+  let scoap = Dl_atpg.Scoap.compute c in
+  let ctx = Podem.compile ~scoap c in
+  let show = function
+    | Podem.Test v ->
+        "test " ^ String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
+    | Podem.Untestable -> "untestable"
+    | Podem.Aborted -> "aborted"
+  in
+  let rec limits = function
+    | [] -> None
+    | backtrack_limit :: rest ->
+        let rec fault i =
+          if i >= Array.length faults then limits rest
+          else
+            let f = faults.(i) in
+            let fast = Podem.run ~backtrack_limit ctx f in
+            let slow = Podem.Reference.generate ~backtrack_limit ~scoap c f in
+            if fast <> slow then
+              failf "podem-reference (backtrack limit %d): fault %s: %s vs reference %s"
+                backtrack_limit (Dl_fault.Stuck_at.to_string c f) (show fast)
+                (show slow)
+            else fault (i + 1)
+        in
+        fault 0
+  in
+  limits [ 100; 3 ]
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -1113,6 +1154,12 @@ let all =
          realistic faults: detections and region_solves in every drop mode, \
          one fault's signature";
       kind = Case swift_reference };
+    { name = "podem-reference";
+      doc =
+        "compiled PODEM vs Podem.Reference on every collapsed fault of the \
+         decomposed circuit: outcome and vector, at backtrack limits 100 \
+         and 3 (restarts)";
+      kind = Case podem_reference };
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -61,7 +61,13 @@ val all : t list
       [Swift.Reference.run] on the realistic faults extracted from the
       case's circuit (decompose, flatten, synthesize, IFA): detections and
       [region_solves] under every drop mode, and one fault's
-      {!Dl_switch.Swift.signature}. *)
+      {!Dl_switch.Swift.signature};
+    - ["podem-reference"]: {!Dl_atpg.Podem.run} on one compiled context
+      equals [Podem.Reference.generate] (outcome and vector) on every
+      collapsed fault of the case's circuit after
+      {!Dl_netlist.Transform.decompose_for_cells}, at backtrack limits 100
+      and 3, so searches both finish and abort into the randomized
+      restarts. *)
 
 val find : string -> t option
 val names : unit -> string list

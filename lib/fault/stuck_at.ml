@@ -29,22 +29,44 @@ let to_sim3_site = function
   | Stem id -> Dl_logic.Sim3.Stem id
   | Branch { gate; pin } -> Dl_logic.Sim3.Branch { gate; pin }
 
-let universe (c : Circuit.t) =
-  let faults = ref [] in
-  let add site =
-    faults := { site; polarity = Sa1 } :: { site; polarity = Sa0 } :: !faults
-  in
+(* Fanin CSR offsets: pin [pin] of node [id] is slot [off.(id) + pin]. *)
+let fanin_offsets (c : Circuit.t) =
+  let n = Array.length c.nodes in
+  let off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    off.(id + 1) <- off.(id) + Array.length c.nodes.(id).fanin
+  done;
+  off
+
+(* Both polarities of the given stems (ascending ids), then of every branch
+   by (gate, pin): the order [compare] sorts into, built without a sort.
+   The two faults of a site share its [site] value. *)
+let enumerate (c : Circuit.t) stems =
+  let branching src = Array.length c.fanouts.(src) > 1 in
+  let n_branches = ref 0 in
   Array.iter
     (fun (nd : Circuit.node) ->
-      add (Stem nd.id);
+      Array.iter (fun src -> if branching src then incr n_branches) nd.fanin)
+    c.nodes;
+  let dummy = { site = Stem 0; polarity = Sa0 } in
+  let out = Array.make (2 * (Array.length stems + !n_branches)) dummy in
+  let next = ref 0 in
+  let add site =
+    out.(!next) <- { site; polarity = Sa0 };
+    out.(!next + 1) <- { site; polarity = Sa1 };
+    next := !next + 2
+  in
+  Array.iter (fun id -> add (Stem id)) stems;
+  Array.iter
+    (fun (nd : Circuit.node) ->
       Array.iteri
-        (fun pin src ->
-          if Array.length c.fanouts.(src) > 1 then add (Branch { gate = nd.id; pin }))
+        (fun pin src -> if branching src then add (Branch { gate = nd.id; pin }))
         nd.fanin)
     c.nodes;
-  let arr = Array.of_list !faults in
-  Array.sort compare arr;
-  arr
+  out
+
+let universe (c : Circuit.t) =
+  enumerate c (Array.init (Array.length c.nodes) Fun.id)
 
 (* Union-find over fault indices for equivalence collapsing. *)
 module Uf = struct
@@ -61,18 +83,40 @@ module Uf = struct
     if ra < rb then t.(rb) <- ra else if rb < ra then t.(ra) <- rb
 end
 
-let build_index faults =
-  let tbl = Hashtbl.create (Array.length faults) in
-  Array.iteri (fun i f -> Hashtbl.replace tbl (site_key f.site, f.polarity) i) faults;
-  fun site polarity -> Hashtbl.find_opt tbl (site_key site, polarity)
+(* Fault index by site and polarity over dense slots: stems at [2 * id],
+   branches after them at [2 * (n + fanin slot)], plus the polarity; -1
+   for a fault not in the list.  A repeated fault resolves to its last
+   occurrence. *)
+let build_index (c : Circuit.t) faults =
+  let n = Array.length c.nodes in
+  let off = fanin_offsets c in
+  let index = Array.make (2 * (n + off.(n))) (-1) in
+  let slot site polarity =
+    let base =
+      match site with
+      | Stem id when id >= 0 && id < n -> 2 * id
+      | Branch { gate; pin }
+        when gate >= 0 && gate < n && pin >= 0 && pin < off.(gate + 1) - off.(gate) ->
+          2 * (n + off.(gate) + pin)
+      | Stem _ | Branch _ -> -1
+    in
+    if base < 0 then -1 else base + (match polarity with Sa0 -> 0 | Sa1 -> 1)
+  in
+  Array.iteri
+    (fun i f ->
+      let k = slot f.site f.polarity in
+      if k >= 0 then index.(k) <- i)
+    faults;
+  fun site polarity ->
+    let k = slot site polarity in
+    if k >= 0 then index.(k) else -1
 
 let unify (c : Circuit.t) faults =
   let uf = Uf.create (Array.length faults) in
-  let lookup = build_index faults in
+  let lookup = build_index c faults in
   let join s1 p1 s2 p2 =
-    match (lookup s1 p1, lookup s2 p2) with
-    | Some a, Some b -> Uf.union uf a b
-    | _ -> ()
+    let a = lookup s1 p1 and b = lookup s2 p2 in
+    if a >= 0 && b >= 0 then Uf.union uf a b
   in
   (* The fault "as seen at gate input pin": the branch fault if the net has
      fanout, otherwise the driver's stem fault. *)
@@ -128,18 +172,6 @@ let collapse c faults =
   Array.of_list (List.rev !kept)
 
 let checkpoints (c : Circuit.t) =
-  let faults = ref [] in
-  let add site =
-    faults := { site; polarity = Sa1 } :: { site; polarity = Sa0 } :: !faults
-  in
-  Array.iter (fun id -> add (Stem id)) c.inputs;
-  Array.iter
-    (fun (nd : Circuit.node) ->
-      Array.iteri
-        (fun pin src ->
-          if Array.length c.fanouts.(src) > 1 then add (Branch { gate = nd.id; pin }))
-        nd.fanin)
-    c.nodes;
-  let arr = Array.of_list !faults in
-  Array.sort compare arr;
-  arr
+  let inputs = Array.copy c.inputs in
+  Array.sort Int.compare inputs;
+  enumerate c inputs

@@ -122,7 +122,7 @@ let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
   done;
   let random_vectors = Array.concat (List.rev !all_blocks) in
   (* --- PODEM top-up of under-quota faults -------------------------------- *)
-  let scoap = Scoap.compute c in
+  let podem = Podem.compile ~scoap:(Scoap.compute c) c in
   let seen = Hashtbl.create 1024 in
   Array.iter (fun v -> Hashtbl.replace seen (vector_key v) ()) random_vectors;
   let topup = ref [] in
@@ -159,7 +159,7 @@ let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
   for i = 0 to n_faults - 1 do
     if counts.(i) < n then begin
       let target = faults.(i) in
-      match Podem.generate ~backtrack_limit ~scoap c target with
+      match Podem.run ~backtrack_limit podem target with
       | Podem.Untestable ->
           if counts.(i) = 0 then untestable_list := target :: !untestable_list
       | Podem.Aborted ->

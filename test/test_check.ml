@@ -64,7 +64,7 @@ let test_harness_unknown_check () =
 
 let test_registry_is_consistent () =
   let names = Oracle.names () in
-  Alcotest.(check int) "twenty-four checks" 24 (List.length names);
+  Alcotest.(check int) "twenty-five checks" 25 (List.length names);
   List.iter
     (fun n ->
       match Oracle.find n with
@@ -182,6 +182,30 @@ let test_swift_reference_repro () =
       Alcotest.(check string) "replayed check" "swift-reference" name;
       Alcotest.(check bool) "no longer failing" true (verdict = None))
 
+(* The PODEM oracle also derives its faults from the case's circuit alone. *)
+let test_podem_reference_repro () =
+  with_tmp_dir "podem" (fun dir ->
+      let case = Testcase.generate ~family:"reconvergent" ~seed:3 ~gates:20 ~n_vectors:5 () in
+      let judge = match Oracle.find "podem-reference" with
+        | Some { Oracle.kind = Oracle.Case f; _ } -> f
+        | _ -> Alcotest.fail "podem-reference is not a case check"
+      in
+      Alcotest.(check (option string)) "passes" None (judge case);
+      let shrunk, _ =
+        Shrink.minimize ~max_checks:50
+          ~fails:(fun c ->
+            ignore (judge c);
+            if Circuit.gate_count c.Testcase.circuit > 3 then Some "big" else None)
+          case
+      in
+      Alcotest.(check (option string)) "shrunk case passes" None (judge shrunk);
+      let path =
+        Testcase.save_repro ~dir ~name:"pd" ~check:"podem-reference" ~message:"m" case
+      in
+      let name, verdict = Harness.replay (Testcase.load_repro path) in
+      Alcotest.(check string) "replayed check" "podem-reference" name;
+      Alcotest.(check bool) "no longer failing" true (verdict = None))
+
 (* --- mutation self-test ----------------------------------------------------- *)
 
 let test_mutation_self_test () =
@@ -265,6 +289,7 @@ let () =
         [
           Alcotest.test_case "save/load/replay" `Quick test_repro_roundtrip;
           Alcotest.test_case "swift-reference replays" `Quick test_swift_reference_repro;
+          Alcotest.test_case "podem-reference replays" `Quick test_podem_reference_repro;
         ] );
       ( "self-test",
         [

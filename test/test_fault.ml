@@ -23,6 +23,29 @@ let test_universe_sorted_unique () =
     Alcotest.(check bool) "strictly sorted" true (Stuck_at.compare u.(i) u.(i + 1) < 0)
   done
 
+(* [universe] and [checkpoints] emit faults already in [compare] order
+   without sorting: each must equal its own sorted copy, with no
+   duplicates, on circuits of every generator family. *)
+let test_enumeration_sorted_random () =
+  List.iter
+    (fun family ->
+      List.iter
+        (fun seed ->
+          let c = Generator.Family.build_by_name family ~seed ~gates:(15 + (seed * 23)) in
+          List.iter
+            (fun (what, faults) ->
+              let sorted = Array.copy faults in
+              Array.sort Stuck_at.compare sorted;
+              let label = Printf.sprintf "%s %s seed %d" what family seed in
+              Alcotest.(check bool) (label ^ " sorted") true (faults = sorted);
+              for i = 0 to Array.length faults - 2 do
+                Alcotest.(check bool) (label ^ " unique") true
+                  (not (Stuck_at.equal faults.(i) faults.(i + 1)))
+              done)
+            [ ("universe", Stuck_at.universe c); ("checkpoints", Stuck_at.checkpoints c) ])
+        [ 1; 2; 3; 4 ])
+    (Generator.Family.names ())
+
 let test_collapse_c17 () =
   let c = Benchmarks.c17 () in
   let u = Stuck_at.universe c in
@@ -938,6 +961,8 @@ let () =
         [
           Alcotest.test_case "universe size" `Quick test_universe_size_c17;
           Alcotest.test_case "universe sorted" `Quick test_universe_sorted_unique;
+          Alcotest.test_case "enumeration sorted, random circuits" `Quick
+            test_enumeration_sorted_random;
           Alcotest.test_case "collapse c17" `Quick test_collapse_c17;
           Alcotest.test_case "class detection equivalence" `Quick
             test_collapse_detection_equivalent;
