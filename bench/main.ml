@@ -1301,15 +1301,18 @@ let cluster_bench () =
 
 (* The compiled switch-level engine against the retained reference on the
    inputs of a default cold pipeline: detections and region solves must be
-   identical (exit 1 otherwise), and both wall times are printed.  Not in
-   the default set: the reference takes about a minute on c432s and five on
-   c880s. *)
+   identical (exit 1 otherwise).  Both wall times are printed, with the
+   compiled engine's region shapes and how its solves were answered (full
+   key, ext-only key, or computed).  Not in the default set: the reference
+   takes about a minute on c432s and five on c880s. *)
 let swift_bench () =
   section_banner "Swift" "compiled switch-level engine vs Swift.Reference";
   let t =
     Table.create
       [ ("circuit", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
-        ("region solves", Table.Right); ("pipeline s", Table.Right);
+        ("region solves", Table.Right); ("shapes", Table.Right);
+        ("full-key hits", Table.Right); ("ext-only hits", Table.Right);
+        ("misses", Table.Right); ("pipeline s", Table.Right);
         ("reference s", Table.Right); ("compiled s", Table.Right);
         ("speed-up", Table.Right) ]
   in
@@ -1324,7 +1327,10 @@ let swift_bench () =
       let e, pipeline_s = timed (fun () -> Experiment.run (Experiment.config circuit)) in
       let net = Dl_switch.Network.build (Dl_cell.Mapping.flatten e.mapped_circuit) in
       let faults = e.extraction.faults and vectors = e.vectors in
-      let fast, fast_s = timed (fun () -> Dl_switch.Swift.run net ~faults ~vectors) in
+      let memo = Dl_switch.Swift.memo_stats () in
+      let fast, fast_s =
+        timed (fun () -> Dl_switch.Swift.run ~memo_stats:memo net ~faults ~vectors)
+      in
       let slow, slow_s =
         timed (fun () -> Dl_switch.Swift.Reference.run net ~faults ~vectors)
       in
@@ -1336,6 +1342,8 @@ let swift_bench () =
       Table.add_row t
         [ name; string_of_int (Array.length faults);
           string_of_int (Array.length vectors); string_of_int fast.region_solves;
+          string_of_int memo.shapes; string_of_int memo.full_hits;
+          string_of_int memo.ext_only_hits; string_of_int memo.misses;
           Printf.sprintf "%.2f" pipeline_s; Printf.sprintf "%.2f" slow_s;
           Printf.sprintf "%.2f" fast_s; Printf.sprintf "%.1fx" (slow_s /. fast_s) ])
     [ "c432s"; "c880s" ];
@@ -1421,15 +1429,21 @@ let micro () =
   let mapping = Dl_cell.Mapping.flatten small in
   let network = Dl_switch.Network.build mapping in
   let layout = Dl_layout.Layout.synthesize mapping in
-  let bridge_region =
+  let bridge_instances, bridge_modifications =
     let a = mapping.Dl_cell.Mapping.signal_node.(small.Dl_netlist.Circuit.outputs.(0)) in
     let b = mapping.Dl_cell.Mapping.signal_node.(small.Dl_netlist.Circuit.outputs.(1)) in
-    Dl_switch.Solver.make network
-      ~instances:
-        (List.filter_map (fun g -> Dl_switch.Network.owner_instance network g) [ a; b ])
-      ~modifications:[ Dl_switch.Solver.Bridge_nodes { node_a = a; node_b = b } ]
+    ( List.filter_map (fun g -> Dl_switch.Network.owner_instance network g) [ a; b ],
+      [ Dl_switch.Solver.Bridge_nodes { node_a = a; node_b = b } ] )
   in
-  let bridge_compiled = Dl_switch.Solver.compile bridge_region in
+  let bridge_region =
+    Dl_switch.Solver.make network ~instances:bridge_instances
+      ~modifications:bridge_modifications
+  in
+  let bridge_compiled =
+    Dl_switch.Solver.lower (Dl_switch.Solver.lowering network) ~instances:bridge_instances
+      ~modifications:bridge_modifications
+  in
+  let bridge_shape = Dl_switch.Solver.shape bridge_compiled in
   let bridge_scratch = Dl_switch.Solver.scratch () in
   let bridge_ext =
     Array.map (fun _ -> Dl_logic.Ternary.V1) (Dl_switch.Solver.external_nodes bridge_compiled)
@@ -1468,7 +1482,7 @@ let micro () =
       Test.make ~name:"switch solver compiled: bridge region"
         (Staged.stage (fun () ->
              ignore
-               (Dl_switch.Solver.solve_compiled bridge_compiled bridge_scratch
+               (Dl_switch.Solver.solve_compiled bridge_shape bridge_scratch
                   ~ext:bridge_ext ~charge:bridge_charge ~out:bridge_out)));
       Test.make ~name:"layout: c432s_small synthesize"
         (Staged.stage (fun () -> ignore (Dl_layout.Layout.synthesize mapping)));

@@ -40,6 +40,62 @@ let add_fault acc cls kind label w =
 let bridge_layers =
   [ Geom.Metal1; Geom.Metal2; Geom.Poly; Geom.Diffusion_n; Geom.Diffusion_p ]
 
+(* Every pair [(i, j)], [i < j], whose gaps in x and in y are both at most
+   [limit], as [i * n + j] in ascending order: a superset of the pairs
+   [Geom.facing] places within [limit], in the all-pairs scan's order.  A
+   sweep over the rectangles sorted by [x0] (once a rectangle starts more
+   than [limit] right of [a]'s right edge, so do all later ones), then two
+   stable counting sorts, by [j] and then by [i]. *)
+let near_pairs (rects : Geom.rect array) ~limit =
+  let n = Array.length rects in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Int.compare rects.(i).Geom.x0 rects.(j).Geom.x0) order;
+  let pairs = ref [] in
+  for p = 0 to n - 1 do
+    let i = order.(p) in
+    let a = rects.(i) in
+    let q = ref (p + 1) in
+    while !q < n && float_of_int (rects.(order.(!q)).Geom.x0 - a.Geom.x1) <= limit do
+      let j = order.(!q) in
+      let b = rects.(j) in
+      let gap_x = Int.max a.Geom.x0 b.Geom.x0 - Int.min a.Geom.x1 b.Geom.x1 in
+      let gap_y = Int.max a.Geom.y0 b.Geom.y0 - Int.min a.Geom.y1 b.Geom.y1 in
+      if float_of_int gap_x <= limit && float_of_int gap_y <= limit then
+        pairs := ((Int.min i j * n) + Int.max i j) :: !pairs;
+      incr q
+    done
+  done;
+  let sort_by key codes =
+    let count = Array.make (n + 1) 0 in
+    Array.iter (fun c -> count.(key c + 1) <- count.(key c + 1) + 1) codes;
+    for k = 1 to n do
+      count.(k) <- count.(k) + count.(k - 1)
+    done;
+    let sorted = Array.make (Array.length codes) 0 in
+    Array.iter
+      (fun c ->
+        sorted.(count.(key c)) <- c;
+        count.(key c) <- count.(key c) + 1)
+      codes;
+    sorted
+  in
+  sort_by (fun c -> c / n) (sort_by (fun c -> c mod n) (Array.of_list !pairs))
+
+(* A bridge site while the scan merges it. *)
+type site = {
+  kind : Realistic.kind;
+  mutable weight : float;
+  label : string;
+  site_cls : Defect_stats.defect_class;
+}
+
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layout.t) =
   let m = l.Layout.network in
   let acc =
@@ -51,6 +107,11 @@ let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layou
     else "?"
   in
   (* --- Bridges: facing same-layer wire pairs --------------------------- *)
+  (* Sites merge in a table keyed by [lo * node_count + hi]; each layer's
+     class total accumulates in place.  Both then enter [acc] as [add_fault]
+     would have left it: sites in first-insertion order, each label built
+     once. *)
+  let sites = Int_table.create 1024 and met = ref [] in
   List.iter
     (fun layer ->
       let cls = Defect_stats.Short_on layer in
@@ -60,9 +121,13 @@ let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layou
         let limit = Critical_area.interaction_distance ~x0 in
         let rects = Layout.rects_on l layer in
         let n = Array.length rects in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            let a = rects.(i) and b = rects.(j) in
+        let count, total =
+          Option.value ~default:(0, 0.0) (Hashtbl.find_opt acc.class_totals cls)
+        in
+        let count = ref count and total = ref total in
+        Array.iter
+          (fun code ->
+            let a = rects.(code / n) and b = rects.(code mod n) in
             if a.Geom.net <> b.Geom.net then
               match Geom.facing a b with
               | Some { spacing; common_run }
@@ -74,20 +139,36 @@ let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layou
                   let w = area *. density in
                   if is_rail a.Geom.net && is_rail b.Geom.net then
                     acc.gross <- acc.gross +. w
-                  else begin
-                    let lo = min a.Geom.net b.Geom.net
-                    and hi = max a.Geom.net b.Geom.net in
-                    add_fault acc cls
-                      (Realistic.Bridge { node_a = lo; node_b = hi })
-                      (Printf.sprintf "%s %s/%s" (Geom.layer_name layer)
-                         (node_name lo) (node_name hi))
-                      w
+                  else if w > 0.0 then begin
+                    incr count;
+                    total := !total +. w;
+                    let lo = Int.min a.Geom.net b.Geom.net
+                    and hi = Int.max a.Geom.net b.Geom.net in
+                    let key = (lo * m.Mapping.node_count) + hi in
+                    match Int_table.find_opt sites key with
+                    | Some site -> site.weight <- site.weight +. w
+                    | None ->
+                        let site =
+                          {
+                            kind = Realistic.Bridge { node_a = lo; node_b = hi };
+                            weight = w;
+                            label =
+                              Printf.sprintf "%s %s/%s" (Geom.layer_name layer)
+                                (node_name lo) (node_name hi);
+                            site_cls = cls;
+                          }
+                        in
+                        Int_table.add sites key site;
+                        met := site :: !met
                   end
-              | _ -> ()
-          done
-        done
+              | _ -> ())
+          (near_pairs rects ~limit);
+        if !count > 0 then Hashtbl.replace acc.class_totals cls (!count, !total)
       end)
     bridge_layers;
+  List.iter
+    (fun site -> Hashtbl.replace acc.table site.kind (site.weight, site.label, site.site_cls))
+    (List.rev !met);
   (* --- helpers for open mapping ----------------------------------------- *)
   let c = m.Mapping.circuit in
   let signal_of g =
@@ -287,7 +368,8 @@ let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layou
   List.iter (fun (f : Realistic.t) -> acc.gross <- acc.gross +. f.weight) dropped;
   let faults =
     kept
-    |> List.sort (fun (a : Realistic.t) b -> compare (a.label, a.kind) (b.label, b.kind))
+    |> List.sort (fun (a : Realistic.t) b ->
+           match String.compare a.label b.label with 0 -> compare a.kind b.kind | c -> c)
     |> Array.of_list
   in
   let summaries =

@@ -34,17 +34,13 @@ type adjacency = { spacing : int; common_run : int }
 let facing a b =
   if a.layer <> b.layer || overlaps a b then None
   else begin
-    let x_overlap = min a.x1 b.x1 - max a.x0 b.x0 in
-    let y_overlap = min a.y1 b.y1 - max a.y0 b.y0 in
-    if y_overlap > 0 && x_overlap <= 0 then begin
+    let x_overlap = Int.min a.x1 b.x1 - Int.max a.x0 b.x0 in
+    let y_overlap = Int.min a.y1 b.y1 - Int.max a.y0 b.y0 in
+    if y_overlap > 0 && x_overlap <= 0 then
       (* Horizontally separated, vertically overlapping: vertical run. *)
-      let spacing = max a.x0 b.x0 - min a.x1 b.x1 in
-      Some { spacing = max 0 spacing; common_run = y_overlap }
-    end
-    else if x_overlap > 0 && y_overlap <= 0 then begin
-      let spacing = max a.y0 b.y0 - min a.y1 b.y1 in
-      Some { spacing = max 0 spacing; common_run = x_overlap }
-    end
+      Some { spacing = -x_overlap; common_run = y_overlap }
+    else if x_overlap > 0 && y_overlap <= 0 then
+      Some { spacing = -y_overlap; common_run = x_overlap }
     else None
   end
 

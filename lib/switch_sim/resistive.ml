@@ -14,10 +14,10 @@ let detect ?(resistance = 0.0) net ~node_a ~node_b ~vectors =
       (List.filter_map (fun g -> Network.owner_instance net g) [ node_a; node_b ])
   in
   let region =
-    Solver.compile
-      (Solver.make net ~instances
-         ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ])
+    Solver.lower (Solver.lowering net) ~instances
+      ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ]
   in
+  let shape = Solver.shape region in
   let signal g = match Swift.signal_of m g with Some cn -> cn | None -> -1 in
   let ext_signal = Array.map signal (Solver.external_nodes region) in
   let out_signal = Array.map signal (Solver.solved_nodes region) in
@@ -33,7 +33,7 @@ let detect ?(resistance = 0.0) net ~node_a ~node_b ~vectors =
          Array.iteri
            (fun j cn -> ext.(j) <- (if cn < 0 then Ternary.VX else Ternary.of_bool good.(cn)))
            ext_signal;
-         let fight = Solver.solve_compiled region scratch ~ext ~charge ~out in
+         let fight = Solver.solve_compiled shape scratch ~ext ~charge ~out in
          if !iddq = None && fight then iddq := Some k;
          Cone.start cone good;
          Array.iteri (fun i cn -> if cn >= 0 then Cone.seed cone cn out.(i)) out_signal;

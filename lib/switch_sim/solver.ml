@@ -284,16 +284,26 @@ let solve t ~external_value ~charge =
 
 (* --- compiled regions ---------------------------------------------------- *)
 
-(* A region lowered once into arrays.  Locals keep [make]'s numbering, so
-   the exact Dijkstra below scans nodes in the reference's order and breaks
-   ties the same way.  Edges that can never relax (self loops, infinite
-   resistance) are dropped.  Each gate terminal is resolved to a local
-   (a solved node, or a rail whose scratch value never changes) or to an
-   external slot. *)
-type compiled = {
+(* A region lowered into arrays: everything a compiled solve reads, and
+   nothing else.  Locals keep [make]'s numbering, so the exact Dijkstra
+   below scans nodes in the reference's order and breaks ties the same
+   way.  Edges that can never relax (self loops, infinite resistance) are
+   dropped.  Each gate terminal is resolved to a local (a solved node, or
+   a rail whose scratch value never changes) or to an external slot.
+
+   Regions that lower to equal arrays are one [shape], interned per
+   {!lowering}: a solve of a shape is a function of the external slot
+   values and the charge alone, so every fault of a shape can share its
+   solves.  The kept edges, solved nodes and pads decide the shape; the
+   CSR adjacency and [exact_only] are derived from them. *)
+type shape = {
+  id : int;  (* dense index in the lowering that interned it *)
   n : int;
   c_gnd : int;
   c_vdd : int;
+  e_a : int array;  (* per kept edge: endpoints (ascending) and resistance *)
+  e_b : int array;
+  e_r : float array;
   e_chan : int array;  (* per edge: 0 always on, 1 NMOS, 2 PMOS *)
   e_gate : int array;  (* gate operand: local >= 0, or -1 - external slot *)
   adj_start : int array;  (* CSR adjacency over locals *)
@@ -302,104 +312,368 @@ type compiled = {
   adj_r : float array;
   solved : int array;  (* resolved locals, then pad-driven locals *)
   n_resolved : int;
-  solved_global : int array;
+  n_ext : int;
   pad_local : int array;
   pad_slot : int array;
   pad_r : float array;
-  ext_global : int array;  (* external slot -> global node *)
   exact_only : bool;  (* a path sum might overflow: always run Dijkstra *)
 }
 
-let compile t =
-  let n = Array.length t.globals in
-  let slots = Hashtbl.create 8 in
-  let ext = ref [] and n_ext = ref 0 in
+type compiled = {
+  shape : shape;
+  solved_global : int array;
+  ext_global : int array;  (* external slot -> global node *)
+}
+
+(* Growable arrays; [len] is the live prefix. *)
+type 'a buf = { mutable data : 'a array; mutable len : int }
+
+let buf x = { data = Array.make 16 x; len = 0 }
+
+let grow b =
+  if b.len = Array.length b.data then begin
+    let data = Array.make (2 * b.len) b.data.(0) in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end
+
+(* Monomorphic, so that the stores are not generic array accesses. *)
+let push (b : int buf) x =
+  grow b;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+let push_float (b : float buf) x =
+  grow b;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.data 0 b.len
+
+(* Per-run lowering state.  Global ids map to locals and external slots
+   through arrays stamped per region, and the region's parts are built in
+   reusable buffers, so lowering a region allocates only its two global
+   maps and, when its shape is new, the shape. *)
+type lowering = {
+  network : Network.t;
+  mutable stamp : int;
+  local_mark : int array;  (* global -> stamp of [local_id] *)
+  local_id : int array;
+  solved_mark : int array;  (* global -> stamp when its local is solved *)
+  slot_mark : int array;  (* global -> stamp of [slot_id] *)
+  slot_id : int array;
+  removed : int array;  (* transistor -> stamp when removed *)
+  shorted : int array;  (* transistor -> stamp when shorted *)
+  globals : int buf;  (* local -> global *)
+  resolved : int buf;  (* [make]'s resolved list, in order, with repeats *)
+  pi_local : int buf;  (* pads in the order they were met *)
+  pi_global : int buf;
+  gate_node : int buf;  (* per kept edge: the gate's global node *)
+  ext : int buf;  (* external slot -> global *)
+  e_a : int buf;
+  e_b : int buf;
+  e_r : float buf;
+  e_chan : int buf;
+  e_gate : int buf;
+  solved : int buf;
+  pad_local : int buf;
+  pad_slot : int buf;
+  pad_r : float buf;
+  shapes : (int, shape) Hashtbl.t;  (* by hash; colliding shapes coexist *)
+  mutable shape_count : int;
+}
+
+let lowering net =
+  let m = Network.mapping net in
+  let nodes = m.Mapping.node_count in
+  let transistors = Array.length m.Mapping.transistors in
+  {
+    network = net;
+    stamp = 0;
+    local_mark = Array.make nodes 0;
+    local_id = Array.make nodes 0;
+    solved_mark = Array.make nodes 0;
+    slot_mark = Array.make nodes 0;
+    slot_id = Array.make nodes 0;
+    removed = Array.make transistors 0;
+    shorted = Array.make transistors 0;
+    globals = buf 0;
+    resolved = buf 0;
+    pi_local = buf 0;
+    pi_global = buf 0;
+    gate_node = buf 0;
+    ext = buf 0;
+    e_a = buf 0;
+    e_b = buf 0;
+    e_r = buf 0.0;
+    e_chan = buf 0;
+    e_gate = buf 0;
+    solved = buf 0;
+    pad_local = buf 0;
+    pad_slot = buf 0;
+    pad_r = buf 0.0;
+    shapes = Hashtbl.create 64;
+    shape_count = 0;
+  }
+
+let shape_count lw = lw.shape_count
+
+(* [make]'s numbering, edge order, resolved list and pad list into the
+   buffers, keeping only the edges that can relax.  Returns the rails'
+   locals. *)
+let collect lw ~instances ~modifications =
+  let m = Network.mapping lw.network in
+  lw.stamp <- lw.stamp + 1;
+  let stamp = lw.stamp in
+  List.iter
+    (fun b -> b.len <- 0)
+    [ lw.globals; lw.resolved; lw.pi_local; lw.pi_global; lw.gate_node; lw.e_a;
+      lw.e_b; lw.e_chan ];
+  lw.e_r.len <- 0;
+  let intern g =
+    if lw.local_mark.(g) = stamp then lw.local_id.(g)
+    else begin
+      let l = lw.globals.len in
+      lw.local_mark.(g) <- stamp;
+      lw.local_id.(g) <- l;
+      push lw.globals g;
+      l
+    end
+  in
+  let gnd = intern m.Mapping.gnd in
+  let vdd = intern m.Mapping.vdd in
+  List.iter
+    (fun ii ->
+      let inst = m.Mapping.instances.(ii) in
+      push lw.resolved (intern inst.output_node);
+      Array.iter (fun nd -> push lw.resolved (intern nd)) inst.internal_nodes)
+    instances;
+  (* The adjacency does not see which end is which, so neither does the
+     shape. *)
+  let edge a b r chan gate =
+    if a <> b && r < infinite then begin
+      push lw.e_a (Int.min a b);
+      push lw.e_b (Int.max a b);
+      push_float lw.e_r r;
+      push lw.e_chan chan;
+      push lw.gate_node gate
+    end
+  in
+  List.iter
+    (function
+      | Remove_transistor ti -> lw.removed.(ti) <- stamp
+      | Short_transistor ti -> lw.shorted.(ti) <- stamp
+      | Bridge_nodes _ | Resistive_bridge _ -> ())
+    modifications;
+  List.iter
+    (fun ii ->
+      let inst = m.Mapping.instances.(ii) in
+      let n_ts = List.length inst.cell.Cell.transistors in
+      for k = 0 to n_ts - 1 do
+        let ti = inst.first_transistor + k in
+        if lw.removed.(ti) <> stamp then begin
+          let tr = m.Mapping.transistors.(ti) in
+          let a = intern tr.source in
+          let b = intern tr.drain in
+          if lw.shorted.(ti) = stamp then edge a b r_nmos 0 (-1)
+          else
+            match tr.channel with
+            | Cell.Nmos -> edge a b r_nmos 1 tr.gate
+            | Cell.Pmos -> edge a b r_pmos 2 tr.gate
+        end
+      done)
+    instances;
+  let endpoint g l =
+    if Network.is_primary_input lw.network g then begin
+      push lw.pi_local l;
+      push lw.pi_global g
+    end
+    else push lw.resolved l
+  in
+  let bridge node_a node_b r =
+    let a = intern node_a in
+    let b = intern node_b in
+    edge a b r 0 (-1);
+    endpoint node_a a;
+    endpoint node_b b
+  in
+  List.iter
+    (function
+      | Bridge_nodes { node_a; node_b } -> bridge node_a node_b r_bridge
+      | Resistive_bridge { node_a; node_b; resistance } ->
+          if Float.is_nan resistance || resistance < 0.0 then
+            invalid_arg "Solver: bridge resistance must be non-negative";
+          bridge node_a node_b resistance
+      | Remove_transistor _ | Short_transistor _ -> ())
+    modifications;
+  (gnd, vdd)
+
+(* The solved locals (the de-duplicated resolved list without rails, then
+   the pads in [make]'s reversed order), the pads, the external slots (pads
+   first, then gate operands in edge order) and the gate operands. *)
+let resolve lw ~gnd ~vdd =
+  let stamp = lw.stamp in
+  List.iter (fun b -> b.len <- 0) [ lw.ext; lw.e_gate; lw.solved; lw.pad_local; lw.pad_slot ];
+  lw.pad_r.len <- 0;
+  for i = 0 to lw.resolved.len - 1 do
+    let l = lw.resolved.data.(i) in
+    let g = lw.globals.data.(l) in
+    if l <> gnd && l <> vdd && lw.solved_mark.(g) <> stamp then begin
+      lw.solved_mark.(g) <- stamp;
+      push lw.solved l
+    end
+  done;
+  let n_resolved = lw.solved.len in
   let slot g =
-    match Hashtbl.find_opt slots g with
-    | Some s -> s
-    | None ->
-        let s = !n_ext in
-        incr n_ext;
-        Hashtbl.replace slots g s;
-        ext := g :: !ext;
-        s
+    if lw.slot_mark.(g) = stamp then lw.slot_id.(g)
+    else begin
+      let s = lw.ext.len in
+      lw.slot_mark.(g) <- stamp;
+      lw.slot_id.(g) <- s;
+      push lw.ext g;
+      s
+    end
   in
-  let solved = Array.of_list (t.resolved @ List.map fst t.pi_nodes) in
-  let is_solved = Array.make n false in
-  Array.iter (fun l -> is_solved.(l) <- true) solved;
-  let pads = Array.of_list t.pi_nodes in
-  let pad_slot = Array.map (fun (_, g) -> slot g) pads in
-  let operand gnode =
-    match Hashtbl.find_opt t.local_of gnode with
-    | Some l when is_solved.(l) || l = t.gnd || l = t.vdd -> l
-    | _ -> -1 - slot gnode
-  in
-  let edges =
-    List.filter
-      (fun e -> e.endpoint_a <> e.endpoint_b && e.resistance < infinite)
-      (Array.to_list t.edges)
-    |> Array.of_list
-  in
-  let e_chan = Array.make (Array.length edges) 0 in
-  let e_gate = Array.make (Array.length edges) 0 in
-  Array.iteri
-    (fun i e ->
-      match e.gating with
-      | Always_on -> ()
-      | Gated (g, channel) ->
-          e_chan.(i) <- (match channel with Cell.Nmos -> 1 | Cell.Pmos -> 2);
-          e_gate.(i) <- operand g)
-    edges;
+  for p = lw.pi_local.len - 1 downto 0 do
+    let l = lw.pi_local.data.(p) and g = lw.pi_global.data.(p) in
+    lw.solved_mark.(g) <- stamp;
+    push lw.solved l;
+    push lw.pad_local l;
+    push lw.pad_slot (slot g);
+    push_float lw.pad_r (r_driver g)
+  done;
+  for e = 0 to lw.e_a.len - 1 do
+    let g = lw.gate_node.data.(e) in
+    push lw.e_gate
+      (if lw.e_chan.data.(e) = 0 then 0
+       else if
+         lw.local_mark.(g) = stamp
+         && (lw.solved_mark.(g) = stamp || lw.local_id.(g) = gnd || lw.local_id.(g) = vdd)
+       then lw.local_id.(g)
+       else -1 - slot g)
+  done;
+  n_resolved
+
+(* A new shape: the buffers' contents plus the derived CSR adjacency. *)
+let new_shape lw ~id ~gnd ~vdd ~n_resolved =
+  let n = lw.globals.len in
+  let e_a = contents lw.e_a and e_b = contents lw.e_b and e_r = contents lw.e_r in
+  let m = Array.length e_a in
   let adj_start = Array.make (n + 1) 0 in
-  Array.iter
-    (fun e ->
-      adj_start.(e.endpoint_a + 1) <- adj_start.(e.endpoint_a + 1) + 1;
-      adj_start.(e.endpoint_b + 1) <- adj_start.(e.endpoint_b + 1) + 1)
-    edges;
+  for e = 0 to m - 1 do
+    adj_start.(e_a.(e) + 1) <- adj_start.(e_a.(e) + 1) + 1;
+    adj_start.(e_b.(e) + 1) <- adj_start.(e_b.(e) + 1) + 1
+  done;
   for l = 1 to n do
     adj_start.(l) <- adj_start.(l) + adj_start.(l - 1)
   done;
   let fill = Array.sub adj_start 0 n in
-  let adj_edge = Array.make adj_start.(n) 0 in
-  let adj_other = Array.make adj_start.(n) 0 in
-  let adj_r = Array.make adj_start.(n) 0.0 in
-  let add u other i r =
-    adj_edge.(fill.(u)) <- i;
+  let adj_edge = Array.make (2 * m) 0 in
+  let adj_other = Array.make (2 * m) 0 in
+  let adj_r = Array.make (2 * m) 0.0 in
+  let add u other e =
+    adj_edge.(fill.(u)) <- e;
     adj_other.(fill.(u)) <- other;
-    adj_r.(fill.(u)) <- r;
+    adj_r.(fill.(u)) <- e_r.(e);
     fill.(u) <- fill.(u) + 1
   in
-  Array.iteri
-    (fun i e ->
-      add e.endpoint_a e.endpoint_b i e.resistance;
-      add e.endpoint_b e.endpoint_a i e.resistance)
-    edges;
+  for e = 0 to m - 1 do
+    add e_a.(e) e_b.(e) e;
+    add e_b.(e) e_a.(e) e
+  done;
   (* No path is longer than a pad driver (< 1) plus every edge in series;
      while that stays far below [max_float], no distance sum overflows. *)
-  let total = Array.fold_left (fun acc e -> acc +. e.resistance) 1.0 edges in
+  let total = Array.fold_left ( +. ) 1.0 e_r in
   {
+    id;
     n;
-    c_gnd = t.gnd;
-    c_vdd = t.vdd;
-    e_chan;
-    e_gate;
+    c_gnd = gnd;
+    c_vdd = vdd;
+    e_a;
+    e_b;
+    e_r;
+    e_chan = contents lw.e_chan;
+    e_gate = contents lw.e_gate;
     adj_start;
     adj_edge;
     adj_other;
     adj_r;
-    solved;
-    n_resolved = List.length t.resolved;
-    solved_global = Array.map (fun l -> t.globals.(l)) solved;
-    pad_local = Array.map fst pads;
-    pad_slot;
-    pad_r = Array.map (fun (l, _) -> r_driver t.globals.(l)) pads;
-    ext_global = Array.of_list (List.rev !ext);
+    solved = contents lw.solved;
+    n_resolved;
+    n_ext = lw.ext.len;
+    pad_local = contents lw.pad_local;
+    pad_slot = contents lw.pad_slot;
+    pad_r = contents lw.pad_r;
     exact_only = not (total < 1e300);
   }
 
-let external_nodes cr = Array.copy cr.ext_global
-let solved_nodes cr = Array.copy cr.solved_global
-let charged_count cr = cr.n_resolved
+(* Shapes are compared field by field, floats by their bits. *)
+let same_ints (b : int buf) a =
+  b.len = Array.length a
+  &&
+  let rec go i = i >= b.len || (b.data.(i) = a.(i) && go (i + 1)) in
+  go 0
+
+let same_floats (b : float buf) a =
+  b.len = Array.length a
+  &&
+  let rec go i =
+    i >= b.len
+    || (Int64.bits_of_float b.data.(i) = Int64.bits_of_float a.(i) && go (i + 1))
+  in
+  go 0
+
+let hash_ints h (b : int buf) =
+  let h = ref ((h * 31) + b.len) in
+  for i = 0 to b.len - 1 do
+    h := (!h * 31) + b.data.(i)
+  done;
+  !h
+
+let hash_floats h (b : float buf) =
+  let h = ref ((h * 31) + b.len) in
+  for i = 0 to b.len - 1 do
+    h := (!h * 31) + Int64.to_int (Int64.bits_of_float b.data.(i))
+  done;
+  !h
+
+let lower lw ~instances ~modifications =
+  let gnd, vdd = collect lw ~instances ~modifications in
+  let n_resolved = resolve lw ~gnd ~vdd in
+  let same (s : shape) =
+    s.n = lw.globals.len && s.c_gnd = gnd && s.c_vdd = vdd
+    && s.n_resolved = n_resolved && s.n_ext = lw.ext.len
+    && same_ints lw.e_a s.e_a && same_ints lw.e_b s.e_b && same_floats lw.e_r s.e_r
+    && same_ints lw.e_chan s.e_chan && same_ints lw.e_gate s.e_gate
+    && same_ints lw.solved s.solved && same_ints lw.pad_local s.pad_local
+    && same_ints lw.pad_slot s.pad_slot && same_floats lw.pad_r s.pad_r
+  in
+  let hash = (((lw.globals.len * 31) + n_resolved) * 31) + lw.ext.len in
+  let hash = hash_ints (hash_ints (hash_ints hash lw.e_a) lw.e_b) lw.e_gate in
+  let hash = hash_ints (hash_ints hash lw.solved) lw.pad_slot in
+  let hash = hash_floats (hash_floats hash lw.e_r) lw.pad_r in
+  let shape =
+    match List.find_opt same (Hashtbl.find_all lw.shapes hash) with
+    | Some s -> s
+    | None ->
+        let s = new_shape lw ~id:lw.shape_count ~gnd ~vdd ~n_resolved in
+        Hashtbl.add lw.shapes hash s;
+        lw.shape_count <- lw.shape_count + 1;
+        s
+  in
+  {
+    shape;
+    solved_global = Array.map (fun l -> lw.globals.data.(l)) shape.solved;
+    ext_global = contents lw.ext;
+  }
+
+let shape cr = cr.shape
+let shape_id (s : shape) = s.id
+let external_nodes cr = cr.ext_global
+let solved_nodes cr = cr.solved_global
+let charged_count (s : shape) = s.n_resolved
+let solved_count (s : shape) = Array.length s.solved
+let external_count (s : shape) = s.n_ext
 
 type scratch = {
   mutable values : Ternary.t array;
@@ -409,13 +683,14 @@ type scratch = {
   mutable dist_up : float array;
   mutable visited : bool array;
   mutable cond : int array;  (* per edge: [off], [on] or [maybe] *)
+  mutable read_charge : bool;  (* the last solve read [charge] *)
 }
 
 let scratch () =
   { values = [||]; reach = [||]; queue = [||]; dist_dn = [||]; dist_up = [||];
-    visited = [||]; cond = [||] }
+    visited = [||]; cond = [||]; read_charge = false }
 
-let ensure s cr =
+let ensure s (cr : shape) =
   let n = cr.n in
   if Array.length s.values < n then begin
     s.values <- Array.make n Ternary.VX;
@@ -436,7 +711,7 @@ let def_up = 2
 let pos_dn = 4
 let pos_up = 8
 
-let is_rail cr u = u = cr.c_gnd || u = cr.c_vdd
+let is_rail (cr : shape) u = u = cr.c_gnd || u = cr.c_vdd
 
 (* Whether a pad driving [v] extends the rail of this pass (the matching
    rule of [solve]'s [distances]). *)
@@ -449,7 +724,7 @@ let accepts c ~definite = c = on || ((not definite) && c = maybe)
    Dijkstra's frontier rules without the distances.  Every edge here has
    finite resistance, so a relaxation from a reached node always lowers an
    infinite distance. *)
-let reach_pass cr s ~ext ~source ~definite bit =
+let reach_pass (cr : shape) s ~ext ~source ~definite bit =
   let reach = s.reach and queue = s.queue in
   reach.(source) <- reach.(source) lor bit;
   queue.(0) <- source;
@@ -482,7 +757,7 @@ let reach_pass cr s ~ext ~source ~definite bit =
 
 (* [solve]'s [distances], bit for bit: same seeding, same O(V^2) scan with
    the lowest-index tie-break, same [dist.(u) +. r] sums. *)
-let shortest cr s ~ext ~source ~definite dist =
+let shortest (cr : shape) s ~ext ~source ~definite dist =
   let n = cr.n in
   Array.fill dist 0 n infinite;
   dist.(source) <- 0.0;
@@ -516,7 +791,7 @@ let shortest cr s ~ext ~source ~definite dist =
     end
   done
 
-let mark_finite cr s dist bit =
+let mark_finite (cr : shape) s dist bit =
   for l = 0 to cr.n - 1 do
     if dist.(l) < infinite then s.reach.(l) <- s.reach.(l) lor bit
   done
@@ -524,7 +799,7 @@ let mark_finite cr s dist bit =
 (* One relaxation round's four rail passes into [s.reach]; when some solved
    node is definitely driven from both rails, also the exact definite
    distances, which decide who wins the fight. *)
-let rail_passes cr s ~ext =
+let rail_passes (cr : shape) s ~ext =
   Array.fill s.reach 0 cr.n 0;
   if cr.exact_only then begin
     shortest cr s ~ext ~source:cr.c_gnd ~definite:false s.dist_dn;
@@ -552,8 +827,11 @@ let rail_passes cr s ~ext =
     end
   end
 
-let solve_compiled cr s ~ext ~charge ~out =
+let read_charge s = s.read_charge
+
+let solve_compiled (cr : shape) s ~ext ~charge ~out =
   ensure s cr;
+  s.read_charge <- false;
   let values = s.values in
   Array.fill values 0 cr.n Ternary.VX;
   values.(cr.c_gnd) <- Ternary.V0;
@@ -595,7 +873,10 @@ let solve_compiled cr s ~ext ~charge ~out =
         else if du then if pd then Ternary.VX else Ternary.V1
         else if dd then if pu then Ternary.VX else Ternary.V0
         else if pu || pd then Ternary.VX
-        else charge.(i)
+        else begin
+          s.read_charge <- true;
+          charge.(i)
+        end
       in
       (* Ternary values are immediates: physical equality is equality. *)
       if v != values.(l) then begin

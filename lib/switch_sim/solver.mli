@@ -66,15 +66,43 @@ val solve :
 
 (** {2 Compiled regions}
 
-    The production solver: {!solve} on a region lowered once into arrays,
-    with results bit-identical to it.  Each relaxation round decides the
-    rail passes by reachability and runs the exact shortest-path passes
-    only when some node is driven definitely from both rails, since only
-    then do the distances themselves matter. *)
+    The production solver: {!solve} on a region lowered into arrays, with
+    results bit-identical to it.  Each relaxation round decides the rail
+    passes by reachability and runs the exact shortest-path passes only
+    when some node is driven definitely from both rails, since only then
+    do the distances themselves matter. *)
+
+type shape
+(** Everything a compiled solve reads: the region's topology over its
+    locals, its solved nodes, pads and external slots.  Regions that
+    lower to equal arrays (floats compared by their bits) share one
+    shape, so a solve is a function of the shape, the external values
+    and the charge alone. *)
 
 type compiled
+(** One region: its shape plus the global ids of its solved nodes and
+    external slots. *)
 
-val compile : t -> compiled
+type lowering
+(** Per-run lowering state for one network: stamped global-to-local
+    arrays, reusable buffers and the table of shapes interned so far.
+    Not shared between domains. *)
+
+val lowering : Network.t -> lowering
+
+val lower :
+  lowering -> instances:int list -> modifications:modification list -> compiled
+(** The region {!make} builds, lowered with {!make}'s local numbering, its
+    shape interned in the lowering's table.  The work is done in the
+    lowering's buffers: what outlives the call is the two global maps
+    and, when the shape is new, the shape.
+    @raise Invalid_argument as {!make} does. *)
+
+val shape_count : lowering -> int
+(** Distinct shapes interned so far; their ids are [0 .. count - 1]. *)
+
+val shape : compiled -> shape
+val shape_id : shape -> int
 
 val external_nodes : compiled -> int array
 (** Global ids of the nodes whose values a compiled solve reads from
@@ -85,10 +113,13 @@ val solved_nodes : compiled -> int array
 (** Global ids of the nodes a compiled solve reports, in the order of
     [(solve t ...).values]. *)
 
-val charged_count : compiled -> int
+val charged_count : shape -> int
 (** The solved nodes whose charge a solve can read: the first
     [charged_count] of {!solved_nodes}.  Pad-driven nodes are always
     driven. *)
+
+val solved_count : shape -> int
+val external_count : shape -> int
 
 type scratch
 (** Working arrays, grown on demand; one per simulation run. *)
@@ -96,13 +127,19 @@ type scratch
 val scratch : unit -> scratch
 
 val solve_compiled :
-  compiled ->
+  shape ->
   scratch ->
   ext:Ternary.t array ->
   charge:Ternary.t array ->
   out:Ternary.t array ->
   bool
-(** [solve_compiled cr s ~ext ~charge ~out] reads [ext.(i)], the value of
+(** [solve_compiled sh s ~ext ~charge ~out] reads [ext.(i)], the value of
     external slot [i], and [charge.(i)], the previous value of solved node
     [i]; it writes the value of solved node [i] into [out.(i)] and returns
     [fight].  Equal to {!solve} on the same inputs. *)
+
+val read_charge : scratch -> bool
+(** Whether the last {!solve_compiled} on this scratch read [charge] (some
+    solved node had no rail path in some round).  When it did not, every
+    round saw the same inputs under any charge, so the outcome holds for
+    every charge. *)

@@ -215,7 +215,7 @@ end
 
 (* --- compiled engine ------------------------------------------------------- *)
 
-(* Per-fault memo of region solves: open addressing from packed solve
+(* Solve memo of one region shape: open addressing from packed solve
    inputs to packed outcomes, both non-negative ints. *)
 module Memo = struct
   type t = { mutable keys : int array; mutable vals : int array; mutable count : int }
@@ -255,16 +255,14 @@ end
 let code = function Ternary.V0 -> 0 | Ternary.V1 -> 1 | Ternary.VX -> 2
 let of_code = function 0 -> Ternary.V0 | 1 -> Ternary.V1 | _ -> Ternary.VX
 
+(* A fault's own state; the solve itself is its shape's. *)
 type region = {
-  solver : Solver.compiled;
+  shape : Solver.shape;
   ext_signal : int array;  (* external slot -> circuit node, or -1 (reads X) *)
-  n_charged : int;  (* solved nodes whose charge a solve can read *)
   out_index : int array;  (* solved index of each signal node the region drives *)
   out_signal : int array;  (* ... and its circuit node *)
   inputs : int array;  (* circuit nodes read by the region's cells *)
   charge : Ternary.t array;  (* per solved node: last settled value *)
-  memo : Memo.t;
-  memoised : bool;  (* inputs and outcome each pack into one int *)
   iddq_candidate : bool;
 }
 
@@ -276,15 +274,12 @@ type prepared =
     }
   | Dropped
 
-let prepare net (f : Realistic.t) =
+let prepare lowering net (f : Realistic.t) =
   let m = Network.mapping net in
   let signal g = match signal_of m g with Some c -> c | None -> -1 in
   let region_of instances modification ~iddq_candidate =
-    let solver =
-      Solver.compile (Solver.make net ~instances ~modifications:[ modification ])
-    in
-    let solved = Solver.solved_nodes solver in
-    let ext_signal = Array.map signal (Solver.external_nodes solver) in
+    let cr = Solver.lower lowering ~instances ~modifications:[ modification ] in
+    let solved = Solver.solved_nodes cr in
     let outs =
       List.filter (fun (_, c) -> c >= 0)
         (List.mapi (fun i g -> (i, signal g)) (Array.to_list solved))
@@ -297,20 +292,14 @@ let prepare net (f : Realistic.t) =
         instances
       |> List.sort_uniq compare
     in
-    let n_charged = Solver.charged_count solver in
     Region
       {
-        solver;
-        ext_signal;
-        n_charged;
+        shape = Solver.shape cr;
+        ext_signal = Array.map signal (Solver.external_nodes cr);
         out_index = Array.of_list (List.map fst outs);
         out_signal = Array.of_list (List.map snd outs);
         inputs = Array.of_list inputs;
         charge = Array.make (Array.length solved) Ternary.VX;
-        memo = Memo.create ();
-        memoised =
-          2 * (Array.length ext_signal + n_charged) <= 62
-          && (2 * Array.length solved) + 1 <= 62;
         iddq_candidate;
       }
   in
@@ -330,14 +319,36 @@ let prepare net (f : Realistic.t) =
   | Realistic.Stem_open { node; policy } ->
       Net_open { seeds = [ `Stem node ]; policy }
 
-(* A solve reads the external values and the charge of the first
-   [n_charged] solved nodes, nothing else: 2 bits each. *)
-let pack_key r ext =
+let shape_ids net faults =
+  let lowering = Solver.lowering net in
+  Array.map
+    (fun f ->
+      match prepare lowering net f with
+      | Region r -> Solver.shape_id r.shape
+      | Net_open _ | Dropped -> -1)
+    faults
+
+(* Memo keys pack 2 bits per external value, then 2 bits per charge the
+   solve can read; an outcome packs the fight bit under 2 bits per solved
+   node.  A shape is memoised when both fit in 62 bits. *)
+let memoised shape =
+  2 * (Solver.external_count shape + Solver.charged_count shape) <= 62
+  && (2 * Solver.solved_count shape) + 1 <= 62
+
+let pack_ext r ext =
   let k = ref 0 in
   for j = 0 to Array.length r.ext_signal - 1 do
     k := (!k lsl 2) lor code ext.(j)
   done;
-  for i = 0 to r.n_charged - 1 do
+  !k
+
+(* The key of an outcome that holds for any charge: code 3, which no
+   ternary value has, in every charge field. *)
+let ext_only_key k n_charged = (k lsl (2 * n_charged)) lor ((1 lsl (2 * n_charged)) - 1)
+
+let with_charge r k n_charged =
+  let k = ref k in
+  for i = 0 to n_charged - 1 do
     k := (!k lsl 2) lor code r.charge.(i)
   done;
   !k
@@ -357,15 +368,25 @@ let unpack_outcome packed out n =
   done;
   packed land 1 = 1
 
+type memo_stats = {
+  mutable shapes : int;
+  mutable full_hits : int;
+  mutable ext_only_hits : int;
+  mutable misses : int;
+}
+
+let memo_stats () = { shapes = 0; full_hits = 0; ext_only_hits = 0; misses = 0 }
+
 (* What [Propagate.run]'s map holds for a node: -1 when absent. *)
 let observed cone id = if Cone.mem cone id then code (Cone.get cone id) else -1
 
-let run ?(drop_when = `Both) ?on_voltage_detect net ~faults ~vectors =
+let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats net ~faults ~vectors =
   let m = Network.mapping net in
   let c = m.Mapping.circuit in
   let n_faults = Array.length faults in
   let detection = Array.make n_faults { voltage = None; iddq = None } in
-  let prepared = Array.map (prepare net) faults in
+  let lowering = Solver.lowering net in
+  let prepared = Array.map (prepare lowering net) faults in
   let region_solves = ref 0 in
   let good_per_vector = good_values net vectors in
   let n_vectors = Array.length vectors in
@@ -383,6 +404,9 @@ let run ?(drop_when = `Both) ?on_voltage_detect net ~faults ~vectors =
       prepared.(fi) <- Dropped
     end
   in
+  (* One memo per shape, shared by its faults for the whole run. *)
+  let memos = Array.init (Solver.shape_count lowering) (fun _ -> Memo.create ()) in
+  let full_hits = ref 0 and ext_only_hits = ref 0 and misses = ref 0 in
   (* One scratch per run, sized for the widest region. *)
   let widest size =
     Array.fold_left
@@ -394,15 +418,40 @@ let run ?(drop_when = `Both) ?on_voltage_detect net ~faults ~vectors =
   let before = Array.make (widest (fun r -> Array.length r.inputs)) 0 in
   let scratch = Solver.scratch () in
   let cone = Cone.create c in
+  (* An ext-only entry answers for any charge, so it is probed first;
+     a solve that read no charge is stored only under its ext-only key. *)
   let solve r =
+    let shape = r.shape in
     let n = Array.length r.charge in
-    let key = if r.memoised then pack_key r ext else -1 in
-    let hit = if key >= 0 then Memo.find r.memo key else -1 in
-    if hit >= 0 then unpack_outcome hit out n
+    if not (memoised shape) then begin
+      incr misses;
+      Solver.solve_compiled shape scratch ~ext ~charge:r.charge ~out
+    end
     else begin
-      let fight = Solver.solve_compiled r.solver scratch ~ext ~charge:r.charge ~out in
-      if key >= 0 then Memo.add r.memo key (pack_outcome out n fight);
-      fight
+      let memo = memos.(Solver.shape_id shape) in
+      let n_charged = Solver.charged_count shape in
+      let k = pack_ext r ext in
+      let ext_key = ext_only_key k n_charged in
+      let hit = Memo.find memo ext_key in
+      if hit >= 0 then begin
+        incr ext_only_hits;
+        unpack_outcome hit out n
+      end
+      else begin
+        let key = if n_charged = 0 then ext_key else with_charge r k n_charged in
+        let hit = if n_charged = 0 then -1 else Memo.find memo key in
+        if hit >= 0 then begin
+          incr full_hits;
+          unpack_outcome hit out n
+        end
+        else begin
+          incr misses;
+          let fight = Solver.solve_compiled shape scratch ~ext ~charge:r.charge ~out in
+          let key = if Solver.read_charge scratch then key else ext_key in
+          Memo.add memo key (pack_outcome out n fight);
+          fight
+        end
+      end
     end
   in
   for k = 0 to n_vectors - 1 do
@@ -475,6 +524,13 @@ let run ?(drop_when = `Both) ?on_voltage_detect net ~faults ~vectors =
       end
     done
   done;
+  Option.iter
+    (fun st ->
+      st.shapes <- st.shapes + Solver.shape_count lowering;
+      st.full_hits <- st.full_hits + !full_hits;
+      st.ext_only_hits <- st.ext_only_hits + !ext_only_hits;
+      st.misses <- st.misses + !misses)
+    stats;
   { faults; detection; vectors_applied = n_vectors; region_solves = !region_solves }
 
 (* --- coverage projections ------------------------------------------------ *)

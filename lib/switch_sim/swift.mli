@@ -21,9 +21,22 @@ type result = {
   region_solves : int;  (** Work metric: switch-level region evaluations. *)
 }
 
+type memo_stats = {
+  mutable shapes : int;  (** Distinct compiled region shapes. *)
+  mutable full_hits : int;  (** Solves answered under their (ext, charge) key. *)
+  mutable ext_only_hits : int;
+      (** Solves answered by an outcome that held for any charge. *)
+  mutable misses : int;  (** Solves computed (or not memoisable). *)
+}
+(** Memo counters of {!run}, summed over the runs they are passed to. *)
+
+val memo_stats : unit -> memo_stats
+(** All zero. *)
+
 val run :
   ?drop_when:[ `Voltage | `Both | `Never ] ->
   ?on_voltage_detect:(fault_index:int -> vector_index:int -> unit) ->
+  ?memo_stats:memo_stats ->
   Network.t ->
   faults:Realistic.t array ->
   vectors:bool array array ->
@@ -34,12 +47,20 @@ val run :
     (default; exact first-detection data for both curves), [`Never] runs
     everything (dictionary-grade data).
 
-    Each region is compiled once ({!Solver.compile}) and its solves are
-    memoised per fault on the exact inputs a solve reads (external values
-    and charge); the fault effect propagates through a reusable cone
+    Each region is lowered once ({!Solver.lower}); regions with equal
+    compiled arrays share one shape, and each shape has one solve memo,
+    shared by all its faults for the whole run, keyed on the exact inputs
+    a solve reads (external values and charge).  An outcome computed
+    without reading charge is stored under an ext-only key and answers
+    for any charge.  The fault effect propagates through a reusable cone
     walker ({!Dl_logic.Propagate.Cone}).  [region_solves] counts logical
     region evaluations, a memo hit included.  Results are bit-identical to
-    {!Reference.run}. *)
+    {!Reference.run}.  [memo_stats], when given, is incremented by this
+    run's counts. *)
+
+val shape_ids : Network.t -> Realistic.t array -> int array
+(** The shape id {!run} gives each fault's region ([-1] for interconnect
+    opens, which have none): faults with equal ids share a memo. *)
 
 (** The original engine: a {!Solver.solve} per region evaluation and a
     {!Dl_logic.Propagate.run} per propagation.  Kept as the oracle of

@@ -194,6 +194,129 @@ let test_extract_density_scaling_scales_weights () =
   Alcotest.(check bool) "weights double" true
     (Float.abs ((Ifa.total_weight doubled /. Ifa.total_weight base) -. 2.0) < 1e-9)
 
+(* --- IFA bridge scan vs the all-pairs reference ------------------------------------------ *)
+
+(* The bridge scan before the sweep, kept as a test-only reference: every
+   pair of same-layer rectangles in (layer, i, j) order, accumulated like
+   [Ifa.extract] with every other defect class at zero density. *)
+let all_pairs_bridges stats (l : Dl_layout.Layout.t) =
+  let m = l.Dl_layout.Layout.network in
+  let table = Hashtbl.create 256 and totals = Hashtbl.create 8 in
+  let gross = ref 0.0 in
+  let is_rail n = n = m.Mapping.gnd || n = m.Mapping.vdd in
+  let node_name n =
+    if n >= 0 && n < Array.length m.Mapping.node_names then m.Mapping.node_names.(n)
+    else "?"
+  in
+  List.iter
+    (fun layer ->
+      let cls = Defect_stats.Short_on layer in
+      let density = Defect_stats.density stats cls in
+      if density > 0.0 then begin
+        let x0 = Defect_stats.x0 stats cls in
+        let limit = Critical_area.interaction_distance ~x0 in
+        let rects = Dl_layout.Layout.rects_on l layer in
+        let n = Array.length rects in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let a = rects.(i) and b = rects.(j) in
+            if a.Geom.net <> b.Geom.net then
+              match Geom.facing a b with
+              | Some { spacing; common_run }
+                when float_of_int spacing <= limit && common_run > 0 ->
+                  let w =
+                    Critical_area.short_parallel ~run:(float_of_int common_run)
+                      ~spacing:(float_of_int spacing) ~x0
+                    *. density
+                  in
+                  if is_rail a.Geom.net && is_rail b.Geom.net then gross := !gross +. w
+                  else if w > 0.0 then begin
+                    let count, total =
+                      Option.value ~default:(0, 0.0) (Hashtbl.find_opt totals cls)
+                    in
+                    Hashtbl.replace totals cls (count + 1, total +. w);
+                    let lo = min a.Geom.net b.Geom.net and hi = max a.Geom.net b.Geom.net in
+                    let kind = Realistic.Bridge { node_a = lo; node_b = hi } in
+                    match Hashtbl.find_opt table kind with
+                    | Some (w0, label) -> Hashtbl.replace table kind (w0 +. w, label)
+                    | None ->
+                        Hashtbl.replace table kind
+                          ( w,
+                            Printf.sprintf "%s %s/%s" (Geom.layer_name layer)
+                              (node_name lo) (node_name hi) )
+                  end
+              | _ -> ()
+          done
+        done
+      end)
+    [ Geom.Metal1; Geom.Metal2; Geom.Poly; Geom.Diffusion_n; Geom.Diffusion_p ];
+  let faults =
+    Hashtbl.fold (fun kind (w, label) acc -> (label, kind, Int64.bits_of_float w) :: acc) table []
+    |> List.sort compare
+  in
+  let summaries =
+    Hashtbl.fold
+      (fun cls (count, total) acc ->
+        (Defect_stats.class_name cls, count, Int64.bits_of_float total) :: acc)
+      totals []
+    |> List.sort compare
+  in
+  (faults, Int64.bits_of_float !gross, summaries)
+
+let bridges_only ~x0_scale =
+  Defect_stats.make
+    (List.map
+       (fun layer ->
+         let cls = Defect_stats.Short_on layer in
+         let e = Defect_stats.entry Defect_stats.default cls in
+         (cls, { e with Defect_stats.x0 = e.Defect_stats.x0 *. x0_scale }))
+       [ Geom.Metal1; Geom.Metal2; Geom.Poly; Geom.Diffusion_n; Geom.Diffusion_p ])
+
+let check_scan_matches_reference what (l : Dl_layout.Layout.t) =
+  List.iter
+    (fun x0_scale ->
+      let stats = bridges_only ~x0_scale in
+      let e = Ifa.extract ~stats l in
+      let faults =
+        Array.to_list e.Ifa.faults
+        |> List.map (fun (f : Realistic.t) ->
+               (f.label, f.kind, Int64.bits_of_float f.weight))
+        |> List.sort compare
+      in
+      let summaries =
+        List.map
+          (fun (s : Ifa.class_summary) ->
+            (Defect_stats.class_name s.cls, s.count, Int64.bits_of_float s.total_weight))
+          e.Ifa.summaries
+        |> List.sort compare
+      in
+      let want_faults, want_gross, want_summaries = all_pairs_bridges stats l in
+      let label = Printf.sprintf "%s, x0 x%g" what x0_scale in
+      Alcotest.(check bool) (label ^ ": some bridges") true (want_faults <> []);
+      Alcotest.(check bool) (label ^ ": faults") true (faults = want_faults);
+      Alcotest.(check int64) (label ^ ": gross weight bits") want_gross
+        (Int64.bits_of_float e.Ifa.gross_weight);
+      Alcotest.(check bool) (label ^ ": summaries") true (summaries = want_summaries))
+    [ 1.0; 4.0 ]
+
+let test_scan_matches_reference_benchmarks () =
+  List.iter
+    (fun name ->
+      let _, _, l = build name in
+      check_scan_matches_reference name l)
+    [ "c17"; "c432s_small" ]
+
+let test_scan_matches_reference_families () =
+  List.iteri
+    (fun i (fam : Generator.Family.t) ->
+      let c =
+        Transform.decompose_for_cells
+          (Generator.Family.build fam ~seed:(31 + i) ~gates:(20 + (7 * i)))
+      in
+      check_scan_matches_reference fam.Generator.Family.name
+        (Dl_layout.Layout.synthesize (Mapping.flatten c)))
+    Generator.Family.all
+
 (* --- Realistic fault helpers ------------------------------------------------------------ *)
 
 let test_probability_weight_inverses () =
@@ -250,6 +373,10 @@ let () =
             test_extract_pruning_conserves_yield;
           Alcotest.test_case "density scaling" `Quick
             test_extract_density_scaling_scales_weights;
+          Alcotest.test_case "bridge scan = all pairs, benchmarks" `Quick
+            test_scan_matches_reference_benchmarks;
+          Alcotest.test_case "bridge scan = all pairs, families" `Quick
+            test_scan_matches_reference_families;
         ] );
       ( "realistic",
         [

@@ -431,12 +431,16 @@ let test_compiled_solve_every_cell () =
   List.iter
     (fun ((kind, arity) as cell) ->
       let c, m, net = cell_fixture cell in
+      let lowering = Solver.lowering net in
       List.iter
         (fun md ->
           let region = Solver.make net ~instances:[ 0 ] ~modifications:[ md ] in
-          let cr = Solver.compile region in
+          let cr = Solver.lower lowering ~instances:[ 0 ] ~modifications:[ md ] in
           let ext_nodes = Solver.external_nodes cr in
           let solved = Solver.solved_nodes cr in
+          if Array.to_list solved <> Solver.observable_nodes region then
+            Alcotest.failf "%s/%d: lowered solved nodes differ from make's"
+              (Gate.to_string kind) arity;
           let out = Array.make (Array.length solved) T3.VX in
           List.iter
             (fun ext ->
@@ -452,7 +456,9 @@ let test_compiled_solve_every_cell () =
                   in
                   let want = Solver.solve region ~external_value ~charge:(fun _ -> q) in
                   let charge = Array.make (Array.length solved) q in
-                  let fight = Solver.solve_compiled cr scratch ~ext ~charge ~out in
+                  let fight =
+                    Solver.solve_compiled (Solver.shape cr) scratch ~ext ~charge ~out
+                  in
                   incr solves;
                   let got = List.combine (Array.to_list solved) (Array.to_list out) in
                   if got <> want.values || fight <> want.fight then
@@ -469,19 +475,23 @@ let test_compiled_solve_every_cell () =
 let test_nan_resistance_rejected () =
   let c, m, net = inv_fixture () in
   let a = m.Mapping.signal_node.(c.Circuit.outputs.(0)) in
+  let modifications resistance =
+    [ Solver.Resistive_bridge { node_a = a; node_b = m.Mapping.gnd; resistance } ]
+  in
   let bridge resistance =
-    Solver.make net ~instances:[ 0 ]
-      ~modifications:
-        [ Solver.Resistive_bridge { node_a = a; node_b = m.Mapping.gnd; resistance } ]
+    Solver.make net ~instances:[ 0 ] ~modifications:(modifications resistance)
   in
   Alcotest.check_raises "nan"
     (Invalid_argument "Solver: bridge resistance must be non-negative") (fun () ->
       ignore (bridge Float.nan));
   (* An infinite resistance is an open bridge: the inverter works. *)
-  let cr = Solver.compile (bridge infinity) in
+  let cr =
+    Solver.lower (Solver.lowering net) ~instances:[ 0 ]
+      ~modifications:(modifications infinity)
+  in
   let out = Array.make (Array.length (Solver.solved_nodes cr)) T3.VX in
   ignore
-    (Solver.solve_compiled cr (Solver.scratch ()) ~ext:[| T3.V1 |]
+    (Solver.solve_compiled (Solver.shape cr) (Solver.scratch ()) ~ext:[| T3.V1 |]
        ~charge:(Array.copy out) ~out);
   Alcotest.(check char) "inverter output" '0' (T3.to_char out.(0))
 
@@ -605,6 +615,108 @@ let prop_cone_matches_run =
              = Dl_logic.Propagate.po_detects c good map)
         (List.init 8 Fun.id))
 
+(* --- Shared shapes and memo entries ---------------------------------------------- *)
+
+(* Two NAND2 cells on disjoint inputs and a third on the first one's
+   inputs. *)
+let nand_fixture () =
+  let b = Circuit.Builder.create ~title:"nands" in
+  List.iter (Circuit.Builder.add_input b) [ "a"; "b"; "c"; "d" ];
+  Circuit.Builder.add_gate b "x" Gate.Nand [ "a"; "b" ];
+  Circuit.Builder.add_gate b "y" Gate.Nand [ "c"; "d" ];
+  Circuit.Builder.add_gate b "z" Gate.Nand [ "a"; "b" ];
+  List.iter (Circuit.Builder.add_output b) [ "x"; "y"; "z" ];
+  let c = Circuit.Builder.finalize b in
+  let m = Mapping.flatten c in
+  (c, m, Network.build m)
+
+let fault kind = { Realistic.kind; weight = 1.0; label = "" }
+
+let test_stuck_open_shapes_shared () =
+  let c, m, net = nand_fixture () in
+  let inst name = Option.get (Mapping.instance_of_gate m (Circuit.find c name)) in
+  let x = inst "x" and y = inst "y" in
+  let n_ts = List.length x.cell.Dl_cell.Cell.transistors in
+  let faults =
+    Array.init (2 * n_ts) (fun i ->
+        let first = if i < n_ts then x.first_transistor else y.first_transistor in
+        fault (Realistic.Transistor_stuck_open (first + (i mod n_ts))))
+  in
+  let ids = Swift.shape_ids net faults in
+  for k = 0 to n_ts - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "transistor %d of either instance" k)
+      ids.(k) ids.(n_ts + k)
+  done;
+  Alcotest.(check bool) "distinct positions, distinct shapes" true
+    (List.length (List.sort_uniq compare (Array.to_list ids)) > 1)
+
+let test_pad_strength_splits_shapes () =
+  let c, m, net = nand_fixture () in
+  let node name = m.Mapping.signal_node.(Circuit.find c name) in
+  Alcotest.(check bool) "pads a and c differ in strength" true
+    (node "a" mod 97 <> node "c" mod 97);
+  let bridge p o = fault (Realistic.Bridge { node_a = node p; node_b = node o }) in
+  let faults = [| bridge "a" "x"; bridge "a" "z"; bridge "c" "y" |] in
+  let ids = Swift.shape_ids net faults in
+  Alcotest.(check int) "same pad, same cell: one shape" ids.(0) ids.(1);
+  Alcotest.(check bool) "different pad strength: two shapes" true (ids.(0) <> ids.(2));
+  check_same_as_reference net ~faults ~vectors:(exhaustive_vectors c)
+
+let test_charge_read_not_ext_only () =
+  let _, m, net = inv_fixture () in
+  let nmos =
+    let rec scan i =
+      if m.Mapping.transistors.(i).channel = Dl_cell.Cell.Nmos then i else scan (i + 1)
+    in
+    scan 0
+  in
+  (* At input 1 the open NMOS leaves the output floating: the solve reads
+     the charge.  At input 0 the PMOS drives it: no charge is read. *)
+  let cr =
+    Solver.lower (Solver.lowering net) ~instances:[ 0 ]
+      ~modifications:[ Solver.Remove_transistor nmos ]
+  in
+  let scratch = Solver.scratch () in
+  let solve a q =
+    let out = Array.make (Array.length (Solver.solved_nodes cr)) T3.VX in
+    let charge = Array.make (Array.length out) q in
+    ignore (Solver.solve_compiled (Solver.shape cr) scratch ~ext:[| a |] ~charge ~out);
+    Solver.read_charge scratch
+  in
+  Alcotest.(check bool) "floating output reads charge" true (solve T3.V1 T3.V0);
+  Alcotest.(check bool) "driven output reads none" false (solve T3.V0 T3.V0);
+  (* Input 1 first from unknown charge (output X), then from charge 1
+     (output 1, detected): an ext-only entry written by the first solve
+     would answer the later ones with X. *)
+  let inputs = [| true; false; true; true; false; true |] in
+  let vectors = Array.map (fun a -> [| a |]) inputs in
+  let f = fault (Realistic.Transistor_stuck_open nmos) in
+  let fails run =
+    let got = Array.make (Array.length vectors) false in
+    let (_ : Swift.result) =
+      run (fun ~fault_index:_ ~vector_index -> got.(vector_index) <- true)
+    in
+    got
+  in
+  let stats = Swift.memo_stats () in
+  let fast =
+    fails (fun on_voltage_detect ->
+        Swift.run ~drop_when:`Never ~on_voltage_detect ~memo_stats:stats net
+          ~faults:[| f |] ~vectors)
+  in
+  let slow =
+    fails (fun on_voltage_detect ->
+        Swift.Reference.run ~drop_when:`Never ~on_voltage_detect net ~faults:[| f |]
+          ~vectors)
+  in
+  Alcotest.(check (array bool)) "signature" [| false; false; true; true; false; true |] fast;
+  Alcotest.(check (array bool)) "= reference" slow fast;
+  (* Misses: (1, X), (0, any), (1, 1); then (1, 1) twice and (0, any) once
+     from the memo. *)
+  Alcotest.(check (list int)) "misses, full-key hits, ext-only hits" [ 3; 2; 1 ]
+    [ stats.misses; stats.full_hits; stats.ext_only_hits ]
+
 let () =
   Alcotest.run "dl_switch"
     [
@@ -645,6 +757,12 @@ let () =
             test_swift_matches_reference_c432s_small;
           Alcotest.test_case "resistive = reference solver" `Quick
             test_resistive_matches_reference_solver;
+          Alcotest.test_case "stuck-open shapes shared across instances" `Quick
+            test_stuck_open_shapes_shared;
+          Alcotest.test_case "pad strength splits shapes" `Quick
+            test_pad_strength_splits_shapes;
+          Alcotest.test_case "charge-reading solve not ext-only" `Quick
+            test_charge_read_not_ext_only;
         ] );
       ("propagate", [ QCheck_alcotest.to_alcotest prop_cone_matches_run ]);
     ]
