@@ -1299,22 +1299,25 @@ let cluster_bench () =
 
 (* ------------------------------------------------------------------ swift *)
 
-(* The compiled switch-level engine against the retained reference on the
-   inputs of a default cold pipeline: detections and region solves must be
-   identical (exit 1 otherwise).  Both wall times are printed, with the
-   compiled engine's region shapes and how its solves were answered (full
-   key, ext-only key, or computed).  Not in the default set: the reference
-   takes about a minute on c432s and five on c880s. *)
+(* The compiled switch-level engine on the inputs of a default cold
+   pipeline, on one domain and on a pool of [Parallel.default_domains ()],
+   against the retained reference: detections and region solves must equal
+   the reference's, and the two engine runs' memo counters must be equal
+   (exit 1 otherwise).  Every wall time is printed, with the region shapes,
+   how solves were answered (full key, ext-only key, or computed) and the
+   relaxation rounds of the computed solves.  Not in the default set: the
+   reference takes about a minute on c432s and five on c880s. *)
 let swift_bench () =
-  section_banner "Swift" "compiled switch-level engine vs Swift.Reference";
+  section_banner "Swift" "switch-level engine: 1 domain, pooled, Swift.Reference";
+  let domains = Dl_util.Parallel.default_domains () in
   let t =
     Table.create
       [ ("circuit", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
         ("region solves", Table.Right); ("shapes", Table.Right);
         ("full-key hits", Table.Right); ("ext-only hits", Table.Right);
-        ("misses", Table.Right); ("pipeline s", Table.Right);
-        ("reference s", Table.Right); ("compiled s", Table.Right);
-        ("speed-up", Table.Right) ]
+        ("misses", Table.Right); ("rounds", Table.Right); ("pipeline s", Table.Right);
+        ("reference s", Table.Right); ("1-domain s", Table.Right);
+        (Printf.sprintf "%d-domain s" domains, Table.Right); ("speed-up", Table.Right) ]
   in
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -1327,28 +1330,45 @@ let swift_bench () =
       let e, pipeline_s = timed (fun () -> Experiment.run (Experiment.config circuit)) in
       let net = Dl_switch.Network.build (Dl_cell.Mapping.flatten e.mapped_circuit) in
       let faults = e.extraction.faults and vectors = e.vectors in
-      let memo = Dl_switch.Swift.memo_stats () in
-      let fast, fast_s =
-        timed (fun () -> Dl_switch.Swift.run ~memo_stats:memo net ~faults ~vectors)
+      let engine domains =
+        let memo = Dl_switch.Swift.memo_stats () in
+        let r, s =
+          timed (fun () ->
+              Dl_switch.Swift.run ~memo_stats:memo ~domains net ~faults ~vectors)
+        in
+        (r, memo, s)
       in
+      let serial, memo, serial_s = engine 1 in
+      let pooled, pooled_memo, pooled_s = engine domains in
+      if pooled.detection <> serial.detection
+         || pooled.region_solves <> serial.region_solves
+         || pooled_memo <> memo
+      then begin
+        Printf.printf "FAIL %s: the %d-domain run differs from the 1-domain run\n" name
+          domains;
+        exit 1
+      end;
       let slow, slow_s =
         timed (fun () -> Dl_switch.Swift.Reference.run net ~faults ~vectors)
       in
-      if fast.detection <> slow.detection || fast.region_solves <> slow.region_solves
+      if serial.detection <> slow.detection || serial.region_solves <> slow.region_solves
       then begin
         Printf.printf "FAIL %s: compiled engine differs from Swift.Reference\n" name;
         exit 1
       end;
       Table.add_row t
         [ name; string_of_int (Array.length faults);
-          string_of_int (Array.length vectors); string_of_int fast.region_solves;
+          string_of_int (Array.length vectors); string_of_int serial.region_solves;
           string_of_int memo.shapes; string_of_int memo.full_hits;
           string_of_int memo.ext_only_hits; string_of_int memo.misses;
-          Printf.sprintf "%.2f" pipeline_s; Printf.sprintf "%.2f" slow_s;
-          Printf.sprintf "%.2f" fast_s; Printf.sprintf "%.1fx" (slow_s /. fast_s) ])
+          string_of_int memo.rounds; Printf.sprintf "%.2f" pipeline_s;
+          Printf.sprintf "%.2f" slow_s; Printf.sprintf "%.2f" serial_s;
+          Printf.sprintf "%.2f" pooled_s; Printf.sprintf "%.1fx" (slow_s /. pooled_s) ])
     [ "c432s"; "c880s" ];
   Table.print t;
-  print_endline "identical detections and region solves on every circuit."
+  print_endline
+    "identical detections and region solves on every circuit, and identical \
+     memo counters on every pool size."
 
 (* ------------------------------------------------------------------- atpg *)
 

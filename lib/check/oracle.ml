@@ -947,12 +947,14 @@ module Swift = Dl_switch.Swift
 
 (* The case's circuit through the realistic-fault flow (decompose, flatten,
    synthesize, inductive fault analysis), then the compiled engine against
-   the retained reference in every drop mode, plus one fault's tester
-   signature.  The reference costs tens of microseconds per region solve,
-   so only the first 24 vectors are simulated, on two fault sets: at most
-   32 faults (a stride over the extracted list), and the first 16 faults
-   of each of the three most common region shapes, where one fault's memo
-   entries are read by the others (a shape can have hundreds of faults).
+   the retained reference in every drop mode, serially and on a pool of
+   two domains (whose memo counters must equal the serial run's), plus one
+   fault's tester signature.  The reference costs tens of microseconds per
+   region solve, so only the first 24 vectors are simulated, on two fault
+   sets: at most 32 faults (a stride over the extracted list), and the
+   first 16 faults of each of the three most common region shapes, where
+   one fault's memo entries are read by the others (a shape can have
+   hundreds of faults).
    Both depend only on the case, so a failure shrinks like any other. *)
 let swift_reference (case : Testcase.t) =
   let vectors =
@@ -996,27 +998,44 @@ let swift_reference (case : Testcase.t) =
   let rec modes set faults = function
     | [] -> None
     | (name, drop_when) :: rest -> (
-        let fast = Swift.run ~drop_when net ~faults ~vectors in
         let slow = Swift.Reference.run ~drop_when net ~faults ~vectors in
-        let differs = ref None in
-        Array.iteri
-          (fun i (d : Swift.detection) ->
-            if !differs = None && d <> slow.detection.(i) then differs := Some i)
-          fast.detection;
-        match !differs with
-        | Some i ->
-            failf
-              "swift-reference (%s, drop %s): fault %s detected at voltage %s / \
-               iddq %s vs reference %s / %s"
-              set name
-              (Dl_switch.Realistic.describe faults.(i))
-              (first fast.detection.(i).voltage) (first fast.detection.(i).iddq)
-              (first slow.detection.(i).voltage) (first slow.detection.(i).iddq)
-        | None ->
-            if fast.region_solves <> slow.region_solves then
-              failf "swift-reference (%s, drop %s): region_solves %d vs reference %d"
-                set name fast.region_solves slow.region_solves
-            else modes set faults rest)
+        let engine domains =
+          let stats = Swift.memo_stats () in
+          let r = Swift.run ~drop_when ~memo_stats:stats ~domains net ~faults ~vectors in
+          (r, stats)
+        in
+        let check (fast : Swift.result) engine_name =
+          let differs = ref None in
+          Array.iteri
+            (fun i (d : Swift.detection) ->
+              if !differs = None && d <> slow.detection.(i) then differs := Some i)
+            fast.detection;
+          match !differs with
+          | Some i ->
+              failf
+                "swift-reference (%s, drop %s, %s): fault %s detected at voltage %s / \
+                 iddq %s vs reference %s / %s"
+                set name engine_name
+                (Dl_switch.Realistic.describe faults.(i))
+                (first fast.detection.(i).voltage) (first fast.detection.(i).iddq)
+                (first slow.detection.(i).voltage) (first slow.detection.(i).iddq)
+          | None ->
+              if fast.region_solves <> slow.region_solves then
+                failf "swift-reference (%s, drop %s, %s): region_solves %d vs reference %d"
+                  set name engine_name fast.region_solves slow.region_solves
+              else None
+        in
+        let serial, serial_stats = engine 1 and pooled, pooled_stats = engine 2 in
+        match check serial "serial" with
+        | Some _ as err -> err
+        | None -> (
+            match check pooled "2 domains" with
+            | Some _ as err -> err
+            | None ->
+                if serial_stats <> pooled_stats then
+                  failf "swift-reference (%s, drop %s): memo counters differ on 2 domains"
+                    set name
+                else modes set faults rest))
   in
   let all_modes = [ ("both", `Both); ("voltage", `Voltage); ("never", `Never) ] in
   match modes "strided" strided all_modes with

@@ -57,10 +57,11 @@ val all : t list
     - ["ndet-dl-monotone"]: the {!Dl_core.Dl_n} table over a synthetic
       weighted Θ stand-in has DL@T* non-increasing and k@T*
       non-decreasing in n, every row reaching the shared target;
-    - ["swift-reference"]: {!Dl_switch.Swift.run} is bit-identical to
-      [Swift.Reference.run] on the realistic faults extracted from the
-      case's circuit (decompose, flatten, synthesize, IFA): detections and
-      [region_solves] under every drop mode, and one fault's
+    - ["swift-reference"]: {!Dl_switch.Swift.run}, serially and on two
+      domains, is bit-identical to [Swift.Reference.run] on the realistic
+      faults extracted from the case's circuit (decompose, flatten,
+      synthesize, IFA): detections and [region_solves] under every drop
+      mode, memo counters equal between the two runs, and one fault's
       {!Dl_switch.Swift.signature};
     - ["podem-reference"]: {!Dl_atpg.Podem.run} on one compiled context
       equals [Podem.Reference.generate] (outcome and vector) on every

@@ -402,14 +402,18 @@ let stage_ifa graph cfg ~layout ~mapping_key =
         summaries = e.summaries;
       })
 
-(* 6. Switch-level realistic fault simulation. *)
-let stage_swift graph ~mapping ~faults ~vectors ~mapping_key ~ifa_key
+(* 6. Switch-level realistic fault simulation (sharded by region shape
+   over the fault-simulation domains; its result does not depend on
+   them either). *)
+let stage_swift graph cfg ~mapping ~faults ~vectors ~mapping_key ~ifa_key
     ~atpg_key =
   Stage.run graph ~stage:"swift" ~codec:Artifact.swift
     ~inputs:[ mapping_key; ifa_key; atpg_key ]
     (fun () ->
       let network = Dl_switch.Network.build mapping in
-      let r = Swift.run network ~faults ~vectors in
+      let r =
+        Swift.run ~domains:cfg.domains ?pool:cfg.pool network ~faults ~vectors
+      in
       {
         Artifact.detection = r.detection;
         vectors_applied = r.vectors_applied;
@@ -639,7 +643,7 @@ let run cfg =
     Weighted.scale_to_yield ~weights:raw_weights ~target_yield:cfg.target_yield
   in
   let swift_art, swift_key =
-    stage_swift graph ~mapping ~faults:extraction.faults ~vectors
+    stage_swift graph cfg ~mapping ~faults:extraction.faults ~vectors
       ~mapping_key ~ifa_key ~atpg_key
   in
   let swift_result =
@@ -834,7 +838,7 @@ let run_stage cfg ~stage =
           let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
           let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
           ignore
-            (stage_swift graph ~mapping ~faults:ifa_art.Artifact.faults
+            (stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
                ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
                ~atpg_key)
       | "wafer-mc" ->
@@ -851,7 +855,7 @@ let run_stage cfg ~stage =
           let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
           let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
           let swift_art, swift_key =
-            stage_swift graph ~mapping ~faults:ifa_art.Artifact.faults
+            stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
               ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
               ~atpg_key
           in
@@ -896,7 +900,7 @@ let run_stage cfg ~stage =
           let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
           let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
           let swift_art, swift_key =
-            stage_swift graph ~mapping ~faults:ifa_art.Artifact.faults
+            stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
               ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
               ~atpg_key
           in

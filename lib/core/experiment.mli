@@ -46,10 +46,11 @@ type config = {
   rows : int option;  (** Layout row override. *)
   domains : int;
       (** Domain count for the gate-level fault simulation
-          ({!Dl_fault.Fault_sim.run_parallel}); results are independent of
-          this value, so it is excluded from every stage key. *)
+          ({!Dl_fault.Fault_sim.run_parallel}) and the switch-level one
+          ({!Dl_switch.Swift.run}); results are independent of this value,
+          so it is excluded from every stage key. *)
   pool : Dl_util.Parallel.t option;
-      (** When set, the fault simulation runs on this existing domain pool
+      (** When set, both fault simulations run on this existing domain pool
           instead of spawning [domains] fresh ones — the serving path
           ({!Dl_serve}) keeps one long-lived pool per scheduler worker.
           Results are independent of the pool, so (like [domains]) it is

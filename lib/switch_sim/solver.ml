@@ -317,6 +317,7 @@ type shape = {
   pad_slot : int array;
   pad_r : float array;
   exact_only : bool;  (* a path sum might overflow: always run Dijkstra *)
+  operand : bool array;  (* per local: gates some kept transistor edge *)
 }
 
 type compiled = {
@@ -584,6 +585,11 @@ let new_shape lw ~id ~gnd ~vdd ~n_resolved =
   (* No path is longer than a pad driver (< 1) plus every edge in series;
      while that stays far below [max_float], no distance sum overflows. *)
   let total = Array.fold_left ( +. ) 1.0 e_r in
+  let e_chan = contents lw.e_chan and e_gate = contents lw.e_gate in
+  let operand = Array.make n false in
+  for e = 0 to m - 1 do
+    if e_chan.(e) <> 0 && e_gate.(e) >= 0 then operand.(e_gate.(e)) <- true
+  done;
   {
     id;
     n;
@@ -592,8 +598,8 @@ let new_shape lw ~id ~gnd ~vdd ~n_resolved =
     e_a;
     e_b;
     e_r;
-    e_chan = contents lw.e_chan;
-    e_gate = contents lw.e_gate;
+    e_chan;
+    e_gate;
     adj_start;
     adj_edge;
     adj_other;
@@ -605,6 +611,7 @@ let new_shape lw ~id ~gnd ~vdd ~n_resolved =
     pad_slot = contents lw.pad_slot;
     pad_r = contents lw.pad_r;
     exact_only = not (total < 1e300);
+    operand;
   }
 
 (* Shapes are compared field by field, floats by their bits. *)
@@ -684,11 +691,12 @@ type scratch = {
   mutable visited : bool array;
   mutable cond : int array;  (* per edge: [off], [on] or [maybe] *)
   mutable read_charge : bool;  (* the last solve read [charge] *)
+  mutable rounds : int;  (* relaxation rounds of every solve so far *)
 }
 
 let scratch () =
   { values = [||]; reach = [||]; queue = [||]; dist_dn = [||]; dist_up = [||];
-    visited = [||]; cond = [||]; read_charge = false }
+    visited = [||]; cond = [||]; read_charge = false; rounds = 0 }
 
 let ensure s (cr : shape) =
   let n = cr.n in
@@ -828,6 +836,7 @@ let rail_passes (cr : shape) s ~ext =
   end
 
 let read_charge s = s.read_charge
+let rounds s = s.rounds
 
 let solve_compiled (cr : shape) s ~ext ~charge ~out =
   ensure s cr;
@@ -878,10 +887,12 @@ let solve_compiled (cr : shape) s ~ext ~charge ~out =
           charge.(i)
         end
       in
-      (* Ternary values are immediates: physical equality is equality. *)
+      (* Ternary values are immediates: physical equality is equality.
+         Only a changed gate operand changes the next round's conduction;
+         without one, that round would recompute these values and fights. *)
       if v != values.(l) then begin
         values.(l) <- v;
-        stable := false
+        if cr.operand.(l) then stable := false
       end
     done;
     for p = 0 to Array.length cr.pad_local - 1 do
@@ -895,4 +906,5 @@ let solve_compiled (cr : shape) s ~ext ~charge ~out =
   for i = 0 to Array.length cr.solved - 1 do
     out.(i) <- values.(cr.solved.(i))
   done;
+  s.rounds <- s.rounds + !rounds;
   !fight

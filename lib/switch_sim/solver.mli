@@ -136,10 +136,15 @@ val solve_compiled :
 (** [solve_compiled sh s ~ext ~charge ~out] reads [ext.(i)], the value of
     external slot [i], and [charge.(i)], the previous value of solved node
     [i]; it writes the value of solved node [i] into [out.(i)] and returns
-    [fight].  Equal to {!solve} on the same inputs. *)
+    [fight].  Equal to {!solve} on the same inputs.  Relaxation stops as
+    soon as a round changes no node that gates a transistor: the next
+    round would see the same conduction and repeat the same values. *)
 
 val read_charge : scratch -> bool
 (** Whether the last {!solve_compiled} on this scratch read [charge] (some
     solved node had no rail path in some round).  When it did not, every
     round saw the same inputs under any charge, so the outcome holds for
     every charge. *)
+
+val rounds : scratch -> int
+(** Relaxation rounds run by every {!solve_compiled} on this scratch. *)

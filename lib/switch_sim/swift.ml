@@ -3,6 +3,7 @@ module Ternary = Dl_logic.Ternary
 module Sim2 = Dl_logic.Sim2
 module Cone = Dl_logic.Propagate.Cone
 module Mapping = Dl_cell.Mapping
+module Parallel = Dl_util.Parallel
 
 type detection = { voltage : int option; iddq : int option }
 
@@ -215,19 +216,31 @@ end
 
 (* --- compiled engine ------------------------------------------------------- *)
 
-(* Solve memo of one region shape: open addressing from packed solve
-   inputs to packed outcomes, both non-negative ints. *)
+(* Solve memo of one region shape at a time: open addressing from packed
+   solve inputs to packed outcomes, both non-negative ints.  A slot is
+   live while it holds the current generation, so [clear] is O(1) and the
+   arrays are reused from shape to shape. *)
 module Memo = struct
-  type t = { mutable keys : int array; mutable vals : int array; mutable count : int }
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable gens : int array;
+    mutable gen : int;
+    mutable count : int;
+  }
 
-  let create () = { keys = [||]; vals = [||]; count = 0 }
+  let create () = { keys = [||]; vals = [||]; gens = [||]; gen = 0; count = 0 }
 
-  (* The slot holding [k], or the empty slot where it goes. *)
-  let slot keys k =
-    let mask = Array.length keys - 1 in
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.count <- 0
+
+  (* The slot holding [k], or the free slot where it goes. *)
+  let slot t k =
+    let mask = Array.length t.keys - 1 in
     let h = k * 0x2545F4914F6CDD1D in
     let i = ref ((h lxor (h lsr 29)) land mask) in
-    while keys.(!i) <> k && keys.(!i) >= 0 do
+    while t.gens.(!i) = t.gen && t.keys.(!i) <> k do
       i := (!i + 1) land mask
     done;
     !i
@@ -235,20 +248,24 @@ module Memo = struct
   let find t k =
     if t.count = 0 then -1
     else
-      let i = slot t.keys k in
-      if t.keys.(i) = k then t.vals.(i) else -1
+      let i = slot t k in
+      if t.gens.(i) = t.gen then t.vals.(i) else -1
 
   let rec add t k v =
     if 2 * (t.count + 1) > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals in
-      t.keys <- Array.make (max 8 (2 * Array.length keys)) (-1);
-      t.vals <- Array.make (Array.length t.keys) 0;
+      let keys = t.keys and vals = t.vals and gens = t.gens and gen = t.gen in
+      let size = max 8 (2 * Array.length keys) in
+      t.keys <- Array.make size 0;
+      t.vals <- Array.make size 0;
+      t.gens <- Array.make size (-1);
+      t.gen <- 0;
       t.count <- 0;
-      Array.iteri (fun i k -> if k >= 0 then add t k vals.(i)) keys
+      Array.iteri (fun i k -> if gens.(i) = gen then add t k vals.(i)) keys
     end;
-    let i = slot t.keys k in
+    let i = slot t k in
     t.keys.(i) <- k;
     t.vals.(i) <- v;
+    t.gens.(i) <- t.gen;
     t.count <- t.count + 1
 end
 
@@ -266,13 +283,17 @@ type region = {
   iddq_candidate : bool;
 }
 
-type prepared =
-  | Region of region
-  | Net_open of {
-      seeds : [ `Stem of int | `Pin of int * int ] list;
-      policy : Realistic.float_policy;
-    }
-  | Dropped
+(* An interconnect open: stem [node] floats ([pin < 0]), or input [pin]
+   of gate [node] does and the gate is re-evaluated over [ins]. *)
+type net_open = {
+  node : int;
+  pin : int;
+  ins : Ternary.t array;  (* the gate's inputs, refilled per vector *)
+  policy : Realistic.float_policy;
+}
+
+(* [Done] replaces a fault's state once its task has finished it. *)
+type prepared = Region of region | Net_open of net_open | Done
 
 let prepare lowering net (f : Realistic.t) =
   let m = Network.mapping net in
@@ -315,9 +336,10 @@ let prepare lowering net (f : Realistic.t) =
       region_of [ m.Mapping.transistors.(ti).instance ]
         (Solver.Short_transistor ti) ~iddq_candidate:true
   | Realistic.Input_open { gate; pin; policy } ->
-      Net_open { seeds = [ `Pin (gate, pin) ]; policy }
-  | Realistic.Stem_open { node; policy } ->
-      Net_open { seeds = [ `Stem node ]; policy }
+      let fanin = m.Mapping.circuit.nodes.(gate).fanin in
+      Net_open
+        { node = gate; pin; ins = Array.make (Array.length fanin) Ternary.VX; policy }
+  | Realistic.Stem_open { node; policy } -> Net_open { node; pin = -1; ins = [||]; policy }
 
 let shape_ids net faults =
   let lowering = Solver.lowering net in
@@ -325,7 +347,7 @@ let shape_ids net faults =
     (fun f ->
       match prepare lowering net f with
       | Region r -> Solver.shape_id r.shape
-      | Net_open _ | Dropped -> -1)
+      | Net_open _ | Done -> -1)
     faults
 
 (* Memo keys pack 2 bits per external value, then 2 bits per charge the
@@ -373,165 +395,313 @@ type memo_stats = {
   mutable full_hits : int;
   mutable ext_only_hits : int;
   mutable misses : int;
+  mutable rounds : int;
 }
 
-let memo_stats () = { shapes = 0; full_hits = 0; ext_only_hits = 0; misses = 0 }
+let memo_stats () =
+  { shapes = 0; full_hits = 0; ext_only_hits = 0; misses = 0; rounds = 0 }
 
 (* What [Propagate.run]'s map holds for a node: -1 when absent. *)
 let observed cone id = if Cone.mem cone id then code (Cone.get cone id) else -1
 
-let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats net ~faults ~vectors =
-  let m = Network.mapping net in
-  let c = m.Mapping.circuit in
-  let n_faults = Array.length faults in
-  let detection = Array.make n_faults { voltage = None; iddq = None } in
-  let lowering = Solver.lowering net in
-  let prepared = Array.map (prepare lowering net) faults in
-  let region_solves = ref 0 in
-  let good_per_vector = good_values net vectors in
-  let n_vectors = Array.length vectors in
-  let live = Array.make n_faults true in
-  let update_live fi =
-    let d = detection.(fi) in
-    let done_ =
-      match drop_when with
-      | `Voltage -> d.voltage <> None
-      | `Both -> d.voltage <> None && d.iddq <> None
-      | `Never -> false
-    in
-    if done_ then begin
-      live.(fi) <- false;
-      prepared.(fi) <- Dropped
-    end
-  in
-  (* One memo per shape, shared by its faults for the whole run. *)
-  let memos = Array.init (Solver.shape_count lowering) (fun _ -> Memo.create ()) in
-  let full_hits = ref 0 and ext_only_hits = ref 0 and misses = ref 0 in
-  (* One scratch per run, sized for the widest region. *)
-  let widest size =
-    Array.fold_left
-      (fun acc p -> match p with Region r -> max acc (size r) | _ -> acc)
-      0 prepared
-  in
-  let ext = Array.make (widest (fun r -> Array.length r.ext_signal)) Ternary.VX in
-  let out = Array.make (widest (fun r -> Array.length r.charge)) Ternary.VX in
-  let before = Array.make (widest (fun r -> Array.length r.inputs)) 0 in
-  let scratch = Solver.scratch () in
-  let cone = Cone.create c in
-  (* An ext-only entry answers for any charge, so it is probed first;
-     a solve that read no charge is stored only under its ext-only key. *)
-  let solve r =
-    let shape = r.shape in
-    let n = Array.length r.charge in
-    if not (memoised shape) then begin
-      incr misses;
-      Solver.solve_compiled shape scratch ~ext ~charge:r.charge ~out
+(* What every task of a run reads.  Each fault's first-detection slots
+   (vector index, or -1) are written by the one task that holds it. *)
+type ctx = {
+  circuit : Circuit.t;
+  good : bool array array;  (* per vector: fault-free value per node *)
+  drop_when : [ `Voltage | `Both | `Never ];
+  open_drops : bool;  (* a definite open leaves once voltage-detected *)
+  record : bool;  (* keep every voltage hit for the callback *)
+  n_faults : int;
+  voltage_at : int array;
+  iddq_at : int array;
+}
+
+(* One pool worker's state, made by the calling domain and reused by every
+   task the worker claims, so that a worker allocates only when its memo
+   or hit buffer grows. *)
+type worker = {
+  ext : Ternary.t array;
+  out : Ternary.t array;
+  before : int array;
+  scratch : Solver.scratch;
+  cone : Cone.t;
+  memo : Memo.t;
+  mutable hits : int array;  (* voltage hits as [vector * n_faults + fault] *)
+  mutable n_hits : int;
+  mutable solves : int;
+  mutable full_hits : int;
+  mutable ext_only_hits : int;
+  mutable misses : int;
+}
+
+let record_hit ctx w ~vector fi =
+  if w.n_hits = Array.length w.hits then begin
+    let hits = Array.make (max 64 (2 * w.n_hits)) 0 in
+    Array.blit w.hits 0 hits 0 w.n_hits;
+    w.hits <- hits
+  end;
+  w.hits.(w.n_hits) <- (vector * ctx.n_faults) + fi;
+  w.n_hits <- w.n_hits + 1
+
+let vector_opt k = if k < 0 then None else Some k
+
+(* An ext-only entry answers for any charge, so it is probed first;
+   a solve that read no charge is stored only under its ext-only key. *)
+let solve w r =
+  let shape = r.shape and memo = w.memo in
+  let n = Array.length r.charge in
+  let ext = w.ext and out = w.out in
+  if not (memoised shape) then begin
+    w.misses <- w.misses + 1;
+    Solver.solve_compiled shape w.scratch ~ext ~charge:r.charge ~out
+  end
+  else begin
+    let n_charged = Solver.charged_count shape in
+    let k = pack_ext r ext in
+    let ext_key = ext_only_key k n_charged in
+    let hit = Memo.find memo ext_key in
+    if hit >= 0 then begin
+      w.ext_only_hits <- w.ext_only_hits + 1;
+      unpack_outcome hit out n
     end
     else begin
-      let memo = memos.(Solver.shape_id shape) in
-      let n_charged = Solver.charged_count shape in
-      let k = pack_ext r ext in
-      let ext_key = ext_only_key k n_charged in
-      let hit = Memo.find memo ext_key in
+      let key = if n_charged = 0 then ext_key else with_charge r k n_charged in
+      let hit = if n_charged = 0 then -1 else Memo.find memo key in
       if hit >= 0 then begin
-        incr ext_only_hits;
+        w.full_hits <- w.full_hits + 1;
         unpack_outcome hit out n
       end
       else begin
-        let key = if n_charged = 0 then ext_key else with_charge r k n_charged in
-        let hit = if n_charged = 0 then -1 else Memo.find memo key in
-        if hit >= 0 then begin
-          incr full_hits;
-          unpack_outcome hit out n
-        end
-        else begin
-          incr misses;
-          let fight = Solver.solve_compiled shape scratch ~ext ~charge:r.charge ~out in
-          let key = if Solver.read_charge scratch then key else ext_key in
-          Memo.add memo key (pack_outcome out n fight);
-          fight
-        end
+        w.misses <- w.misses + 1;
+        let fight = Solver.solve_compiled shape w.scratch ~ext ~charge:r.charge ~out in
+        let key = if Solver.read_charge w.scratch then key else ext_key in
+        Memo.add memo key (pack_outcome out n fight);
+        fight
       end
     end
-  in
-  for k = 0 to n_vectors - 1 do
-    let good = good_per_vector.(k) in
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        let voltage_hit = ref false and iddq_hit = ref false in
-        (match prepared.(fi) with
-        | Dropped -> ()
-        | Net_open { seeds; policy } ->
-            let pv = policy_value policy in
-            Cone.start cone good;
-            List.iter
-              (function
-                | `Stem node -> Cone.seed cone node pv
-                | `Pin (gate, pin) ->
-                    (* Re-evaluate the reading gate with the floating pin. *)
-                    let nd = c.nodes.(gate) in
-                    let ins = Array.map (fun s -> Ternary.of_bool good.(s)) nd.fanin in
-                    ins.(pin) <- pv;
-                    Cone.seed cone gate (Ternary.eval nd.kind ins))
-              seeds;
-            Cone.propagate cone;
-            if Cone.po_detects cone then voltage_hit := true;
-            if policy = Realistic.Floats_unknown then iddq_hit := true
-        | Region r ->
-            (* Iterate while the propagated values feed back into the
-               region's inputs.  From the second pass on, every external
-               signal reads the previous pass's propagated value. *)
-            let stable = ref false and iters = ref 0 and fight = ref false in
-            while (not !stable) && !iters < 8 do
-              incr iters;
-              let first = !iters = 1 in
-              for j = 0 to Array.length r.ext_signal - 1 do
-                let s = r.ext_signal.(j) in
-                ext.(j) <-
-                  (if s < 0 then Ternary.VX
-                   else if first then Ternary.of_bool good.(s)
-                   else Cone.get cone s)
-              done;
-              for j = 0 to Array.length r.inputs - 1 do
-                before.(j) <- (if first then -1 else observed cone r.inputs.(j))
-              done;
-              incr region_solves;
-              fight := solve r;
-              Cone.start cone good;
-              for j = 0 to Array.length r.out_signal - 1 do
-                Cone.seed cone r.out_signal.(j) out.(r.out_index.(j))
-              done;
-              Cone.propagate cone;
-              stable := true;
-              for j = 0 to Array.length r.inputs - 1 do
-                if observed cone r.inputs.(j) <> before.(j) then stable := false
-              done
-            done;
-            if Cone.po_detects cone then voltage_hit := true;
-            if r.iddq_candidate && !fight then iddq_hit := true;
-            (* Persist settled charges for the next vector. *)
-            Array.blit out 0 r.charge 0 (Array.length r.charge));
-        (match on_voltage_detect with
-        | Some callback when !voltage_hit -> callback ~fault_index:fi ~vector_index:k
-        | _ -> ());
-        let d = detection.(fi) in
-        let d =
-          if !voltage_hit && d.voltage = None then { d with voltage = Some k } else d
-        in
-        let d = if !iddq_hit && d.iddq = None then { d with iddq = Some k } else d in
-        detection.(fi) <- d;
-        update_live fi
-      end
-    done
+  end
+
+(* Region fault [fi] from the first vector on, until it drops. *)
+let run_region ctx w r fi =
+  let cone = w.cone and ext = w.ext and out = w.out and before = w.before in
+  let n_vectors = Array.length ctx.good in
+  let voltage = ref (-1) and iddq = ref (-1) in
+  let k = ref 0 in
+  while !k < n_vectors do
+    let good = ctx.good.(!k) in
+    (* Iterate while the propagated values feed back into the region's
+       inputs.  From the second pass on, every external signal reads the
+       previous pass's propagated value. *)
+    let stable = ref false and iters = ref 0 and fight = ref false in
+    while (not !stable) && !iters < 8 do
+      incr iters;
+      let first = !iters = 1 in
+      for j = 0 to Array.length r.ext_signal - 1 do
+        let s = r.ext_signal.(j) in
+        ext.(j) <-
+          (if s < 0 then Ternary.VX
+           else if first then Ternary.of_bool good.(s)
+           else Cone.get cone s)
+      done;
+      for j = 0 to Array.length r.inputs - 1 do
+        before.(j) <- (if first then -1 else observed cone r.inputs.(j))
+      done;
+      w.solves <- w.solves + 1;
+      fight := solve w r;
+      Cone.start cone good;
+      for j = 0 to Array.length r.out_signal - 1 do
+        Cone.seed cone r.out_signal.(j) out.(r.out_index.(j))
+      done;
+      Cone.propagate cone;
+      stable := true;
+      for j = 0 to Array.length r.inputs - 1 do
+        if observed cone r.inputs.(j) <> before.(j) then stable := false
+      done
+    done;
+    if Cone.po_detects cone then begin
+      if ctx.record then record_hit ctx w ~vector:!k fi;
+      if !voltage < 0 then voltage := !k
+    end;
+    if r.iddq_candidate && !fight && !iddq < 0 then iddq := !k;
+    (* Persist settled charges for the next vector. *)
+    Array.blit out 0 r.charge 0 (Array.length r.charge);
+    let drops =
+      match ctx.drop_when with
+      | `Voltage -> !voltage >= 0
+      | `Both -> !voltage >= 0 && !iddq >= 0
+      | `Never -> false
+    in
+    if drops then k := n_vectors else incr k
   done;
+  ctx.voltage_at.(fi) <- !voltage;
+  ctx.iddq_at.(fi) <- !iddq
+
+(* Open fault [fi].  An X seed is never walked: Kleene evaluation is
+   monotone, so every node of its cone is X or its fault-free value and
+   no output is ever definitely wrong; the floating gate draws current
+   from the first vector.  A definite seed is a stuck-at that never
+   draws current. *)
+let run_open ctx w o fi =
+  let n_vectors = Array.length ctx.good in
+  match o.policy with
+  | Realistic.Floats_unknown -> if n_vectors > 0 then ctx.iddq_at.(fi) <- 0
+  | Realistic.Floats_low | Realistic.Floats_high ->
+      let pv = policy_value o.policy in
+      let cone = w.cone in
+      let voltage = ref (-1) in
+      let k = ref 0 in
+      while !k < n_vectors do
+        let good = ctx.good.(!k) in
+        Cone.start cone good;
+        if o.pin < 0 then Cone.seed cone o.node pv
+        else begin
+          (* Re-evaluate the reading gate with the floating pin. *)
+          let nd = ctx.circuit.nodes.(o.node) in
+          for j = 0 to Array.length nd.fanin - 1 do
+            o.ins.(j) <- Ternary.of_bool good.(nd.fanin.(j))
+          done;
+          o.ins.(o.pin) <- pv;
+          Cone.seed cone o.node (Ternary.eval nd.kind o.ins)
+        end;
+        Cone.propagate cone;
+        if Cone.po_detects cone then begin
+          if ctx.record then record_hit ctx w ~vector:!k fi;
+          if !voltage < 0 then voltage := !k
+        end;
+        if ctx.open_drops && !voltage >= 0 then k := n_vectors else incr k
+      done;
+      ctx.voltage_at.(fi) <- !voltage
+
+(* The faults of one task, one after the other; each fault's state is
+   released as soon as it is finished. *)
+let run_task ctx w prepared task =
+  Memo.clear w.memo;
+  for j = 0 to Array.length task - 1 do
+    let fi = task.(j) in
+    (match prepared.(fi) with
+    | Region r -> run_region ctx w r fi
+    | Net_open o -> run_open ctx w o fi
+    | Done -> ());
+    prepared.(fi) <- Done
+  done
+
+(* One task per region shape, holding its faults in index order, larger
+   shapes first; then one task per open. *)
+let tasks prepared n_shapes =
+  let members = Array.make n_shapes [] and opens = ref [] in
+  for fi = Array.length prepared - 1 downto 0 do
+    match prepared.(fi) with
+    | Region r ->
+        let id = Solver.shape_id r.shape in
+        members.(id) <- fi :: members.(id)
+    | Net_open _ | Done -> opens := [| fi |] :: !opens
+  done;
+  let shapes = Array.map Array.of_list members in
+  Array.stable_sort (fun a b -> Int.compare (Array.length b) (Array.length a)) shapes;
+  Array.append shapes (Array.of_list !opens)
+
+let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats ?domains ?pool net
+    ~faults ~vectors =
+  let m = Network.mapping net in
+  let n_faults = Array.length faults in
+  let lowering = Solver.lowering net in
+  let prepared = Array.map (prepare lowering net) faults in
+  let n_shapes = Solver.shape_count lowering in
+  let tasks = tasks prepared n_shapes in
+  let n_tasks = Array.length tasks in
+  let ctx =
+    {
+      circuit = m.Mapping.circuit;
+      good = good_values net vectors;
+      drop_when;
+      (* Under [`Both] a definite open would stay for an IDDQ detection
+         that never comes, and only the callback could see its later
+         voltage hits. *)
+      open_drops =
+        (match drop_when with
+        | `Voltage -> true
+        | `Both -> on_voltage_detect = None
+        | `Never -> false);
+      record = on_voltage_detect <> None;
+      n_faults;
+      voltage_at = Array.make n_faults (-1);
+      iddq_at = Array.make n_faults (-1);
+    }
+  in
+  let widest size =
+    Array.fold_left
+      (fun acc p -> match p with Region r -> max acc (size r) | Net_open _ | Done -> acc)
+      0 prepared
+  in
+  let n_ext = widest (fun r -> Array.length r.ext_signal)
+  and n_out = widest (fun r -> Array.length r.charge)
+  and n_inputs = widest (fun r -> Array.length r.inputs) in
+  let worker () =
+    {
+      ext = Array.make n_ext Ternary.VX;
+      out = Array.make n_out Ternary.VX;
+      before = Array.make n_inputs 0;
+      scratch = Solver.scratch ();
+      cone = Cone.create ctx.circuit;
+      memo = Memo.create ();
+      hits = [||];
+      n_hits = 0;
+      solves = 0;
+      full_hits = 0;
+      ext_only_hits = 0;
+      misses = 0;
+    }
+  in
+  (* Each pool worker claims tasks until none is left. *)
+  let cursor = Atomic.make 0 in
+  let work pool =
+    let workers = Array.init (Parallel.size pool) (fun _ -> worker ()) in
+    Parallel.run pool ~tasks:(Array.length workers) (fun i ->
+        let w = workers.(i) in
+        let rec claim () =
+          let t = Atomic.fetch_and_add cursor 1 in
+          if t < n_tasks then begin
+            run_task ctx w prepared tasks.(t);
+            claim ()
+          end
+        in
+        claim ());
+    Array.to_list workers
+  in
+  let workers =
+    match pool with
+    | Some pool -> work pool
+    | None ->
+        let domains = Option.value domains ~default:(Parallel.default_domains ()) in
+        Parallel.with_pool ~domains:(max 1 (min domains n_tasks)) work
+  in
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
+  (* Voltage hits replayed in the serial (vector, fault) order. *)
+  Option.iter
+    (fun callback ->
+      let hits = Array.concat (List.map (fun w -> Array.sub w.hits 0 w.n_hits) workers) in
+      Array.sort Int.compare hits;
+      Array.iter
+        (fun h -> callback ~fault_index:(h mod n_faults) ~vector_index:(h / n_faults))
+        hits)
+    on_voltage_detect;
   Option.iter
     (fun st ->
-      st.shapes <- st.shapes + Solver.shape_count lowering;
-      st.full_hits <- st.full_hits + !full_hits;
-      st.ext_only_hits <- st.ext_only_hits + !ext_only_hits;
-      st.misses <- st.misses + !misses)
+      st.shapes <- st.shapes + n_shapes;
+      st.full_hits <- st.full_hits + sum (fun w -> w.full_hits);
+      st.ext_only_hits <- st.ext_only_hits + sum (fun w -> w.ext_only_hits);
+      st.misses <- st.misses + sum (fun w -> w.misses);
+      st.rounds <- st.rounds + sum (fun w -> Solver.rounds w.scratch))
     stats;
-  { faults; detection; vectors_applied = n_vectors; region_solves = !region_solves }
+  {
+    faults;
+    detection =
+      Array.init n_faults (fun fi ->
+          { voltage = vector_opt ctx.voltage_at.(fi); iddq = vector_opt ctx.iddq_at.(fi) });
+    vectors_applied = Array.length vectors;
+    region_solves = sum (fun w -> w.solves);
+  }
 
 (* --- coverage projections ------------------------------------------------ *)
 

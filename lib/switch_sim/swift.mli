@@ -27,6 +27,7 @@ type memo_stats = {
   mutable ext_only_hits : int;
       (** Solves answered by an outcome that held for any charge. *)
   mutable misses : int;  (** Solves computed (or not memoisable). *)
+  mutable rounds : int;  (** Relaxation rounds of the computed solves. *)
 }
 (** Memo counters of {!run}, summed over the runs they are passed to. *)
 
@@ -37,6 +38,8 @@ val run :
   ?drop_when:[ `Voltage | `Both | `Never ] ->
   ?on_voltage_detect:(fault_index:int -> vector_index:int -> unit) ->
   ?memo_stats:memo_stats ->
+  ?domains:int ->
+  ?pool:Dl_util.Parallel.t ->
   Network.t ->
   faults:Realistic.t array ->
   vectors:bool array array ->
@@ -45,12 +48,26 @@ val run :
     controls fault dropping: [`Voltage] stops simulating a fault once
     voltage-detected (fastest), [`Both] once both mechanisms have fired
     (default; exact first-detection data for both curves), [`Never] runs
-    everything (dictionary-grade data).
+    everything (dictionary-grade data).  Under [`Both], a definite
+    ([Floats_low]/[Floats_high]) open stops once voltage-detected, since
+    it never draws current, unless [on_voltage_detect] is given.  A
+    [Floats_unknown] open is never voltage-detected, so it is recorded
+    IDDQ-detected at the first vector without being simulated.
+
+    Faults are simulated one at a time over the vectors.  They are
+    grouped into tasks, one per region shape and one per open, which the
+    workers of a domain pool claim dynamically ([domains] defaults to
+    {!Dl_util.Parallel.default_domains}, clamped to the task count; pass
+    [pool] to reuse an existing pool, in which case [domains] is
+    ignored).  Each worker has its own buffers, solver scratch and cone
+    walker.  The result, [memo_stats] and the [on_voltage_detect] events
+    (buffered and replayed in the calling domain, in increasing vector
+    and then fault index) are identical for any pool size.
 
     Each region is lowered once ({!Solver.lower}); regions with equal
     compiled arrays share one shape, and each shape has one solve memo,
-    shared by all its faults for the whole run, keyed on the exact inputs
-    a solve reads (external values and charge).  An outcome computed
+    shared by all its faults within the shape's task, keyed on the exact
+    inputs a solve reads (external values and charge).  An outcome computed
     without reading charge is stored under an ext-only key and answers
     for any charge.  The fault effect propagates through a reusable cone
     walker ({!Dl_logic.Propagate.Cone}).  [region_solves] counts logical

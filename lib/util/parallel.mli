@@ -21,7 +21,8 @@ val default_domains : unit -> int
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains (default
-    {!default_domains}).  @raise Invalid_argument if [domains < 1]. *)
+    {!default_domains}), after a minor collection of the calling domain.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val size : t -> int
 (** Number of workers, including the calling domain. *)

@@ -500,23 +500,82 @@ let realistic_faults name =
   let ext = Dl_extract.Ifa.extract (Dl_layout.Layout.synthesize m) in
   (c, net, ext.Dl_extract.Ifa.faults)
 
+let fault kind = { Realistic.kind; weight = 1.0; label = "" }
+
+module Parallel = Dl_util.Parallel
+
+(* Every open fault of every signal: the stem, and each gate input pin,
+   under each float policy. *)
+let all_opens (c : Circuit.t) =
+  let policies = [ Realistic.Floats_low; Realistic.Floats_high; Realistic.Floats_unknown ] in
+  Array.to_list c.nodes
+  |> List.concat_map (fun (nd : Circuit.node) ->
+         List.concat_map
+           (fun policy ->
+             fault (Realistic.Stem_open { node = nd.id; policy })
+             :: List.init (Array.length nd.fanin) (fun pin ->
+                    fault (Realistic.Input_open { gate = nd.id; pin; policy })))
+           policies)
+  |> Array.of_list
+
+let stats_fields (st : Swift.memo_stats) =
+  [ st.shapes; st.full_hits; st.ext_only_hits; st.misses; st.rounds ]
+
+(* The serial engine, pools of 1, 2 and 3 domains and the reference agree
+   on detections and region solves in every drop mode; the engine's memo
+   counters and callback events are the same for every pool size, and the
+   events are the reference's. *)
 let check_same_as_reference net ~faults ~vectors =
   List.iter
     (fun drop_when ->
-      let fast = Swift.run ~drop_when net ~faults ~vectors in
-      let slow = Swift.Reference.run ~drop_when net ~faults ~vectors in
+      let events_of run =
+        let events = ref [] in
+        let (r : Swift.result) =
+          run (fun ~fault_index ~vector_index ->
+              events := (vector_index, fault_index) :: !events)
+        in
+        (r, List.rev !events)
+      in
+      let slow, slow_events =
+        events_of (fun on_voltage_detect ->
+            Swift.Reference.run ~drop_when ~on_voltage_detect net ~faults ~vectors)
+      in
+      let engine ?pool ?domains () =
+        let stats = Swift.memo_stats () in
+        let r = Swift.run ~drop_when ~memo_stats:stats ?pool ?domains net ~faults ~vectors in
+        let r', events =
+          events_of (fun on_voltage_detect ->
+              Swift.run ~drop_when ~on_voltage_detect ?pool ?domains net ~faults ~vectors)
+        in
+        Alcotest.(check bool) "callback run detections" true (r.detection = r'.detection);
+        (r, stats_fields stats, events)
+      in
+      let serial, serial_stats, serial_events = engine ~domains:1 () in
       Array.iteri
         (fun i (d : Swift.detection) ->
           if d <> slow.detection.(i) then
             Alcotest.failf "fault %s: detection differs from the reference"
-              faults.(i).Realistic.label)
-        fast.detection;
-      Alcotest.(check int) "region solves" slow.region_solves fast.region_solves)
+              (Realistic.describe faults.(i)))
+        serial.detection;
+      Alcotest.(check int) "region solves = reference" slow.region_solves serial.region_solves;
+      Alcotest.(check (list (pair int int))) "events = reference" slow_events serial_events;
+      List.iter
+        (fun domains ->
+          Parallel.with_pool ~domains (fun pool ->
+              let r, stats, events = engine ~pool () in
+              let name what = Printf.sprintf "%s, pool of %d" what domains in
+              Alcotest.(check bool) (name "detections") true (r.detection = serial.detection);
+              Alcotest.(check int) (name "region solves") serial.region_solves r.region_solves;
+              Alcotest.(check (list int)) (name "memo stats") serial_stats stats;
+              Alcotest.(check (list (pair int int))) (name "events") serial_events events))
+        [ 1; 2; 3 ])
     [ `Both; `Voltage; `Never ]
 
 let test_swift_matches_reference_c17 () =
   let c, net, faults = realistic_faults "c17" in
-  check_same_as_reference net ~faults ~vectors:(exhaustive_vectors c)
+  check_same_as_reference net
+    ~faults:(Array.append faults (all_opens c))
+    ~vectors:(exhaustive_vectors c)
 
 let test_swift_matches_reference_c432s_small () =
   let c, net, faults = realistic_faults "c432s_small" in
@@ -630,8 +689,6 @@ let nand_fixture () =
   let m = Mapping.flatten c in
   (c, m, Network.build m)
 
-let fault kind = { Realistic.kind; weight = 1.0; label = "" }
-
 let test_stuck_open_shapes_shared () =
   let c, m, net = nand_fixture () in
   let inst name = Option.get (Mapping.instance_of_gate m (Circuit.find c name)) in
@@ -717,6 +774,82 @@ let test_charge_read_not_ext_only () =
   Alcotest.(check (list int)) "misses, full-key hits, ext-only hits" [ 3; 2; 1 ]
     [ stats.misses; stats.full_hits; stats.ext_only_hits ]
 
+(* --- Pooled engine ------------------------------------------------------------ *)
+
+let family_case seed =
+  let fams = Array.of_list Generator.Family.all in
+  let fam = fams.(seed mod Array.length fams) in
+  let c =
+    Transform.decompose_for_cells
+      (Generator.Family.build fam ~seed ~gates:(12 + (seed mod 17)))
+  in
+  let m = Mapping.flatten c in
+  let net = Network.build m in
+  let rng = Dl_util.Rng.create seed in
+  let vectors =
+    Array.init 6 (fun _ -> Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
+  in
+  (c, m, net, vectors)
+
+let prop_pooled_families =
+  QCheck.Test.make ~name:"pooled = serial = reference, generated families" ~count:8
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let c, m, net, vectors = family_case seed in
+      let ifa = (Dl_extract.Ifa.extract (Dl_layout.Layout.synthesize m)).faults in
+      let opens = all_opens c in
+      let stride = max 1 (Array.length opens / 24) in
+      let opens = Array.init (Array.length opens / stride) (fun i -> opens.(i * stride)) in
+      check_same_as_reference net ~faults:(Array.append ifa opens) ~vectors;
+      true)
+
+(* Kleene evaluation is monotone: an X seed leaves every node X or at its
+   fault-free value, so no output is ever definitely wrong.  Checked on the
+   reference engine, which walks every (fault, vector) pair. *)
+let prop_x_open_never_voltage_detected =
+  QCheck.Test.make ~name:"an X-seeded open is never voltage-detected" ~count:20
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let c, _, net, vectors = family_case seed in
+      let faults =
+        Array.of_list
+          (List.filter
+             (fun (f : Realistic.t) ->
+               match f.kind with
+               | Realistic.Stem_open { policy; _ } | Realistic.Input_open { policy; _ } ->
+                   policy = Realistic.Floats_unknown
+               | _ -> false)
+             (Array.to_list (all_opens c)))
+      in
+      let hits = ref 0 in
+      let r =
+        Swift.Reference.run ~drop_when:`Never
+          ~on_voltage_detect:(fun ~fault_index:_ ~vector_index:_ -> incr hits)
+          net ~faults ~vectors
+      in
+      !hits = 0
+      && Array.for_all
+           (fun (d : Swift.detection) -> d.voltage = None && d.iddq = Some 0)
+           r.detection)
+
+let test_swift_stage_independent_of_domains () =
+  let module Experiment = Dl_core.Experiment in
+  let module Artifact = Dl_store.Artifact in
+  let c = Option.get (Benchmarks.by_name "c432s_small") in
+  let stage domains =
+    let cfg = Experiment.config ~domains ~max_random_vectors:16 c in
+    let e = Experiment.run cfg in
+    let art =
+      { Artifact.detection = e.swift_result.detection;
+        vectors_applied = e.swift_result.vectors_applied;
+        region_solves = e.swift_result.region_solves }
+    in
+    (List.assoc "swift" (Experiment.stage_keys cfg), Dl_store.Codec.to_bytes Artifact.swift art)
+  in
+  let key1, bytes1 = stage 1 and key2, bytes2 = stage 2 in
+  Alcotest.(check string) "stage key" key1 key2;
+  Alcotest.(check bool) "artifact bytes" true (Bytes.equal bytes1 bytes2)
+
 let () =
   Alcotest.run "dl_switch"
     [
@@ -763,6 +896,13 @@ let () =
             test_pad_strength_splits_shapes;
           Alcotest.test_case "charge-reading solve not ext-only" `Quick
             test_charge_read_not_ext_only;
+        ] );
+      ( "pooled",
+        [
+          Alcotest.test_case "swift stage independent of domains" `Quick
+            test_swift_stage_independent_of_domains;
+          QCheck_alcotest.to_alcotest prop_pooled_families;
+          QCheck_alcotest.to_alcotest prop_x_open_never_voltage_detected;
         ] );
       ("propagate", [ QCheck_alcotest.to_alcotest prop_cone_matches_run ]);
     ]
