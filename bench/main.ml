@@ -9,8 +9,8 @@
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
    quality resistive stability sweep clustered lot par kernel store serve
-   mc ndet micro, and swift and atpg (only when named: reference runs of
-   minutes and seconds)
+   mc ndet projection micro, and swift and atpg (only when named:
+   reference runs of minutes and seconds)
 
    The [kernel] section additionally writes BENCH_fault_sim.json
    (machine-readable old-vs-new throughput gate) to the working directory
@@ -1430,6 +1430,109 @@ let atpg_bench () =
   Table.print t;
   print_endline "identical outcomes and vectors on every circuit."
 
+(* ------------------------------------------------------------- projection *)
+
+(* The projection tail of a default pipeline on c17, c432s_small and c880s:
+   the T(k) and Θ(k) curves ([Coverage.make], unit and weighted) and the
+   eq. 9 fit ([Projection.fit_theta] over the pipeline's 100 log-spaced
+   samples), each against its retained reference.  Prints the time per
+   call and the minor and direct-major words one call allocates, and exits
+   1 on any bit difference: [at] at every k, [detections_in_order],
+   [final], and the fitted (R, θmax, rmse). *)
+let projection_bench () =
+  section_banner "Projection" "coverage curves and eq. 9 fit vs their references";
+  let module C = Dl_fault.Coverage in
+  let t =
+    Table.create
+      [ ("circuit", Table.Left); ("job", Table.Left); ("reference us", Table.Right);
+        ("fast us", Table.Right); ("speed-up", Table.Right);
+        ("reference minor/major words", Table.Right);
+        ("fast minor/major words", Table.Right) ]
+  in
+  (* Wall time per call over [reps] calls after a warm-up call, and the
+     words one call allocates on the minor heap and directly on the major
+     heap, averaged over the same calls. *)
+  let measure ~reps f =
+    ignore (Sys.opaque_identity (f ()));
+    (* [Gc.minor_words], not [Gc.counters]: the latter's minor count is
+       inexact on OCaml 5.1. *)
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int reps in
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    let per_call w = w /. float_of_int reps in
+    ( us,
+      Printf.sprintf "%.0f/%.0f" (per_call (minor1 -. minor0))
+        (per_call ((major1 -. major0) -. (promoted1 -. promoted0))) )
+  in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  let failed = ref false in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.printf "FAIL %s\n%!" m;
+        failed := true)
+      fmt
+  in
+  List.iter
+    (fun name ->
+      let e =
+        Experiment.run (Experiment.config (Option.get (Dl_netlist.Benchmarks.by_name name)))
+      in
+      let t_firsts =
+        (Dl_fault.Fault_sim.run e.mapped_circuit ~faults:e.stuck_faults ~vectors:e.vectors)
+          .first_detection
+      in
+      let voltage =
+        Array.map (fun (d : Dl_switch.Swift.detection) -> d.voltage) e.swift_result.detection
+      in
+      let n = Array.length e.vectors in
+      let row job ~reps slow fast =
+        let slow_us, slow_words = measure ~reps slow in
+        let fast_us, fast_words = measure ~reps fast in
+        Table.add_row t
+          [ name; job; Printf.sprintf "%.1f" slow_us; Printf.sprintf "%.1f" fast_us;
+            Printf.sprintf "%.1fx" (slow_us /. fast_us); slow_words; fast_words ]
+      in
+      let curve job ?weights firsts =
+        let fast = C.make ?weights firsts and slow = C.Reference.make ?weights firsts in
+        for k = 0 to n + 1 do
+          if not (same (C.at fast k) (C.Reference.at slow k)) then
+            fail "%s %s: at %d differs from the reference" name job k
+        done;
+        let fd = C.detections_in_order fast and sd = C.Reference.detections_in_order slow in
+        if Array.length fd <> Array.length sd
+           || not (Array.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') fd sd)
+           || not (same (C.final fast) (C.Reference.final slow))
+        then fail "%s %s: detections_in_order or final differs from the reference" name job;
+        row job ~reps:200
+          (fun () -> ignore (C.Reference.make ?weights firsts))
+          (fun () -> ignore (C.make ?weights firsts));
+        fast
+      in
+      let t_curve = curve "make T" t_firsts in
+      let theta_curve = curve "make Θ" ~weights:e.scaled_weights voltage in
+      let points =
+        Array.map
+          (fun k -> (C.at t_curve k, C.at theta_curve k))
+          (Experiment.sample_ks e ~points:100)
+      in
+      let fast = Projection.fit_theta points and slow = Projection.Reference.fit_theta points in
+      if not (same fast.params.r slow.params.r
+              && same fast.params.theta_max slow.params.theta_max
+              && same fast.rmse slow.rmse)
+      then fail "%s: fit_theta differs from the reference" name;
+      row "fit_theta" ~reps:10
+        (fun () -> ignore (Projection.Reference.fit_theta points))
+        (fun () -> ignore (Projection.fit_theta points)))
+    [ "c17"; "c432s_small"; "c880s" ];
+  Table.print t;
+  if !failed then exit 1;
+  print_endline "identical curves and fits on every circuit."
+
 (* ---------------------------------------------------------- micro-benches *)
 
 let micro () =
@@ -1837,6 +1940,7 @@ let sections =
     ("cluster", cluster_bench);
     ("mc", mc_bench);
     ("ndet", ndet_bench);
+    ("projection", projection_bench);
     (* Last: after a Bechamel run, the c880s pipeline of [ndet] grew the
        heap past 1.5 GB on OCaml 5.1 (it stays near 150 MB otherwise). *)
     ("micro", micro);

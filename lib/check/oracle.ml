@@ -1100,6 +1100,83 @@ let podem_reference (case : Testcase.t) =
   in
   limits [ 100; 3 ]
 
+(* --- projection-reference: fast coverage curves and fits vs Reference ---- *)
+
+module Coverage = Dl_fault.Coverage
+module Projection = Dl_core.Projection
+
+(* The case's real first detections, as T(k) (unit weights) and as a
+   weighted curve with random weights spanning twelve decades (so the order
+   in which equal-index events are summed shows in the rounding), through
+   {!Coverage.make} and [Coverage.Reference.make]: [at] at every k,
+   [detections_in_order] and [final], bit for bit.  Then both eq. 9 fits of
+   the sampled (T, Θ) points against [Projection.Reference]: fitted R, θmax
+   and rmse, bit for bit. *)
+let projection_reference (case : Testcase.t) =
+  let firsts =
+    (Fault_sim.run case.Testcase.circuit ~faults:case.faults ~vectors:case.vectors)
+      .first_detection
+  in
+  let rng = Dl_util.Rng.create case.seed in
+  let weights =
+    Array.map (fun _ -> Dl_util.Rng.log_uniform rng 1e-9 1e3) firsts
+  in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  let n_vectors = Array.length case.vectors in
+  let curve name ?weights () =
+    let fast = Coverage.make ?weights firsts
+    and slow = Coverage.Reference.make ?weights firsts in
+    let rec at k =
+      if k > n_vectors + 1 then None
+      else if not (same (Coverage.at fast k) (Coverage.Reference.at slow k)) then
+        failf "projection-reference (%s): at %d: %h vs reference %h" name k
+          (Coverage.at fast k) (Coverage.Reference.at slow k)
+      else at (k + 1)
+    in
+    match at 0 with
+    | Some _ as err -> (err, fast)
+    | None ->
+        let fd = Coverage.detections_in_order fast
+        and sd = Coverage.Reference.detections_in_order slow in
+        if
+          Array.length fd <> Array.length sd
+          || not (Array.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') fd sd)
+        then (failf "projection-reference (%s): detections_in_order differs" name, fast)
+        else if not (same (Coverage.final fast) (Coverage.Reference.final slow)) then
+          (failf "projection-reference (%s): final differs" name, fast)
+        else (None, fast)
+  in
+  let fit_differs name (a : Projection.fit) (b : Projection.fit) =
+    if
+      same a.params.r b.params.r
+      && same a.params.theta_max b.params.theta_max
+      && same a.rmse b.rmse
+    then None
+    else
+      failf "projection-reference (%s): (R %h, θmax %h, rmse %h) vs reference (%h, %h, %h)"
+        name a.params.r a.params.theta_max a.rmse b.params.r b.params.theta_max b.rmse
+  in
+  match curve "T" () with
+  | (Some _ as err), _ -> err
+  | None, t -> (
+      match curve "weighted" ~weights () with
+      | (Some _ as err), _ -> err
+      | None, theta when n_vectors >= 1 -> (
+          let points =
+            Array.map
+              (fun k -> (Coverage.at t k, Coverage.at theta k))
+              (Coverage.log_spaced ~max:n_vectors ~points:100)
+          in
+          let fit = Projection.fit_theta points in
+          match fit_differs "fit_theta" fit (Projection.Reference.fit_theta points) with
+          | Some _ as err -> err
+          | None ->
+              let init = { Projection.r = fit.params.r *. 1.5; theta_max = 0.9 } in
+              fit_differs "fit_theta_from"
+                (Projection.fit_theta_from ~init points)
+                (Projection.Reference.fit_theta_from ~init points))
+      | None, _ -> None)
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -1213,6 +1290,13 @@ let all =
          decomposed circuit: outcome and vector, at backtrack limits 100 \
          and 3 (restarts)";
       kind = Case podem_reference };
+    { name = "projection-reference";
+      doc =
+        "Coverage.make vs Coverage.Reference on the case's detections (unit \
+         and random weights): at every k, detections_in_order, final; \
+         fit_theta and fit_theta_from vs Projection.Reference: (R, thetamax, \
+         rmse), bit for bit";
+      kind = Case projection_reference };
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

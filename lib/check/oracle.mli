@@ -68,7 +68,13 @@ val all : t list
       collapsed fault of the case's circuit after
       {!Dl_netlist.Transform.decompose_for_cells}, at backtrack limits 100
       and 3, so searches both finish and abort into the randomized
-      restarts. *)
+      restarts;
+    - ["projection-reference"]: {!Dl_fault.Coverage.make} equals
+      [Coverage.Reference.make] on the case's first detections, with unit
+      and with random weights ([at] at every k, [detections_in_order],
+      [final]), and {!Dl_core.Projection.fit_theta} / [fit_theta_from]
+      equal [Projection.Reference]'s fits of the sampled (T, Θ) points:
+      R, θmax and rmse, bit for bit. *)
 
 val find : string -> t option
 val names : unit -> string list

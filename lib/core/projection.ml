@@ -110,23 +110,100 @@ let fit_dl ~yield points =
     rmse = r.rmse;
     rmse_scale = Log10 }
 
+(* eq. 9's least-squares objective over fixed points, compiled: [1 - t]
+   and its log are taken once per distinct coverage (points come in k
+   order, so equal coverages are adjacent), and each evaluation raises to
+   [r] once per distinct coverage.  These are the float operations
+   [Fit.residual_sum] applies through {!theta_of_coverage} — the same
+   [pow1m] branches, the squares summed in point order, a NaN term turning
+   the sum into infinity — so every value is bit-identical to the generic
+   path's.  The points must have passed [check_points]. *)
+let theta_objective points =
+  let n = Array.length points in
+  let group = Array.make n 0 in
+  let base = Array.make n 0.0 and log_base = Array.make n 0.0 in
+  let groups = ref 0 in
+  Array.iteri
+    (fun i (t, _) ->
+      if i = 0 || t <> fst points.(i - 1) then begin
+        base.(!groups) <- 1.0 -. t;
+        log_base.(!groups) <- log (1.0 -. t);
+        incr groups
+      end;
+      group.(i) <- !groups - 1)
+    points;
+  let groups = !groups in
+  let observed = Array.map snd points in
+  let theta = Array.make groups 0.0 in
+  fun p ->
+    let r = p.(0) and theta_max = p.(1) in
+    check_params { r; theta_max };
+    for j = 0 to groups - 1 do
+      let y = base.(j) in
+      let pw =
+        if y = 0.0 then if r = 0.0 then 1.0 else 0.0
+        else if r = 0.0 then 1.0
+        else if r = 1.0 then y
+        else exp (r *. log_base.(j))
+      in
+      theta.(j) <- theta_max *. (1.0 -. pw)
+    done;
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      let d = theta.(group.(i)) -. observed.(i) in
+      let term = d *. d in
+      if Float.is_nan term then acc := infinity else acc := !acc +. term
+    done;
+    !acc
+
+(* One bounded descent, as [Fit.curve_fit] runs it. *)
+let descend objective ~n init =
+  let r = Dl_util.Simplex.minimize_bounded ~f:objective ~lo ~hi init in
+  (r.xmin, r.fmin, sqrt (r.fmin /. float_of_int n))
+
+let theta_fit (xmin, _, rmse) =
+  { params = { r = xmin.(0); theta_max = xmin.(1) }; rmse; rmse_scale = Linear }
+
+let clamp_init init =
+  let clamp v l h = Float.min h (Float.max l v) in
+  [| clamp init.r lo.(0) hi.(0); clamp init.theta_max lo.(1) hi.(1) |]
+
 let fit_theta points =
   check_points ~who:"fit_theta" points;
-  let data = Dl_util.Fit.make_data (Array.to_list points) in
-  let model p t = theta_of_coverage { r = p.(0); theta_max = p.(1) } t in
-  let r = best_fit ~model data in
-  { params = { r = r.params.(0); theta_max = r.params.(1) };
-    rmse = r.rmse;
-    rmse_scale = Linear }
+  let objective = theta_objective points and n = Array.length points in
+  (* [best_fit]'s selection: a later start wins only on a strictly lower
+     residual sum. *)
+  List.fold_left
+    (fun acc init ->
+      let ((_, rss, _) as r) = descend objective ~n init in
+      match acc with
+      | Some (_, best, _) when best <= rss -> acc
+      | _ -> Some r)
+    None starts
+  |> Option.get |> theta_fit
 
 let fit_theta_from ~init points =
   check_params init;
   check_points ~who:"fit_theta_from" points;
-  let data = Dl_util.Fit.make_data (Array.to_list points) in
-  let model p t = theta_of_coverage { r = p.(0); theta_max = p.(1) } t in
-  let clamp v l h = Float.min h (Float.max l v) in
-  let init = [| clamp init.r lo.(0) hi.(0); clamp init.theta_max lo.(1) hi.(1) |] in
-  let r = Dl_util.Fit.curve_fit ~model ~lo ~hi ~init data in
-  { params = { r = r.params.(0); theta_max = r.params.(1) };
-    rmse = r.rmse;
-    rmse_scale = Linear }
+  theta_fit (descend (theta_objective points) ~n:(Array.length points) (clamp_init init))
+
+module Reference = struct
+  let model p t = theta_of_coverage { r = p.(0); theta_max = p.(1) } t
+
+  let fit_theta points =
+    check_points ~who:"fit_theta" points;
+    let data = Dl_util.Fit.make_data (Array.to_list points) in
+    let r = best_fit ~model data in
+    { params = { r = r.params.(0); theta_max = r.params.(1) };
+      rmse = r.rmse;
+      rmse_scale = Linear }
+
+  let fit_theta_from ~init points =
+    check_params init;
+    check_points ~who:"fit_theta_from" points;
+    let data = Dl_util.Fit.make_data (Array.to_list points) in
+    let r = Dl_util.Fit.curve_fit ~model ~lo ~hi ~init:(clamp_init init) data in
+    { params = { r = r.params.(0); theta_max = r.params.(1) };
+      rmse = r.rmse;
+      rmse_scale = Linear }
+end

@@ -71,3 +71,11 @@ val fit_theta_from : init:params -> (float * float) array -> fit
     cheap refit used for bootstrap replicates, where the full-data point
     estimate is a good starting point and a ~15x cheaper fit matters.
     @raise Invalid_argument on invalid [init] or degenerate data. *)
+
+(** The generic path {!fit_theta} and {!fit_theta_from} replaced, kept as
+    their oracle: [Fit.curve_fit] over {!theta_of_coverage}, one model call
+    per point.  Both answer bit-identically to it. *)
+module Reference : sig
+  val fit_theta : (float * float) array -> fit
+  val fit_theta_from : init:params -> (float * float) array -> fit
+end

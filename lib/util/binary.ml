@@ -108,14 +108,9 @@ let read_bool c =
 
 let read_float c =
   need c 8;
-  let bits = ref 0L in
-  for i = 7 downto 0 do
-    bits :=
-      Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code (Bytes.get c.data (c.pos + i))))
-  done;
+  let f = Int64.float_of_bits (Bytes.get_int64_le c.data c.pos) in
   c.pos <- c.pos + 8;
-  Int64.float_of_bits !bits
+  f
 
 let read_string c =
   let n = read_varint c in
@@ -159,29 +154,22 @@ let read_bools_packed c =
 
 (* ------------------------------------------------------------- crc32 *)
 
+(* On native ints: every value stays within 32 bits, so nothing is boxed. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(crc = 0l) data ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     invalid_arg "Binary.crc32: range out of bounds";
-  let table = Lazy.force crc_table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get data i)))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := crc_table.((!c lxor Char.code (Bytes.get data i)) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -5,13 +5,12 @@ let total xs =
   (* Kahan summation keeps the large dynamic ranges of fault weights exact
      enough for yield computations. *)
   let sum = ref 0.0 and comp = ref 0.0 in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !sum +. y in
-      comp := t -. !sum -. y;
-      sum := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = xs.(i) -. !comp in
+    let t = !sum +. y in
+    comp := t -. !sum -. y;
+    sum := t
+  done;
   !sum
 
 let mean xs =

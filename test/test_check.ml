@@ -64,7 +64,7 @@ let test_harness_unknown_check () =
 
 let test_registry_is_consistent () =
   let names = Oracle.names () in
-  Alcotest.(check int) "twenty-five checks" 25 (List.length names);
+  Alcotest.(check int) "twenty-six checks" 26 (List.length names);
   List.iter
     (fun n ->
       match Oracle.find n with

@@ -363,6 +363,80 @@ let test_fit_theta_from_matches_multistart () =
   checkf_eps 1e-6 "theta_max stable" full.params.theta_max
     from.params.theta_max
 
+(* --- the compiled eq. 9 fits against Projection.Reference ------------------------- *)
+
+let same_fit (a : Projection.fit) (b : Projection.fit) =
+  let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  same a.params.r b.params.r
+  && same a.params.theta_max b.params.theta_max
+  && same a.rmse b.rmse && a.rmse_scale = b.rmse_scale
+
+let fits_agree points =
+  same_fit (Projection.fit_theta points) (Projection.Reference.fit_theta points)
+  && List.for_all
+       (fun init ->
+         same_fit
+           (Projection.fit_theta_from ~init points)
+           (Projection.Reference.fit_theta_from ~init points))
+       [ { Projection.r = 1.0; theta_max = 0.9 }; { r = 2.3; theta_max = 1.0 };
+         { r = 80.0; theta_max = 0.005 } ]
+
+(* Monotone (T, Θ) staircases in k order, as the pipelines sample them:
+   runs of repeated T, often ending at T = 1.0, noisy Θ. *)
+let prop_fits_equal_reference =
+  QCheck.Test.make ~name:"fit_theta and fit_theta_from = Reference" ~count:60
+    QCheck.(
+      make
+        Gen.(
+          let* n = int_range 1 50 in
+          let* steps = array_repeat n (pair (float_bound_inclusive 0.2) (float_bound_inclusive 0.05)) in
+          let* full = bool in
+          return (steps, full)))
+    (fun (steps, full) ->
+      let t = ref 0.0 and th = ref 0.0 in
+      let points =
+        Array.mapi
+          (fun i (dt, dth) ->
+            (* Every third step repeats the previous T. *)
+            if i mod 3 <> 2 then t := Float.min 1.0 (!t +. dt);
+            th := Float.min 1.0 (!th +. dth);
+            ((if full && i = Array.length steps - 1 then 1.0 else !t), !th))
+          steps
+      in
+      fits_agree points)
+
+(* The curves the pipelines fit: both fits on c17, c432s_small and c880s,
+   and the fast coverage curves against Coverage.Reference on the same
+   detection records. *)
+let test_fits_equal_reference_on_circuits () =
+  let module Coverage = Dl_fault.Coverage in
+  List.iter
+    (fun name ->
+      let c = Option.get (Dl_netlist.Benchmarks.by_name name) in
+      let e = Experiment.run (Experiment.config c) in
+      let t_firsts =
+        (Dl_fault.Fault_sim.run e.mapped_circuit ~faults:e.stuck_faults
+           ~vectors:e.vectors)
+          .first_detection
+      in
+      let voltage =
+        Array.map (fun (d : Dl_switch.Swift.detection) -> d.voltage) e.swift_result.detection
+      in
+      let weights = e.scaled_weights in
+      let t_ref = Coverage.Reference.make t_firsts
+      and theta_ref = Coverage.Reference.make ~weights voltage in
+      let ks = Experiment.sample_ks e ~points:100 in
+      let points =
+        Array.map (fun k -> (Coverage.Reference.at t_ref k, Coverage.Reference.at theta_ref k)) ks
+      in
+      let fast_points =
+        let t = Coverage.make t_firsts and theta = Coverage.make ~weights voltage in
+        Array.map (fun k -> (Coverage.at t k, Coverage.at theta k)) ks
+      in
+      if fast_points <> points then Alcotest.failf "%s: coverage samples differ" name;
+      if not (fits_agree points) then Alcotest.failf "%s: fit differs from the reference" name)
+    [ "c17"; "c432s_small"; "c880s" ]
+
 (* --- Wafer_mc / Bootstrap --------------------------------------------------------------------- *)
 
 let mc_universe () =
@@ -627,6 +701,8 @@ let () =
             test_fit_degenerate_finite;
           Alcotest.test_case "single-start refit stable" `Quick
             test_fit_theta_from_matches_multistart;
+          Alcotest.test_case "fits = reference on circuits" `Slow
+            test_fits_equal_reference_on_circuits;
         ] );
       ( "wafer-mc",
         [
@@ -655,5 +731,6 @@ let () =
             prop_eq11_above_wb_iff_theta_below_t;
             prop_weighted_coverage_bounds;
             prop_required_coverage_sound;
+            prop_fits_equal_reference;
           ] );
     ]

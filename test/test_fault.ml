@@ -954,6 +954,102 @@ let prop_coverage_in_unit_range =
       let v = Coverage.at cov k in
       v >= 0.0 && v <= 1.0)
 
+(* --- Coverage.make against the retained Coverage.Reference ------------------------ *)
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Every query of the fast curve against the reference, bit for bit. *)
+let coverage_agrees ?weights firsts =
+  let fast = Coverage.make ?weights firsts
+  and slow = Coverage.Reference.make ?weights firsts in
+  let max_k = Array.fold_left (fun m -> function Some k -> max m k | None -> m) 0 firsts in
+  let ats_agree =
+    List.for_all
+      (fun k -> same_float (Coverage.at fast k) (Coverage.Reference.at slow k))
+      (List.init (min (max_k + 3) 400) Fun.id
+      @ List.concat_map (function Some k -> [ k; k + 1 ] | None -> []) (Array.to_list firsts)
+      @ [ max_int ])
+  in
+  let fd = Coverage.detections_in_order fast
+  and sd = Coverage.Reference.detections_in_order slow in
+  ats_agree
+  && Array.length fd = Array.length sd
+  && Array.for_all2 (fun (k, v) (k', v') -> k = k' && same_float v v') fd sd
+  && same_float (Coverage.final fast) (Coverage.Reference.final slow)
+  && same_float (Coverage.total_weight fast) (Coverage.Reference.total_weight slow)
+  && Coverage.total_faults fast = Coverage.Reference.total_faults slow
+
+(* Detection records of four shapes (mostly never detected, never
+   detected, empty, everything on one vector, and a sparse index range far
+   beyond the detection count), with weights spanning magnitudes so the
+   order of equal-index sums shows in the rounding. *)
+let gen_detections =
+  QCheck.Gen.(
+    let* shape = int_range 0 4 in
+    let* n = if shape = 2 then return 0 else int_range 1 400 in
+    let* k_max = int_range 0 (if shape = 4 then 1_000_000 else 60) in
+    let* firsts =
+      array_repeat n
+        (let* p = float_bound_inclusive 1.0 in
+         let* k = int_range 0 k_max in
+         return
+           (match shape with
+           | 0 | 4 -> if p < 0.1 then Some k else None
+           | 1 -> None
+           | 3 -> if p < 0.7 then Some 0 else None
+           | _ -> Some k))
+    in
+    let* weighted = bool in
+    let* weights =
+      array_repeat n
+        (let* e = int_range (-12) 6 in
+         let* m = float_bound_inclusive 1.0 in
+         return (if e = -12 then 0.0 else m *. (10.0 ** float_of_int e)))
+    in
+    return (firsts, if weighted then Some weights else None))
+
+let prop_make_equals_reference =
+  QCheck.Test.make ~name:"Coverage.make = Coverage.Reference.make" ~count:400
+    (QCheck.make gen_detections) (fun (firsts, weights) ->
+      coverage_agrees ?weights firsts)
+
+(* The port must leave ties exactly where Stdlib.Array.sort leaves them:
+   each element carries its position in its low bits, so any difference
+   in the permutation shows. *)
+let prop_sort_packed_equals_stdlib =
+  QCheck.Test.make ~name:"sort_packed = Array.sort permutation" ~count:300
+    QCheck.(pair (int_range 0 3000) (pair (int_range 1 40) int))
+    (fun (n, (distinct, seed)) ->
+      let rng = Dl_util.Rng.create seed in
+      let shift = 12 in
+      let a =
+        Array.init n (fun i -> (Dl_util.Rng.int rng distinct lsl shift) lor i)
+      in
+      let want = Array.copy a in
+      Array.sort (fun x y -> compare (x lsr shift) (y lsr shift)) want;
+      Coverage.sort_packed ~shift a;
+      a = want)
+
+let test_coverage_rejects_bad_input () =
+  let invalid name f =
+    match f () with
+    | (_ : Coverage.t) -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  invalid "NaN weight" (fun () ->
+      Coverage.make ~weights:[| 1.0; Float.nan |] [| Some 0; Some 1 |]);
+  invalid "negative weight" (fun () ->
+      Coverage.make ~weights:[| -1.0 |] [| Some 0 |]);
+  invalid "negative index" (fun () -> Coverage.make [| Some 2; Some (-1) |]);
+  invalid "negative index, weighted" (fun () ->
+      Coverage.make ~weights:[| 1.0 |] [| Some (-1) |]);
+  (* Four faults take two bits of the packed int; the index gets the rest. *)
+  invalid "index too wide to pack" (fun () ->
+      Coverage.make ~weights:(Array.make 4 1.0) [| Some (max_int lsr 1); None; None; None |]);
+  let widest = max_int lsr 2 in
+  let cov = Coverage.make ~weights:(Array.make 4 1.0) [| Some widest; None; None; None |] in
+  Alcotest.(check (float 0.0)) "widest index packs" 0.25 (Coverage.at cov max_int)
+
 let () =
   Alcotest.run "dl_fault"
     [
@@ -1033,6 +1129,7 @@ let () =
           Alcotest.test_case "log spacing" `Quick test_log_spaced;
           Alcotest.test_case "at = old scan" `Quick test_coverage_at_matches_scan;
           Alcotest.test_case "detection staircase" `Quick test_detections_in_order;
+          Alcotest.test_case "bad input rejected" `Quick test_coverage_rejects_bad_input;
         ] );
       ( "dictionary",
         [
@@ -1047,6 +1144,8 @@ let () =
           [
             prop_coverage_in_unit_range;
             prop_coverage_at_matches_scan;
+            prop_make_equals_reference;
+            prop_sort_packed_equals_stdlib;
             prop_parallel_equals_serial;
             prop_kernel_equals_reference;
             prop_engines_equal_reference;

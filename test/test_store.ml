@@ -87,12 +87,52 @@ let test_float_special_values () =
       let y = B.read_float (B.cursor (Buffer.to_bytes buf)) in
       Alcotest.(check int64) "same bits" (Int64.bits_of_float x)
         (Int64.bits_of_float y))
-    [ nan; infinity; neg_infinity; -0.0; 0.0; epsilon_float; max_float ]
+    [ nan; infinity; neg_infinity; -0.0; 0.0; epsilon_float; max_float;
+      (* NaN payloads: quiet and signalling, both signs. *)
+      Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL;
+      Int64.float_of_bits 0xFFF0_0000_0000_0001L;
+      Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+      Int64.float_of_bits 0xFFFF_FFFF_FFFF_FFFFL ]
 
 let test_crc32_known_vector () =
   (* The standard CRC-32 (IEEE 802.3) check value. *)
   Alcotest.(check int32) "crc32(\"123456789\")" 0xCBF43926l
     (B.crc32_string "123456789")
+
+(* The Int32 implementation the native-int [crc32] replaced. *)
+let crc32_int32 ?(crc = 0l) data ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get data i)))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let prop_crc32_equals_int32 =
+  QCheck.Test.make ~name:"crc32 = Int32 implementation, chained" ~count:500
+    QCheck.(triple string string int32)
+    (fun (a, b, seed) ->
+      let data = Bytes.of_string (a ^ b) and la = String.length a in
+      let len = Bytes.length data - la in
+      B.crc32 data ~pos:0 ~len:(Bytes.length data)
+      = crc32_int32 data ~pos:0 ~len:(Bytes.length data)
+      && B.crc32 ~crc:seed data ~pos:la ~len = crc32_int32 ~crc:seed data ~pos:la ~len
+      && B.crc32 ~crc:(B.crc32 data ~pos:0 ~len:la) data ~pos:la ~len
+         = B.crc32 data ~pos:0 ~len:(Bytes.length data))
 
 let test_truncation_is_corrupt () =
   let buf = Buffer.create 16 in
@@ -665,7 +705,8 @@ let () =
       ( "binary",
         List.map QCheck_alcotest.to_alcotest
           [ prop_varint_roundtrip; prop_int_roundtrip; prop_float_roundtrip;
-            prop_string_roundtrip; prop_packed_bools_roundtrip ]
+            prop_string_roundtrip; prop_packed_bools_roundtrip;
+            prop_crc32_equals_int32 ]
         @ [
             Alcotest.test_case "float special values" `Quick
               test_float_special_values;

@@ -261,6 +261,161 @@ let test_simplex_bounded () =
   let r = Simplex.minimize_bounded ~f ~lo:[| 0.0 |] ~hi:[| 2.0 |] [| 1.0 |] in
   check_close ~eps:1e-4 "clamped to bound" 2.0 r.xmin.(0)
 
+(* The simplex before its bookkeeping moved into per-descent buffers (fresh
+   arrays per trial point and per ordering), kept as the oracle the
+   in-place version must equal bit for bit. *)
+module Old_simplex = struct
+  open Simplex
+
+  let alpha = 1.0
+  let gamma = 2.0
+  let rho = 0.5
+  let sigma = 0.5
+
+  let minimize ?(tol = 1e-10) ?(max_iter = 2000) ?(step = 0.1) ~f x0 =
+    let n = Array.length x0 in
+    if n = 0 then invalid_arg "Simplex.minimize: empty start point";
+    (* n+1 vertices: x0 plus one perturbation per coordinate. *)
+    let vertex i =
+      if i = 0 then Array.copy x0
+      else begin
+        let v = Array.copy x0 in
+        let j = i - 1 in
+        let delta =
+          let rel = step *. Float.abs v.(j) in
+          if rel > 0.0 then rel else step
+        in
+        v.(j) <- v.(j) +. delta;
+        v
+      end
+    in
+    let xs = Array.init (n + 1) vertex in
+    let fs = Array.map f xs in
+    let order () =
+      let idx = Array.init (n + 1) (fun i -> i) in
+      Array.sort (fun a b -> compare fs.(a) fs.(b)) idx;
+      let xs' = Array.map (fun i -> xs.(i)) idx in
+      let fs' = Array.map (fun i -> fs.(i)) idx in
+      Array.blit xs' 0 xs 0 (n + 1);
+      Array.blit fs' 0 fs 0 (n + 1)
+    in
+    let centroid () =
+      (* Centroid of all vertices except the worst (last after ordering). *)
+      let c = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          c.(j) <- c.(j) +. (xs.(i).(j) /. float_of_int n)
+        done
+      done;
+      c
+    in
+    let combine c x coef =
+      Array.init n (fun j -> c.(j) +. (coef *. (c.(j) -. x.(j))))
+    in
+    let diameter () =
+      let d = ref 0.0 in
+      for i = 1 to n do
+        for j = 0 to n - 1 do
+          d := Float.max !d (Float.abs (xs.(i).(j) -. xs.(0).(j)))
+        done
+      done;
+      !d
+    in
+    let iterations = ref 0 in
+    order ();
+    let converged = ref (diameter () <= tol) in
+    while (not !converged) && !iterations < max_iter do
+      incr iterations;
+      let c = centroid () in
+      let xr = combine c xs.(n) alpha in
+      let fr = f xr in
+      if fr < fs.(0) then begin
+        let xe = combine c xs.(n) gamma in
+        let fe = f xe in
+        if fe < fr then begin
+          xs.(n) <- xe;
+          fs.(n) <- fe
+        end
+        else begin
+          xs.(n) <- xr;
+          fs.(n) <- fr
+        end
+      end
+      else if fr < fs.(n - 1) then begin
+        xs.(n) <- xr;
+        fs.(n) <- fr
+      end
+      else begin
+        (* Contract toward the centroid; on failure shrink toward the best. *)
+        let xc =
+          if fr < fs.(n) then combine c xs.(n) (rho *. alpha)
+          else Array.init n (fun j -> c.(j) -. (rho *. (c.(j) -. xs.(n).(j))))
+        in
+        let fc = f xc in
+        if fc < Float.min fr fs.(n) then begin
+          xs.(n) <- xc;
+          fs.(n) <- fc
+        end
+        else
+          for i = 1 to n do
+            xs.(i) <-
+              Array.init n (fun j -> xs.(0).(j) +. (sigma *. (xs.(i).(j) -. xs.(0).(j))));
+            fs.(i) <- f xs.(i)
+          done
+      end;
+      order ();
+      if diameter () <= tol then converged := true
+    done;
+    { xmin = Array.copy xs.(0); fmin = fs.(0); iterations = !iterations; converged = !converged }
+
+  let minimize_bounded ?tol ?max_iter ~f ~lo ~hi x0 =
+    let n = Array.length x0 in
+    if Array.length lo <> n || Array.length hi <> n then
+      invalid_arg "Simplex.minimize_bounded: bound arrays must match x0";
+    Array.iteri
+      (fun i l -> if l > hi.(i) then invalid_arg "Simplex.minimize_bounded: lo > hi")
+      lo;
+    let project x = Array.mapi (fun i v -> Dl_util.Numerics.clamp ~lo:lo.(i) ~hi:hi.(i) v) x in
+    let f_clamped x = f (project x) in
+    let x0 = project x0 in
+    let r = minimize ?tol ?max_iter ~f:f_clamped x0 in
+    { r with xmin = project r.xmin; fmin = f (project r.xmin) }
+end
+
+(* Piecewise-flat objectives make vertex ties (their order is observable
+   through [Array.sort]), and infinite and NaN values exercise the
+   comparisons; both the free and the bounded descents must match the old
+   code exactly: minimizer bits, value bits, iterations, convergence. *)
+let prop_simplex_equals_old =
+  QCheck.Test.make ~name:"Simplex = pre-buffer simplex, bit for bit" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          let* n = int_range 1 3 in
+          let* centre = array_repeat n (float_range (-3.0) 3.0) in
+          let* x0 = array_repeat n (float_range (-5.0) 5.0) in
+          let* quantum = oneofl [ 0.0; 0.01; 0.5 ] in
+          let* hole = oneofl [ `None; `Inf; `Nan ] in
+          return (centre, x0, quantum, hole)))
+    (fun (centre, x0, quantum, hole) ->
+      let f p =
+        let acc = ref 0.0 in
+        Array.iteri (fun j c -> acc := !acc +. (float_of_int (j + 1) *. (p.(j) -. c) ** 2.0)) centre;
+        let v = if quantum > 0.0 then Float.round (!acc /. quantum) *. quantum else !acc in
+        match hole with
+        | `Inf when p.(0) > 2.5 -> infinity
+        | `Nan when p.(0) < -2.5 -> Float.nan
+        | _ -> v
+      in
+      let same (a : Simplex.result) (b : Simplex.result) =
+        Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a.xmin b.xmin
+        && Int64.bits_of_float a.fmin = Int64.bits_of_float b.fmin
+        && a.iterations = b.iterations && a.converged = b.converged
+      in
+      let lo = Array.map (fun _ -> -2.0) x0 and hi = Array.map (fun _ -> 1.5) x0 in
+      same (Simplex.minimize ~max_iter:500 ~f x0) (Old_simplex.minimize ~max_iter:500 ~f x0)
+      && same (Simplex.minimize_bounded ~f ~lo ~hi x0) (Old_simplex.minimize_bounded ~f ~lo ~hi x0))
+
 let test_curve_fit_exponential () =
   let xs = Array.init 30 (fun i -> float_of_int i /. 5.0) in
   let pts =
@@ -821,6 +976,7 @@ let () =
           Alcotest.test_case "simplex quadratic" `Quick test_simplex_quadratic;
           Alcotest.test_case "simplex rosenbrock" `Quick test_simplex_rosenbrock;
           Alcotest.test_case "simplex bounded" `Quick test_simplex_bounded;
+          QCheck_alcotest.to_alcotest prop_simplex_equals_old;
           Alcotest.test_case "exponential fit" `Quick test_curve_fit_exponential;
           Alcotest.test_case "weighted fit" `Quick test_curve_fit_weighted;
         ] );
