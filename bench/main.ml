@@ -552,11 +552,9 @@ let par () =
         Dl_fault.Fault_sim.Reference.run ~drop_detected:false c ~faults ~vectors)
   in
   Printf.printf
-    "reference (pre-kernel) serial: %.3f s — kernel speedup %.2fx, identical: %s\n%!"
+    "reference serial: %.3f s — wide speedup %.2fx, identical: %s\n%!"
     t_reference (t_reference /. t_serial)
-    (if reference.first_detection = serial.first_detection
-        && reference.gate_evaluations = serial.gate_evaluations
-     then "yes"
+    (if reference.first_detection = serial.first_detection then "yes"
      else "NO");
   let counts =
     List.sort_uniq Stdlib.compare [ 1; 2; 4; Dl_util.Parallel.default_domains () ]
@@ -599,17 +597,24 @@ let par () =
     "determinism: sharding is by fault index and merges preserve it, so the\n\
      table above must read identical = yes at every domain count."
 
-(* ----------------------------------------------------------- flat kernel *)
+(* ---------------------------------------------------------- PPSFP engine *)
 
-(* Old-vs-new simulation-kernel gate: measures gate-evaluation throughput
-   and steady-state allocation of the flat CSR engine against the retained
+(* Old-vs-new simulation gate: measures gate-evaluation throughput and
+   steady-state allocation of the wide PPSFP engine against the retained
    reference engine, checks the results are bit-for-bit identical, and
    writes the machine-readable BENCH_fault_sim.json so the perf trajectory
-   is tracked run over run.  Exits non-zero if the hot loop allocates
-   (> 0.5 minor words per gate evaluation would mean a box crept back in —
-   a genuine per-eval box costs >= 3 words). *)
+   is tracked run over run.  Exits non-zero if the hot loop allocates or if
+   the wide engine's speedup over the reference falls below
+   [min_wide_speedup] on any of the larger circuits. *)
+
+(* 2x the flat-kernel engine's speedup over the reference (median of five
+   runs per circuit: 3.3x on c880s, 4.0x on c1355s, 3.85x on c1908s, 2-vCPU
+   host), taking the largest: the same bar as the old gate "best variant
+   >= 2x over the flat kernel", now that the flat kernel is gone. *)
+let min_wide_speedup = 8.0
+
 let kernel_bench () =
-  section_banner "Kernel" "flat CSR kernel vs reference engine (c432s)";
+  section_banner "Kernel" "wide PPSFP engine vs reference engine (c432s)";
   let c =
     Dl_netlist.Transform.decompose_for_cells (Dl_netlist.Benchmarks.c432s ())
   in
@@ -625,13 +630,19 @@ let kernel_bench () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
+  (* Best of three: single runs of a few milliseconds swing with load. *)
+  let best_time f =
+    let r, t1 = time f in
+    let _, t2 = time f in
+    let _, t3 = time f in
+    (r, Float.min t1 (Float.min t2 t3))
+  in
   let measure ~section ~run_new ~run_ref =
     (* Warm-up runs amortize lowering and first-touch costs out of both
        the timing and the Gc delta. *)
     let reference : Dl_fault.Fault_sim.result = run_ref () in
     let warm : Dl_fault.Fault_sim.result = run_new () in
     assert (warm.first_detection = reference.first_detection);
-    assert (warm.gate_evaluations = reference.gate_evaluations);
     let m0 = Gc.minor_words () in
     let result, t_new = time run_new in
     let m1 = Gc.minor_words () in
@@ -641,7 +652,7 @@ let kernel_bench () =
     let minor_words_per_eval = (m1 -. m0) /. evals in
     let speedup = t_ref /. t_new in
     Printf.printf
-      "%-10s kernel %.3fs (%.1fM evals/s, %.4f minor words/eval)  \
+      "%-10s wide %.3fs (%.1fM evals/s, %.4f minor words/eval)  \
        reference %.3fs  speedup %.2fx\n%!"
       section t_new (gate_evals_per_sec /. 1e6) minor_words_per_eval t_ref
       speedup;
@@ -666,16 +677,15 @@ let kernel_bench () =
           ~vectors)
   in
   let rows = [ row_micro; row_drop ] in
-  (* --- PR 7 engine-variant rows on c880s-class and larger circuits ----- *)
-  (* One row per engine variant per circuit: wall-clock over the same
-     1024-vector no-drop workload (so throughput in fault-vector pairs per
-     second is engine-comparable even though the inference engines
-     evaluate far fewer gates), speedup vs the PR 2 flat kernel, and
-     steady-state allocation per gate evaluation measured as the delta
-     between a half- and a full-length run (cancelling per-run lowering
-     and buffer setup). *)
+  (* --- per-engine rows on c880s-class and larger circuits -------------- *)
+  (* One row per engine per circuit: wall-clock over the same 1024-vector
+     no-drop workload (so throughput in fault-vector pairs per second is
+     engine-comparable even though the wide engine evaluates far fewer
+     gates), speedup vs the reference, and steady-state allocation per gate
+     evaluation measured as the delta between a half- and a full-length run
+     (cancelling per-run lowering and buffer setup). *)
   let failed = ref false in
-  let variant_rows_for (cname, build) =
+  let engine_rows_for (cname, build) =
     let c = Dl_netlist.Transform.decompose_for_cells (build ()) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let rng = Dl_util.Rng.create 4242 in
@@ -702,8 +712,9 @@ let kernel_bench () =
           let r_half = run engine half in
           let mh1 = Gc.minor_words () in
           let mf0 = Gc.minor_words () in
-          let r, t = time (fun () -> run engine vectors) in
+          let r = run engine vectors in
           let mf1 = Gc.minor_words () in
+          let _, t = best_time (fun () -> run engine vectors) in
           let identical = r.first_detection = reference.first_detection in
           if not identical then begin
             Printf.eprintf "FAIL: %s/%s detection words differ from reference\n"
@@ -723,21 +734,21 @@ let kernel_bench () =
           (engine, t, r, words_per_eval, identical))
         Dl_fault.Fault_sim.engines
     in
-    let t_flat =
+    let t_ref =
       List.fold_left
         (fun acc (e, t, _, _, _) ->
-          if e = Dl_fault.Fault_sim.Flat then t else acc)
+          if e = Dl_fault.Fault_sim.Reference then t else acc)
         nan raw
     in
     let table = Table.create
         [ ("engine", Table.Left); ("time", Table.Right);
-          ("Mfault-vec/s", Table.Right); ("vs flat", Table.Right);
+          ("Mfault-vec/s", Table.Right); ("vs reference", Table.Right);
           ("words/eval", Table.Right); ("identical", Table.Right) ]
     in
     let rows =
       List.map
         (fun (engine, t, (r : Dl_fault.Fault_sim.result), wpe, identical) ->
-          let speedup = t_flat /. t in
+          let speedup = t_ref /. t in
           Table.add_row table
             [ Dl_fault.Fault_sim.engine_to_string engine;
               Printf.sprintf "%.3f s" t;
@@ -749,37 +760,30 @@ let kernel_bench () =
         raw
     in
     Table.print table;
-    (* gates: the PR 7 engines must beat the PR 2 flat kernel at least 2x
-       on these circuits, and the wide hot loop must stay allocation-free *)
-    let best =
-      List.fold_left
-        (fun acc (_, e, _, _, s, _, _) ->
-          if e = Dl_fault.Fault_sim.Reference || e = Dl_fault.Fault_sim.Flat
-          then acc
-          else max acc s)
-        0.0 rows
-    in
-    if best < 2.0 then begin
-      Printf.eprintf
-        "FAIL: %s: best engine-variant speedup %.2fx < 2x over the flat \
-         kernel\n"
-        cname best;
-      failed := true
-    end;
+    (* gates: the wide engine must beat the reference by [min_wide_speedup]
+       on these circuits, and its hot loop must stay allocation-free *)
     List.iter
-      (fun (_, e, _, _, _, wpe, _) ->
-        if e = Dl_fault.Fault_sim.Wide && wpe > 0.05 then begin
-          Printf.eprintf
-            "FAIL: %s: wide hot loop allocates %.4f minor words per gate \
-             evaluation (gate: 0.05)\n"
-            cname wpe;
-          failed := true
+      (fun (_, e, _, _, speedup, wpe, _) ->
+        if e = Dl_fault.Fault_sim.Wide then begin
+          if speedup < min_wide_speedup then begin
+            Printf.eprintf
+              "FAIL: %s: wide engine %.2fx over the reference, below %.1fx\n"
+              cname speedup min_wide_speedup;
+            failed := true
+          end;
+          if wpe > 0.05 then begin
+            Printf.eprintf
+              "FAIL: %s: wide hot loop allocates %.4f minor words per gate \
+               evaluation (gate: 0.05)\n"
+              cname wpe;
+            failed := true
+          end
         end)
       rows;
     rows
   in
-  let variant_rows =
-    List.concat_map variant_rows_for
+  let engine_rows =
+    List.concat_map engine_rows_for
       [ ("c880s", Dl_netlist.Benchmarks.c880s);
         ("c1355s", Dl_netlist.Benchmarks.c1355s);
         ("c1908s", Dl_netlist.Benchmarks.c1908s) ]
@@ -797,14 +801,14 @@ let kernel_bench () =
         "  {\"section\": %S, \"gate_evals_per_sec\": %.0f, \
          \"minor_words_per_eval\": %.4f, \"speedup_vs_reference\": %.3f}%s\n"
         section geps words speedup
-        (if i = List.length rows - 1 && variant_rows = [] then "" else ","))
+        (if i = List.length rows - 1 && engine_rows = [] then "" else ","))
     rows;
   List.iteri
     (fun i (cname, engine, t, tput, speedup, wpe, stats) ->
       let s = stats in
       Printf.fprintf oc
         "  {\"section\": %S, \"engine\": %S, \"time_s\": %.4f, \
-         \"fault_vectors_per_sec\": %.0f, \"speedup_vs_flat\": %.3f, \
+         \"fault_vectors_per_sec\": %.0f, \"speedup_vs_reference\": %.3f, \
          \"minor_words_per_gate_eval\": %.4f, \"stats\": \
          {\"gate_evaluations\": %d, \"events\": %d, \"faults_inferred\": %d, \
          \"faults_simulated\": %d, \"stem_simulations\": %d, \
@@ -817,8 +821,8 @@ let kernel_bench () =
         s.Dl_fault.Fault_sim.Stats.faults_simulated
         s.Dl_fault.Fault_sim.Stats.stem_simulations
         s.Dl_fault.Fault_sim.Stats.faults_dropped
-        (if i = List.length variant_rows - 1 then "" else ","))
-    variant_rows;
+        (if i = List.length engine_rows - 1 then "" else ","))
+    engine_rows;
   output_string oc "]\n";
   close_out oc;
   Printf.printf "wrote %s\n" json_path;
@@ -835,10 +839,11 @@ let kernel_bench () =
     exit 1
   end;
   if !failed then exit 1;
-  print_endline
+  Printf.printf
     "gate: identity asserted against the reference engine on every row;\n\
-     steady-state allocation ~0 words per gate evaluation; PR 7 engines\n\
-     >= 2x over the flat kernel on c880s/c1355s/c1908s."
+     steady-state allocation ~0 words per gate evaluation; wide engine\n\
+     >= %.0fx over the reference on c880s/c1355s/c1908s.\n"
+    min_wide_speedup
 
 (* ------------------------------------------------------------ store bench *)
 
@@ -1585,7 +1590,7 @@ let micro () =
         (Staged.stage (fun () ->
              Dl_logic.Sim2.load_words kernel kernel_buf words;
              Dl_logic.Sim2.run_flat kernel kernel_buf));
-      Test.make ~name:"ppsfp kernel: c432s block, all faults"
+      Test.make ~name:"ppsfp wide: c432s block, all faults"
         (Staged.stage (fun () ->
              ignore (Dl_fault.Fault_sim.run c432 ~faults ~vectors:vectors64)));
       Test.make ~name:"ppsfp reference: c432s block, all faults"

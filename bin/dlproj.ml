@@ -285,20 +285,10 @@ let splice_json base extras =
     ^ ", " ^ String.concat ", " extras ^ "}"
 
 let pipeline_cmd =
-  let run spec seed jobs max_random target_yield points no_collapse engine
-      sim_stats mc_dies mc_alpha_wafer mc_alpha_lot bootstrap ndet report
-      cache json =
+  let run spec seed jobs max_random target_yield points no_collapse sim_stats
+      mc_dies mc_alpha_wafer mc_alpha_lot bootstrap ndet report cache json =
     let c = load_circuit spec in
     check_writable_parent report;
-    let sim_engine =
-      match Dl_fault.Fault_sim.engine_of_string engine with
-      | Some e -> e
-      | None ->
-          die "unknown engine %S (known: %s)" engine
-            (String.concat ", "
-               (List.map Dl_fault.Fault_sim.engine_to_string
-                  Dl_fault.Fault_sim.engines))
-    in
     let mc =
       if mc_dies = 0 then None
       else if mc_dies < 0 then die "--mc-dies must be positive"
@@ -325,14 +315,14 @@ let pipeline_cmd =
     let cfg =
       Dl_core.Experiment.config ~seed ~max_random_vectors:max_random ~target_yield
         ~domains:(resolve_jobs jobs) ~collapse_faults:(not no_collapse)
-        ~sim_engine ?cache_dir:cache ?mc ?bootstrap ?ndet c
+        ?cache_dir:cache ?mc ?bootstrap ?ndet c
     in
     let t0 = Unix.gettimeofday () in
     let e = Dl_core.Experiment.run cfg in
     if sim_stats then
       (* stderr so --json stdout stays a single machine-readable object *)
       Format.eprintf "fault-sim [%s]: %a@."
-        (Dl_fault.Fault_sim.engine_to_string sim_engine)
+        (Dl_fault.Fault_sim.engine_to_string cfg.sim_engine)
         Dl_fault.Fault_sim.Stats.pp e.sim_stats;
     if json then begin
       (* Same schema and encoding path as a served answer, so scripts can
@@ -495,14 +485,6 @@ let pipeline_cmd =
            ~doc:"Print one machine-readable JSON object (the server's \
                  response schema) instead of the tables.")
   in
-  let engine =
-    Arg.(value & opt string "wide"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"PPSFP engine variant for the gate-level fault simulation \
-                   (reference, flat, event, pruned, wide).  Detection \
-                   results are engine-independent; speed and the \
-                   $(b,--sim-stats) counters are not.")
-  in
   let sim_stats =
     Arg.(value & flag & info [ "sim-stats" ]
            ~doc:"Print the fault-sim engine counters (gate evaluations, \
@@ -547,28 +529,19 @@ let pipeline_cmd =
              bands, bootstrap confidence intervals and DL(n) n-detection \
              curves.")
     Term.(const run $ circuit_arg $ seed_arg $ jobs_arg $ max_random $ target_yield
-          $ points $ no_collapse $ engine $ sim_stats $ mc_dies
+          $ points $ no_collapse $ sim_stats $ mc_dies
           $ mc_alpha_wafer $ mc_alpha_lot $ bootstrap $ ndet $ report $ cache
           $ json)
 
 (* ------------------------------------------------------------------ ndet *)
 
 let ndet_cmd =
-  let run spec seed jobs n max_random engine =
+  let run spec seed jobs n max_random =
     if n < 1 then die "-n must be >= 1";
-    let sim_engine =
-      match Dl_fault.Fault_sim.engine_of_string engine with
-      | Some e -> e
-      | None ->
-          die "unknown engine %S (known: %s)" engine
-            (String.concat ", "
-               (List.map Dl_fault.Fault_sim.engine_to_string
-                  Dl_fault.Fault_sim.engines))
-    in
     let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let r =
-      Dl_ndet.Atpg_n.run ~seed ~max_random ~engine:sim_engine ~n c ~faults
+      Dl_ndet.Atpg_n.run ~seed ~max_random ~n c ~faults
     in
     let s = r.stats in
     Printf.printf
@@ -589,9 +562,8 @@ let ndet_cmd =
       print_endline "empty test set: nothing to profile"
     else begin
       let profile =
-        Dl_fault.Fault_sim.run_ndet ~engine:sim_engine
-          ~domains:(resolve_jobs jobs) ~drop_after:n c ~faults:testable
-          ~vectors:r.vectors
+        Dl_fault.Fault_sim.run_ndet ~domains:(resolve_jobs jobs) ~drop_after:n
+          c ~faults:testable ~vectors:r.vectors
       in
       let t = Table.create
           [ ("n", Table.Right); ("faults detected n+ times", Table.Right);
@@ -618,19 +590,12 @@ let ndet_cmd =
     Arg.(value & opt int 4096 & info [ "max-random" ] ~docv:"N"
            ~doc:"Random-phase vector budget.")
   in
-  let engine =
-    Arg.(value & opt string "flat"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"PPSFP engine variant (reference, flat, event, pruned, \
-                   wide).  Results are engine-independent.")
-  in
   Cmd.v
     (Cmd.info "ndet" ~version
        ~doc:"Generate an n-detection test set (random quotas + PODEM \
              re-targeting + reverse compaction) and profile its per-n \
              coverage.")
-    Term.(const run $ circuit_arg $ seed_arg $ jobs_arg $ n_arg $ max_random
-          $ engine)
+    Term.(const run $ circuit_arg $ seed_arg $ jobs_arg $ n_arg $ max_random)
 
 (* ------------------------------------------------------------ benchmarks *)
 

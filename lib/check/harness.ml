@@ -188,8 +188,8 @@ let pp_summary ppf s =
 
 (* --- replay -------------------------------------------------------------- *)
 
-(* The mutant is judged against two independently-implemented correct
-   engines — the flat kernel and the wide FFR-inference engine — so the
+(* The mutant is judged against both correct engines — the wide
+   FFR-inference engine and the reference it is pinned against — so the
    self-test also proves each can serve as a bug detector (and, for
    [Pristine], that the two agree with the copied loop and each other). *)
 let mutant_disagreement m (case : Testcase.t) =
@@ -218,15 +218,15 @@ let mutant_disagreement m (case : Testcase.t) =
     scan 0
   in
   match
-    scan_against "flat engine"
+    scan_against "wide engine"
       (Fault_sim.run ~drop_detected:false case.circuit ~faults:case.faults
          ~vectors:case.vectors)
   with
   | Some _ as d -> d
   | None ->
-      scan_against "wide engine"
-        (Fault_sim.run_with ~engine:Fault_sim.Wide ~drop_detected:false
-           case.circuit ~faults:case.faults ~vectors:case.vectors)
+      scan_against "reference engine"
+        (Fault_sim.Reference.run ~drop_detected:false case.circuit
+           ~faults:case.faults ~vectors:case.vectors)
 
 let mutant_check_prefix = "mutant:"
 

@@ -1,7 +1,7 @@
 (* A deliberately buggy PPSFP engine for the harness's mutation self-test.
 
    [simulate_fault] and [run] below are a copy of the fault-simulation eval
-   loop ([Fault_sim.Reference], the engine the flat kernel is property-
+   loop ([Fault_sim.Reference], the engine the wide engine is property-
    tested against), specialized to no-drop operation, with three marked
    single-line injection points.  [Pristine] compiles the copy back into a
    correct engine — the self-test uses it to prove that any counterexample

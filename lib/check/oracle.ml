@@ -65,8 +65,12 @@ let sim2_flat (case : Testcase.t) =
     block 0
   end
 
-(* --- fault-sim: kernel vs reference vs parallel, both drop modes -------- *)
+(* --- fault-sim: wide engine vs reference, serial and parallel ----------- *)
 
+(* Pin the production engine ([run], [run_parallel]: [Wide]) bit-identical
+   to the [Reference] engine, serial and on a 3-domain pool: first
+   detections and [on_detect] event streams, both drop modes.  Counters
+   are not compared — not evaluating gates is the wide engine's point. *)
 let fault_sim_agreement (case : Testcase.t) =
   let { Testcase.circuit = c; vectors; faults; _ } = case in
   let run_engine f =
@@ -79,26 +83,31 @@ let fault_sim_agreement (case : Testcase.t) =
   in
   let engines drop =
     [
-      ( "kernel",
+      ( "reference",
+        fun () ->
+          run_engine (fun ~on_detect ->
+              Fault_sim.run_with ~engine:Reference ~drop_detected:drop
+                ~on_detect c ~faults ~vectors) );
+      ( "reference-parallel-3",
+        fun () ->
+          run_engine (fun ~on_detect ->
+              Fault_sim.run_parallel_with ~engine:Reference ~domains:3
+                ~drop_detected:drop ~on_detect c ~faults ~vectors) );
+      ( "wide",
         fun () ->
           run_engine (fun ~on_detect ->
               Fault_sim.run ~drop_detected:drop ~on_detect c ~faults ~vectors)
       );
-      ( "reference",
-        fun () ->
-          run_engine (fun ~on_detect ->
-              Fault_sim.Reference.run ~drop_detected:drop ~on_detect c ~faults
-                ~vectors) );
-      ( "parallel-2",
+      ( "wide-parallel-2",
         fun () ->
           run_engine (fun ~on_detect ->
               Fault_sim.run_parallel ~domains:2 ~drop_detected:drop ~on_detect
                 c ~faults ~vectors) );
-      ( "reference-parallel-3",
+      ( "wide-parallel-3",
         fun () ->
           run_engine (fun ~on_detect ->
-              Fault_sim.Reference.run_parallel ~domains:3 ~drop_detected:drop
-                ~on_detect c ~faults ~vectors) );
+              Fault_sim.run_parallel ~domains:3 ~drop_detected:drop ~on_detect
+                c ~faults ~vectors) );
     ]
   in
   let check_mode drop =
@@ -132,13 +141,7 @@ let fault_sim_agreement (case : Testcase.t) =
                     | Some d -> string_of_int d
                     | None -> "never")
               | None ->
-                  if r.Fault_sim.gate_evaluations
-                     <> base_r.Fault_sim.gate_evaluations
-                  then
-                    failf "%s vs %s (drop=%b): gate_evaluations %d vs %d"
-                      base_name name drop base_r.Fault_sim.gate_evaluations
-                      r.Fault_sim.gate_evaluations
-                  else if ev <> base_ev then
+                  if ev <> base_ev then
                     failf
                       "%s vs %s (drop=%b): on_detect event streams differ \
                        (%d vs %d events)"
@@ -150,17 +153,17 @@ let fault_sim_agreement (case : Testcase.t) =
   in
   (* A pool wider than the fault universe (clamped at spawn time): run
      a small fault subset against a deliberately oversized request. *)
-  let check_wide_pool () =
+  let check_oversized_pool () =
     if Array.length faults = 0 then None
     else begin
       let sub = Array.sub faults 0 (min 3 (Array.length faults)) in
       let serial = Fault_sim.run ~drop_detected:false c ~faults:sub ~vectors in
-      let wide =
+      let oversized =
         Fault_sim.run_parallel
           ~domains:(Array.length sub + 5)
           ~drop_detected:false c ~faults:sub ~vectors
       in
-      if wide.Fault_sim.first_detection <> serial.Fault_sim.first_detection
+      if oversized.Fault_sim.first_detection <> serial.Fault_sim.first_detection
       then
         failf
           "run_parallel with pool wider than the %d-fault subset disagrees \
@@ -174,92 +177,7 @@ let fault_sim_agreement (case : Testcase.t) =
   | None -> (
       match check_mode false with
       | Some _ as f -> f
-      | None -> check_wide_pool ())
-
-(* --- ppsfp-{event,pruned,wide}: PR 7 engine variants vs Reference ------- *)
-
-(* Pin one engine variant bit-identical to [Fault_sim.Reference]: first
-   detections and [on_detect] event streams, both drop modes, serial and
-   parallel (2 and 3 domains).  [Event] additionally pins
-   [gate_evaluations]: its scheduling decisions must match the reference
-   exactly, not just its results.  The inference engines ([Pruned],
-   [Wide]) are exempt — not evaluating gates is their entire point. *)
-let ppsfp_variant engine (case : Testcase.t) =
-  let { Testcase.circuit = c; vectors; faults; _ } = case in
-  let vname = Fault_sim.engine_to_string engine in
-  let pin_evals = engine = Fault_sim.Event || engine = Fault_sim.Flat in
-  let collect f =
-    let events = ref [] in
-    let on_detect ~fault_index ~vector_index =
-      events := (fault_index, vector_index) :: !events
-    in
-    let r = f ~on_detect in
-    (r, List.rev !events)
-  in
-  let check_mode drop =
-    let ref_r, ref_ev =
-      collect (fun ~on_detect ->
-          Fault_sim.Reference.run ~drop_detected:drop ~on_detect c ~faults
-            ~vectors)
-    in
-    let candidates =
-      [
-        ( vname,
-          fun ~on_detect ->
-            Fault_sim.run_with ~engine ~drop_detected:drop ~on_detect c
-              ~faults ~vectors );
-        ( vname ^ "-parallel-2",
-          fun ~on_detect ->
-            Fault_sim.run_parallel_with ~engine ~domains:2 ~drop_detected:drop
-              ~on_detect c ~faults ~vectors );
-        ( vname ^ "-parallel-3",
-          fun ~on_detect ->
-            Fault_sim.run_parallel_with ~engine ~domains:3 ~drop_detected:drop
-              ~on_detect c ~faults ~vectors );
-      ]
-    in
-    let rec compare_candidates = function
-      | [] -> None
-      | (name, run) :: rest -> (
-          let r, ev = collect run in
-          let mismatch = ref None in
-          Array.iteri
-            (fun i d ->
-              if !mismatch = None && d <> ref_r.Fault_sim.first_detection.(i)
-              then mismatch := Some i)
-            r.Fault_sim.first_detection;
-          match !mismatch with
-          | Some i ->
-              failf
-                "reference vs %s (drop=%b): fault %s first-detected at %s vs \
-                 %s"
-                name drop
-                (Dl_fault.Stuck_at.to_string c faults.(i))
-                (match ref_r.Fault_sim.first_detection.(i) with
-                | Some d -> string_of_int d
-                | None -> "never")
-                (match r.Fault_sim.first_detection.(i) with
-                | Some d -> string_of_int d
-                | None -> "never")
-          | None ->
-              if ev <> ref_ev then
-                failf
-                  "reference vs %s (drop=%b): on_detect event streams differ \
-                   (%d vs %d events)"
-                  name drop (List.length ref_ev) (List.length ev)
-              else if
-                pin_evals
-                && r.Fault_sim.gate_evaluations
-                   <> ref_r.Fault_sim.gate_evaluations
-              then
-                failf "reference vs %s (drop=%b): gate_evaluations %d vs %d"
-                  name drop ref_r.Fault_sim.gate_evaluations
-                  r.Fault_sim.gate_evaluations
-              else compare_candidates rest)
-    in
-    compare_candidates candidates
-  in
-  match check_mode true with Some _ as f -> f | None -> check_mode false
+      | None -> check_oversized_pool ())
 
 (* --- event-propagate: selective trace vs cone propagation vs Sim2 ------- *)
 
@@ -1186,24 +1104,9 @@ let all =
       kind = Case sim2_flat };
     { name = "fault-sim";
       doc =
-        "PPSFP kernel vs reference vs parallel (incl. pool wider than the \
-         universe), both drop modes, detection event streams";
+        "wide PPSFP engine vs reference, serial and parallel (incl. pool \
+         wider than the universe), both drop modes, detection event streams";
       kind = Case fault_sim_agreement };
-    { name = "ppsfp-event";
-      doc =
-        "event-driven incremental PPSFP vs reference: detections, event \
-         streams and gate_evaluations, both drop modes, serial + parallel";
-      kind = Case (ppsfp_variant Fault_sim.Event) };
-    { name = "ppsfp-pruned";
-      doc =
-        "FFR-inference PPSFP vs reference: detections and event streams, \
-         both drop modes, serial + parallel";
-      kind = Case (ppsfp_variant Fault_sim.Pruned) };
-    { name = "ppsfp-wide";
-      doc =
-        "256-bit-block PPSFP vs reference: detections and event streams, \
-         both drop modes, serial + parallel";
-      kind = Case (ppsfp_variant Fault_sim.Wide) };
     { name = "event-propagate";
       doc = "Event_sim selective trace vs Propagate cone vs Sim2, per vector";
       kind = Case event_propagate };

@@ -6,7 +6,10 @@ module Parallel = Dl_util.Parallel
    units everywhere (the wide engine counts 4 per 256-pattern gate fetch) so
    throughputs stay comparable across engines; the remaining counters are
    whatever the engine actually tracks — the reference engine reports only
-   its evaluation count. *)
+   its evaluation count, and no engine simulates faults one by one any more,
+   so [faults_simulated] is always 0.  The record keeps that field because
+   the detections codec serializes all six counters (see {!Stats} in the
+   interface). *)
 module Stats = struct
   type t = {
     gate_evaluations : int;
@@ -53,22 +56,14 @@ type result = {
   stats : Stats.t;
 }
 
-type engine = Reference | Flat | Event | Pruned | Wide
+type engine = Reference | Wide
 
-let engines = [ Reference; Flat; Event; Pruned; Wide ]
+let engines = [ Reference; Wide ]
 
-let engine_to_string = function
-  | Reference -> "reference"
-  | Flat -> "flat"
-  | Event -> "event"
-  | Pruned -> "pruned"
-  | Wide -> "wide"
+let engine_to_string = function Reference -> "reference" | Wide -> "wide"
 
 let engine_of_string = function
   | "reference" -> Some Reference
-  | "flat" -> Some Flat
-  | "event" -> Some Event
-  | "pruned" -> Some Pruned
   | "wide" -> Some Wide
   | _ -> None
 
@@ -134,13 +129,70 @@ let record_first first_detection fi ~base word =
 let valid_mask_of count =
   if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
 
+(* Every public entry point validates its fault list once, up front.  The
+   wide engine indexes node and pin buffers by fault site without bounds
+   checks, so an out-of-range site would read past the circuit's arrays
+   (or, for a branch pin beyond its gate's fanin, silently go undetected)
+   instead of failing. *)
+let check_faults (c : Circuit.t) faults =
+  let n = Circuit.node_count c in
+  (* The message is built only on failure: this runs on every call, so the
+     success path allocates nothing. *)
+  let bad i (f : Stuck_at.t) why =
+    let site =
+      match f.site with
+      | Stuck_at.Stem id -> Printf.sprintf "stem %d" id
+      | Stuck_at.Branch { gate; pin } -> Printf.sprintf "branch %d.in%d" gate pin
+    in
+    invalid_arg
+      (Printf.sprintf "Fault_sim: fault %d (%s %s) out of range: %s" i site
+         (if Stuck_at.polarity_bool f.polarity then "SA1" else "SA0")
+         why)
+  in
+  for i = 0 to Array.length faults - 1 do
+    let f : Stuck_at.t = faults.(i) in
+    match f.site with
+    | Stuck_at.Stem id ->
+        if id < 0 || id >= n then
+          bad i f (Printf.sprintf "node ids are 0..%d" (n - 1))
+    | Stuck_at.Branch { gate; pin } ->
+        if gate < 0 || gate >= n then
+          bad i f (Printf.sprintf "node ids are 0..%d" (n - 1))
+        else
+          let arity = Array.length c.nodes.(gate).fanin in
+          if pin < 0 || pin >= arity then
+            bad i f (Printf.sprintf "node %d has %d inputs" gate arity)
+  done
+
+(* The contract every parallel entry point shares.  An empty fault universe
+   returns at once (no good-machine simulation, and the drivers' shard
+   clamp stays >= 1); a one-worker pool runs [serial]; a [domains] request
+   wider than the universe is clamped before any domain is spawned — the
+   extra workers could never hold a fault, and an oversized request would
+   hit the runtime's domain limit. *)
+let on_pool ~domains ~pool ~serial ~in_pool ~faults ~vectors =
+  if Array.length faults = 0 then
+    { faults; first_detection = [||]; vectors_applied = Array.length vectors;
+      gate_evaluations = 0; stats = Stats.zero }
+  else
+    let dispatch pool =
+      if Parallel.size pool = 1 then serial () else in_pool pool
+    in
+    match pool with
+    | Some pool -> dispatch pool
+    | None ->
+        let domains =
+          Option.map (fun d -> max 1 (min d (Array.length faults))) domains
+        in
+        Parallel.with_pool ?domains dispatch
+
 (* --- Reference engine ------------------------------------------------------
 
    The pre-kernel PPSFP implementation, retained verbatim as the oracle the
-   flat-kernel engine below is property-tested against (same detection
-   words, same [first_detection], same [gate_evaluations]).  It allocates
-   per gate evaluation (fanin [Array.map]s, [int list] schedule buckets),
-   which is exactly what the kernel engine eliminates. *)
+   wide engine below is property-tested against (same [first_detection],
+   same [on_detect] event stream).  It simulates every fault explicitly and
+   allocates per gate evaluation (fanin [Array.map]s, [int list] schedule
+   buckets). *)
 module Reference = struct
   (* Pending-node schedule bucketed by level, so faulty values propagate in
      topological order and each node is evaluated once per fault/block. *)
@@ -399,55 +451,37 @@ module Reference = struct
 
   let run_parallel ?(drop_detected = true) ?on_detect ?domains ?pool c ~faults
       ~vectors =
-    (* An empty fault universe needs no good-machine simulation at all;
-       returning here also keeps [run_in_pool]'s shard clamp >= 1. *)
-    if Array.length faults = 0 then
-      { faults; first_detection = [||];
-        vectors_applied = Array.length vectors; gate_evaluations = 0;
-        stats = Stats.zero }
-    else
-      let dispatch pool =
-        if Parallel.size pool = 1 then
-          run ~drop_detected ?on_detect c ~faults ~vectors
-        else run_in_pool ~drop_detected ~on_detect pool c ~faults ~vectors
-      in
-      match pool with
-      | Some pool -> dispatch pool
-      | None ->
-          (* A pool wider than the universe is clamped before any domain
-             is spawned: the extra workers could never hold a fault, and
-             an oversized request would hit the runtime's domain limit. *)
-          let domains =
-            Option.map (fun d -> max 1 (min d (Array.length faults))) domains
-          in
-          Parallel.with_pool ?domains dispatch
+    on_pool ~domains ~pool ~faults ~vectors
+      ~serial:(fun () -> run ~drop_detected ?on_detect c ~faults ~vectors)
+      ~in_pool:(fun pool ->
+        run_in_pool ~drop_detected ~on_detect pool c ~faults ~vectors)
 end
 
-(* --- Flat-kernel engine ----------------------------------------------------
+(* --- Wide engine ------------------------------------------------------------
 
-   Same algorithm as [Reference] — PPSFP with level-ordered event-driven
-   faulty-value propagation, one shared fault/block code path for the serial
-   and parallel drivers — but every per-gate operation is allocation-free:
+   Fanout-free-region inference over 256-pattern (4x64) blocks; the good
+   machine comes from [Sim2.run_flat4], node [i]'s four words sit at
+   [4i..4i+3], and every CSR fetch is amortized over 256 patterns.
 
-   - node values live in int64 bigarrays ([Kernel.words]), which the native
-     compiler reads, combines and writes without boxing;
-   - fanin/fanout adjacency comes from the kernel's CSR int arrays, so no
-     fanin [Array.map] per evaluation;
-   - the schedule is a set of per-level int-array stacks carved out of one
-     flat array by the kernel's [level_off] histogram CSR (capacity per
-     level = nodes at that level; the [queued] flags guarantee each node
-     occupies at most one slot), replacing consed [int list] buckets;
-   - the block's detection word is written into the one-slot [out] bigarray
-     rather than returned, because a non-inlined int64 return reboxes.
+   Faults are never simulated individually.  For each FFR stem hosting a
+   live fault, one toggle simulation (faulty stem = complement of good, a
+   level-ordered event drain against a resident copy of the good values)
+   yields the stem's observability words — the patterns on which flipping
+   the stem reaches a primary output.  Each fault is then decided by
+   critical-path tracing inside its region: the local fault effect is
+   walked along the unique single-fanout chain to the stem, one
+   boolean-difference gate evaluation per step (side inputs carry good
+   values — exact, because an FFR contains no reconvergence), and the
+   detection words are the traced difference AND the stem's observability.
+   Per lane, the faulty machine below the stem equals the toggle machine
+   whenever the traced difference reaches the stem, so this equals explicit
+   simulation ([Reference]) bit for bit.
 
-   Intra-level pop order differs from [Reference] (array stack vs list),
-   which is observationally irrelevant: same-level nodes never feed each
-   other, every node is popped at most once per fault/block (pushes only
-   target levels strictly above the one being drained), and the detection
-   word accumulates by logical-or — so detection words, [first_detection]
-   and [gate_evaluations] all match the reference bit for bit. *)
+   Detection handling stays 64-pattern-sequential: a dropped fault reports
+   only its first detecting sub-word, and [on_detect] replays sub-word
+   major, fault minor — exactly the order a 64-pattern engine fires in. *)
 
-type scratch = {
+type escratch = {
   kernel : Kernel.t;
   queued : bool array;
   bucket : int array;  (* per-level stacks; level l occupies
@@ -455,514 +489,28 @@ type scratch = {
   bucket_len : int array;
   mutable cur_level : int;
   mutable remaining : int;
-  faulty : Kernel.words;
-  touched : bool array;
-  touched_ids : int array;
-  mutable n_touched : int;
-  ins : Kernel.words;  (* gather buffer for the host gate of a branch fault *)
-  out : Kernel.words;  (* one slot: detection word of the last simulate_fault *)
-  mutable gate_evaluations : int;
-  mutable events : int;
-  mutable faults_simulated : int;
-}
-
-let make_scratch (k : Kernel.t) =
-  let max_arity = ref 1 in
-  for id = 0 to k.n - 1 do
-    let a = k.fanin_off.(id + 1) - k.fanin_off.(id) in
-    if a > !max_arity then max_arity := a
-  done;
-  {
-    kernel = k;
-    queued = Array.make k.n false;
-    bucket = Array.make (max 1 k.n) 0;
-    bucket_len = Array.make k.n_levels 0;
-    cur_level = 0;
-    remaining = 0;
-    faulty = Kernel.create_words k;
-    touched = Array.make k.n false;
-    touched_ids = Array.make (max 1 k.n) 0;
-    n_touched = 0;
-    ins = Kernel.alloc !max_arity;
-    out = Kernel.alloc 1;
-    gate_evaluations = 0;
-    events = 0;
-    faults_simulated = 0;
-  }
-
-(* Simulate one fault against one 64-vector block; the detection word lands
-   in [st.out.{0}].  Scratch is clean on entry and cleaned before return.
-   Single code path for serial and parallel drivers, zero allocation.
-
-   [count] (number of valid vectors in the block) is passed instead of the
-   valid-mask word itself: an int64 argument would be reboxed at every call
-   site, an immediate int is free, and the mask recomputes unboxed here. *)
-let simulate_fault st ~is_output ~(good : Kernel.words) ~count
-    (f : Stuck_at.t) =
-  let k = st.kernel in
-  let valid_mask =
-    if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  let stuck_word = if Stuck_at.polarity_bool f.polarity then -1L else 0L in
-  (* The detection word accumulates directly in [st.out.{0}]: a local
-     [ref 0L] is not reliably unboxed through this control flow (each
-     assignment on the detection path would box), whereas bigarray
-     read-modify-write chains stay unboxed. *)
-  Bigarray.Array1.unsafe_set st.out 0 0L;
-  st.faults_simulated <- st.faults_simulated + 1;
-  let seeded = ref false in
-  (match f.site with
-  | Stuck_at.Stem id ->
-      (* A stem fault needs no gate evaluation to seed: the site's faulty
-         value IS the stuck word. *)
-      let diff =
-        Int64.logand
-          (Int64.logxor (Bigarray.Array1.unsafe_get good id) stuck_word)
-          valid_mask
-      in
-      if diff <> 0L then begin
-        Array.unsafe_set st.touched id true;
-        Array.unsafe_set st.touched_ids st.n_touched id;
-        st.n_touched <- st.n_touched + 1;
-        Bigarray.Array1.unsafe_set st.faulty id stuck_word;
-        if Array.unsafe_get is_output id then
-          Bigarray.Array1.unsafe_set st.out 0 diff;
-        let fo = Array.unsafe_get k.fanout_off id in
-        let fe = Array.unsafe_get k.fanout_off (id + 1) in
-        for j = fo to fe - 1 do
-          let succ = Array.unsafe_get k.fanout j in
-          if not (Array.unsafe_get st.queued succ) then begin
-            Array.unsafe_set st.queued succ true;
-            let l = Array.unsafe_get k.level succ in
-            let bl = Array.unsafe_get st.bucket_len l in
-            Array.unsafe_set st.bucket (Array.unsafe_get k.level_off l + bl)
-              succ;
-            Array.unsafe_set st.bucket_len l (bl + 1);
-            st.remaining <- st.remaining + 1
-          end
-        done;
-        seeded := true
-      end
-  | Stuck_at.Branch { gate; pin = _ } ->
-      (* A branch fault seeds by scheduling its host gate; the drain loop's
-         pin override evaluates it, counting the same single seed gate
-         evaluation as the reference engine. *)
-      st.queued.(gate) <- true;
-      let l = Array.unsafe_get k.level gate in
-      let bl = Array.unsafe_get st.bucket_len l in
-      Array.unsafe_set st.bucket (Array.unsafe_get k.level_off l + bl) gate;
-      Array.unsafe_set st.bucket_len l (bl + 1);
-      st.remaining <- st.remaining + 1;
-      seeded := true);
-  if !seeded then begin
-    let fault_gate, fault_pin =
-      match f.site with
-      | Stuck_at.Branch { gate; pin } -> (gate, pin)
-      | Stuck_at.Stem _ -> (-1, -1)
-    in
-    while st.remaining > 0 do
-      while Array.unsafe_get st.bucket_len st.cur_level = 0 do
-        st.cur_level <- st.cur_level + 1
-      done;
-      let l = st.cur_level in
-      let bl = Array.unsafe_get st.bucket_len l - 1 in
-      Array.unsafe_set st.bucket_len l bl;
-      let id = Array.unsafe_get st.bucket (Array.unsafe_get k.level_off l + bl) in
-      Array.unsafe_set st.queued id false;
-      st.remaining <- st.remaining - 1;
-      let off = Array.unsafe_get k.fanin_off id in
-      let len = Array.unsafe_get k.fanin_off (id + 1) - off in
-      let op = Array.unsafe_get k.opcode id in
-      st.gate_evaluations <- st.gate_evaluations + 1;
-      st.events <- st.events + 1;
-      let v =
-        if id <> fault_gate then begin
-          (* Common case: faulty-machine evaluation with the touched/good
-             overlay, specialized exactly like [Kernel.eval_unsafe]. *)
-          if len = 2 then begin
-            let s0 = Array.unsafe_get k.fanin off in
-            let s1 = Array.unsafe_get k.fanin (off + 1) in
-            let a =
-              if Array.unsafe_get st.touched s0 then
-                Bigarray.Array1.unsafe_get st.faulty s0
-              else Bigarray.Array1.unsafe_get good s0
-            in
-            let b =
-              if Array.unsafe_get st.touched s1 then
-                Bigarray.Array1.unsafe_get st.faulty s1
-              else Bigarray.Array1.unsafe_get good s1
-            in
-            if op = Gate.op_and then Int64.logand a b
-            else if op = Gate.op_nand then Int64.lognot (Int64.logand a b)
-            else if op = Gate.op_or then Int64.logor a b
-            else if op = Gate.op_nor then Int64.lognot (Int64.logor a b)
-            else if op = Gate.op_xor then Int64.logxor a b
-            else Int64.lognot (Int64.logxor a b)
-          end
-          else if len = 1 then begin
-            let s0 = Array.unsafe_get k.fanin off in
-            let a =
-              if Array.unsafe_get st.touched s0 then
-                Bigarray.Array1.unsafe_get st.faulty s0
-              else Bigarray.Array1.unsafe_get good s0
-            in
-            if Gate.op_inverts op then Int64.lognot a else a
-          end
-          else begin
-            let last = off + len - 1 in
-            if op <= Gate.op_nand then begin
-              let s0 = Array.unsafe_get k.fanin off in
-              let acc =
-                ref
-                  (if Array.unsafe_get st.touched s0 then
-                     Bigarray.Array1.unsafe_get st.faulty s0
-                   else Bigarray.Array1.unsafe_get good s0)
-              in
-              for j = off + 1 to last do
-                let s = Array.unsafe_get k.fanin j in
-                acc :=
-                  Int64.logand !acc
-                    (if Array.unsafe_get st.touched s then
-                       Bigarray.Array1.unsafe_get st.faulty s
-                     else Bigarray.Array1.unsafe_get good s)
-              done;
-              if op = Gate.op_nand then Int64.lognot !acc else !acc
-            end
-            else if op <= Gate.op_nor then begin
-              let s0 = Array.unsafe_get k.fanin off in
-              let acc =
-                ref
-                  (if Array.unsafe_get st.touched s0 then
-                     Bigarray.Array1.unsafe_get st.faulty s0
-                   else Bigarray.Array1.unsafe_get good s0)
-              in
-              for j = off + 1 to last do
-                let s = Array.unsafe_get k.fanin j in
-                acc :=
-                  Int64.logor !acc
-                    (if Array.unsafe_get st.touched s then
-                       Bigarray.Array1.unsafe_get st.faulty s
-                     else Bigarray.Array1.unsafe_get good s)
-              done;
-              if op = Gate.op_nor then Int64.lognot !acc else !acc
-            end
-            else begin
-              let s0 = Array.unsafe_get k.fanin off in
-              let acc =
-                ref
-                  (if Array.unsafe_get st.touched s0 then
-                     Bigarray.Array1.unsafe_get st.faulty s0
-                   else Bigarray.Array1.unsafe_get good s0)
-              in
-              for j = off + 1 to last do
-                let s = Array.unsafe_get k.fanin j in
-                acc :=
-                  Int64.logxor !acc
-                    (if Array.unsafe_get st.touched s then
-                       Bigarray.Array1.unsafe_get st.faulty s
-                     else Bigarray.Array1.unsafe_get good s)
-              done;
-              if op = Gate.op_xnor then Int64.lognot !acc else !acc
-            end
-          end
-        end
-        else begin
-          (* Host gate of a branch fault (at most once per fault/block):
-             gather pins into the scratch buffer, force the faulty pin,
-             fold.  Gathering keeps the pin override off the common path. *)
-          for j = 0 to len - 1 do
-            let s = Array.unsafe_get k.fanin (off + j) in
-            Bigarray.Array1.unsafe_set st.ins j
-              (if Array.unsafe_get st.touched s then
-                 Bigarray.Array1.unsafe_get st.faulty s
-               else Bigarray.Array1.unsafe_get good s)
-          done;
-          Bigarray.Array1.unsafe_set st.ins fault_pin stuck_word;
-          if len = 1 then begin
-            let a = Bigarray.Array1.unsafe_get st.ins 0 in
-            if Gate.op_inverts op then Int64.lognot a else a
-          end
-          else if op <= Gate.op_nand then begin
-            let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-            for j = 1 to len - 1 do
-              acc := Int64.logand !acc (Bigarray.Array1.unsafe_get st.ins j)
-            done;
-            if op = Gate.op_nand then Int64.lognot !acc else !acc
-          end
-          else if op <= Gate.op_nor then begin
-            let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-            for j = 1 to len - 1 do
-              acc := Int64.logor !acc (Bigarray.Array1.unsafe_get st.ins j)
-            done;
-            if op = Gate.op_nor then Int64.lognot !acc else !acc
-          end
-          else begin
-            let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-            for j = 1 to len - 1 do
-              acc := Int64.logxor !acc (Bigarray.Array1.unsafe_get st.ins j)
-            done;
-            if op = Gate.op_xnor then Int64.lognot !acc else !acc
-          end
-        end
-      in
-      let diff =
-        Int64.logand
-          (Int64.logxor (Bigarray.Array1.unsafe_get good id) v)
-          valid_mask
-      in
-      if diff <> 0L || Array.unsafe_get st.touched id then begin
-        if not (Array.unsafe_get st.touched id) then begin
-          Array.unsafe_set st.touched id true;
-          Array.unsafe_set st.touched_ids st.n_touched id;
-          st.n_touched <- st.n_touched + 1
-        end;
-        Bigarray.Array1.unsafe_set st.faulty id v;
-        if diff <> 0L then begin
-          if Array.unsafe_get is_output id then
-            Bigarray.Array1.unsafe_set st.out 0
-              (Int64.logor (Bigarray.Array1.unsafe_get st.out 0) diff);
-          let fo = Array.unsafe_get k.fanout_off id in
-          let fe = Array.unsafe_get k.fanout_off (id + 1) in
-          for j = fo to fe - 1 do
-            let succ = Array.unsafe_get k.fanout j in
-            if not (Array.unsafe_get st.queued succ) then begin
-              Array.unsafe_set st.queued succ true;
-              let sl = Array.unsafe_get k.level succ in
-              let sbl = Array.unsafe_get st.bucket_len sl in
-              Array.unsafe_set st.bucket
-                (Array.unsafe_get k.level_off sl + sbl)
-                succ;
-              Array.unsafe_set st.bucket_len sl (sbl + 1);
-              st.remaining <- st.remaining + 1
-            end
-          done
-        end
-      end
-    done;
-    for i = 0 to st.n_touched - 1 do
-      Array.unsafe_set st.touched (Array.unsafe_get st.touched_ids i) false
-    done;
-    st.n_touched <- 0;
-    st.cur_level <- 0
-  end
-
-let run ?(drop_detected = true) ?on_detect (c : Circuit.t) ~faults ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let st = make_scratch k in
-  let is_output = output_map c in
-  let good = Kernel.create_words k in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        simulate_fault st ~is_output ~good ~count faults.(fi);
-        (* Unboxed compare; the detection word is only (re)boxed inside the
-           branches that genuinely need it as a value — first detection of a
-           fault, or event replay — so the steady-state no-drop loop stays
-           allocation-free. *)
-        if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-          (match first_detection.(fi) with
-          | None ->
-              record_first first_detection fi ~base
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | Some _ -> ());
-          (match on_detect with
-          | Some callback ->
-              fire_events callback ~base ~count ~fault_index:fi
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | None -> ());
-          if drop_detected then live.(fi) <- false
-        end
-      end
-    done
-  done;
-  {
-    faults;
-    first_detection;
-    vectors_applied = n_vectors;
-    gate_evaluations = st.gate_evaluations;
-    stats =
-      { Stats.zero with
-        gate_evaluations = st.gate_evaluations;
-        events = st.events;
-        faults_simulated = st.faults_simulated;
-        faults_dropped = dropped_of ~drop_detected first_detection };
-  }
-
-(* Parallel driver: the fault array is cut into [size pool] contiguous
-   shards, fixed for the whole run, and every worker keeps its own scratch
-   while the kernel and each block's good-machine words are shared
-   read-only.  Each fault index is written (first_detection, live and the
-   per-block detection word) only by its owning worker, and the pool's job
-   barrier orders those writes before the merge below reads them, so the
-   result is deterministic and equal to the serial engine's: per-fault
-   outcomes do not depend on simulation order, gate-evaluation counts sum
-   to the same total, and buffered [on_detect] events are replayed in
-   fault-index order within each block — exactly the serial firing order. *)
-let run_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  (* See [Reference.run_in_pool]: empty shards would only waste O(nodes)
-     scratch allocations; the clamp is result-invariant. *)
-  let shards = min (Parallel.size pool) n_faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let is_output = output_map c in
-  let scratches = Array.init shards (fun _ -> make_scratch k) in
-  let good = Kernel.create_words k in
-  (* Per-fault detection word of the current block, kept only when events
-     must be replayed to a callback. *)
-  let detect_words =
-    match on_detect with Some _ -> Array.make n_faults 0L | None -> [||]
-  in
-  let shard_bounds s = (s * n_faults / shards, (s + 1) * n_faults / shards) in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    let has_callback = match on_detect with Some _ -> true | None -> false in
-    Parallel.run pool ~tasks:shards (fun s ->
-        let st = scratches.(s) in
-        let lo, hi = shard_bounds s in
-        for fi = lo to hi - 1 do
-          if live.(fi) then begin
-            simulate_fault st ~is_output ~good ~count faults.(fi);
-            if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-              (match first_detection.(fi) with
-              | None ->
-                  record_first first_detection fi ~base
-                    (Bigarray.Array1.unsafe_get st.out 0)
-              | Some _ -> ());
-              if has_callback then
-                detect_words.(fi) <- Bigarray.Array1.unsafe_get st.out 0;
-              if drop_detected then live.(fi) <- false
-            end
-          end
-        done);
-    match on_detect with
-    | Some callback ->
-        for fi = 0 to n_faults - 1 do
-          if detect_words.(fi) <> 0L then begin
-            fire_events callback ~base ~count ~fault_index:fi detect_words.(fi);
-            detect_words.(fi) <- 0L
-          end
-        done
-    | None -> ()
-  done;
-  let gate_evaluations =
-    Array.fold_left (fun acc st -> acc + st.gate_evaluations) 0 scratches
-  in
-  { faults; first_detection; vectors_applied = n_vectors; gate_evaluations;
-    stats =
-      { Stats.zero with
-        gate_evaluations;
-        events = Array.fold_left (fun a st -> a + st.events) 0 scratches;
-        faults_simulated =
-          Array.fold_left (fun a st -> a + st.faults_simulated) 0 scratches;
-        faults_dropped = dropped_of ~drop_detected first_detection } }
-
-let run_parallel ?(drop_detected = true) ?on_detect ?domains ?pool c ~faults
-    ~vectors =
-  if Array.length faults = 0 then
-    { faults; first_detection = [||];
-      vectors_applied = Array.length vectors; gate_evaluations = 0;
-      stats = Stats.zero }
-  else
-    let dispatch pool =
-      if Parallel.size pool = 1 then run ~drop_detected ?on_detect c ~faults ~vectors
-      else run_in_pool ~drop_detected ~on_detect pool c ~faults ~vectors
-    in
-    match pool with
-    | Some pool -> dispatch pool
-    | None ->
-        (* See [Reference.run_parallel]: never spawn more domains than
-           faults. *)
-        let domains =
-          Option.map (fun d -> max 1 (min d (Array.length faults))) domains
-        in
-        Parallel.with_pool ?domains dispatch
-
-(* --- Event / Pruned / Wide engines -----------------------------------------
-
-   Three composable optimizations over the flat kernel, selected through
-   {!engine} (the [Flat] paths above are kept verbatim as the
-   gate-evaluation-count-compatible production baseline):
-
-   [Event] — resident-faulty incremental simulation.  The faulty buffer is
-   a persistent copy of the good-machine words (one blit per block); each
-   fault perturbs only its disturbed cone and the touched nodes are
-   restored afterwards, so the hot loop reads fanins unconditionally
-   instead of through the flat engine's per-fanin touched/good overlay
-   branch.  Scheduling decisions are identical to [Flat] (a popped node
-   writes and propagates iff its masked diff against good is non-zero,
-   which is exactly the overlay engine's condition, since a node is popped
-   at most once per fault and its resident value before the write is the
-   good value), so detection words, event counts and gate-evaluation
-   counts all match the flat and reference engines bit for bit.
-
-   [Pruned] — fanout-free-region inference on top of [Event].  Faults are
-   never simulated individually: for each FFR stem hosting a live fault,
-   one toggle simulation (faulty stem = complement of good) yields the
-   stem's observability word — the patterns on which flipping the stem
-   reaches a primary output.  Each fault is then decided by critical-path
-   tracing inside its region: the local fault effect is walked along the
-   unique single-fanout chain to the stem, one boolean-difference gate
-   evaluation per step (side inputs carry good values — exact, because an
-   FFR contains no reconvergence), and the detection word is the traced
-   difference AND the stem's observability.  Per lane, the faulty machine
-   below the stem equals the toggle machine whenever the traced difference
-   reaches the stem, so this equals explicit simulation bit for bit.
-
-   [Wide] — [Pruned] over 4x64-pattern blocks: good machine via
-   [Sim2.run_flat4], toggle propagation and tracing on 4-word values
-   (node [i] at words [4i..4i+3]), amortizing every CSR fetch over 256
-   patterns.  Detection handling stays block-sequential (a dropped fault
-   reports only its first detecting 64-pattern sub-word), so results are
-   identical to the 64-bit engines. *)
-
-type escratch = {
-  kernel : Kernel.t;
-  queued : bool array;
-  bucket : int array;
-  bucket_len : int array;
-  mutable cur_level : int;
-  mutable remaining : int;
   faulty : Kernel.words;  (* resident good copy, perturbed and restored *)
   touched_ids : int array;
   mutable n_touched : int;
-  ins : Kernel.words;  (* pin-gather buffer (host gate override, tracing) *)
+  ins : Kernel.words;  (* pin-gather buffer for tracing *)
   out : Kernel.words;
-      (* slots 0..3: detection/difference words; 4..7: gather-fold results.
-         The 64-bit paths use slots 0 and 4 only. *)
+      (* slots 0..3: detection/difference words; 4..7: gather-fold results *)
   vmask : Kernel.words;
-      (* per-sub-word valid masks of the current block (wide path), cached
-         here once per block so the hot functions read them unboxed instead
-         of recomputing int64s across call boundaries *)
+      (* per-sub-word valid masks of the current block, cached here once
+         per block so the hot functions read them unboxed instead of
+         recomputing int64s across call boundaries *)
   mutable gate_evaluations : int;
   mutable events : int;
-  mutable faults_simulated : int;
   mutable stem_simulations : int;
   mutable faults_inferred : int;
 }
 
-let make_escratch ?(wide = false) (k : Kernel.t) =
+let make_escratch (k : Kernel.t) =
   let max_arity = ref 1 in
   for id = 0 to k.n - 1 do
     let a = k.fanin_off.(id + 1) - k.fanin_off.(id) in
     if a > !max_arity then max_arity := a
   done;
-  let width = if wide then 4 else 1 in
   {
     kernel = k;
     queued = Array.make k.n false;
@@ -970,21 +518,20 @@ let make_escratch ?(wide = false) (k : Kernel.t) =
     bucket_len = Array.make k.n_levels 0;
     cur_level = 0;
     remaining = 0;
-    faulty = Kernel.alloc (width * k.n);
+    faulty = Kernel.alloc (4 * k.n);
     touched_ids = Array.make (max 1 k.n) 0;
     n_touched = 0;
-    ins = Kernel.alloc (width * !max_arity);
+    ins = Kernel.alloc (4 * !max_arity);
     out = Kernel.alloc 8;
     vmask = Kernel.alloc 4;
     gate_evaluations = 0;
     events = 0;
-    faults_simulated = 0;
     stem_simulations = 0;
     faults_inferred = 0;
   }
 
-(* Re-arm the resident faulty buffer for a new block's good values.  The
-   per-fault cleanups below restore every touched node, so this is the only
+(* Re-arm the resident faulty buffer for a new block's good values.  Each
+   toggle simulation restores every node it touched, so this is the only
    full-buffer copy per (scratch, block). *)
 let resident_reset st (good : Kernel.words) =
   Bigarray.Array1.blit good st.faulty
@@ -1009,41 +556,9 @@ let[@inline] touch st id =
   Array.unsafe_set st.touched_ids st.n_touched id;
   st.n_touched <- st.n_touched + 1
 
-(* Fold the gathered pin words [st.ins.{0..len-1}] under opcode [op] into
-   [st.out.{4}].  Writing to the scratch slot instead of returning keeps the
-   int64 unboxed across the non-inlined call. *)
-let fold_ins st len op =
-  let v =
-    if len = 1 then begin
-      let a = Bigarray.Array1.unsafe_get st.ins 0 in
-      if Gate.op_inverts op then Int64.lognot a else a
-    end
-    else if op <= Gate.op_nand then begin
-      let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-      for j = 1 to len - 1 do
-        acc := Int64.logand !acc (Bigarray.Array1.unsafe_get st.ins j)
-      done;
-      if op = Gate.op_nand then Int64.lognot !acc else !acc
-    end
-    else if op <= Gate.op_nor then begin
-      let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-      for j = 1 to len - 1 do
-        acc := Int64.logor !acc (Bigarray.Array1.unsafe_get st.ins j)
-      done;
-      if op = Gate.op_nor then Int64.lognot !acc else !acc
-    end
-    else begin
-      let acc = ref (Bigarray.Array1.unsafe_get st.ins 0) in
-      for j = 1 to len - 1 do
-        acc := Int64.logxor !acc (Bigarray.Array1.unsafe_get st.ins j)
-      done;
-      if op = Gate.op_xnor then Int64.lognot !acc else !acc
-    end
-  in
-  Bigarray.Array1.unsafe_set st.out 4 v
-
-(* 4-word [fold_ins]: pins gathered at [st.ins.{4j..4j+3}], results written
-   to [st.out.{4..7}]. *)
+(* Fold the gathered pin words [st.ins.{4j..4j+3}] under opcode [op] into
+   [st.out.{4..7}].  Writing to scratch slots instead of returning keeps the
+   int64s unboxed across the non-inlined call. *)
 let fold_ins4 st len op =
   for w = 0 to 3 do
     let v =
@@ -1079,286 +594,27 @@ let fold_ins4 st len op =
     Bigarray.Array1.unsafe_set st.out (4 + w) v
   done
 
-(* Level-ordered drain of the event worklist against the resident faulty
-   buffer.  The masked-diff accumulation goes to [st.out.{0}]; [fault_gate]
-   (or -1) forces [fault_pin] to [stuck_word] on its own evaluation, exactly
-   like the flat engine's gather path.  The frontier dies on its own when
-   every evaluated node's masked diff is zero — the "all lanes converge"
-   early exit: a node whose value equals the resident (= good) value is
-   neither written nor propagated. *)
-let drain_event st ~is_output ~(good : Kernel.words) ~count ~fault_gate
-    ~fault_pin ~stuck_word =
-  let k = st.kernel in
-  let valid_mask =
-    if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  while st.remaining > 0 do
-    while Array.unsafe_get st.bucket_len st.cur_level = 0 do
-      st.cur_level <- st.cur_level + 1
-    done;
-    let l = st.cur_level in
-    let bl = Array.unsafe_get st.bucket_len l - 1 in
-    Array.unsafe_set st.bucket_len l bl;
-    let id = Array.unsafe_get st.bucket (Array.unsafe_get k.level_off l + bl) in
-    Array.unsafe_set st.queued id false;
-    st.remaining <- st.remaining - 1;
-    let off = Array.unsafe_get k.fanin_off id in
-    let len = Array.unsafe_get k.fanin_off (id + 1) - off in
-    let op = Array.unsafe_get k.opcode id in
-    st.gate_evaluations <- st.gate_evaluations + 1;
-    st.events <- st.events + 1;
-    let v =
-      if id <> fault_gate then begin
-        (* Unconditional resident reads: the overlay branch of the flat
-           engine is gone, which is the point of this engine. *)
-        if len = 2 then begin
-          let a =
-            Bigarray.Array1.unsafe_get st.faulty (Array.unsafe_get k.fanin off)
-          in
-          let b =
-            Bigarray.Array1.unsafe_get st.faulty
-              (Array.unsafe_get k.fanin (off + 1))
-          in
-          if op = Gate.op_and then Int64.logand a b
-          else if op = Gate.op_nand then Int64.lognot (Int64.logand a b)
-          else if op = Gate.op_or then Int64.logor a b
-          else if op = Gate.op_nor then Int64.lognot (Int64.logor a b)
-          else if op = Gate.op_xor then Int64.logxor a b
-          else Int64.lognot (Int64.logxor a b)
-        end
-        else if len = 1 then begin
-          let a =
-            Bigarray.Array1.unsafe_get st.faulty (Array.unsafe_get k.fanin off)
-          in
-          if Gate.op_inverts op then Int64.lognot a else a
-        end
-        else begin
-          let last = off + len - 1 in
-          if op <= Gate.op_nand then begin
-            let acc =
-              ref
-                (Bigarray.Array1.unsafe_get st.faulty
-                   (Array.unsafe_get k.fanin off))
-            in
-            for j = off + 1 to last do
-              acc :=
-                Int64.logand !acc
-                  (Bigarray.Array1.unsafe_get st.faulty
-                     (Array.unsafe_get k.fanin j))
-            done;
-            if op = Gate.op_nand then Int64.lognot !acc else !acc
-          end
-          else if op <= Gate.op_nor then begin
-            let acc =
-              ref
-                (Bigarray.Array1.unsafe_get st.faulty
-                   (Array.unsafe_get k.fanin off))
-            in
-            for j = off + 1 to last do
-              acc :=
-                Int64.logor !acc
-                  (Bigarray.Array1.unsafe_get st.faulty
-                     (Array.unsafe_get k.fanin j))
-            done;
-            if op = Gate.op_nor then Int64.lognot !acc else !acc
-          end
-          else begin
-            let acc =
-              ref
-                (Bigarray.Array1.unsafe_get st.faulty
-                   (Array.unsafe_get k.fanin off))
-            in
-            for j = off + 1 to last do
-              acc :=
-                Int64.logxor !acc
-                  (Bigarray.Array1.unsafe_get st.faulty
-                     (Array.unsafe_get k.fanin j))
-            done;
-            if op = Gate.op_xnor then Int64.lognot !acc else !acc
-          end
-        end
-      end
-      else begin
-        for j = 0 to len - 1 do
-          Bigarray.Array1.unsafe_set st.ins j
-            (Bigarray.Array1.unsafe_get st.faulty
-               (Array.unsafe_get k.fanin (off + j)))
-        done;
-        Bigarray.Array1.unsafe_set st.ins fault_pin stuck_word;
-        fold_ins st len op;
-        Bigarray.Array1.unsafe_get st.out 4
-      end
-    in
-    let diff =
-      Int64.logand
-        (Int64.logxor (Bigarray.Array1.unsafe_get good id) v)
-        valid_mask
-    in
-    if diff <> 0L then begin
-      Bigarray.Array1.unsafe_set st.faulty id v;
-      touch st id;
-      if Array.unsafe_get is_output id then
-        Bigarray.Array1.unsafe_set st.out 0
-          (Int64.logor (Bigarray.Array1.unsafe_get st.out 0) diff);
-      push_fanouts st id
-    end
-  done
-
-(* Restore the resident buffer to the good values (64-bit paths). *)
-let event_cleanup st (good : Kernel.words) =
-  for i = 0 to st.n_touched - 1 do
-    let id = Array.unsafe_get st.touched_ids i in
-    Bigarray.Array1.unsafe_set st.faulty id (Bigarray.Array1.unsafe_get good id)
-  done;
-  st.n_touched <- 0;
-  st.cur_level <- 0
-
-(* One fault against one block on the resident-faulty engine; detection word
-   in [st.out.{0}].  Decision-identical to the flat engine's
-   [simulate_fault]. *)
-let simulate_fault_event st ~is_output ~(good : Kernel.words) ~count
-    (f : Stuck_at.t) =
-  let valid_mask =
-    if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  let stuck_word = if Stuck_at.polarity_bool f.polarity then -1L else 0L in
-  Bigarray.Array1.unsafe_set st.out 0 0L;
-  st.faults_simulated <- st.faults_simulated + 1;
-  let fault_gate, fault_pin, seeded =
-    match f.site with
-    | Stuck_at.Stem id ->
-        let diff =
-          Int64.logand
-            (Int64.logxor (Bigarray.Array1.unsafe_get good id) stuck_word)
-            valid_mask
-        in
-        if diff = 0L then (-1, -1, false)
-        else begin
-          Bigarray.Array1.unsafe_set st.faulty id stuck_word;
-          touch st id;
-          if Array.unsafe_get is_output id then
-            Bigarray.Array1.unsafe_set st.out 0 diff;
-          push_fanouts st id;
-          (-1, -1, true)
-        end
-    | Stuck_at.Branch { gate; pin } ->
-        st.queued.(gate) <- true;
-        let k = st.kernel in
-        let l = Array.unsafe_get k.level gate in
-        let bl = Array.unsafe_get st.bucket_len l in
-        Array.unsafe_set st.bucket (Array.unsafe_get k.level_off l + bl) gate;
-        Array.unsafe_set st.bucket_len l (bl + 1);
-        st.remaining <- st.remaining + 1;
-        (gate, pin, true)
-  in
-  if seeded then begin
-    drain_event st ~is_output ~good ~count ~fault_gate ~fault_pin ~stuck_word;
-    event_cleanup st good
-  end
-
-(* Stem-toggle observability: simulate the stem forced to the complement of
-   its good value; the accumulated detection word is exactly the set of
-   patterns on which flipping the stem is observable at a primary output. *)
-let simulate_toggle st ~is_output ~(good : Kernel.words) ~count stem =
-  let valid_mask =
-    if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  st.stem_simulations <- st.stem_simulations + 1;
-  Bigarray.Array1.unsafe_set st.out 0
-    (if Array.unsafe_get is_output stem then valid_mask else 0L);
-  Bigarray.Array1.unsafe_set st.faulty stem
-    (Int64.lognot (Bigarray.Array1.unsafe_get good stem));
-  touch st stem;
-  push_fanouts st stem;
-  drain_event st ~is_output ~good ~count ~fault_gate:(-1) ~fault_pin:(-1)
-    ~stuck_word:0L;
-  event_cleanup st good
-
 let site_node (f : Stuck_at.t) =
   match f.site with Stuck_at.Stem id -> id | Stuck_at.Branch { gate; _ } -> gate
 
-(* Critical-path trace of one fault to its FFR stem: seed the local fault
-   effect, then walk the unique single-fanout chain, ANDing in each gate's
-   boolean difference with respect to the incoming line (one substituted
-   gate evaluation per step — exact inside an FFR, where side inputs always
-   carry good values).  The traced difference word lands in [st.out.{0}];
-   the caller ANDs it with the stem's observability word. *)
-let trace_fault st ~(good : Kernel.words) ~count (f : Stuck_at.t) =
-  let k = st.kernel in
-  let valid_mask =
-    if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  let stuck_word = if Stuck_at.polarity_bool f.polarity then -1L else 0L in
-  let cur = ref 0 in
-  (match f.site with
-  | Stuck_at.Stem id ->
-      Bigarray.Array1.unsafe_set st.out 0
-        (Int64.logand
-           (Int64.logxor (Bigarray.Array1.unsafe_get good id) stuck_word)
-           valid_mask);
-      cur := id
-  | Stuck_at.Branch { gate; pin } ->
-      let off = Array.unsafe_get k.fanin_off gate in
-      let len = Array.unsafe_get k.fanin_off (gate + 1) - off in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set st.ins j
-          (Bigarray.Array1.unsafe_get good (Array.unsafe_get k.fanin (off + j)))
-      done;
-      Bigarray.Array1.unsafe_set st.ins pin stuck_word;
-      st.gate_evaluations <- st.gate_evaluations + 1;
-      fold_ins st len (Array.unsafe_get k.opcode gate);
-      Bigarray.Array1.unsafe_set st.out 0
-        (Int64.logand
-           (Int64.logxor
-              (Bigarray.Array1.unsafe_get good gate)
-              (Bigarray.Array1.unsafe_get st.out 4))
-           valid_mask);
-      cur := gate);
-  while
-    Bigarray.Array1.unsafe_get st.out 0 <> 0L
-    && Array.unsafe_get k.ffr_stem !cur <> !cur
-  do
-    let nxt = Array.unsafe_get k.fanout (Array.unsafe_get k.fanout_off !cur) in
-    let off = Array.unsafe_get k.fanin_off nxt in
-    let len = Array.unsafe_get k.fanin_off (nxt + 1) - off in
-    for j = 0 to len - 1 do
-      let s = Array.unsafe_get k.fanin (off + j) in
-      let w = Bigarray.Array1.unsafe_get good s in
-      Bigarray.Array1.unsafe_set st.ins j
-        (if s = !cur then Int64.lognot w else w)
-    done;
-    st.gate_evaluations <- st.gate_evaluations + 1;
-    fold_ins st len (Array.unsafe_get k.opcode nxt);
-    Bigarray.Array1.unsafe_set st.out 0
-      (Int64.logand
-         (Bigarray.Array1.unsafe_get st.out 0)
-         (Int64.logxor
-            (Bigarray.Array1.unsafe_get good nxt)
-            (Bigarray.Array1.unsafe_get st.out 4)));
-    cur := nxt
-  done
-
-(* --- wide (4-word) toggle and trace ------------------------------------- *)
-
+(* Valid vectors in 64-pattern sub-word [w] of a [count]-vector block. *)
 let[@inline] sub_count ~count w =
   let c = count - (w * 64) in
   if c <= 0 then 0 else if c >= 64 then 64 else c
 
-let sub_mask ~count w =
-  let c = count - (w * 64) in
-  if c <= 0 then 0L
-  else if c >= 64 then -1L
-  else Int64.sub (Int64.shift_left 1L c) 1L
-
 (* Cache the block's four valid masks in scratch (once per block per
-   scratch; the boxed [sub_mask] returns are off the per-fault path). *)
+   scratch; the boxed mask values are off the per-fault path). *)
 let set_vmasks st ~count =
   for w = 0 to 3 do
-    Bigarray.Array1.unsafe_set st.vmask w (sub_mask ~count w)
+    Bigarray.Array1.unsafe_set st.vmask w (valid_mask_of (sub_count ~count w))
   done
 
-(* 4-word stem-toggle: diff words accumulate in [st.out.{0..3}], one per
-   64-pattern sub-word of the 256-pattern block. *)
+(* Stem-toggle observability: simulate the stem forced to the complement of
+   its good value; the accumulated diff words in [st.out.{0..3}], one per
+   64-pattern sub-word, are exactly the patterns on which flipping the stem
+   is observable at a primary output.  The frontier dies on its own when
+   every evaluated node's masked diff is zero: a node whose value equals
+   the resident (= good) value is neither written nor propagated. *)
 let simulate_toggle4 st ~is_output ~(good : Kernel.words) stem =
   let k = st.kernel in
   st.stem_simulations <- st.stem_simulations + 1;
@@ -1517,7 +773,12 @@ let simulate_toggle4 st ~is_output ~(good : Kernel.words) stem =
   st.n_touched <- 0;
   st.cur_level <- 0
 
-(* 4-word critical-path trace; difference words land in [st.out.{0..3}]. *)
+(* Critical-path trace of one fault to its FFR stem: seed the local fault
+   effect, then walk the unique single-fanout chain, ANDing in each gate's
+   boolean difference with respect to the incoming line (one substituted
+   gate evaluation per step — exact inside an FFR, where side inputs always
+   carry good values).  The traced difference words land in
+   [st.out.{0..3}]; the caller ANDs them with the stem's observability. *)
 let trace_fault4 st ~(good : Kernel.words) (f : Stuck_at.t) =
   let k = st.kernel in
   let stuck_word = if Stuck_at.polarity_bool f.polarity then -1L else 0L in
@@ -1612,289 +873,11 @@ let stats_of_escratches ~drop_detected first_detection scratches =
             gate_evaluations = st.gate_evaluations;
             events = st.events;
             faults_inferred = st.faults_inferred;
-            faults_simulated = st.faults_simulated;
             stem_simulations = st.stem_simulations })
       Stats.zero scratches
   in
   { base with
     Stats.faults_dropped = dropped_of ~drop_detected first_detection }
-
-(* Event engine drivers: structurally the flat drivers with a resident
-   faulty buffer (one blit per scratch per block). *)
-let run_event ?(drop_detected = true) ?on_detect (c : Circuit.t) ~faults
-    ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let st = make_escratch k in
-  let is_output = output_map c in
-  let good = Kernel.create_words k in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    resident_reset st good;
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        simulate_fault_event st ~is_output ~good ~count faults.(fi);
-        if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-          (match first_detection.(fi) with
-          | None ->
-              record_first first_detection fi ~base
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | Some _ -> ());
-          (match on_detect with
-          | Some callback ->
-              fire_events callback ~base ~count ~fault_index:fi
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | None -> ());
-          if drop_detected then live.(fi) <- false
-        end
-      end
-    done
-  done;
-  {
-    faults;
-    first_detection;
-    vectors_applied = n_vectors;
-    gate_evaluations = st.gate_evaluations;
-    stats = stats_of_escratches ~drop_detected first_detection [| st |];
-  }
-
-let run_event_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
-    ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let shards = min (Parallel.size pool) n_faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let is_output = output_map c in
-  let scratches = Array.init shards (fun _ -> make_escratch k) in
-  let good = Kernel.create_words k in
-  let detect_words =
-    match on_detect with Some _ -> Array.make n_faults 0L | None -> [||]
-  in
-  let shard_bounds s = (s * n_faults / shards, (s + 1) * n_faults / shards) in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    let has_callback = match on_detect with Some _ -> true | None -> false in
-    Parallel.run pool ~tasks:shards (fun s ->
-        let st = scratches.(s) in
-        resident_reset st good;
-        let lo, hi = shard_bounds s in
-        for fi = lo to hi - 1 do
-          if live.(fi) then begin
-            simulate_fault_event st ~is_output ~good ~count faults.(fi);
-            if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-              (match first_detection.(fi) with
-              | None ->
-                  record_first first_detection fi ~base
-                    (Bigarray.Array1.unsafe_get st.out 0)
-              | Some _ -> ());
-              if has_callback then
-                detect_words.(fi) <- Bigarray.Array1.unsafe_get st.out 0;
-              if drop_detected then live.(fi) <- false
-            end
-          end
-        done);
-    match on_detect with
-    | Some callback ->
-        for fi = 0 to n_faults - 1 do
-          if detect_words.(fi) <> 0L then begin
-            fire_events callback ~base ~count ~fault_index:fi detect_words.(fi);
-            detect_words.(fi) <- 0L
-          end
-        done
-    | None -> ()
-  done;
-  let gate_evaluations =
-    Array.fold_left (fun acc st -> acc + st.gate_evaluations) 0 scratches
-  in
-  { faults; first_detection; vectors_applied = n_vectors; gate_evaluations;
-    stats = stats_of_escratches ~drop_detected first_detection scratches }
-
-(* Pruned engine drivers.  Per block: collect the set of FFR stems hosting a
-   live fault (deduplicated against [stamp]), compute one toggle
-   observability word per stem, then decide every live fault by trace AND
-   observability.  The parallel driver runs the same two phases with the
-   stem list and the fault array sharded contiguously; every stem is toggled
-   exactly once in both drivers, so counter totals match serially. *)
-let run_pruned ?(drop_detected = true) ?on_detect (c : Circuit.t) ~faults
-    ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let st = make_escratch k in
-  let is_output = output_map c in
-  let good = Kernel.create_words k in
-  let obs = Kernel.alloc (max 1 k.n_ffrs) in
-  let stamp = Array.make (max 1 k.n_ffrs) (-1) in
-  let needed = Array.make (max 1 k.n_ffrs) 0 in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    resident_reset st good;
-    let n_needed = ref 0 in
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        let si = k.ffr_index.(site_node faults.(fi)) in
-        if stamp.(si) <> block then begin
-          stamp.(si) <- block;
-          needed.(!n_needed) <- si;
-          incr n_needed
-        end
-      end
-    done;
-    for i = 0 to !n_needed - 1 do
-      let si = needed.(i) in
-      simulate_toggle st ~is_output ~good ~count k.ffr_stems.(si);
-      Bigarray.Array1.unsafe_set obs si (Bigarray.Array1.unsafe_get st.out 0)
-    done;
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        st.faults_inferred <- st.faults_inferred + 1;
-        trace_fault st ~good ~count faults.(fi);
-        Bigarray.Array1.unsafe_set st.out 0
-          (Int64.logand
-             (Bigarray.Array1.unsafe_get st.out 0)
-             (Bigarray.Array1.unsafe_get obs
-                (Array.unsafe_get k.ffr_index (site_node faults.(fi)))));
-        if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-          (match first_detection.(fi) with
-          | None ->
-              record_first first_detection fi ~base
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | Some _ -> ());
-          (match on_detect with
-          | Some callback ->
-              fire_events callback ~base ~count ~fault_index:fi
-                (Bigarray.Array1.unsafe_get st.out 0)
-          | None -> ());
-          if drop_detected then live.(fi) <- false
-        end
-      end
-    done
-  done;
-  {
-    faults;
-    first_detection;
-    vectors_applied = n_vectors;
-    gate_evaluations = st.gate_evaluations;
-    stats = stats_of_escratches ~drop_detected first_detection [| st |];
-  }
-
-let run_pruned_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
-    ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let shards = min (Parallel.size pool) n_faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let is_output = output_map c in
-  let scratches = Array.init shards (fun _ -> make_escratch k) in
-  let good = Kernel.create_words k in
-  let obs = Kernel.alloc (max 1 k.n_ffrs) in
-  let stamp = Array.make (max 1 k.n_ffrs) (-1) in
-  let needed = Array.make (max 1 k.n_ffrs) 0 in
-  let detect_words =
-    match on_detect with Some _ -> Array.make n_faults 0L | None -> [||]
-  in
-  let shard_bounds s = (s * n_faults / shards, (s + 1) * n_faults / shards) in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 63) / 64 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 64 in
-    let count = min 64 (n_vectors - base) in
-    Sim2.load_patterns k good vectors ~base ~count;
-    Sim2.run_flat k good;
-    let n_needed = ref 0 in
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        let si = k.ffr_index.(site_node faults.(fi)) in
-        if stamp.(si) <> block then begin
-          stamp.(si) <- block;
-          needed.(!n_needed) <- si;
-          incr n_needed
-        end
-      end
-    done;
-    (* Phase A: stem observability, stems sharded contiguously.  Workers
-       write disjoint [obs] slots; the pool barrier publishes them to
-       phase B. *)
-    if !n_needed > 0 then begin
-      let stem_shards = min shards !n_needed in
-      Parallel.run pool ~tasks:stem_shards (fun s ->
-          let st = scratches.(s) in
-          resident_reset st good;
-          let lo = s * !n_needed / stem_shards in
-          let hi = (s + 1) * !n_needed / stem_shards in
-          for i = lo to hi - 1 do
-            let si = needed.(i) in
-            simulate_toggle st ~is_output ~good ~count k.ffr_stems.(si);
-            Bigarray.Array1.unsafe_set obs si
-              (Bigarray.Array1.unsafe_get st.out 0)
-          done)
-    end;
-    (* Phase B: per-fault tracing (reads only [good] and [obs]). *)
-    let has_callback = match on_detect with Some _ -> true | None -> false in
-    Parallel.run pool ~tasks:shards (fun s ->
-        let st = scratches.(s) in
-        let lo, hi = shard_bounds s in
-        for fi = lo to hi - 1 do
-          if live.(fi) then begin
-            st.faults_inferred <- st.faults_inferred + 1;
-            trace_fault st ~good ~count faults.(fi);
-            Bigarray.Array1.unsafe_set st.out 0
-              (Int64.logand
-                 (Bigarray.Array1.unsafe_get st.out 0)
-                 (Bigarray.Array1.unsafe_get obs
-                    (Array.unsafe_get k.ffr_index (site_node faults.(fi)))));
-            if Bigarray.Array1.unsafe_get st.out 0 <> 0L then begin
-              (match first_detection.(fi) with
-              | None ->
-                  record_first first_detection fi ~base
-                    (Bigarray.Array1.unsafe_get st.out 0)
-              | Some _ -> ());
-              if has_callback then
-                detect_words.(fi) <- Bigarray.Array1.unsafe_get st.out 0;
-              if drop_detected then live.(fi) <- false
-            end
-          end
-        done);
-    match on_detect with
-    | Some callback ->
-        for fi = 0 to n_faults - 1 do
-          if detect_words.(fi) <> 0L then begin
-            fire_events callback ~base ~count ~fault_index:fi detect_words.(fi);
-            detect_words.(fi) <- 0L
-          end
-        done
-    | None -> ()
-  done;
-  let gate_evaluations =
-    Array.fold_left (fun acc st -> acc + st.gate_evaluations) 0 scratches
-  in
-  { faults; first_detection; vectors_applied = n_vectors; gate_evaluations;
-    stats = stats_of_escratches ~drop_detected first_detection scratches }
-
-(* Wide engine drivers: the pruned scheme over 256-pattern blocks.  Fault
-   dropping and event firing stay block-sequential — only the first
-   non-empty 64-pattern sub-word of a dropped fault is reported, which is
-   exactly what the 64-bit engines would have simulated. *)
 
 (* [obs4] must be annotated: an unannotated bigarray parameter generalizes
    to a polymorphic kind/layout, compiling every access through the generic
@@ -1909,134 +892,38 @@ let decide_wide st k (obs4 : Kernel.words) (f : Stuck_at.t) ~good =
          (Bigarray.Array1.unsafe_get obs4 (si4 + w)))
   done
 
-let run_wide ?(drop_detected = true) ?on_detect (c : Circuit.t) ~faults
-    ~vectors =
+(* The one wide driver, serial and pooled alike: [run_tasks ~tasks f] runs
+   [f 0 .. f (tasks - 1)] — in a loop on the calling domain, or over a
+   {!Parallel} pool of [workers].  Per block: collect the FFR stems hosting
+   a live fault (deduplicated against [stamp]); phase A computes one
+   observability word group per stem, stems sharded contiguously (workers
+   write disjoint [obs4] slots; the pool barrier publishes them); phase B
+   decides every live fault by trace AND observability, faults sharded
+   contiguously and fixed for the run.  Each fault index is written
+   ([first_detection], [live], its buffered detection words) only by its
+   owning worker, and events are replayed after the barrier in the serial
+   order, so the result — [stats] totals included, since every stem is
+   toggled exactly once per block — does not depend on [workers]. *)
+let run_wide ~drop_detected ~on_detect ~workers ~run_tasks (c : Circuit.t)
+    ~faults ~vectors =
   let k = Kernel.of_circuit c in
   let n_faults = Array.length faults in
-  let first_detection = Array.make n_faults None in
-  let live = Array.make n_faults true in
-  let st = make_escratch ~wide:true k in
-  let is_output = output_map c in
-  let good = Kernel.create_words4 k in
-  let obs4 = Kernel.alloc (4 * max 1 k.n_ffrs) in
-  let stamp = Array.make (max 1 k.n_ffrs) (-1) in
-  let needed = Array.make (max 1 k.n_ffrs) 0 in
-  (* [on_detect] contract: events fire in the serial 64-bit order — 64-pattern
-     sub-block major, fault index minor — so detections are buffered per fault
-     and replayed per sub-word after the block's fault loop. *)
-  let detect_words =
-    match on_detect with Some _ -> Array.make (4 * n_faults) 0L | None -> [||]
-  in
-  let has_callback = match on_detect with Some _ -> true | None -> false in
-  let n_vectors = Array.length vectors in
-  let n_blocks = (n_vectors + 255) / 256 in
-  for block = 0 to n_blocks - 1 do
-    let base = block * 256 in
-    let count = min 256 (n_vectors - base) in
-    Sim2.load_patterns4 k good vectors ~base ~count;
-    Sim2.run_flat4 k good;
-    resident_reset st good;
-    set_vmasks st ~count;
-    let n_needed = ref 0 in
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        let si = k.ffr_index.(site_node faults.(fi)) in
-        if stamp.(si) <> block then begin
-          stamp.(si) <- block;
-          needed.(!n_needed) <- si;
-          incr n_needed
-        end
-      end
-    done;
-    for i = 0 to !n_needed - 1 do
-      let si = needed.(i) in
-      simulate_toggle4 st ~is_output ~good k.ffr_stems.(si);
-      for w = 0 to 3 do
-        Bigarray.Array1.unsafe_set obs4 ((si * 4) + w)
-          (Bigarray.Array1.unsafe_get st.out w)
-      done
-    done;
-    for fi = 0 to n_faults - 1 do
-      if live.(fi) then begin
-        st.faults_inferred <- st.faults_inferred + 1;
-        decide_wide st k obs4 faults.(fi) ~good;
-        if drop_detected then begin
-          let w = ref 0 in
-          while
-            !w < 4 && Bigarray.Array1.unsafe_get st.out !w = 0L
-          do
-            incr w
-          done;
-          if !w < 4 then begin
-            (match first_detection.(fi) with
-            | None ->
-                record_first first_detection fi ~base:(base + (!w * 64))
-                  (Bigarray.Array1.unsafe_get st.out !w)
-            | Some _ -> ());
-            if has_callback then
-              detect_words.((fi * 4) + !w) <-
-                Bigarray.Array1.unsafe_get st.out !w;
-            live.(fi) <- false
-          end
-        end
-        else
-          (* No let-binding of the word: a binding with a boxed use (the
-             [record_first] argument, the array store) would box on every
-             iteration, detected or not. *)
-          for w = 0 to 3 do
-            if Bigarray.Array1.unsafe_get st.out w <> 0L then begin
-              (match first_detection.(fi) with
-              | None ->
-                  record_first first_detection fi ~base:(base + (w * 64))
-                    (Bigarray.Array1.unsafe_get st.out w)
-              | Some _ -> ());
-              if has_callback then
-                detect_words.((fi * 4) + w) <-
-                  Bigarray.Array1.unsafe_get st.out w
-            end
-          done
-      end
-    done;
-    (match on_detect with
-    | Some callback ->
-        for w = 0 to 3 do
-          for fi = 0 to n_faults - 1 do
-            let dw = detect_words.((fi * 4) + w) in
-            if dw <> 0L then begin
-              fire_events callback ~base:(base + (w * 64))
-                ~count:(sub_count ~count w) ~fault_index:fi dw;
-              detect_words.((fi * 4) + w) <- 0L
-            end
-          done
-        done
-    | None -> ())
-  done;
-  {
-    faults;
-    first_detection;
-    vectors_applied = n_vectors;
-    gate_evaluations = st.gate_evaluations;
-    stats = stats_of_escratches ~drop_detected first_detection [| st |];
-  }
-
-let run_wide_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
-    ~vectors =
-  let k = Kernel.of_circuit c in
-  let n_faults = Array.length faults in
-  let shards = min (Parallel.size pool) n_faults in
+  let shards = min workers n_faults in
   let first_detection = Array.make n_faults None in
   let live = Array.make n_faults true in
   let is_output = output_map c in
-  let scratches = Array.init shards (fun _ -> make_escratch ~wide:true k) in
+  let scratches = Array.init shards (fun _ -> make_escratch k) in
   let good = Kernel.create_words4 k in
   let obs4 = Kernel.alloc (4 * max 1 k.n_ffrs) in
   let stamp = Array.make (max 1 k.n_ffrs) (-1) in
   let needed = Array.make (max 1 k.n_ffrs) 0 in
   (* Four buffered words per fault; a dropped fault stores only its first
-     non-empty sub-word, so the replay below reproduces the serial stream. *)
+     non-empty sub-word, so the replay below reproduces the 64-pattern
+     stream. *)
   let detect_words =
     match on_detect with Some _ -> Array.make (4 * n_faults) 0L | None -> [||]
   in
+  let has_callback = match on_detect with Some _ -> true | None -> false in
   let shard_bounds s = (s * n_faults / shards, (s + 1) * n_faults / shards) in
   let n_vectors = Array.length vectors in
   let n_blocks = (n_vectors + 255) / 256 in
@@ -2059,7 +946,7 @@ let run_wide_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
     done;
     if !n_needed > 0 then begin
       let stem_shards = min shards !n_needed in
-      Parallel.run pool ~tasks:stem_shards (fun s ->
+      run_tasks ~tasks:stem_shards (fun s ->
           let st = scratches.(s) in
           resident_reset st good;
           let lo = s * !n_needed / stem_shards in
@@ -2073,20 +960,20 @@ let run_wide_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
             done
           done)
     end;
-    let has_callback = match on_detect with Some _ -> true | None -> false in
-    Parallel.run pool ~tasks:shards (fun s ->
+    run_tasks ~tasks:shards (fun s ->
         let st = scratches.(s) in
         let lo, hi = shard_bounds s in
         for fi = lo to hi - 1 do
           if live.(fi) then begin
             st.faults_inferred <- st.faults_inferred + 1;
             decide_wide st k obs4 faults.(fi) ~good;
-            if drop_detected then begin
-              let w = ref 0 in
-              while !w < 4 && Bigarray.Array1.unsafe_get st.out !w = 0L do
-                incr w
-              done;
-              if !w < 4 then begin
+            (* Sub-words in order; a dropped fault stops at its first
+               detecting one.  No let-binding of the word: a binding with a
+               boxed use (the [record_first] argument, the array store)
+               would box on every iteration, detected or not. *)
+            let w = ref 0 in
+            while !w < 4 do
+              if Bigarray.Array1.unsafe_get st.out !w <> 0L then begin
                 (match first_detection.(fi) with
                 | None ->
                     record_first first_detection fi ~base:(base + (!w * 64))
@@ -2095,25 +982,16 @@ let run_wide_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
                 if has_callback then
                   detect_words.((fi * 4) + !w) <-
                     Bigarray.Array1.unsafe_get st.out !w;
-                live.(fi) <- false
-              end
-            end
-            else
-              for w = 0 to 3 do
-                if Bigarray.Array1.unsafe_get st.out w <> 0L then begin
-                  (match first_detection.(fi) with
-                  | None ->
-                      record_first first_detection fi ~base:(base + (w * 64))
-                        (Bigarray.Array1.unsafe_get st.out w)
-                  | Some _ -> ());
-                  if has_callback then
-                    detect_words.((fi * 4) + w) <-
-                      Bigarray.Array1.unsafe_get st.out w
+                if drop_detected then begin
+                  live.(fi) <- false;
+                  w := 4
                 end
-              done
+              end;
+              incr w
+            done
           end
         done);
-    (* replay in the serial 64-bit order: sub-block major, fault minor *)
+    (* replay in the 64-pattern order: sub-word major, fault minor *)
     match on_detect with
     | Some callback ->
         for w = 0 to 3 do
@@ -2136,53 +1014,50 @@ let run_wide_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
 
 (* --- engine dispatch ------------------------------------------------------ *)
 
-let run_with ~engine ?(drop_detected = true) ?on_detect (c : Circuit.t) ~faults
-    ~vectors =
+let serial_tasks ~tasks f =
+  for s = 0 to tasks - 1 do
+    f s
+  done
+
+(* Unvalidated entry points: [run_ndet] validates once and then calls these
+   once per chunk. *)
+let run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors =
   match engine with
   | Reference -> Reference.run ~drop_detected ?on_detect c ~faults ~vectors
-  | Flat -> run ~drop_detected ?on_detect c ~faults ~vectors
-  | Event -> run_event ~drop_detected ?on_detect c ~faults ~vectors
-  | Pruned -> run_pruned ~drop_detected ?on_detect c ~faults ~vectors
-  | Wide -> run_wide ~drop_detected ?on_detect c ~faults ~vectors
+  | Wide ->
+      run_wide ~drop_detected ~on_detect ~workers:1 ~run_tasks:serial_tasks c
+        ~faults ~vectors
 
-let run_parallel_with ~engine ?(drop_detected = true) ?on_detect ?domains ?pool
-    c ~faults ~vectors =
+let run_pooled ~engine ~drop_detected ~on_detect ?domains ?pool c ~faults
+    ~vectors =
   match engine with
   | Reference ->
       Reference.run_parallel ~drop_detected ?on_detect ?domains ?pool c ~faults
         ~vectors
-  | Flat ->
-      run_parallel ~drop_detected ?on_detect ?domains ?pool c ~faults ~vectors
-  | Event | Pruned | Wide ->
-      if Array.length faults = 0 then
-        { faults; first_detection = [||];
-          vectors_applied = Array.length vectors; gate_evaluations = 0;
-          stats = Stats.zero }
-      else
-        let in_pool =
-          match engine with
-          | Event -> run_event_in_pool
-          | Pruned -> run_pruned_in_pool
-          | _ -> run_wide_in_pool
-        in
-        let serial =
-          match engine with
-          | Event -> run_event
-          | Pruned -> run_pruned
-          | _ -> run_wide
-        in
-        let dispatch pool =
-          if Parallel.size pool = 1 then
-            serial ~drop_detected ?on_detect c ~faults ~vectors
-          else in_pool ~drop_detected ~on_detect pool c ~faults ~vectors
-        in
-        (match pool with
-        | Some pool -> dispatch pool
-        | None ->
-            let domains =
-              Option.map (fun d -> max 1 (min d (Array.length faults))) domains
-            in
-            Parallel.with_pool ?domains dispatch)
+  | Wide ->
+      on_pool ~domains ~pool ~faults ~vectors
+        ~serial:(fun () ->
+          run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors)
+        ~in_pool:(fun pool ->
+          run_wide ~drop_detected ~on_detect ~workers:(Parallel.size pool)
+            ~run_tasks:(Parallel.run pool) c ~faults ~vectors)
+
+let run_with ~engine ?(drop_detected = true) ?on_detect c ~faults ~vectors =
+  check_faults c faults;
+  run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors
+
+let run_parallel_with ~engine ?(drop_detected = true) ?on_detect ?domains ?pool
+    c ~faults ~vectors =
+  check_faults c faults;
+  run_pooled ~engine ~drop_detected ~on_detect ?domains ?pool c ~faults
+    ~vectors
+
+let run ?drop_detected ?on_detect c ~faults ~vectors =
+  run_with ~engine:Wide ?drop_detected ?on_detect c ~faults ~vectors
+
+let run_parallel ?drop_detected ?on_detect ?domains ?pool c ~faults ~vectors =
+  run_parallel_with ~engine:Wide ?drop_detected ?on_detect ?domains ?pool c
+    ~faults ~vectors
 
 let detected_count r =
   Array.fold_left
@@ -2234,10 +1109,11 @@ type ndet = {
    performance optimisation, never a semantic one, so at [drop_after:1] the
    recorded first detections are bit-identical to [run ~drop_detected:true]
    for every engine. *)
-let run_ndet ?(engine = Flat) ?domains ?pool ?on_detect ~drop_after
+let run_ndet ?(engine = Wide) ?domains ?pool ?on_detect ~drop_after
     (c : Circuit.t) ~faults ~vectors =
   if drop_after < 1 then
     invalid_arg "Fault_sim.run_ndet: drop_after must be >= 1";
+  check_faults c faults;
   let n_faults = Array.length faults in
   let n_vectors = Array.length vectors in
   let counts = Array.make n_faults 0 in
@@ -2246,7 +1122,7 @@ let run_ndet ?(engine = Flat) ?domains ?pool ?on_detect ~drop_after
   let gate_evaluations = ref 0 in
   (* chunk at the engine's native block width so the live set is refreshed
      exactly where the dropping engines refresh theirs *)
-  let chunk_width = match engine with Wide -> 256 | _ -> 64 in
+  let chunk_width = match engine with Wide -> 256 | Reference -> 64 in
   let run_chunk pool_opt ~live ~base ~count =
     let sub_faults = Array.map (fun i -> faults.(i)) live in
     let sub_vectors = Array.sub vectors base count in
@@ -2265,12 +1141,13 @@ let run_ndet ?(engine = Flat) ?domains ?pool ?on_detect ~drop_after
     let r =
       match pool_opt with
       | Some pool ->
-          run_parallel_with ~engine ~drop_detected:false
-            ~on_detect:on_detect_sub ~pool c ~faults:sub_faults
+          run_pooled ~engine ~drop_detected:false
+            ~on_detect:(Some on_detect_sub) ~pool c ~faults:sub_faults
             ~vectors:sub_vectors
       | None ->
-          run_with ~engine ~drop_detected:false ~on_detect:on_detect_sub c
-            ~faults:sub_faults ~vectors:sub_vectors
+          run_serial ~engine ~drop_detected:false
+            ~on_detect:(Some on_detect_sub) c ~faults:sub_faults
+            ~vectors:sub_vectors
     in
     stats := Stats.add !stats r.stats;
     gate_evaluations := !gate_evaluations + r.gate_evaluations

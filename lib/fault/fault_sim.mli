@@ -1,27 +1,38 @@
 (** Parallel-pattern single-fault-propagation (PPSFP) stuck-at fault
-    simulation: 64 test vectors per pass, cone-limited faulty-value
-    propagation, optional fault dropping.
+    simulation with optional fault dropping: one production engine
+    ([Wide]: 256 test vectors per pass, fanout-free-region inference) and
+    the retained explicit-propagation oracle it is pinned against
+    ({!Reference}: 64 vectors per pass).
 
-    This produces the [T(k)] data of the paper's Fig. 4/5 at gate level. *)
+    This produces the [T(k)] data of the paper's Fig. 4/5 at gate level.
+
+    Every entry point validates its fault list before simulating: a stem id
+    outside [[0, node_count)], a branch on a node outside that range, or a
+    branch pin not below its gate's fanin count raises [Invalid_argument]
+    with a one-line message naming the fault. *)
 
 open Dl_netlist
 
 (** Per-run engine counters, for performance accounting ([--sim-stats],
-    bench JSON).  Counter semantics are engine-specific by design — e.g. the
-    pruned engines simulate stems instead of faults — but detection results
-    never are. *)
+    bench JSON).  Counter semantics are engine-specific by design — [Wide]
+    toggles stems instead of simulating faults — but detection results
+    never are.  [Reference] reports only [gate_evaluations] and
+    [faults_dropped]. *)
 module Stats : sig
   type t = {
     gate_evaluations : int;
         (** Faulty-machine gate evaluations, in 64-pattern units (a wide
             4-word gate fetch counts 4). *)
-    events : int;  (** Worklist pops in the event-driven engines. *)
+    events : int;  (** Worklist pops in [Wide]'s stem-toggle simulations. *)
     faults_inferred : int;
         (** Fault/block decisions made by FFR critical-path tracing. *)
     faults_simulated : int;
-        (** Fault/block decisions made by explicit propagation. *)
+        (** Always 0: no engine decides faults by counted per-fault
+            propagation any more.  Kept because the cached detection and
+            n-detect profile artifacts serialize all six counters, and
+            dropping one would change the codec and so every stage key. *)
     stem_simulations : int;
-        (** Stem-toggle observability simulations (pruned engines). *)
+        (** Stem-toggle observability simulations ([Wide]). *)
     faults_dropped : int;
         (** Faults retired by fault dropping (= detected faults when
             [drop_detected], 0 otherwise). *)
@@ -44,21 +55,18 @@ type result = {
   stats : Stats.t;                 (** Engine counters for this run. *)
 }
 
-(** PPSFP engine variants.  All five produce bit-identical [faults],
+(** PPSFP engines.  Both produce bit-identical [faults],
     [first_detection], [vectors_applied], and [on_detect] event streams on
     the same inputs; they differ only in speed and in counter semantics:
 
-    - [Reference]: pre-kernel allocating engine (the oracle).
-    - [Flat]: PR 2 flat-kernel engine — what {!run} dispatches to.
-      [gate_evaluations] matches [Reference] exactly.
-    - [Event]: resident-faulty incremental engine; scheduling decisions
-      (and hence [gate_evaluations]) identical to [Flat], but fanin reads
-      skip the touched-overlay branch.
-    - [Pruned]: fanout-free-region inference — per block, one stem-toggle
-      simulation per region hosting a live fault plus one critical-path
-      trace per fault; no per-fault propagation at all.
-    - [Wide]: [Pruned] over 256-pattern (4-word) blocks. *)
-type engine = Reference | Flat | Event | Pruned | Wide
+    - [Reference]: the allocating explicit-propagation engine, 64 vectors
+      per pass (the oracle; also {!Reference.run}).
+    - [Wide]: the production engine — what {!run} and {!run_parallel}
+      dispatch to.  Per 256-vector block, one stem-toggle simulation per
+      fanout-free region hosting a live fault plus one critical-path trace
+      per fault; no per-fault propagation at all.  Allocation-free in
+      steady state. *)
+type engine = Reference | Wide
 
 val engines : engine list
 (** All variants, [Reference] first. *)
@@ -80,10 +88,9 @@ val run :
     [on_detect], which fires once per fault/vector detection event in
     increasing vector order per fault).
 
-    Runs on the flat {!Dl_netlist.Kernel} engine: the circuit is lowered
-    once into CSR int arrays and every per-gate operation in the hot loop is
-    allocation-free.  Results are bit-for-bit identical to
-    {!Reference.run}. *)
+    Runs the [Wide] engine ([run_with ~engine:Wide]) on the circuit
+    lowered once into {!Dl_netlist.Kernel} CSR int arrays.  Results are
+    bit-for-bit identical to {!Reference.run}. *)
 
 val run_parallel :
   ?drop_detected:bool ->
@@ -103,22 +110,22 @@ val run_parallel :
     read-only, and per-fault results are merged back in fault-index order.
 
     The result is bit-for-bit identical to [run] on the same inputs:
-    [first_detection] and [gate_evaluations] are equal, and [on_detect]
-    fires the same events in the same order (events are buffered per block
-    and replayed in increasing fault index, which is the serial order).
-    The callback runs in the calling domain only.
+    [first_detection] and [stats] are equal, and [on_detect] fires the same
+    events in the same order (events are buffered per block and replayed
+    in the serial order).  The callback runs in the calling domain only.
 
     Degenerate inputs are first-class: an empty fault universe returns
     immediately (no good-machine simulation); a [domains] request wider
     than the fault universe is clamped before any domain is spawned (and a
     caller-supplied [pool] wider than the universe is sharded at one fault
-    per worker, surplus workers idle); single-pattern / 1..63-vector tail
-    blocks behave identically to [run]. *)
+    per worker, surplus workers idle); ragged tail blocks behave
+    identically to [run]. *)
 
 (** The pre-kernel PPSFP engine, retained verbatim as the oracle for
-    property-testing the flat-kernel engine (and as the baseline for the
-    old-vs-new benchmark sections).  Same semantics, same signatures;
-    allocates per gate evaluation. *)
+    property-testing [Wide] (and as the baseline of the bench's kernel
+    section).  Same semantics, same signatures; allocates per gate
+    evaluation.  Does not validate its fault list ({!run_with}
+    [~engine:Reference] does). *)
 module Reference : sig
   val run :
     ?drop_detected:bool ->
@@ -147,9 +154,9 @@ val run_with :
   faults:Stuck_at.t array ->
   vectors:bool array array ->
   result
-(** [run] under an explicit engine variant ([run_with ~engine:Flat] = [run]).
+(** [run] under an explicit engine ([run_with ~engine:Wide] = [run]).
     Detection results are engine-independent; see {!engine} for the counter
-    contract per variant. *)
+    contract per engine. *)
 
 val run_parallel_with :
   engine:engine ->
@@ -161,11 +168,11 @@ val run_parallel_with :
   faults:Stuck_at.t array ->
   vectors:bool array array ->
   result
-(** [run_parallel] under an explicit engine variant.  Bit-identical to
+(** [run_parallel] under an explicit engine.  Bit-identical to
     [run_with ~engine] on the same inputs regardless of worker count —
-    including [stats] totals: the pruned engines toggle each needed stem
-    exactly once per block in a separate phase before fault tracing, so
-    sharding never changes what work is done, only who does it. *)
+    including [stats] totals: [Wide] toggles each needed stem exactly once
+    per block in a separate phase before fault tracing, so sharding never
+    changes what work is done, only who does it. *)
 
 val lowest_set_bit : int64 -> int option
 (** Index (0-63) of the least-significant set bit, [None] for [0L].
@@ -225,9 +232,10 @@ val run_ndet :
     detections and an identical counted [on_detect] event stream.
     [on_detect] fires only for counted detections (at most [drop_after] per
     fault), in the underlying engine's replay order with chunk-global
-    vector indices.  [engine] defaults to [Flat]; [domains]/[pool] select
+    vector indices.  [engine] defaults to [Wide]; [domains]/[pool] select
     the parallel path (one pool is created up front and reused across all
-    chunks).  Raises [Invalid_argument] if [drop_after < 1]. *)
+    chunks).  Raises [Invalid_argument] if [drop_after < 1] or a fault is
+    out of range. *)
 
 val ndet_kth_detection : ndet -> k:int -> int option array
 (** Vector index of each fault's k-th detection (1-based [k]), [None] where

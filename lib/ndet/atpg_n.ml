@@ -30,7 +30,7 @@ let vector_key (v : bool array) =
 (* Full (no-drop) detection lists per vector: which fault indices each
    vector detects.  The O(faults * vectors) cost is what makes the greedy
    pass below exact rather than heuristic. *)
-let detection_lists ?(engine = Fault_sim.Flat) c ~faults ~vectors =
+let detection_lists ?(engine = Fault_sim.Wide) c ~faults ~vectors =
   let per_vector = Array.make (Array.length vectors) [] in
   let totals = Array.make (Array.length faults) 0 in
   if Array.length faults > 0 && Array.length vectors > 0 then
@@ -70,7 +70,7 @@ let compact_ndet ?engine (c : Circuit.t) ~faults ~vectors ~n =
   (Array.of_list !kept, Array.map (fun k -> min n k) kept_counts)
 
 let run ?(seed = 7) ?(max_random = 4096) ?(stale_limit = 512)
-    ?(backtrack_limit = 10_000) ?(engine = Fault_sim.Flat) ~n (c : Circuit.t)
+    ?(backtrack_limit = 10_000) ?(engine = Fault_sim.Wide) ~n (c : Circuit.t)
     ~faults =
   if n < 1 then invalid_arg "Atpg_n.run: n must be >= 1";
   if max_random < 0 then invalid_arg "Atpg_n.run: negative max_random";

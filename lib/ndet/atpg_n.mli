@@ -52,7 +52,7 @@ val run :
     drives both the random phase and the perturbation search; [max_random]
     (default 4096) caps the random prefix; [stale_limit] (default 512) stops
     the random phase after that many consecutive vectors without a counted
-    detection; [engine] (default [Flat]) selects the simulation engine used
+    detection; [engine] (default [Wide]) selects the simulation engine used
     throughout.  At [n:1] the structure matches the single-detection flow:
     the quota-preserving compaction preserves plain coverage exactly.
     Raises [Invalid_argument] if [n < 1]. *)

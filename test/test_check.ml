@@ -64,7 +64,7 @@ let test_harness_unknown_check () =
 
 let test_registry_is_consistent () =
   let names = Oracle.names () in
-  Alcotest.(check int) "twenty-six checks" 26 (List.length names);
+  Alcotest.(check int) "twenty-three checks" 23 (List.length names);
   List.iter
     (fun n ->
       match Oracle.find n with
@@ -206,6 +206,39 @@ let test_podem_reference_repro () =
       Alcotest.(check string) "replayed check" "podem-reference" name;
       Alcotest.(check bool) "no longer failing" true (verdict = None))
 
+(* A repro file brings its fault list in from disk, so a hand-edited or
+   stale one can name a pin its gate does not have.  Replaying it must fail
+   with the simulator's one-line Invalid_argument, never judge the fault. *)
+let test_out_of_range_repro () =
+  with_tmp_dir "range" (fun dir ->
+      let case = Testcase.generate ~seed:11 ~gates:20 ~n_vectors:9 () in
+      let c = case.Testcase.circuit in
+      let gate = c.Circuit.outputs.(0) in
+      let pin = Array.length c.Circuit.nodes.(gate).Circuit.fanin + 3 in
+      let bad =
+        { Dl_fault.Stuck_at.site = Dl_fault.Stuck_at.Branch { gate; pin };
+          polarity = Dl_fault.Stuck_at.Sa0 }
+      in
+      let case = Testcase.with_faults case (Array.append case.faults [| bad |]) in
+      let path =
+        Testcase.save_repro ~dir ~name:"range" ~check:"fault-sim" ~message:"m"
+          case
+      in
+      match Harness.replay (Testcase.load_repro path) with
+      | _ -> Alcotest.fail "out-of-range pin was judged"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) "one line" false (String.contains msg '\n');
+          Alcotest.(check bool)
+            (Printf.sprintf "names the pin: %s" msg)
+            true
+            (let sub = Printf.sprintf ".in%d" pin in
+             let n = String.length sub in
+             let rec at i =
+               i + n <= String.length msg
+               && (String.sub msg i n = sub || at (i + 1))
+             in
+             at 0))
+
 (* --- mutation self-test ----------------------------------------------------- *)
 
 let test_mutation_self_test () =
@@ -290,6 +323,8 @@ let () =
           Alcotest.test_case "save/load/replay" `Quick test_repro_roundtrip;
           Alcotest.test_case "swift-reference replays" `Quick test_swift_reference_repro;
           Alcotest.test_case "podem-reference replays" `Quick test_podem_reference_repro;
+          Alcotest.test_case "out-of-range fault rejected on replay" `Quick
+            test_out_of_range_repro;
         ] );
       ( "self-test",
         [

@@ -651,7 +651,62 @@ let test_stage_keys_engine_sensitivity () =
             Alcotest.failf "%s key did not change across engine variants"
               stage)
         [ "fault-sim"; "projection" ])
-    Dl_fault.Fault_sim.[ Reference; Flat; Event; Pruned ]
+    Dl_fault.Fault_sim.[ Reference ]
+
+let test_stage_keys_pinned () =
+  (* The literal keys of the default config (engine "wide") for two
+     circuits, plain and with each optional stage.  They digest codec kinds
+     and versions, stage configs and the circuit content, so any drift — an
+     engine rename, a codec bump, a new config field — fails here in tier 1
+     before the end-to-end goldens would catch it.  The same digests name
+     every artifact already in a user's store. *)
+  let pinned (c : Dl_netlist.Circuit.t) ~core ~ndet ~bootstrap ~mc =
+    let check variant cfg extra =
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "%s %s stage keys" c.title variant)
+        (core @ extra) (Experiment.stage_keys cfg)
+    in
+    check "plain" (Experiment.config c) [];
+    check "ndet" (Experiment.config ~ndet:4 c) ndet;
+    check "bootstrap" (Experiment.config ~bootstrap:20 c) [ bootstrap ];
+    check "mc" (Experiment.config ~mc:(Experiment.mc ~dies:512 ()) c) [ mc ]
+  in
+  pinned (Dl_netlist.Benchmarks.c17 ())
+    ~core:
+      [
+        ("mapping", "0b93f7bd357e59bbfff995dd02498d2b");
+        ("atpg", "61650224d6e954e0779c1f94cd9f0c29");
+        ("fault-universe", "610c4ae3acd29713161387ae79b7ce4b");
+        ("fault-sim", "de8bfe0e4b00ae6cc0118e1866947ad3");
+        ("layout-ifa", "4811eb120aab4a0464c8a5ad2aef2049");
+        ("swift", "6346568bb16cc704dc9d72bee01ebd63");
+        ("projection", "50adb87e235effee9be6c403cf6110d4");
+      ]
+    ~ndet:
+      [
+        ("ndet-sim", "e857bad5d2dc7f1e3f9373b9b5744bb0");
+        ("ndet-atpg", "442ae8c55fd5e4ad54083bcfc26964c2");
+      ]
+    ~bootstrap:("bootstrap-fit", "ed0aebdaf51fbb7b37a4fe9db23fc5d7")
+    ~mc:("wafer-mc", "cf32def2176a2fae550206762d457e1d");
+  pinned (Dl_netlist.Benchmarks.c432s_small ())
+    ~core:
+      [
+        ("mapping", "13e7210fd7bb22a8387c1bc8e4a4ecff");
+        ("atpg", "81530c21e0e81189eb718c24cfea21ce");
+        ("fault-universe", "e7ac7b9442f6145472e3361ec05c8370");
+        ("fault-sim", "175ad01022bb16364d1bec909733df45");
+        ("layout-ifa", "b1387cf35575b47ca81943c916e957aa");
+        ("swift", "f6563667699d58f9adbead340a5ec4e4");
+        ("projection", "341803eeedf6438d1ce4e64797918074");
+      ]
+    ~ndet:
+      [
+        ("ndet-sim", "0f295f4fab70084932eaca45a12dbb24");
+        ("ndet-atpg", "84f014426fefa95bb98c0158d2b2e431");
+      ]
+    ~bootstrap:("bootstrap-fit", "fe0ace400a623e06f66a7b6178a4371a")
+    ~mc:("wafer-mc", "6545576592df2e29291dcabb9203a8e4")
 
 let test_serve_loopback_oracle_registered () =
   match Dl_check.Oracle.find "serve-loopback" with
@@ -1025,6 +1080,8 @@ let () =
             test_stage_keys_match_run_reports;
           Alcotest.test_case "fault-sim key digests the engine variant"
             `Quick test_stage_keys_engine_sensitivity;
+          Alcotest.test_case "default-config keys pinned" `Quick
+            test_stage_keys_pinned;
           Alcotest.test_case "loopback oracle registered and passing" `Slow
             test_serve_loopback_oracle_registered;
         ] );
