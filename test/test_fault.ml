@@ -333,6 +333,84 @@ let prop_parallel_equals_serial =
         ~drop_detected;
       true)
 
+(* --- Default kernel (Fault_sim.run) vs reference ------------------------------- *)
+
+let check_kernel_matches_reference ~what c ~faults ~vectors ~drop_detected =
+  let new_r, new_events =
+    run_collecting (fun ~on_detect ->
+        Fault_sim.run ~drop_detected ~on_detect c ~faults ~vectors)
+  in
+  let ref_r, ref_events =
+    run_collecting (fun ~on_detect ->
+        Fault_sim.Reference.run ~drop_detected ~on_detect c ~faults ~vectors)
+  in
+  if new_r.Fault_sim.first_detection <> ref_r.Fault_sim.first_detection then
+    Alcotest.failf "%s: first_detection differs from reference (drop=%b)" what
+      drop_detected;
+  if new_events <> ref_events then
+    Alcotest.failf "%s: on_detect event sequence differs from reference (drop=%b)"
+      what drop_detected;
+  (* the default entry point is the wide kernel: same work, same counters *)
+  let wide =
+    Fault_sim.run_with ~engine:Fault_sim.Wide ~drop_detected c ~faults ~vectors
+  in
+  if new_r.Fault_sim.gate_evaluations <> wide.Fault_sim.gate_evaluations then
+    Alcotest.failf "%s: gate_evaluations %d vs wide engine %d (drop=%b)" what
+      new_r.Fault_sim.gate_evaluations wide.Fault_sim.gate_evaluations
+      drop_detected;
+  if new_r.Fault_sim.stats <> wide.Fault_sim.stats then
+    Alcotest.failf "%s: stats differ from the wide engine (drop=%b)" what
+      drop_detected
+
+let test_kernel_matches_reference () =
+  List.iter
+    (fun name ->
+      let c = Option.get (Benchmarks.by_name name) in
+      let faults = Stuck_at.universe c in
+      let vectors = random_vectors c 100 in
+      List.iter
+        (fun drop_detected ->
+          check_kernel_matches_reference ~what:name c ~faults ~vectors
+            ~drop_detected)
+        [ true; false ])
+    [ "c17"; "mux3"; "add8"; "c432s_small" ]
+
+let test_kernel_matches_reference_tail_blocks () =
+  (* valid_mask handling: every tail length 1..63 plus exact multiples *)
+  let c = Benchmarks.c17 () in
+  let faults = Stuck_at.universe c in
+  let all = random_vectors c 130 in
+  List.iter
+    (fun n ->
+      let vectors = Array.sub all 0 n in
+      check_kernel_matches_reference ~what:(Printf.sprintf "c17/%d vectors" n) c
+        ~faults ~vectors ~drop_detected:false)
+    [ 1; 2; 31; 63; 64; 65; 127; 128; 129 ]
+
+let prop_kernel_equals_reference =
+  (* Random circuits, irregular fault subsets, random vector counts and both
+     dropping modes: the default kernel must be indistinguishable from the
+     reference engine in detections and event streams. *)
+  QCheck.Test.make ~name:"kernel engine = reference on random circuits" ~count:30
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 130) bool)
+    (fun (seed, n_vectors, drop_detected) ->
+      let c =
+        Dl_netlist.Generator.random ~seed ~inputs:(4 + (seed mod 5)) ~outputs:3
+          ~profile:
+            [ (Dl_netlist.Gate.Nand, 12); (Dl_netlist.Gate.Nor, 6);
+              (Dl_netlist.Gate.Xor, 4); (Dl_netlist.Gate.Not, 4) ]
+          ()
+      in
+      let universe = Stuck_at.universe c in
+      let faults =
+        Array.of_list
+          (List.filteri (fun i _ -> (i + seed) mod 4 <> 1) (Array.to_list universe))
+      in
+      let vectors = random_vectors c n_vectors in
+      check_kernel_matches_reference ~what:"random" c ~faults ~vectors
+        ~drop_detected;
+      true)
+
 (* --- Engines vs reference ------------------------------------------------------ *)
 
 let nonref_engines =
@@ -451,10 +529,7 @@ let test_parallel_with_matches_serial () =
     nonref_engines
 
 let prop_engines_equal_reference =
-  (* Random circuits, irregular fault subsets, random vector counts and both
-     dropping modes: every engine must be indistinguishable from the
-     reference in detections and event streams. *)
-  QCheck.Test.make ~name:"every engine = reference on random circuits" ~count:50
+  QCheck.Test.make ~name:"every engine = reference on random circuits" ~count:25
     QCheck.(
       quad (int_range 0 1_000_000) (int_range 1 300)
         (int_range 0 (List.length Fault_sim.engines - 1))
@@ -1056,6 +1131,9 @@ let () =
         ] );
       ( "kernel",
         [
+          Alcotest.test_case "kernel = reference" `Slow test_kernel_matches_reference;
+          Alcotest.test_case "tail blocks" `Quick
+            test_kernel_matches_reference_tail_blocks;
           Alcotest.test_case "hot path allocation-free" `Quick
             test_kernel_hot_path_allocation_free;
           Alcotest.test_case "lowest_set_bit" `Quick test_lowest_set_bit;
@@ -1103,6 +1181,7 @@ let () =
             prop_make_equals_reference;
             prop_sort_packed_equals_stdlib;
             prop_parallel_equals_serial;
+            prop_kernel_equals_reference;
             prop_engines_equal_reference;
           ] );
     ]
