@@ -274,12 +274,27 @@ let rec remove_tree path =
     end
     else Sys.remove path
 
+(* The closure of each core stage, in stage-key order: written out from
+   the paper's flow, independently of the table that derives it. *)
+let core_closures =
+  let sim = [ "mapping"; "atpg"; "fault-universe"; "fault-sim" ] in
+  [
+    ("mapping", [ "mapping" ]);
+    ("atpg", [ "mapping"; "atpg" ]);
+    ("fault-universe", [ "mapping"; "atpg"; "fault-universe" ]);
+    ("fault-sim", sim);
+    ("layout-ifa", [ "mapping"; "layout-ifa" ]);
+    ("swift", [ "mapping"; "atpg"; "layout-ifa"; "swift" ]);
+    ("projection", sim @ [ "layout-ifa"; "swift"; "projection" ]);
+  ]
+
 let experiment_cache ~seed =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dlcheck-cache-%d-%d" (Unix.getpid ()) (abs seed))
   in
+  let stage_dir = Filename.concat dir "run-stage" in
   Fun.protect
     ~finally:(fun () -> try remove_tree dir with Sys_error _ -> ())
     (fun () ->
@@ -312,7 +327,31 @@ let experiment_cache ~seed =
         failf "cold cached run: expected every stage to Miss"
       else if not (outcomes warm Stage.Hit) then
         failf "warm cached run: expected every stage to Hit"
-      else None)
+      else
+        (* One core stage (picked by the seed) through [run_stage] on a
+           fresh store, then a full run: the run hits exactly that stage's
+           closure and computes the rest, every key being [stage_keys]'s. *)
+        let keys = Experiment.stage_keys (cfg None) in
+        let stage = fst (List.nth keys (abs seed mod List.length keys)) in
+        let staged = Experiment.run_stage (cfg (Some stage_dir)) ~stage in
+        let after = Experiment.run (cfg (Some stage_dir)) in
+        let closure = List.assoc stage core_closures in
+        let seen =
+          List.map (fun (r : Stage.report) -> (r.stage, r.key, r.outcome))
+        in
+        let want names outcome =
+          List.map (fun s -> (s, List.assoc s keys, outcome s)) names
+        in
+        let hit s = if List.mem s closure then Stage.Hit else Stage.Miss in
+        if seen staged <> want closure (fun _ -> Stage.Miss) then
+          failf "run_stage %s on a fresh store: expected its closure, all \
+                 misses, under stage_keys" stage
+        else if seen after.stage_reports <> want (List.map fst keys) hit then
+          failf "run after run_stage %s: expected hits on exactly its \
+                 closure, under stage_keys" stage
+        else if after.summary <> plain.summary then
+          failf "run after run_stage %s: summary differs" stage
+        else None)
 
 (* --- serve-loopback: served answer vs direct Experiment.run ------------- *)
 

@@ -171,51 +171,30 @@ let dispatch t ~key request =
 
 (* --- request handling ------------------------------------------------------ *)
 
-let resolve_circuit = function
-  | Protocol.Builtin name -> (
-      match Benchmarks.by_name name with
-      | Some c -> Ok c
-      | None -> Error (Printf.sprintf "unknown benchmark %S" name))
-  | Protocol.Inline_bench { title; text } -> (
-      try Ok (Bench_format.parse_string ~title text) with
-      | Bench_format.Parse_error { line; message } ->
-          Error (Printf.sprintf "inline bench, line %d: %s" line message)
-      | Failure m | Invalid_argument m ->
-          Error (Printf.sprintf "inline bench: %s" m))
+(* The stages a fanned-out submit warms.  [Experiment.stage_waves] orders
+   them into dependency waves; stages within a wave fan out to their
+   (generally different) home workers concurrently, warming the
+   distributed store before the final [Submit] stitches the projection
+   together from cache hits. *)
+let fanout_stages = [ "atpg"; "layout-ifa"; "fault-sim"; "swift" ]
 
-let experiment_config (spec : Protocol.job_spec) circuit =
-  Experiment.config ~seed:spec.seed
-    ~max_random_vectors:spec.max_random_vectors
-    ~target_yield:spec.target_yield ~collapse_faults:spec.collapse_faults
-    ~min_weight_ratio:spec.min_weight_ratio circuit
-
-(* Stage waves respecting the experiment DAG: atpg and layout-ifa only
-   need mapping; fault-sim needs atpg, swift needs atpg + layout-ifa.
-   Stages within a wave fan out to their (generally different) home
-   workers concurrently, warming the distributed store before the final
-   [Submit] stitches the projection together from cache hits. *)
-let fanout_waves = [ [ "atpg"; "layout-ifa" ]; [ "fault-sim"; "swift" ] ]
-
-let fanout t (spec : Protocol.job_spec) keys =
+let fanout t (spec : Protocol.job_spec) cfg keys =
   List.iter
     (fun wave ->
       let threads =
-        List.filter_map
+        List.map
           (fun stage ->
-            match List.assoc_opt stage keys with
-            | None -> None
-            | Some key ->
-                Some
-                  (Thread.create
-                     (fun () ->
-                       (* Best-effort warm-up: a failed stage job just
-                          means the final submit computes it. *)
-                       ignore (dispatch t ~key (Protocol.Serve_stage { spec; stage })))
-                     ()))
+            let key = List.assoc stage keys in
+            Thread.create
+              (fun () ->
+                (* Best-effort warm-up: a failed stage job just means the
+                   final submit computes it. *)
+                ignore (dispatch t ~key (Protocol.Serve_stage { spec; stage })))
+              ())
           wave
       in
       List.iter Thread.join threads)
-    fanout_waves
+    (Experiment.stage_waves cfg fanout_stages)
 
 let observe t t0 resp =
   (match resp with
@@ -231,23 +210,21 @@ let observe t t0 resp =
 
 let handle_submit t (spec : Protocol.job_spec) =
   let t0 = Unix.gettimeofday () in
-  match resolve_circuit spec.circuit with
+  match Protocol.experiment_config spec with
   | Error msg -> Protocol.Server_error msg
-  | Ok circuit ->
-      let cfg = experiment_config spec circuit in
+  | Ok cfg ->
       let keys = Experiment.stage_keys cfg in
       let key = List.assoc "projection" keys in
       Metrics.incr_accepted t.metrics;
       Metrics.incr_executed t.metrics;
-      if t.cfg.fanout_stages then fanout t spec keys;
+      if t.cfg.fanout_stages then fanout t spec cfg keys;
       observe t t0 (dispatch t ~key (Protocol.Submit spec))
 
 let handle_serve_stage t (spec : Protocol.job_spec) ~stage =
   let t0 = Unix.gettimeofday () in
-  match resolve_circuit spec.circuit with
+  match Protocol.experiment_config spec with
   | Error msg -> Protocol.Server_error msg
-  | Ok circuit -> (
-      let cfg = experiment_config spec circuit in
+  | Ok cfg -> (
       match List.assoc_opt stage (Experiment.stage_keys cfg) with
       | None -> Protocol.Server_error (Printf.sprintf "unknown stage %S" stage)
       | Some key ->

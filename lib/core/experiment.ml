@@ -55,25 +55,40 @@ type config = {
   ndet : int option;
 }
 
+(* Every check on a config.  [config] runs it, and so does the key fold
+   under [stage_keys], [run] and [run_stage], so a [{ cfg with ... }]
+   update is rejected before any stage runs or any key is derived. *)
+let validate cfg =
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Experiment.config: " ^ m)) fmt
+  in
+  let at_least_1 field = function
+    | Some v when v < 1 -> bad "%s must be >= 1, got %d" field v
+    | _ -> ()
+  in
+  if not (cfg.target_yield > 0.0 && cfg.target_yield < 1.0) then
+    bad "target_yield must be in (0, 1), got %g" cfg.target_yield;
+  if cfg.max_random_vectors < 0 then
+    bad "max_random_vectors must be >= 0, got %d" cfg.max_random_vectors;
+  if not (cfg.min_weight_ratio >= 0.0 && cfg.min_weight_ratio <= 1.0) then
+    bad "min_weight_ratio must be in [0, 1], got %g" cfg.min_weight_ratio;
+  at_least_1 "domains" (Some cfg.domains);
+  at_least_1 "rows" cfg.rows;
+  at_least_1 "bootstrap" cfg.bootstrap;
+  at_least_1 "ndet" cfg.ndet
+
 let config ?(seed = 7) ?(max_random_vectors = 4096) ?(target_yield = 0.75)
     ?(stats = Dl_extract.Defect_stats.default) ?(min_weight_ratio = 0.0) ?rows
     ?(domains = Dl_util.Parallel.default_domains ()) ?pool
     ?(collapse_faults = true) ?(sim_engine = Dl_fault.Fault_sim.Wide)
     ?cache_dir ?remote ?mc ?bootstrap ?ndet circuit =
-  if not (target_yield > 0.0 && target_yield < 1.0) then
-    invalid_arg "Experiment.config: target yield must be in (0, 1)";
-  if domains < 1 then invalid_arg "Experiment.config: domains must be >= 1";
-  (match bootstrap with
-  | Some k when k <= 0 ->
-      invalid_arg "Experiment.config: bootstrap replicates must be positive"
-  | _ -> ());
-  (match ndet with
-  | Some n when n < 1 ->
-      invalid_arg "Experiment.config: ndet quota must be >= 1"
-  | _ -> ());
-  { circuit; seed; max_random_vectors; target_yield; stats; min_weight_ratio;
-    rows; domains; pool; collapse_faults; sim_engine; cache_dir; remote;
-    mc; bootstrap; ndet }
+  let cfg =
+    { circuit; seed; max_random_vectors; target_yield; stats; min_weight_ratio;
+      rows; domains; pool; collapse_faults; sim_engine; cache_dir; remote;
+      mc; bootstrap; ndet }
+  in
+  validate cfg;
+  cfg
 
 (* The n-detection extension (PR: Dl_ndet).  [profile] is the multi-detect
    simulation of the SAME vector sequence the 1-detection flow applies, so
@@ -114,201 +129,102 @@ type t = {
 
 let fit_sample_points = 100
 
-(* Per-stage config fingerprints, shared between [run] (which passes them
-   to [Stage.run]) and [stage_keys] (which derives the same keys without
-   running anything) so the two can never drift apart. *)
-let atpg_config cfg =
-  [
-    ("seed", string_of_int cfg.seed);
-    ("max_random_vectors", string_of_int cfg.max_random_vectors);
-  ]
+(* The [(T(k), Θ(k))] pairs of the eq. 9 fit, at log-spaced [k]. *)
+let fit_samples ~t ~theta ~n ~points =
+  Array.map
+    (fun k -> (Coverage.at t k, Coverage.at theta k))
+    (Coverage.log_spaced ~max:n ~points)
 
-let universe_config cfg =
-  [ ("collapse_faults", string_of_bool cfg.collapse_faults) ]
+(* --- the stage table -----------------------------------------------------
 
-(* The engine is part of the fault-sim stage key even though detection
-   results are engine-independent: the cached artifact carries per-engine
-   [Stats] counters, so two engines must never alias one cache entry
-   (PR 7 fixed exactly that aliasing). *)
-let faultsim_config cfg =
-  [ ("engine", Dl_fault.Fault_sim.engine_to_string cfg.sim_engine) ]
+   The paper's flow, described once.  Each stage is one row of [table]:
+   name, codec, input stages in key order ("netlist" is the input
+   circuit's content key), config fingerprint and body.  [stage_keys]
+   folds over the rows, [run] forces every enabled row, [run_stage] the
+   rows one stage depends on, and [stage_waves] groups stages into
+   dependency waves for the cluster coordinator.  Adding a stage is one
+   row plus one body.  The domain count, the pool, the store and the peer
+   tier are in no fingerprint: results are bit-identical whatever they
+   are. *)
 
-let ifa_config cfg =
-  [
-    ("defect_stats", Artifact.defect_stats_fingerprint cfg.stats);
-    ("min_weight_ratio", Printf.sprintf "%h" cfg.min_weight_ratio);
-    ("rows", match cfg.rows with None -> "auto" | Some r -> string_of_int r);
-  ]
+(* One run's state.  [keys] holds "netlist" and every enabled stage's key;
+   [memo] caches, for this run only, each stage's artifact and every live
+   value derived from them.  A context is never shared between runs, and
+   no pool task touches it. *)
+type ctx = {
+  cfg : config;
+  graph : Stage.t;
+  keys : (string * string) list;
+  memo : (int, packed) Hashtbl.t;
+}
 
-let projection_config cfg =
-  [
-    ("target_yield", Printf.sprintf "%h" cfg.target_yield);
-    ("fit_points", string_of_int fit_sample_points);
-  ]
+and packed = Packed : 'a Type.Id.t * 'a -> packed
 
-(* The MC knobs fingerprint ONLY the wafer-mc stage (and the bootstrap
-   count only bootstrap-fit): turning either on, or changing dies/alphas/
-   replicates, must never invalidate a simulation artifact.  [cfg.seed]
-   drives the Seeds streams of both stages but is deliberately absent
-   here — it is already digested via the atpg input key. *)
-let wafer_mc_config cfg m =
-  [
-    ("dies", string_of_int m.mc_dies);
-    ("dies_per_wafer", string_of_int m.mc_dies_per_wafer);
-    ("wafers_per_lot", string_of_int m.mc_wafers_per_lot);
-    ("alpha_wafer", Printf.sprintf "%h" m.mc_alpha_wafer);
-    ("alpha_lot", Printf.sprintf "%h" m.mc_alpha_lot);
-    ("points", string_of_int m.mc_points);
-    ("target_yield", Printf.sprintf "%h" cfg.target_yield);
-  ]
+(* [per_run f] is [f], computed at most once per context. *)
+let per_run (type a) (f : ctx -> a) : ctx -> a =
+  let id : a Type.Id.t = Type.Id.make () in
+  fun r ->
+    match Hashtbl.find_opt r.memo (Type.Id.uid id) with
+    | Some (Packed (id', v)) -> (
+        match Type.Id.provably_equal id id' with
+        | Some Type.Equal -> v
+        | None -> assert false)
+    | None ->
+        let v = f r in
+        Hashtbl.replace r.memo (Type.Id.uid id) (Packed (id, v));
+        v
 
-let bootstrap_config cfg replicates =
-  [
-    ("replicates", string_of_int replicates);
-    ("fit_points", string_of_int fit_sample_points);
-    ("target_yield", Printf.sprintf "%h" cfg.target_yield);
-  ]
+type 'a stage = {
+  name : string;
+  codec : 'a Dl_store.Codec.t;
+  inputs : string list;
+  fingerprint : config -> (string * string) list option;
+      (** [None]: the row is off for this config. *)
+  get : ctx -> 'a;
+}
 
-(* Like fault-sim, the multi-detect profile keys on the engine: counts and
-   detection indices are engine-independent, but the cached artifact
-   carries per-engine [Stats] counters. *)
-let ndet_sim_config cfg n =
-  [
-    ("n", string_of_int n);
-    ("engine", Dl_fault.Fault_sim.engine_to_string cfg.sim_engine);
-  ]
+type row = Row : 'a stage -> row
 
-let ndet_atpg_config cfg n =
-  [
-    ("n", string_of_int n);
-    ("seed", string_of_int cfg.seed);
-    ("max_random_vectors", string_of_int cfg.max_random_vectors);
-  ]
-
-(* The stage keys are pure functions of the config: every stage's key
-   digests only its name, codec kind/version, config fingerprint and the
-   keys of its inputs, and the root of that DAG is the content key of the
-   input circuit.  This is what lets a server coalesce identical requests
-   before running anything — two configs with equal [request_key] denote
-   bit-identical experiment results. *)
-let stage_keys cfg =
-  let circuit_key = Dl_store.Codec.content_key Artifact.circuit cfg.circuit in
-  let mapping =
-    Stage.key ~stage:"mapping" ~codec:Artifact.circuit ~config:[]
-      ~inputs:[ circuit_key ]
+(* A row.  [body r] runs before the stage is consulted, hit or miss, and
+   returns the compute a miss runs. *)
+let stage ~name ~codec ~inputs ?(fingerprint = fun _ -> Some []) body =
+  let get =
+    per_run (fun r ->
+        let config = Option.get (fingerprint r.cfg) in
+        let inputs = List.map (fun i -> List.assoc i r.keys) inputs in
+        fst (Stage.run r.graph ~stage:name ~codec ~config ~inputs (body r)))
   in
-  let atpg =
-    Stage.key ~stage:"atpg" ~codec:Artifact.atpg ~config:(atpg_config cfg)
-      ~inputs:[ mapping ]
-  in
-  let universe =
-    Stage.key ~stage:"fault-universe" ~codec:Artifact.stuck_faults
-      ~config:(universe_config cfg) ~inputs:[ mapping; atpg ]
-  in
-  let faultsim =
-    Stage.key ~stage:"fault-sim" ~codec:Artifact.detections
-      ~config:(faultsim_config cfg)
-      ~inputs:[ mapping; universe; atpg ]
-  in
-  let ifa =
-    Stage.key ~stage:"layout-ifa" ~codec:Artifact.ifa ~config:(ifa_config cfg)
-      ~inputs:[ mapping ]
-  in
-  let swift =
-    Stage.key ~stage:"swift" ~codec:Artifact.swift ~config:[]
-      ~inputs:[ mapping; ifa; atpg ]
-  in
-  let projection =
-    Stage.key ~stage:"projection" ~codec:Artifact.summary
-      ~config:(projection_config cfg)
-      ~inputs:[ universe; faultsim; ifa; swift ]
-  in
-  let base =
-    [
-      ("mapping", mapping);
-      ("atpg", atpg);
-      ("fault-universe", universe);
-      ("fault-sim", faultsim);
-      ("layout-ifa", ifa);
-      ("swift", swift);
-      ("projection", projection);
-    ]
-  in
-  let with_mc =
-    match cfg.mc with
-    | None -> base
-    | Some m ->
-        base
-        @ [
-            ( "wafer-mc",
-              Stage.key ~stage:"wafer-mc" ~codec:Artifact.wafer_mc
-                ~config:(wafer_mc_config cfg m)
-                ~inputs:[ atpg; ifa; swift ] );
-          ]
-  in
-  let with_bootstrap =
-    match cfg.bootstrap with
-    | None -> with_mc
-    | Some k ->
-        with_mc
-        @ [
-            ( "bootstrap-fit",
-              Stage.key ~stage:"bootstrap-fit" ~codec:Artifact.bootstrap_fit
-                ~config:(bootstrap_config cfg k)
-                ~inputs:[ universe; faultsim; ifa; swift ] );
-          ]
-  in
-  match cfg.ndet with
-  | None -> with_bootstrap
-  | Some n ->
-      with_bootstrap
-      @ [
-          ( "ndet-sim",
-            Stage.key ~stage:"ndet-sim" ~codec:Artifact.ndet_profile
-              ~config:(ndet_sim_config cfg n)
-              ~inputs:[ mapping; universe; atpg ] );
-          ( "ndet-atpg",
-            Stage.key ~stage:"ndet-atpg" ~codec:Artifact.ndet_atpg
-              ~config:(ndet_atpg_config cfg n)
-              ~inputs:[ mapping; universe ] );
-        ]
-
-let request_key cfg = List.assoc "projection" (stage_keys cfg)
-
-(* --- stage bodies --------------------------------------------------------
-
-   One function per [Stage.run] call, shared by [run] (the full pipeline)
-   and [run_stage] (one stage plus its dependency closure — the unit of
-   cluster fan-out) so the stage bodies and key derivations exist exactly
-   once and cannot drift. *)
-
-let graph_of_config cfg =
-  let store = Option.map Dl_store.Store.open_ cfg.cache_dir in
-  Stage.create ?store ?remote:cfg.remote ()
+  { name; codec; inputs; fingerprint; get }
 
 (* 1. Technology-map the netlist. *)
-let stage_mapping graph cfg =
-  let circuit_key = Dl_store.Codec.content_key Artifact.circuit cfg.circuit in
-  Stage.run graph ~stage:"mapping" ~codec:Artifact.circuit
-    ~inputs:[ circuit_key ]
-    (fun () -> Transform.decompose_for_cells cfg.circuit)
+let mapping =
+  stage ~name:"mapping" ~codec:Artifact.circuit ~inputs:[ "netlist" ]
+    (fun r () -> Transform.decompose_for_cells r.cfg.circuit)
 
 (* 2. Test generation: random prefix then deterministic top-up. *)
-let stage_atpg graph cfg ~c ~mapping_key =
-  Stage.run graph ~stage:"atpg" ~codec:Artifact.atpg
-    ~config:(atpg_config cfg) ~inputs:[ mapping_key ]
-    (fun () ->
-      let r, _ =
-        Dl_atpg.Atpg.full_flow ~seed:cfg.seed
-          ~max_random:cfg.max_random_vectors c
+let atpg_knobs cfg =
+  [
+    ("seed", string_of_int cfg.seed);
+    ("max_random_vectors", string_of_int cfg.max_random_vectors);
+  ]
+
+let atpg =
+  stage ~name:"atpg" ~codec:Artifact.atpg ~inputs:[ "mapping" ]
+    ~fingerprint:(fun cfg -> Some (atpg_knobs cfg))
+    (fun r () ->
+      let a, _ =
+        Dl_atpg.Atpg.full_flow ~seed:r.cfg.seed
+          ~max_random:r.cfg.max_random_vectors (mapping.get r)
       in
       {
-        Artifact.vectors = r.vectors;
-        stats = r.stats;
-        coverage = r.coverage;
-        untestable_faults = r.untestable_faults;
-        aborted_faults = r.aborted_faults;
+        Artifact.vectors = a.vectors;
+        stats = a.stats;
+        coverage = a.coverage;
+        untestable_faults = a.untestable_faults;
+        aborted_faults = a.aborted_faults;
       })
+
+let vectors r = (atpg.get r).Artifact.vectors
 
 (* The paper neglects redundant stuck-at faults ("so that T(k) -> 1 when
    k -> infinity"); drop the PODEM-proven-redundant ones from the T
@@ -325,57 +241,46 @@ let stage_atpg graph cfg ~c ~mapping_key =
    A PODEM-proved-redundant representative proves its whole equivalence
    class redundant, so in uncollapsed mode the untestable filter expands
    each untestable representative to its full class. *)
-let stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key =
-  Stage.run graph ~stage:"fault-universe" ~codec:Artifact.stuck_faults
-    ~config:(universe_config cfg) ~inputs:[ mapping_key; atpg_key ]
-    (fun () ->
-      let untestable = atpg_art.Artifact.untestable_faults in
-      if cfg.collapse_faults then begin
-        let all_stuck_faults =
-          Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c)
-        in
-        Array.of_seq
-          (Seq.filter
-             (fun f ->
-               not
-                 (Array.exists
-                    (fun u -> Dl_fault.Stuck_at.equal u f)
-                    untestable))
-             (Array.to_seq all_stuck_faults))
-      end
-      else begin
-        let universe = Dl_fault.Stuck_at.universe c in
-        let classes = Dl_fault.Stuck_at.equivalence_classes c universe in
-        let untestable_members =
-          classes |> Array.to_seq
-          |> Seq.filter (fun cls ->
-                 Array.exists
-                   (fun u -> Dl_fault.Stuck_at.equal u cls.(0))
-                   untestable)
-          |> Seq.concat_map Array.to_seq
-          |> List.of_seq
-        in
-        Array.of_seq
-          (Seq.filter
-             (fun f ->
-               not
-                 (List.exists (Dl_fault.Stuck_at.equal f) untestable_members))
-             (Array.to_seq universe))
-      end)
+let universe =
+  stage ~name:"fault-universe" ~codec:Artifact.stuck_faults
+    ~inputs:[ "mapping"; "atpg" ]
+    ~fingerprint:(fun cfg ->
+      Some [ ("collapse_faults", string_of_bool cfg.collapse_faults) ])
+    (fun r () ->
+      let module S = Dl_fault.Stuck_at in
+      let c = mapping.get r in
+      let untestable = (atpg.get r).Artifact.untestable_faults in
+      let all = S.universe c in
+      let mem faults f = Array.exists (S.equal f) faults in
+      let faults, redundant =
+        if r.cfg.collapse_faults then (S.collapse c all, untestable)
+        else
+          ( all,
+            S.equivalence_classes c all
+            |> Array.to_list
+            |> List.filter (fun cls -> mem untestable cls.(0))
+            |> Array.concat )
+      in
+      Array.of_seq
+        (Seq.filter (fun f -> not (mem redundant f)) (Array.to_seq faults)))
+
+(* The engine is part of the fault-sim and ndet-sim stage keys even though
+   detection results are engine-independent: the cached artifact carries
+   per-engine [Stats] counters, so two engines must never alias one cache
+   entry (PR 7 fixed exactly that aliasing). *)
+let engine cfg = ("engine", Dl_fault.Fault_sim.engine_to_string cfg.sim_engine)
 
 (* 3. Gate-level stuck-at fault simulation over the same sequence
-   (parallel engine; bit-for-bit identical to the serial one, so the
-   domain count is deliberately absent from the stage key). *)
-let stage_faultsim graph cfg ~c ~stuck_faults ~vectors ~mapping_key
-    ~universe_key ~atpg_key =
-  Stage.run graph ~stage:"fault-sim" ~codec:Artifact.detections
-    ~config:(faultsim_config cfg)
-    ~inputs:[ mapping_key; universe_key; atpg_key ]
-    (fun () ->
+   (parallel engine; bit-for-bit identical to the serial one). *)
+let fault_sim =
+  stage ~name:"fault-sim" ~codec:Artifact.detections
+    ~inputs:[ "mapping"; "fault-universe"; "atpg" ]
+    ~fingerprint:(fun cfg -> Some [ engine cfg ])
+    (fun r () ->
       let sim =
-        Dl_fault.Fault_sim.run_parallel_with ~engine:cfg.sim_engine
-          ~domains:cfg.domains ?pool:cfg.pool c ~faults:stuck_faults
-          ~vectors
+        Dl_fault.Fault_sim.run_parallel_with ~engine:r.cfg.sim_engine
+          ~domains:r.cfg.domains ?pool:r.cfg.pool (mapping.get r)
+          ~faults:(universe.get r) ~vectors:(vectors r)
       in
       {
         Artifact.first_detection = sim.first_detection;
@@ -387,42 +292,141 @@ let stage_faultsim graph cfg ~c ~stuck_faults ~vectors ~mapping_key
 (* 4. Layout synthesis and inductive fault analysis.  Mapping and layout
    are recomputed even on a warm run (they are deterministic, cheap and
    needed as live data structures); the geometry *scan* — the expensive
-   part — is what the layout-ifa artifact caches. *)
-let stage_ifa graph cfg ~layout ~mapping_key =
-  Stage.run graph ~stage:"layout-ifa" ~codec:Artifact.ifa
-    ~config:(ifa_config cfg) ~inputs:[ mapping_key ]
-    (fun () ->
-      let e =
-        Ifa.extract ~stats:cfg.stats ~min_weight_ratio:cfg.min_weight_ratio
-          layout
-      in
-      {
-        Artifact.faults = e.faults;
-        gross_weight = e.gross_weight;
-        summaries = e.summaries;
-      })
+   part — is what the layout-ifa artifact caches.  The layout is built
+   before the stage is consulted, hit or miss. *)
+let flat = per_run (fun r -> Dl_cell.Mapping.flatten (mapping.get r))
+
+let layout =
+  per_run (fun r -> Dl_layout.Layout.synthesize ?rows:r.cfg.rows (flat r))
+
+let layout_ifa =
+  stage ~name:"layout-ifa" ~codec:Artifact.ifa ~inputs:[ "mapping" ]
+    ~fingerprint:(fun cfg ->
+      Some
+        [
+          ("defect_stats", Artifact.defect_stats_fingerprint cfg.stats);
+          ("min_weight_ratio", Printf.sprintf "%h" cfg.min_weight_ratio);
+          ( "rows",
+            match cfg.rows with None -> "auto" | Some r -> string_of_int r );
+        ])
+    (fun r ->
+      let layout = layout r in
+      fun () ->
+        let e =
+          Ifa.extract ~stats:r.cfg.stats
+            ~min_weight_ratio:r.cfg.min_weight_ratio layout
+        in
+        {
+          Artifact.faults = e.faults;
+          gross_weight = e.gross_weight;
+          summaries = e.summaries;
+        })
+
+let realistic_faults r = (layout_ifa.get r).Artifact.faults
+
+(* 5. Scale the extracted weights so eq. 5 matches the target yield. *)
+let scaled =
+  per_run (fun r ->
+      Weighted.scale_to_yield
+        ~weights:
+          (Array.map (fun (f : Realistic.t) -> f.weight) (realistic_faults r))
+        ~target_yield:r.cfg.target_yield)
 
 (* 6. Switch-level realistic fault simulation (sharded by region shape
    over the fault-simulation domains; its result does not depend on
    them either). *)
-let stage_swift graph cfg ~mapping ~faults ~vectors ~mapping_key ~ifa_key
-    ~atpg_key =
-  Stage.run graph ~stage:"swift" ~codec:Artifact.swift
-    ~inputs:[ mapping_key; ifa_key; atpg_key ]
-    (fun () ->
-      let network = Dl_switch.Network.build mapping in
-      let r =
-        Swift.run ~domains:cfg.domains ?pool:cfg.pool network ~faults ~vectors
+let swift =
+  stage ~name:"swift" ~codec:Artifact.swift
+    ~inputs:[ "mapping"; "layout-ifa"; "atpg" ]
+    (fun r () ->
+      let network = Dl_switch.Network.build (flat r) in
+      let s =
+        Swift.run ~domains:r.cfg.domains ?pool:r.cfg.pool network
+          ~faults:(realistic_faults r) ~vectors:(vectors r)
       in
       {
-        Artifact.detection = r.detection;
-        vectors_applied = r.vectors_applied;
-        region_solves = r.region_solves;
+        Artifact.detection = s.detection;
+        vectors_applied = s.vectors_applied;
+        region_solves = s.region_solves;
       })
 
-(* 7/8. The statistical stages (PR: Monte-Carlo yield engine).  Both draw
+let voltage_firsts =
+  per_run (fun r ->
+      Array.map
+        (fun (d : Swift.detection) -> d.voltage)
+        (swift.get r).Artifact.detection)
+
+let t_curve =
+  per_run (fun r -> Coverage.make (fault_sim.get r).Artifact.first_detection)
+
+let theta_curve =
+  per_run (fun r -> Coverage.make ~weights:(fst (scaled r)) (voltage_firsts r))
+
+let gamma_curve = per_run (fun r -> Coverage.make (voltage_firsts r))
+
+let theta_iddq_curve =
+  per_run (fun r ->
+      let first (d : Swift.detection) =
+        match (d.voltage, d.iddq) with
+        | Some a, Some b -> Some (min a b)
+        | None, x | x, None -> x
+      in
+      Coverage.make ~weights:(fst (scaled r))
+        (Array.map first (swift.get r).Artifact.detection))
+
+(* 7. Susceptibility fit and summary (the only stage a target-yield or
+   fit-resolution change invalidates). *)
+let projection =
+  stage ~name:"projection" ~codec:Artifact.summary
+    ~inputs:[ "fault-universe"; "fault-sim"; "layout-ifa"; "swift" ]
+    ~fingerprint:(fun cfg ->
+      Some
+        [
+          ("target_yield", Printf.sprintf "%h" cfg.target_yield);
+          ("fit_points", string_of_int fit_sample_points);
+        ])
+    (fun r ->
+      (* The curves are built before the stage is consulted, hit or miss,
+         as the flow always did; built last, they raise peak RSS. *)
+      let t = t_curve r and theta = theta_curve r in
+      let gamma = gamma_curve r and iddq = theta_iddq_curve r in
+      fun () ->
+        let n = Array.length (vectors r) in
+        let at curve = Coverage.at curve n in
+        let fit =
+          Projection.fit_theta
+            (fit_samples ~t ~theta ~n ~points:fit_sample_points)
+        in
+        let stats = (atpg.get r).Artifact.stats in
+        let scale_factor = snd (scaled r) in
+        let text =
+          Format.asprintf
+            "experiment %s: %d vectors (%d random + %d deterministic), %d \
+             stuck faults (T final %.4f), %d realistic faults (Θ final \
+             %.4f, Γ final %.4f, Θ+IDDQ %.4f), Y scaled by %.3e to %.2f"
+            (mapping.get r).title n stats.random_vectors
+            stats.deterministic_vectors
+            (Array.length (universe.get r))
+            (at t)
+            (Array.length (realistic_faults r))
+            (at theta) (at gamma) (at iddq) scale_factor r.cfg.target_yield
+        in
+        {
+          Artifact.text;
+          fit_r = fit.params.r;
+          fit_theta_max = fit.params.theta_max;
+          fit_rmse = fit.rmse;
+          fit_rmse_log10 = (fit.rmse_scale = Projection.Log10);
+          scale_factor;
+        })
+
+(* 8/9. The statistical stages (PR: Monte-Carlo yield engine).  Both draw
    exclusively from path-keyed Seeds streams rooted at [cfg.seed], so the
-   cached artifact is a pure function of its stage key. *)
+   cached artifact is a pure function of its stage key.  Their knobs
+   fingerprint ONLY their own stage: turning either on, or changing
+   dies/alphas/replicates, must never invalidate a simulation artifact.
+   [cfg.seed] is deliberately absent — it is already digested via the
+   atpg input key. *)
 
 let seeds_of cfg name = Dl_util.Seeds.scope (Dl_util.Seeds.create cfg.seed) name
 
@@ -493,62 +497,90 @@ let artifact_of_bootstrap (b : Bootstrap.t) : Artifact.bootstrap_fit =
     alpha_samples = b.alpha_samples;
   }
 
+(* An eq. 9 fit as the summary and bootstrap-fit artifacts store it. *)
+let fit_of ~r ~theta_max ~rmse ~log10 =
+  {
+    Projection.params = { Projection.r; theta_max };
+    rmse;
+    rmse_scale = (if log10 then Projection.Log10 else Projection.Linear);
+  }
+
 let bootstrap_of_artifact (a : Artifact.bootstrap_fit) : Bootstrap.t =
   Bootstrap.of_samples ~fit_points:a.Artifact.fit_points
     ~point:
-      {
-        Projection.params =
-          { Projection.r = a.point_r; theta_max = a.point_theta_max };
-        rmse = a.point_rmse;
-        rmse_scale =
-          (if a.point_rmse_log10 then Projection.Log10 else Projection.Linear);
-      }
+      (fit_of ~r:a.point_r ~theta_max:a.point_theta_max ~rmse:a.point_rmse
+         ~log10:a.point_rmse_log10)
     ~alpha_point:a.alpha_point ~r_samples:a.r_samples
     ~theta_max_samples:a.theta_max_samples ~alpha_samples:a.alpha_samples
 
-let stage_wafer_mc graph cfg m ~n_vectors ~scaled_weights ~voltage_firsts
-    ~theta_curve ~atpg_key ~ifa_key ~swift_key =
-  Stage.run graph ~stage:"wafer-mc" ~codec:Artifact.wafer_mc
-    ~config:(wafer_mc_config cfg m)
-    ~inputs:[ atpg_key; ifa_key; swift_key ]
-    (fun () ->
-      let ks = Coverage.log_spaced ~max:n_vectors ~points:m.mc_points in
-      let points = Array.map (fun k -> (k, Coverage.at theta_curve k)) ks in
+let wafer_mc =
+  stage ~name:"wafer-mc" ~codec:Artifact.wafer_mc
+    ~inputs:[ "atpg"; "layout-ifa"; "swift" ]
+    ~fingerprint:(fun cfg ->
+      Option.map
+        (fun m ->
+          [
+            ("dies", string_of_int m.mc_dies);
+            ("dies_per_wafer", string_of_int m.mc_dies_per_wafer);
+            ("wafers_per_lot", string_of_int m.mc_wafers_per_lot);
+            ("alpha_wafer", Printf.sprintf "%h" m.mc_alpha_wafer);
+            ("alpha_lot", Printf.sprintf "%h" m.mc_alpha_lot);
+            ("points", string_of_int m.mc_points);
+            ("target_yield", Printf.sprintf "%h" cfg.target_yield);
+          ])
+        cfg.mc)
+    (fun r () ->
+      let m = Option.get r.cfg.mc in
+      let ks =
+        Coverage.log_spaced ~max:(Array.length (vectors r)) ~points:m.mc_points
+      in
+      let points = Array.map (fun k -> (k, Coverage.at (theta_curve r) k)) ks in
       artifact_of_wafer_mc
         (Wafer_mc.simulate ~dies_per_wafer:m.mc_dies_per_wafer
            ~wafers_per_lot:m.mc_wafers_per_lot ~alpha_wafer:m.mc_alpha_wafer
            ~alpha_lot:m.mc_alpha_lot
-           ~seeds:(seeds_of cfg "wafer-mc")
-           ~dies:m.mc_dies ~weights:scaled_weights ~firsts:voltage_firsts
+           ~seeds:(seeds_of r.cfg "wafer-mc")
+           ~dies:m.mc_dies ~weights:(fst (scaled r)) ~firsts:(voltage_firsts r)
            ~points ()))
 
-let stage_bootstrap graph cfg replicates ~n_vectors ~t_firsts ~theta_firsts
-    ~theta_weights ~universe_key ~faultsim_key ~ifa_key ~swift_key =
-  Stage.run graph ~stage:"bootstrap-fit" ~codec:Artifact.bootstrap_fit
-    ~config:(bootstrap_config cfg replicates)
-    ~inputs:[ universe_key; faultsim_key; ifa_key; swift_key ]
-    (fun () ->
+let bootstrap_fit =
+  stage ~name:"bootstrap-fit" ~codec:Artifact.bootstrap_fit
+    ~inputs:[ "fault-universe"; "fault-sim"; "layout-ifa"; "swift" ]
+    ~fingerprint:(fun cfg ->
+      Option.map
+        (fun k ->
+          [
+            ("replicates", string_of_int k);
+            ("fit_points", string_of_int fit_sample_points);
+            ("target_yield", Printf.sprintf "%h" cfg.target_yield);
+          ])
+        cfg.bootstrap)
+    (fun r () ->
       artifact_of_bootstrap
         (Bootstrap.run ~fit_points:fit_sample_points
-           ~seeds:(seeds_of cfg "bootstrap-fit")
-           ~replicates ~yield:cfg.target_yield ~t_firsts ~theta_firsts
-           ~theta_weights ~n_vectors ()))
+           ~seeds:(seeds_of r.cfg "bootstrap-fit")
+           ~replicates:(Option.get r.cfg.bootstrap)
+           ~yield:r.cfg.target_yield
+           ~t_firsts:(fault_sim.get r).Artifact.first_detection
+           ~theta_firsts:(voltage_firsts r) ~theta_weights:(fst (scaled r))
+           ~n_vectors:(Array.length (vectors r)) ()))
 
-(* 9/10. n-detection (PR: Dl_ndet).  The ndet-sim stage profiles the SAME
+(* 10/11. n-detection (PR: Dl_ndet).  The ndet-sim stage profiles the SAME
    atpg vector sequence under a detection quota, so its n = 1 slice is
    bit-identical to fault-sim's first detections; ndet-atpg generates the
    registered n-detection test set. *)
 
-let stage_ndet_sim graph cfg n ~c ~stuck_faults ~vectors ~mapping_key
-    ~universe_key ~atpg_key =
-  Stage.run graph ~stage:"ndet-sim" ~codec:Artifact.ndet_profile
-    ~config:(ndet_sim_config cfg n)
-    ~inputs:[ mapping_key; universe_key; atpg_key ]
-    (fun () ->
+let ndet_sim =
+  stage ~name:"ndet-sim" ~codec:Artifact.ndet_profile
+    ~inputs:[ "mapping"; "fault-universe"; "atpg" ]
+    ~fingerprint:(fun cfg ->
+      Option.map (fun n -> [ ("n", string_of_int n); engine cfg ]) cfg.ndet)
+    (fun r () ->
       let nd =
-        Dl_fault.Fault_sim.run_ndet ~engine:cfg.sim_engine
-          ~domains:cfg.domains ?pool:cfg.pool ~drop_after:n c
-          ~faults:stuck_faults ~vectors
+        Dl_fault.Fault_sim.run_ndet ~engine:r.cfg.sim_engine
+          ~domains:r.cfg.domains ?pool:r.cfg.pool
+          ~drop_after:(Option.get r.cfg.ndet) (mapping.get r)
+          ~faults:(universe.get r) ~vectors:(vectors r)
       in
       {
         Artifact.nd_drop_after = nd.drop_after;
@@ -559,408 +591,182 @@ let stage_ndet_sim graph cfg n ~c ~stuck_faults ~vectors ~mapping_key
         nd_sim_stats = nd.stats;
       })
 
-let profile_of_artifact ~stuck_faults (a : Artifact.ndet_profile) :
-    Dl_fault.Fault_sim.ndet =
-  {
-    Dl_fault.Fault_sim.faults = stuck_faults;
-    drop_after = a.Artifact.nd_drop_after;
-    counts = a.nd_counts;
-    detections = a.nd_detections;
-    vectors_applied = a.nd_vectors_applied;
-    gate_evaluations = a.nd_gate_evaluations;
-    stats = a.nd_sim_stats;
-  }
-
-let stage_ndet_atpg graph cfg n ~c ~stuck_faults ~mapping_key ~universe_key =
-  Stage.run graph ~stage:"ndet-atpg" ~codec:Artifact.ndet_atpg
-    ~config:(ndet_atpg_config cfg n)
-    ~inputs:[ mapping_key; universe_key ]
-    (fun () ->
-      let r =
-        Dl_ndet.Atpg_n.run ~seed:cfg.seed ~max_random:cfg.max_random_vectors
-          ~engine:cfg.sim_engine ~n c ~faults:stuck_faults
+let ndet_atpg =
+  stage ~name:"ndet-atpg" ~codec:Artifact.ndet_atpg
+    ~inputs:[ "mapping"; "fault-universe" ]
+    ~fingerprint:(fun cfg ->
+      Option.map (fun n -> ("n", string_of_int n) :: atpg_knobs cfg) cfg.ndet)
+    (fun r () ->
+      let a =
+        Dl_ndet.Atpg_n.run ~seed:r.cfg.seed
+          ~max_random:r.cfg.max_random_vectors ~engine:r.cfg.sim_engine
+          ~n:(Option.get r.cfg.ndet) (mapping.get r) ~faults:(universe.get r)
       in
       {
-        Artifact.na_vectors = r.Dl_ndet.Atpg_n.vectors;
-        na_counts = r.counts;
-        na_stats = r.stats;
-        na_untestable_faults = r.untestable_faults;
-        na_aborted_faults = r.aborted_faults;
+        Artifact.na_vectors = a.Dl_ndet.Atpg_n.vectors;
+        na_counts = a.counts;
+        na_stats = a.stats;
+        na_untestable_faults = a.untestable_faults;
+        na_aborted_faults = a.aborted_faults;
       })
 
-(* The stage decomposition of the paper's flow.  Each stage's key digests
-   its input artifact keys, its config fingerprint and its codec version,
-   so a warm run re-executes only stages whose keys changed:
+let table =
+  [
+    Row mapping; Row atpg; Row universe; Row fault_sim; Row layout_ifa;
+    Row swift; Row projection; Row wafer_mc; Row bootstrap_fit; Row ndet_sim;
+    Row ndet_atpg;
+  ]
 
-     netlist (content key of the input circuit)
-       -> mapping        (cell decomposition)
-       -> atpg           [seed, max_random_vectors]
-       -> fault-universe [collapse_faults]
-       -> fault-sim      (gate-level PPSFP; domains excluded: results are
-                          bit-identical at any domain count)
-       -> layout-ifa     [defect stats, min_weight_ratio, rows]
-       -> swift          (switch-level realistic simulation)
-       -> projection     [target_yield, fit points] (susceptibility fit +
-                          summary; the only stage a yield change reruns)
-       -> wafer-mc       [dies, wafer/lot shape, alphas, points, yield]
-                          (optional; Monte-Carlo DL bands)
-       -> bootstrap-fit  [replicates, fit points, yield]
-                          (optional; CIs on (R, θmax) and alpha)
-       -> ndet-sim       [n, engine] (optional; multi-detect profile of
-                          the atpg sequence)
-       -> ndet-atpg      [n, seed, max_random_vectors]
-                          (optional; the n-detection test set)
-*)
+(* --- derived from the table ---------------------------------------------- *)
+
+(* The stage keys are pure functions of the config: every stage's key
+   digests only its name, codec kind/version, config fingerprint and the
+   keys of its inputs, and the root of that DAG is the content key of the
+   input circuit.  This is what lets a server coalesce identical requests
+   before running anything — two configs with equal [request_key] denote
+   bit-identical experiment results.  The fold's result starts with the
+   "netlist" pseudo-stage. *)
+let keys cfg =
+  validate cfg;
+  let netlist = Dl_store.Codec.content_key Artifact.circuit cfg.circuit in
+  List.fold_left
+    (fun acc (Row s) ->
+      match s.fingerprint cfg with
+      | None -> acc
+      | Some config ->
+          let inputs = List.map (fun i -> List.assoc i acc) s.inputs in
+          (s.name, Stage.key ~stage:s.name ~codec:s.codec ~config ~inputs)
+          :: acc)
+    [ ("netlist", netlist) ]
+    table
+  |> List.rev
+
+let stage_keys cfg = List.tl (keys cfg)
+let request_key cfg = List.assoc "projection" (stage_keys cfg)
+
+(* [name] and every stage upstream of it (with repeats). *)
+let rec upstream name =
+  let inputs (Row s) = if s.name = name then s.inputs else [] in
+  name :: List.concat_map upstream (List.concat_map inputs table)
+
+(* Force the rows named in [names], in table order, so the stage reports
+   come out in [stage_keys] order. *)
+let force r names =
+  List.iter (fun (Row s) -> if List.mem s.name names then ignore (s.get r))
+    table
+
+let context cfg keys =
+  let store = Option.map Dl_store.Store.open_ cfg.cache_dir in
+  { cfg; graph = Stage.create ?store ?remote:cfg.remote (); keys;
+    memo = Hashtbl.create 32 }
+
 let run cfg =
-  let graph = graph_of_config cfg in
-  let c, mapping_key = stage_mapping graph cfg in
-  let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-  let vectors = atpg_art.Artifact.vectors in
-  let stuck_faults, universe_key =
-    stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key
-  in
-  let sim_art, faultsim_key =
-    stage_faultsim graph cfg ~c ~stuck_faults ~vectors ~mapping_key
-      ~universe_key ~atpg_key
-  in
-  let t_curve = Coverage.make sim_art.Artifact.first_detection in
-  let mapping = Dl_cell.Mapping.flatten c in
-  let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
-  let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
-  let extraction =
-    {
-      Ifa.layout;
-      faults = ifa_art.Artifact.faults;
-      gross_weight = ifa_art.Artifact.gross_weight;
-      summaries = ifa_art.Artifact.summaries;
-    }
-  in
-  (* 5. Scale the extracted weights so eq. 5 matches the target yield. *)
-  let raw_weights =
-    Array.map (fun (f : Realistic.t) -> f.weight) extraction.faults
-  in
-  let scaled_weights, scale_factor =
-    Weighted.scale_to_yield ~weights:raw_weights ~target_yield:cfg.target_yield
-  in
-  let swift_art, swift_key =
-    stage_swift graph cfg ~mapping ~faults:extraction.faults ~vectors
-      ~mapping_key ~ifa_key ~atpg_key
-  in
-  let swift_result =
-    {
-      Swift.faults = extraction.faults;
-      detection = swift_art.Artifact.detection;
-      vectors_applied = swift_art.Artifact.vectors_applied;
-      region_solves = swift_art.Artifact.region_solves;
-    }
-  in
-  let voltage_firsts =
-    Array.map (fun (d : Swift.detection) -> d.voltage) swift_result.detection
-  in
-  let theta_curve = Coverage.make ~weights:scaled_weights voltage_firsts in
-  let gamma_curve = Coverage.make voltage_firsts in
-  let theta_iddq_curve =
-    let firsts =
-      Array.map
-        (fun (d : Swift.detection) ->
-          match (d.voltage, d.iddq) with
-          | Some a, Some b -> Some (min a b)
-          | (Some _ as x), None | None, (Some _ as x) -> x
-          | None, None -> None)
-        swift_result.detection
-    in
-    Coverage.make ~weights:scaled_weights firsts
-  in
-  (* 7. Susceptibility fit and summary (the only stage a target-yield or
-     fit-resolution change invalidates). *)
-  let n = Array.length vectors in
-  let summary_art, _projection_key =
-    Stage.run graph ~stage:"projection" ~codec:Artifact.summary
-      ~config:(projection_config cfg)
-      ~inputs:[ universe_key; faultsim_key; ifa_key; swift_key ]
-      (fun () ->
-        let ks = Coverage.log_spaced ~max:n ~points:fit_sample_points in
-        let samples =
-          Array.map
-            (fun k -> (Coverage.at t_curve k, Coverage.at theta_curve k))
-            ks
-        in
-        let fit = Projection.fit_theta samples in
-        let text =
-          Format.asprintf
-            "experiment %s: %d vectors (%d random + %d deterministic), %d \
-             stuck faults (T final %.4f), %d realistic faults (Θ final %.4f, \
-             Γ final %.4f, Θ+IDDQ %.4f), Y scaled by %.3e to %.2f"
-            c.title n atpg_art.Artifact.stats.random_vectors
-            atpg_art.Artifact.stats.deterministic_vectors
-            (Array.length stuck_faults)
-            (Coverage.at t_curve n)
-            (Array.length extraction.faults)
-            (Coverage.at theta_curve n)
-            (Coverage.at gamma_curve n)
-            (Coverage.at theta_iddq_curve n)
-            scale_factor cfg.target_yield
-        in
-        {
-          Artifact.text;
-          fit_r = fit.params.r;
-          fit_theta_max = fit.params.theta_max;
-          fit_rmse = fit.rmse;
-          fit_rmse_log10 = (fit.rmse_scale = Projection.Log10);
-          scale_factor;
-        })
-  in
-  let fit =
-    {
-      Projection.params =
-        {
-          Projection.r = summary_art.Artifact.fit_r;
-          theta_max = summary_art.Artifact.fit_theta_max;
-        };
-      rmse = summary_art.Artifact.fit_rmse;
-      rmse_scale =
-        (if summary_art.Artifact.fit_rmse_log10 then Projection.Log10
-         else Projection.Linear);
-    }
-  in
-  let wafer_mc =
-    Option.map
-      (fun m ->
-        let art, _ =
-          stage_wafer_mc graph cfg m ~n_vectors:n ~scaled_weights
-            ~voltage_firsts ~theta_curve ~atpg_key ~ifa_key ~swift_key
-        in
-        wafer_mc_of_artifact art)
-      cfg.mc
-  in
-  let bootstrap_fit =
-    Option.map
-      (fun k ->
-        let art, _ =
-          stage_bootstrap graph cfg k ~n_vectors:n
-            ~t_firsts:sim_art.Artifact.first_detection
-            ~theta_firsts:voltage_firsts ~theta_weights:scaled_weights
-            ~universe_key ~faultsim_key ~ifa_key ~swift_key
-        in
-        bootstrap_of_artifact art)
-      cfg.bootstrap
-  in
+  let r = context cfg (keys cfg) in
+  force r (List.map fst r.keys);
+  let atpg_art = atpg.get r and summary = projection.get r in
+  let scaled_weights, scale_factor = scaled r in
   let ndet =
     Option.map
       (fun ndet_n ->
-        let prof_art, _ =
-          stage_ndet_sim graph cfg ndet_n ~c ~stuck_faults ~vectors
-            ~mapping_key ~universe_key ~atpg_key
-        in
-        let profile = profile_of_artifact ~stuck_faults prof_art in
-        let gen_art, _ =
-          stage_ndet_atpg graph cfg ndet_n ~c ~stuck_faults ~mapping_key
-            ~universe_key
-        in
-        let dl_n =
-          Dl_n.analyze ~fit_points:fit_sample_points ~profile ~theta_curve
-            ~yield:cfg.target_yield ~n_vectors:n ()
+        let nd = ndet_sim.get r and gen = ndet_atpg.get r in
+        let profile =
+          {
+            Dl_fault.Fault_sim.faults = universe.get r;
+            drop_after = nd.Artifact.nd_drop_after;
+            counts = nd.nd_counts;
+            detections = nd.nd_detections;
+            vectors_applied = nd.nd_vectors_applied;
+            gate_evaluations = nd.nd_gate_evaluations;
+            stats = nd.nd_sim_stats;
+          }
         in
         {
           ndet_n;
           profile;
-          dl_n;
-          gen_vectors = gen_art.Artifact.na_vectors;
-          gen_counts = gen_art.Artifact.na_counts;
-          gen_stats = gen_art.Artifact.na_stats;
+          dl_n =
+            Dl_n.analyze ~fit_points:fit_sample_points ~profile
+              ~theta_curve:(theta_curve r) ~yield:cfg.target_yield
+              ~n_vectors:(Array.length atpg_art.vectors) ();
+          gen_vectors = gen.Artifact.na_vectors;
+          gen_counts = gen.na_counts;
+          gen_stats = gen.na_stats;
         })
       cfg.ndet
   in
-  {
-    cfg;
-    mapped_circuit = c;
-    vectors;
-    atpg_stats = atpg_art.Artifact.stats;
-    stuck_faults;
-    sim_stats = sim_art.Artifact.sim_stats;
-    extraction;
-    scale_factor;
-    yield = cfg.target_yield;
-    scaled_weights;
-    t_curve;
-    theta_curve;
-    gamma_curve;
-    theta_iddq_curve;
-    swift_result;
-    fit;
-    wafer_mc;
-    bootstrap_fit;
-    ndet;
-    summary = summary_art.Artifact.text;
-    stage_reports = Stage.reports graph;
-  }
+  ({
+     cfg;
+     mapped_circuit = mapping.get r;
+     vectors = atpg_art.vectors;
+     atpg_stats = atpg_art.stats;
+     stuck_faults = universe.get r;
+     sim_stats = (fault_sim.get r).sim_stats;
+     extraction =
+       {
+         Ifa.layout = layout r;
+         faults = realistic_faults r;
+         gross_weight = (layout_ifa.get r).gross_weight;
+         summaries = (layout_ifa.get r).summaries;
+       };
+     scale_factor;
+     yield = cfg.target_yield;
+     scaled_weights;
+     t_curve = t_curve r;
+     theta_curve = theta_curve r;
+     gamma_curve = gamma_curve r;
+     theta_iddq_curve = theta_iddq_curve r;
+     swift_result =
+       {
+         Swift.faults = realistic_faults r;
+         detection = (swift.get r).detection;
+         vectors_applied = (swift.get r).vectors_applied;
+         region_solves = (swift.get r).region_solves;
+       };
+     fit =
+       fit_of ~r:summary.fit_r ~theta_max:summary.fit_theta_max
+         ~rmse:summary.fit_rmse ~log10:summary.fit_rmse_log10;
+     wafer_mc =
+       Option.map (fun _ -> wafer_mc_of_artifact (wafer_mc.get r)) cfg.mc;
+     bootstrap_fit =
+       Option.map
+         (fun _ -> bootstrap_of_artifact (bootstrap_fit.get r))
+         cfg.bootstrap;
+     ndet;
+     summary = summary.text;
+     stage_reports = Stage.reports r.graph;
+   }
+    : t)
 
 (* One stage plus its dependency closure — what a cluster worker executes
-   for a [serve-stage] request.  Everything upstream of the requested
-   stage runs through the same graph, so with a warm (or peer-fed) store
-   the closure collapses to cache hits and only the requested stage
-   computes.  ["projection"] needs every artifact plus live curves, so it
-   simply delegates to [run]. *)
+   for a [serve-stage] request.  With a warm (or peer-fed) store the
+   closure collapses to cache hits and only the requested stage computes. *)
 let run_stage cfg ~stage =
-  match stage with
-  | "projection" -> (run cfg).stage_reports
-  | _ ->
-      let graph = graph_of_config cfg in
-      (match stage with
-      | "mapping" -> ignore (stage_mapping graph cfg)
-      | "atpg" ->
-          let c, mapping_key = stage_mapping graph cfg in
-          ignore (stage_atpg graph cfg ~c ~mapping_key)
-      | "fault-universe" ->
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          ignore
-            (stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key)
-      | "fault-sim" ->
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let stuck_faults, universe_key =
-            stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key
-          in
-          ignore
-            (stage_faultsim graph cfg ~c ~stuck_faults
-               ~vectors:atpg_art.Artifact.vectors ~mapping_key ~universe_key
-               ~atpg_key)
-      | "layout-ifa" ->
-          let c, mapping_key = stage_mapping graph cfg in
-          let mapping = Dl_cell.Mapping.flatten c in
-          let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
-          ignore (stage_ifa graph cfg ~layout ~mapping_key)
-      | "swift" ->
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let mapping = Dl_cell.Mapping.flatten c in
-          let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
-          let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
-          ignore
-            (stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
-               ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
-               ~atpg_key)
-      | "wafer-mc" ->
-          let m =
-            match cfg.mc with
-            | Some m -> m
-            | None ->
-                invalid_arg
-                  "Experiment.run_stage: wafer-mc requested but cfg.mc is None"
-          in
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let mapping = Dl_cell.Mapping.flatten c in
-          let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
-          let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
-          let swift_art, swift_key =
-            stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
-              ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
-              ~atpg_key
-          in
-          let raw_weights =
-            Array.map (fun (f : Realistic.t) -> f.weight) ifa_art.Artifact.faults
-          in
-          let scaled_weights, _ =
-            Weighted.scale_to_yield ~weights:raw_weights
-              ~target_yield:cfg.target_yield
-          in
-          let voltage_firsts =
-            Array.map
-              (fun (d : Swift.detection) -> d.voltage)
-              swift_art.Artifact.detection
-          in
-          let theta_curve = Coverage.make ~weights:scaled_weights voltage_firsts in
-          ignore
-            (stage_wafer_mc graph cfg m
-               ~n_vectors:(Array.length atpg_art.Artifact.vectors)
-               ~scaled_weights ~voltage_firsts ~theta_curve ~atpg_key ~ifa_key
-               ~swift_key)
-      | "bootstrap-fit" ->
-          let replicates =
-            match cfg.bootstrap with
-            | Some k -> k
-            | None ->
-                invalid_arg
-                  "Experiment.run_stage: bootstrap-fit requested but \
-                   cfg.bootstrap is None"
-          in
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let stuck_faults, universe_key =
-            stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key
-          in
-          let sim_art, faultsim_key =
-            stage_faultsim graph cfg ~c ~stuck_faults
-              ~vectors:atpg_art.Artifact.vectors ~mapping_key ~universe_key
-              ~atpg_key
-          in
-          let mapping = Dl_cell.Mapping.flatten c in
-          let layout = Dl_layout.Layout.synthesize ?rows:cfg.rows mapping in
-          let ifa_art, ifa_key = stage_ifa graph cfg ~layout ~mapping_key in
-          let swift_art, swift_key =
-            stage_swift graph cfg ~mapping ~faults:ifa_art.Artifact.faults
-              ~vectors:atpg_art.Artifact.vectors ~mapping_key ~ifa_key
-              ~atpg_key
-          in
-          let raw_weights =
-            Array.map (fun (f : Realistic.t) -> f.weight) ifa_art.Artifact.faults
-          in
-          let scaled_weights, _ =
-            Weighted.scale_to_yield ~weights:raw_weights
-              ~target_yield:cfg.target_yield
-          in
-          let voltage_firsts =
-            Array.map
-              (fun (d : Swift.detection) -> d.voltage)
-              swift_art.Artifact.detection
-          in
-          ignore
-            (stage_bootstrap graph cfg replicates
-               ~n_vectors:(Array.length atpg_art.Artifact.vectors)
-               ~t_firsts:sim_art.Artifact.first_detection
-               ~theta_firsts:voltage_firsts ~theta_weights:scaled_weights
-               ~universe_key ~faultsim_key ~ifa_key ~swift_key)
-      | "ndet-sim" ->
-          let n =
-            match cfg.ndet with
-            | Some n -> n
-            | None ->
-                invalid_arg
-                  "Experiment.run_stage: ndet-sim requested but cfg.ndet is \
-                   None"
-          in
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let stuck_faults, universe_key =
-            stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key
-          in
-          ignore
-            (stage_ndet_sim graph cfg n ~c ~stuck_faults
-               ~vectors:atpg_art.Artifact.vectors ~mapping_key ~universe_key
-               ~atpg_key)
-      | "ndet-atpg" ->
-          let n =
-            match cfg.ndet with
-            | Some n -> n
-            | None ->
-                invalid_arg
-                  "Experiment.run_stage: ndet-atpg requested but cfg.ndet is \
-                   None"
-          in
-          let c, mapping_key = stage_mapping graph cfg in
-          let atpg_art, atpg_key = stage_atpg graph cfg ~c ~mapping_key in
-          let stuck_faults, universe_key =
-            stage_universe graph cfg ~c ~atpg_art ~mapping_key ~atpg_key
-          in
-          ignore
-            (stage_ndet_atpg graph cfg n ~c ~stuck_faults ~mapping_key
-               ~universe_key)
-      | other ->
-          invalid_arg
-            (Printf.sprintf "Experiment.run_stage: unknown stage %S" other));
-      Stage.reports graph
+  let keys = keys cfg in
+  if not (List.mem_assoc stage (List.tl keys)) then
+    invalid_arg
+      (Printf.sprintf "Experiment.run_stage: no stage %S in this config" stage);
+  let r = context cfg keys in
+  force r (upstream stage);
+  Stage.reports r.graph
+
+(* A stage's wave is one more than the deepest wave of the named stages
+   upstream of it, so every wave needs only artifacts of earlier ones. *)
+let stage_waves cfg names =
+  let names =
+    List.filter (fun n -> List.mem n names)
+      (List.filter_map
+         (fun (Row s) -> Option.map (fun _ -> s.name) (s.fingerprint cfg))
+         table)
+  in
+  let rec wave n =
+    List.fold_left
+      (fun w m -> if m <> n && List.mem m names then max w (1 + wave m) else w)
+      0 (upstream n)
+  in
+  let waves = List.map (fun n -> (n, wave n)) names in
+  let in_wave w (n, w') = if w = w' then Some n else None in
+  List.init
+    (List.fold_left (fun m (_, w) -> max m (w + 1)) 0 waves)
+    (fun w -> List.filter_map (in_wave w) waves)
 
 let defect_level_at t k =
   Weighted.defect_level ~yield:t.yield ~theta:(Coverage.at t.theta_curve k)
@@ -984,10 +790,8 @@ let dl_vs_gamma_points t ~ks =
   Array.map (fun k -> (Coverage.at t.gamma_curve k, defect_level_at t k)) ks
 
 let fit_params t ?(points = fit_sample_points) () =
-  let ks = sample_ks t ~points in
-  let samples =
-    Array.map (fun k -> (Coverage.at t.t_curve k, Coverage.at t.theta_curve k)) ks
-  in
-  Projection.fit_theta samples
+  Projection.fit_theta
+    (fit_samples ~t:t.t_curve ~theta:t.theta_curve
+       ~n:(Array.length t.vectors) ~points)
 
 let pp_summary ppf t = Format.pp_print_string ppf t.summary

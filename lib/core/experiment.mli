@@ -8,11 +8,12 @@
 
     [run] executes as an incremental stage graph ({!Dl_store.Stage}):
     mapping → atpg → fault-universe → fault-sim → layout-ifa → swift →
-    projection.  With [cache_dir] set, every stage artifact is persisted
-    content-addressed ({!Dl_store.Store}) and a re-run recomputes only the
-    stages whose inputs or config actually changed — re-projecting at a
-    different yield or sampling resolution reuses every simulation
-    artifact. *)
+    projection, then the optional stages; one table of them derives
+    {!stage_keys}, {!run_stage} and {!stage_waves}.  With [cache_dir] set,
+    every stage artifact is persisted content-addressed ({!Dl_store.Store})
+    and a re-run recomputes only the stages whose inputs or config
+    actually changed — re-projecting at a different yield or sampling
+    resolution reuses every simulation artifact. *)
 
 open Dl_netlist
 
@@ -105,7 +106,12 @@ val config : ?seed:int -> ?max_random_vectors:int -> ?target_yield:float ->
     pruning, [Domain.recommended_domain_count ()] domains (or [pool], which
     takes precedence), collapsed fault universe, [Wide] fault-sim engine,
     no cache, no Monte-Carlo stage, no bootstrap stage, no n-detection
-    stages. *)
+    stages.
+    @raise Invalid_argument (one line naming the field) unless
+    [0 < target_yield < 1], [max_random_vectors >= 0],
+    [0 <= min_weight_ratio <= 1] and [domains], [rows], [bootstrap],
+    [ndet] are >= 1.  {!stage_keys}, {!run} and {!run_stage} repeat the
+    check, so a [{ cfg with ... }] update cannot bypass it. *)
 
 val stage_keys : config -> (string * string) list
 (** [(stage, key)] for every stage of {!run}, in execution order, derived
@@ -181,15 +187,24 @@ type t = {
 }
 
 val run : config -> t
+(** Run every stage of {!stage_keys}, in that order. *)
 
 val run_stage : config -> stage:string -> Dl_store.Stage.report list
 (** Execute one named stage (a {!stage_keys} name) plus its dependency
-    closure, nothing downstream — the unit of work a cluster coordinator
-    fans out.  With a warm or peer-fed store the upstream closure
-    collapses to cache hits.  Returns the per-stage reports of the
-    closure in execution order (the requested stage is last).
-    ["projection"] is the whole pipeline and delegates to {!run}.
-    @raise Invalid_argument on an unknown stage name. *)
+    closure — the stages its key's inputs name, transitively — and
+    nothing else: the unit of work a cluster coordinator fans out.  With
+    a warm or peer-fed store the upstream closure collapses to cache hits.
+    Returns the closure's reports in {!stage_keys} order, with the
+    requested stage last; their keys are {!stage_keys}'s.  No stage is
+    special: ["projection"] runs the seven core stages and no optional one.
+    @raise Invalid_argument on an invalid config, an unknown stage name,
+    or an optional stage whose option is off in [cfg]. *)
+
+val stage_waves : config -> string list -> string list list
+(** Group the named stages that are on in [cfg] into dependency waves,
+    in {!stage_keys} order: each wave needs only artifacts of named stages
+    in earlier waves.  [atpg], [layout-ifa], [fault-sim] and [swift] give
+    [[["atpg"; "layout-ifa"]; ["fault-sim"; "swift"]]]. *)
 
 val defect_level_at : t -> int -> float
 (** [DL(Θ(k))] through eq. 3 with the scaled yield: the quantity the paper

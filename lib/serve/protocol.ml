@@ -23,6 +23,35 @@ let job_spec ?(seed = 7) ?(max_random_vectors = 256) ?(target_yield = 0.75)
   { circuit; seed; max_random_vectors; target_yield; collapse_faults;
     min_weight_ratio; deadline_ms }
 
+let experiment_config ?cache_dir ?remote spec =
+  let module B = Dl_netlist.Benchmarks in
+  let circuit =
+    match spec.circuit with
+    | Builtin name -> (
+        match B.by_name name with
+        | Some c -> Ok c
+        | None ->
+            Error
+              (Printf.sprintf "unknown benchmark %S (built-ins: %s)" name
+                 (String.concat ", " (List.map fst B.all))))
+    | Inline_bench { title; text } -> (
+        try Ok (Dl_netlist.Bench_format.parse_string ~title text) with
+        | Dl_netlist.Bench_format.Parse_error { line; message } ->
+            Error (Printf.sprintf "inline bench, line %d: %s" line message)
+        | Failure m | Invalid_argument m ->
+            Error (Printf.sprintf "inline bench: %s" m))
+  in
+  Result.bind circuit (fun circuit ->
+      try
+        Ok
+          (Experiment.config ~seed:spec.seed
+             ~max_random_vectors:spec.max_random_vectors
+             ~target_yield:spec.target_yield
+             ~collapse_faults:spec.collapse_faults
+             ~min_weight_ratio:spec.min_weight_ratio ?cache_dir ?remote
+             circuit)
+      with Invalid_argument m -> Error m)
+
 type request =
   | Ping
   | Get_stats

@@ -42,6 +42,13 @@ val job_spec :
 (** Defaults: seed 7, 256 random vectors, yield 0.75, collapsed universe,
     no pruning, no deadline. *)
 
+val experiment_config :
+  ?cache_dir:string -> ?remote:Dl_store.Stage.remote -> job_spec ->
+  (Dl_core.Experiment.config, string) result
+(** The experiment a spec asks for — its built-in circuit looked up, or
+    its inline [.bench] text parsed, and its config validated — or a
+    one-line reason it is invalid, found before anything is queued. *)
+
 type request =
   | Ping
   | Get_stats

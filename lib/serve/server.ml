@@ -81,27 +81,8 @@ let stopping t = Atomic.get t.stop_flag || locked t (fun () -> t.state <> Servin
 
 (* --- request handling ---------------------------------------------------- *)
 
-let resolve_circuit = function
-  | Protocol.Builtin name -> (
-      match Benchmarks.by_name name with
-      | Some c -> Ok c
-      | None ->
-          Error
-            (Printf.sprintf "unknown benchmark %S (built-ins: %s)" name
-               (String.concat ", " (List.map fst Benchmarks.all))))
-  | Protocol.Inline_bench { title; text } -> (
-      try Ok (Bench_format.parse_string ~title text) with
-      | Bench_format.Parse_error { line; message } ->
-          Error (Printf.sprintf "inline bench, line %d: %s" line message)
-      | Failure m | Invalid_argument m ->
-          Error (Printf.sprintf "inline bench: %s" m))
-
-let config_of_spec t (spec : Protocol.job_spec) circuit =
-  Experiment.config ~seed:spec.seed
-    ~max_random_vectors:spec.max_random_vectors
-    ~target_yield:spec.target_yield ~collapse_faults:spec.collapse_faults
-    ~min_weight_ratio:spec.min_weight_ratio ?cache_dir:t.cfg.cache_dir
-    ?remote:t.cfg.remote circuit
+let config_of_spec t =
+  Protocol.experiment_config ?cache_dir:t.cfg.cache_dir ?remote:t.cfg.remote
 
 let retry_after_ms t ~queue_depth =
   let mean = Metrics.mean_service_ms t.metrics in
@@ -123,10 +104,9 @@ let deliver t ~t0 ~coalesced payload =
 
 let handle_submit t (spec : Protocol.job_spec) =
   let t0 = Unix.gettimeofday () in
-  match resolve_circuit spec.circuit with
+  match config_of_spec t spec with
   | Error msg -> Protocol.Server_error msg
-  | Ok circuit -> (
-      let cfg = config_of_spec t spec circuit in
+  | Ok cfg -> (
       let key = Experiment.request_key cfg in
       let deadline =
         Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0)) spec.deadline_ms
@@ -176,10 +156,9 @@ let handle_submit t (spec : Protocol.job_spec) =
 
 let handle_serve_stage t (spec : Protocol.job_spec) ~stage =
   let t0 = Unix.gettimeofday () in
-  match resolve_circuit spec.circuit with
+  match config_of_spec t spec with
   | Error msg -> Protocol.Server_error msg
-  | Ok circuit -> (
-      let cfg = config_of_spec t spec circuit in
+  | Ok cfg -> (
       match List.assoc_opt stage (Experiment.stage_keys cfg) with
       | None ->
           Protocol.Server_error

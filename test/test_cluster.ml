@@ -241,9 +241,10 @@ let test_deadline_starts_at_first_byte () =
 
 (* --- peer store RPCs ------------------------------------------------------ *)
 
-let with_worker ?cache_dir ?(listen = loopback) f =
+let with_worker ?cache_dir ?on_job_start ?(listen = loopback) f =
   let w =
-    Worker.start ~workers:1 ~domains_per_worker:1 ?cache_dir ~listen ()
+    Worker.start ~workers:1 ~domains_per_worker:1 ?on_job_start ?cache_dir
+      ~listen ()
   in
   Fun.protect ~finally:(fun () -> Worker.stop w) (fun () -> f w)
 
@@ -314,6 +315,157 @@ let test_fetch_through () =
                 | P.Stage_computed -> false);
               Alcotest.(check string) "same stage key on both workers"
                 first_key second_key)))
+
+(* --- stage closures and fan-out waves ------------------------------------- *)
+
+module Experiment = Dl_core.Experiment
+
+let full_cfg () =
+  Experiment.config ~seed:5 ~max_random_vectors:32 ~domains:1
+    ~mc:(Experiment.mc ~dies:512 ()) ~bootstrap:20 ~ndet:4
+    (Dl_netlist.Benchmarks.c17 ())
+
+let test_run_stage_closures () =
+  (* Every stage's closure, written out by hand from the paper's flow: a
+     stage runs after exactly the stages its key's inputs name,
+     transitively, and nothing else — "projection" included. *)
+  let core = [ "mapping"; "atpg"; "fault-universe"; "fault-sim" ] in
+  let closures =
+    [
+      ("mapping", [ "mapping" ]);
+      ("atpg", [ "mapping"; "atpg" ]);
+      ("fault-universe", [ "mapping"; "atpg"; "fault-universe" ]);
+      ("fault-sim", core);
+      ("layout-ifa", [ "mapping"; "layout-ifa" ]);
+      ("swift", [ "mapping"; "atpg"; "layout-ifa"; "swift" ]);
+      ("projection", core @ [ "layout-ifa"; "swift"; "projection" ]);
+      ("wafer-mc", [ "mapping"; "atpg"; "layout-ifa"; "swift"; "wafer-mc" ]);
+      ("bootstrap-fit", core @ [ "layout-ifa"; "swift"; "bootstrap-fit" ]);
+      ("ndet-sim", [ "mapping"; "atpg"; "fault-universe"; "ndet-sim" ]);
+      ("ndet-atpg", [ "mapping"; "atpg"; "fault-universe"; "ndet-atpg" ]);
+    ]
+  in
+  let cfg = full_cfg () in
+  let keys = Experiment.stage_keys cfg in
+  Alcotest.(check (list string))
+    "a closure for every stage" (List.map fst keys) (List.map fst closures);
+  List.iter
+    (fun (stage, closure) ->
+      let reports = Experiment.run_stage cfg ~stage in
+      let names =
+        List.map (fun (r : Dl_store.Stage.report) -> r.stage) reports
+      in
+      Alcotest.(check (list string)) (stage ^ " closure") closure names;
+      Alcotest.(check string)
+        (stage ^ " runs last") stage
+        (List.nth names (List.length names - 1));
+      Alcotest.(check (list (pair string string)))
+        (stage ^ " keys are stage_keys'")
+        (List.map (fun n -> (n, List.assoc n keys)) names)
+        (List.map
+           (fun (r : Dl_store.Stage.report) -> (r.stage, r.key))
+           reports))
+    closures;
+  let refused what cfg stage =
+    match Experiment.run_stage cfg ~stage with
+    | _ -> Alcotest.failf "%s: run_stage %S accepted" what stage
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter (refused "unknown" cfg) [ "nonesuch"; "netlist"; "" ];
+  let plain =
+    Experiment.config ~max_random_vectors:32 (Dl_netlist.Benchmarks.c17 ())
+  in
+  List.iter (refused "option off" plain)
+    [ "wafer-mc"; "bootstrap-fit"; "ndet-sim"; "ndet-atpg" ]
+
+let test_stage_waves () =
+  let fanned = [ "atpg"; "layout-ifa"; "fault-sim"; "swift" ] in
+  let plain = Experiment.config (Dl_netlist.Benchmarks.c17 ()) in
+  Alcotest.(check (list (list string)))
+    "default fan-out waves"
+    [ [ "atpg"; "layout-ifa" ]; [ "fault-sim"; "swift" ] ]
+    (Experiment.stage_waves plain fanned);
+  Alcotest.(check (list (list string)))
+    "given order does not matter"
+    (Experiment.stage_waves plain fanned)
+    (Experiment.stage_waves plain (List.rev fanned));
+  Alcotest.(check (list (list string)))
+    "stages that are off are dropped" [ [ "atpg" ] ]
+    (Experiment.stage_waves plain [ "wafer-mc"; "atpg"; "ndet-sim" ]);
+  let cfg = full_cfg () in
+  Alcotest.(check (list (list string)))
+    "every stage, every option on"
+    [
+      [ "mapping" ];
+      [ "atpg"; "layout-ifa" ];
+      [ "fault-universe"; "swift" ];
+      [ "fault-sim"; "wafer-mc"; "ndet-sim"; "ndet-atpg" ];
+      [ "projection"; "bootstrap-fit" ];
+    ]
+    (Experiment.stage_waves cfg (List.map fst (Experiment.stage_keys cfg)))
+
+let test_fanout_coordinator () =
+  (* A fan-out coordinator over two workers: the submit's answer equals a
+     direct run, and the workers ran the four warm-up stage jobs (one per
+     fanned stage key) besides the final submit. *)
+  let dir1 = tmp_dir "fan1" and dir2 = tmp_dir "fan2" in
+  let jobs = ref [] and lock = Mutex.create () in
+  let on_job_start key = Mutex.protect lock (fun () -> jobs := key :: !jobs) in
+  Fun.protect
+    ~finally:(fun () ->
+      remove_tree dir1;
+      remove_tree dir2)
+    (fun () ->
+      with_worker ~cache_dir:dir1 ~on_job_start (fun w1 ->
+          with_worker ~cache_dir:dir2 ~on_job_start (fun w2 ->
+              let fleet = [ Worker.bound w1; Worker.bound w2 ] in
+              List.iter (fun w -> Worker.set_peers w fleet) [ w1; w2 ];
+              let coord =
+                Coord.start
+                  (Coord.config ~fanout_stages:true ~probe_period_s:10.0
+                     ~listen:loopback ~workers:fleet ())
+              in
+              Fun.protect
+                ~finally:(fun () -> Coord.stop coord)
+                (fun () ->
+                  let reply =
+                    Client.with_client (Coord.bound coord) (fun c ->
+                        Client.submit c (quick_spec 3))
+                  in
+                  let cfg =
+                    Experiment.config ~seed:3 ~max_random_vectors:32
+                      ~domains:1 (Dl_netlist.Benchmarks.c17 ())
+                  in
+                  let direct = Experiment.run cfg in
+                  let expect =
+                    P.payload_of_experiment
+                      ~key:(Experiment.request_key cfg) direct
+                  in
+                  (match reply with
+                  | P.Result served ->
+                      let strip (p : P.result_payload) =
+                        { p with stage_hits = 0; stage_misses = 0 }
+                      in
+                      Alcotest.(check bool)
+                        "fanned-out answer equals a direct run" true
+                        (strip served.P.payload = strip expect)
+                  | P.Server_error m -> Alcotest.failf "coordinator: %s" m
+                  | _ -> Alcotest.fail "unexpected reply kind");
+                  let keys = Experiment.stage_keys cfg in
+                  let stage_jobs =
+                    List.filter
+                      (fun k -> String.starts_with ~prefix:"stage/" k)
+                      !jobs
+                  in
+                  Alcotest.(check (list string))
+                    "one stage job per fanned stage"
+                    (List.sort compare
+                       (List.map
+                          (fun s -> "stage/" ^ List.assoc s keys)
+                          [ "atpg"; "layout-ifa"; "fault-sim"; "swift" ]))
+                    (List.sort compare stage_jobs);
+                  Alcotest.(check int) "and one full job" 1
+                    (List.length !jobs - List.length stage_jobs)))))
 
 (* --- coordinator failure handling ----------------------------------------- *)
 
@@ -471,5 +623,14 @@ let () =
             test_redispatch_on_worker_death;
           Alcotest.test_case "probe ejection and readmission" `Quick
             test_probe_readmission;
+          Alcotest.test_case "fan-out submit = direct run" `Quick
+            test_fanout_coordinator;
+        ] );
+      ( "stage-table",
+        [
+          Alcotest.test_case "run_stage runs exactly each closure" `Quick
+            test_run_stage_closures;
+          Alcotest.test_case "fan-out waves derived from the table" `Quick
+            test_stage_waves;
         ] );
     ]

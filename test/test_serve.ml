@@ -708,6 +708,251 @@ let test_stage_keys_pinned () =
     ~bootstrap:("bootstrap-fit", "fe0ace400a623e06f66a7b6178a4371a")
     ~mc:("wafer-mc", "6545576592df2e29291dcabb9203a8e4")
 
+let test_stage_keys_golden_all_benchmarks () =
+  (* One digest of the whole [(stage, key)] list per registered circuit,
+     plain and with each optional stage (the same four variants as above),
+     recorded before the stage table replaced the hand-written key
+     derivation.  Any drift in a key, its order or the set of stages
+     fails here. *)
+  let digest keys =
+    keys
+    |> List.map (fun (stage, key) -> stage ^ "=" ^ key)
+    |> String.concat ";" |> Digest.string |> Digest.to_hex
+  in
+  let golden =
+    [
+      ( "c17",
+        [
+          "dc61fc81f208b7c20c9b6be8c3211f87";
+          "7f3ab296feede2a366f38dc807c79b7f";
+          "a7f2d8d896e81e418f35298f3da3e616";
+          "9f7ecbdbb22471bfab1cbd0863015ffe";
+        ] );
+      ( "c432s",
+        [
+          "11197d7a658017be0dbaad80fae6522c";
+          "cba11cd32f76359c0320b3581acff3bc";
+          "b0ebc98bd9ca7196b9d3571da8a02403";
+          "11f849f8b4be802facd43558435aa497";
+        ] );
+      ( "c432s_small",
+        [
+          "933a255cf029997c1037a871acd2b7a2";
+          "da10c6ad5077e5ea4c28d953f21da7e7";
+          "26cbc6aeba3d396f97c65303b8a3a56e";
+          "31e7df423ac5b3853fc09003ca24f981";
+        ] );
+      ( "c499s",
+        [
+          "1c529b7fa3110dfb0de2e76ed2225a77";
+          "3d3ed7c626780e9a9f13df8d728f26c6";
+          "ca03108eadb5a0d86828243faad470e6";
+          "ecde7ebb48846a0ecef298ad8de8d6cb";
+        ] );
+      ( "c880s",
+        [
+          "8a924f51220e31189c0d49c63093537d";
+          "a81c256dc98e31b486aa83b54026c27b";
+          "6589ace338b7450e501377343d33f126";
+          "03f36f04c8c85db558e00ce8a166b043";
+        ] );
+      ( "c1355s",
+        [
+          "ef1b745ca013cc69d02692e203d39940";
+          "ff6b679b2f8a2c612420a2bc6be3562b";
+          "a8d68d3827a9fc5a12421eb699db80c8";
+          "97c71dc358abd85ff005fa0d16699720";
+        ] );
+      ( "c1908s",
+        [
+          "5a9234a4bc3916fd177554a790285761";
+          "068589d856055bf7a6545c9a6802c0fc";
+          "a0d74d0cc8c49e949fda3ce5b12602cd";
+          "3e3e0b98d8587e4e1ed2cf2c0825398b";
+        ] );
+      ( "c2670s",
+        [
+          "e9279c14eb80c07ed6d9c3ddffd240ff";
+          "b9ad068fd2191ed4b94c89869f28c4c9";
+          "560e43783760685dd9917d374b9f51f1";
+          "1c1681f3f0196488bffecae0eed5fbed";
+        ] );
+      ( "c3540s",
+        [
+          "923fc93fcbbeb8021bebb065d699bdf3";
+          "3941e7bfedaef9f29038a0f4f2cf1431";
+          "0c86474adfabaf2c8ff5318bfa1b8739";
+          "7a69605da904806027f0459eae005023";
+        ] );
+      ( "add8",
+        [
+          "6bf4412e43ae486923e430dad5a1b72b";
+          "ad30e1e01615850c59a2540fb53e4e1f";
+          "ed99cfe06903e3f6d9bbae09df5749bb";
+          "04a6cdd9d4e3b4ef79ac0233c3592ca7";
+        ] );
+      ( "add16",
+        [
+          "bba3f918fd3a695d906558f2bc51cf46";
+          "d23f61adf0404a8769d2b04e6e79e8c0";
+          "9c2aa2760ce47dad92981ca8ab56d21b";
+          "15c50829144f7dac8f66328869681a67";
+        ] );
+      ( "cmp8",
+        [
+          "6518f79bab05ee23a5fa73ba8a27f6a5";
+          "87877ca5f4568521b8cc26f1914d759d";
+          "27551dd85b77ac12bcc99193ac66eac4";
+          "7651e75e128ca3cc5e04e60c00f69314";
+        ] );
+      ( "par16",
+        [
+          "dc984e27e8e83724a38eda9e0f6a04df";
+          "750e58af6783e39cbb36e2e98d4eb9a9";
+          "4d992a86f297bfdfeb051ecc116d2e43";
+          "070f4c8d9a6d175ab674d874879d8750";
+        ] );
+      ( "mux3",
+        [
+          "46444e533c6928ec853e3414e86ed0af";
+          "40a85d06fd364e89ef08450d3853be06";
+          "e6093b5029906181c8d83b47ac6053f0";
+          "ea5b9116ed61ea77cb0423aa6a0f9c84";
+        ] );
+      ( "dec4",
+        [
+          "638ee6d8c6992792ab2d28654f7bbd9c";
+          "b30ee7fcd3bad97cb9f82715f91242a6";
+          "857e7a52afe6ec712d4b314798c4c4fb";
+          "d338beef0ca2b75e383d2e93c95a8959";
+        ] );
+      ( "cla8",
+        [
+          "c6a305d036128b09c390388f1a61243f";
+          "60b70b6e3ba7ddbd60d3f37e206f2c6b";
+          "d1d8e755801590d942fdb21f9c381de2";
+          "f0b12ba7b4395a9c5c80411e9ce6a5c2";
+        ] );
+      ( "mul4",
+        [
+          "eb04ff210918bc35eeb969fed9efb410";
+          "96dc93bddad6a8efd319d4129a5fb217";
+          "219881121e3d5c95c173ce1551450679";
+          "87e74b1036b5ea8daa8cef8203fa0b91";
+        ] );
+    ]
+  in
+  Alcotest.(check (list string))
+    "every registered benchmark is pinned"
+    (List.map fst Dl_netlist.Benchmarks.all)
+    (List.map fst golden);
+  List.iter
+    (fun (name, mk) ->
+      let c = mk () in
+      let variants =
+        [
+          ("plain", Experiment.config c);
+          ("ndet", Experiment.config ~ndet:4 c);
+          ("bootstrap", Experiment.config ~bootstrap:20 c);
+          ("mc", Experiment.config ~mc:(Experiment.mc ~dies:512 ()) c);
+        ]
+      in
+      List.iter2
+        (fun (variant, cfg) want ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s stage keys" name variant)
+            want
+            (digest (Experiment.stage_keys cfg)))
+        variants (List.assoc name golden))
+    Dl_netlist.Benchmarks.all
+
+(* --- config validation ---------------------------------------------------- *)
+
+let check_invalid what ~field f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted an invalid %s" what field
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one-line message naming %s (%S)" what field msg)
+        true
+        ((not (String.contains msg '\n')) && contains_sub ~sub:field msg)
+
+let test_invalid_config_rejected_before_any_stage () =
+  (* Each bad value is refused by [config], and — smuggled in through a
+     record update — by [stage_keys], [run] and [run_stage] before any
+     stage runs: the store directory is never even created. *)
+  let c = Dl_netlist.Benchmarks.c17 () in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dlserve-badcfg-%d" (Unix.getpid ()))
+  in
+  let good = Experiment.config ~max_random_vectors:32 ~cache_dir:dir c in
+  let cases =
+    [
+      ( "min_weight_ratio",
+        (fun () -> Experiment.config ~min_weight_ratio:Float.nan c),
+        { good with min_weight_ratio = Float.nan } );
+      ( "min_weight_ratio",
+        (fun () -> Experiment.config ~min_weight_ratio:2.0 c),
+        { good with min_weight_ratio = 2.0 } );
+      ( "min_weight_ratio",
+        (fun () -> Experiment.config ~min_weight_ratio:(-0.5) c),
+        { good with min_weight_ratio = -0.5 } );
+      ( "max_random_vectors",
+        (fun () -> Experiment.config ~max_random_vectors:(-1) c),
+        { good with max_random_vectors = -1 } );
+      ( "rows",
+        (fun () -> Experiment.config ~rows:0 c),
+        { good with rows = Some 0 } );
+    ]
+  in
+  List.iter
+    (fun (field, make, bad) ->
+      check_invalid "config" ~field (fun () -> ignore (make ()));
+      check_invalid "stage_keys" ~field (fun () ->
+          ignore (Experiment.stage_keys bad));
+      check_invalid "request_key" ~field (fun () ->
+          ignore (Experiment.request_key bad));
+      check_invalid "run" ~field (fun () -> ignore (Experiment.run bad));
+      check_invalid "run_stage" ~field (fun () ->
+          ignore (Experiment.run_stage bad ~stage:"mapping"));
+      Alcotest.(check bool)
+        (field ^ ": nothing ran, no store created")
+        false (Sys.file_exists dir))
+    cases;
+  (* the boundaries are valid *)
+  List.iter
+    (fun cfg -> ignore (Experiment.stage_keys cfg))
+    [
+      Experiment.config ~min_weight_ratio:0.0 ~max_random_vectors:0 ~rows:1 c;
+      Experiment.config ~min_weight_ratio:1.0 c;
+    ]
+
+let test_server_invalid_spec_not_queued () =
+  let started = Atomic.make 0 in
+  with_server
+    ~on_job_start:(fun _ -> Atomic.incr started)
+    (fun _server socket ->
+      Client.with_client (ep socket) (fun c ->
+          List.iter
+            (fun spec ->
+              match Client.submit c spec with
+              | P.Server_error msg ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "one line naming the field (%S)" msg)
+                    true
+                    ((not (String.contains msg '\n'))
+                    && contains_sub ~sub:"min_weight_ratio" msg)
+              | _ -> Alcotest.fail "invalid spec must be a Server_error")
+            [
+              P.job_spec ~min_weight_ratio:2.0 (P.Builtin "c17");
+              P.job_spec ~min_weight_ratio:Float.nan (P.Builtin "c17");
+            ];
+          let st = Client.get_stats c in
+          Alcotest.(check int) "nothing accepted" 0 st.P.accepted;
+          Alcotest.(check int) "no job started" 0 (Atomic.get started)))
+
 let test_serve_loopback_oracle_registered () =
   match Dl_check.Oracle.find "serve-loopback" with
   | None -> Alcotest.fail "serve-loopback oracle is not registered"
@@ -1073,6 +1318,8 @@ let () =
             test_server_sigterm_drains;
           Alcotest.test_case "stale socket recovery, live socket refused"
             `Quick test_server_stale_socket_recovery;
+          Alcotest.test_case "invalid spec is an error, not a job" `Quick
+            test_server_invalid_spec_not_queued;
         ] );
       ( "keys",
         [
@@ -1082,6 +1329,10 @@ let () =
             `Quick test_stage_keys_engine_sensitivity;
           Alcotest.test_case "default-config keys pinned" `Quick
             test_stage_keys_pinned;
+          Alcotest.test_case "keys of every benchmark pinned" `Quick
+            test_stage_keys_golden_all_benchmarks;
+          Alcotest.test_case "invalid config rejected before any stage"
+            `Quick test_invalid_config_rejected_before_any_stage;
           Alcotest.test_case "loopback oracle registered and passing" `Slow
             test_serve_loopback_oracle_registered;
         ] );
