@@ -860,12 +860,16 @@ let endpoint_of socket tcp =
       | Dl_serve.Transport.Unix_socket _ ->
           die "bad --tcp %S (expected HOST:PORT)" spec)
 
+let positive flag n = if n < 1 then die "%s must be positive" flag
+
 let parse_endpoint ~what spec =
   try Dl_serve.Transport.of_string spec
   with Invalid_argument m -> die "bad %s %S: %s" what spec m
 
 let serve_cmd =
   let run socket tcp workers queue_capacity jobs cache peers =
+    positive "--workers" workers;
+    positive "--queue" queue_capacity;
     let listen = endpoint_of socket tcp in
     let banner ep =
       Printf.printf "dlproj serving on %s (%d worker%s, queue %d)%s%s\n%!"
@@ -881,7 +885,7 @@ let serve_cmd =
         | ps -> Printf.sprintf ", %d peer%s" (List.length ps)
                   (if List.length ps = 1 then "" else "s"))
     in
-    (match peers with
+    (match List.map (parse_endpoint ~what:"--peer") peers with
     | [] ->
         let cfg =
           Dl_serve.Server.config ~workers ~queue_capacity
@@ -897,17 +901,8 @@ let serve_cmd =
             ~domains_per_worker:(resolve_jobs jobs) ?cache_dir:cache ~listen ()
         in
         let self = Dl_cluster.Worker.bound w in
-        Dl_cluster.Worker.set_peers w
-          (self :: List.map (parse_endpoint ~what:"--peer") peers);
-        let server = Dl_cluster.Worker.server w in
-        let handler =
-          Sys.Signal_handle (fun _ -> Dl_serve.Server.request_stop server)
-        in
-        List.iter
-          (fun s -> ignore (Sys.signal s handler))
-          [ Sys.sigterm; Sys.sigint ];
-        banner self;
-        Dl_serve.Server.wait server);
+        Dl_cluster.Worker.set_peers w (self :: peers);
+        Dl_cluster.Worker.run w ~on_ready:(fun _ -> banner self));
     print_endline "dlproj server drained and exited"
   in
   let workers =
@@ -1154,6 +1149,8 @@ let bench_serve_cmd =
 
 let coord_cmd =
   let run socket tcp worker_specs max_in_flight probe_ms fanout =
+    positive "--max-in-flight" max_in_flight;
+    positive "--probe-ms" probe_ms;
     if worker_specs = [] then die "coord needs at least one --worker";
     let listen = endpoint_of socket tcp in
     let workers = List.map (parse_endpoint ~what:"--worker") worker_specs in

@@ -2,9 +2,8 @@ module Protocol = Dl_serve.Protocol
 module Client = Dl_serve.Client
 module Transport = Dl_serve.Transport
 module Metrics = Dl_serve.Metrics
+module Listener = Dl_serve.Listener
 module Experiment = Dl_core.Experiment
-module Benchmarks = Dl_netlist.Benchmarks
-module Bench_format = Dl_netlist.Bench_format
 
 type config = {
   listen : Transport.endpoint;
@@ -22,6 +21,8 @@ let config ?(max_in_flight = 4) ?(probe_period_s = 1.0)
     ?(connect_timeout_s = 2.0) ?(steal_margin = 2) ~listen ~workers () =
   if workers = [] then invalid_arg "Coord.config: no workers";
   if max_in_flight < 1 then invalid_arg "Coord.config: max_in_flight < 1";
+  if not (probe_period_s > 0.0) then
+    invalid_arg "Coord.config: probe_period_s must be positive";
   {
     listen;
     workers;
@@ -42,30 +43,17 @@ type wstate = {
   mutable consecutive_failures : int;
 }
 
-type conn = {
-  fd : Unix.file_descr;
-  mutable thread : Thread.t option;
-  mutable closed : bool;
-}
-
-type state = Serving | Stopped
-
-type t = {
+type state = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  bound : Transport.endpoint;
   ring : Hash_ring.t;
   table : (string, wstate) Hashtbl.t;
   order : wstate list;
   metrics : Metrics.t;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  stop_flag : bool Atomic.t;
-  mutable conns : conn list;
-  mutable state : state;
-  mutable accept_thread : Thread.t option;
-  mutable prober : Thread.t option;
+  mutex : Mutex.t;  (* guards every wstate's mutable fields *)
+  cond : Condition.t;  (* broadcast when a worker frees up or dies *)
 }
+
+type t = { st : state; listener : Listener.t; prober : Thread.t }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -93,43 +81,41 @@ let release t w =
 let acquire t ~key ~tried =
   locked t (fun () ->
       let rec go () =
-        if Atomic.get t.stop_flag then None
-        else
-          let usable =
-            List.filter
-              (fun w -> w.alive && not (Hashtbl.mem tried w.w_name))
-              t.order
-          in
-          if usable = [] then None
-          else
-            let ready =
-              List.filter (fun w -> w.in_flight < t.cfg.max_in_flight) usable
+      let usable =
+        List.filter
+          (fun w -> w.alive && not (Hashtbl.mem tried w.w_name))
+          t.order
+      in
+      if usable = [] then None
+      else
+        let ready =
+          List.filter (fun w -> w.in_flight < t.cfg.max_in_flight) usable
+        in
+        match ready with
+        | [] ->
+            Condition.wait t.cond t.mutex;
+            go ()
+        | first :: rest ->
+            let best =
+              List.fold_left
+                (fun acc w -> if load w < load acc then w else acc)
+                first rest
             in
-            match ready with
-            | [] ->
-                Condition.wait t.cond t.mutex;
-                go ()
-            | first :: rest ->
-                let best =
-                  List.fold_left
-                    (fun acc w -> if load w < load acc then w else acc)
-                    first rest
-                in
-                let home =
-                  List.find_map
-                    (fun m ->
-                      List.find_opt (fun w -> w.w_name = m) ready)
-                    (Hash_ring.route t.ring key)
-                in
-                let chosen =
-                  match home with
-                  | Some h when load h - load best > t.cfg.steal_margin ->
-                      best
-                  | Some h -> h
-                  | None -> best
-                in
-                chosen.in_flight <- chosen.in_flight + 1;
-                Some chosen
+            let home =
+              List.find_map
+                (fun m ->
+                  List.find_opt (fun w -> w.w_name = m) ready)
+                (Hash_ring.route t.ring key)
+            in
+            let chosen =
+              match home with
+              | Some h when load h - load best > t.cfg.steal_margin ->
+                  best
+              | Some h -> h
+              | None -> best
+            in
+            chosen.in_flight <- chosen.in_flight + 1;
+            Some chosen
       in
       go ())
 
@@ -208,29 +194,24 @@ let observe t t0 resp =
   | _ -> ());
   resp
 
-let handle_submit t (spec : Protocol.job_spec) =
-  let t0 = Unix.gettimeofday () in
-  match Protocol.experiment_config spec with
-  | Error msg -> Protocol.Server_error msg
-  | Ok cfg ->
-      let keys = Experiment.stage_keys cfg in
-      let key = List.assoc "projection" keys in
-      Metrics.incr_accepted t.metrics;
-      Metrics.incr_executed t.metrics;
-      if t.cfg.fanout_stages then fanout t spec cfg keys;
-      observe t t0 (dispatch t ~key (Protocol.Submit spec))
-
-let handle_serve_stage t (spec : Protocol.job_spec) ~stage =
+(* Relay a [Submit] (homed by its projection key, fanned out first when
+   so configured) or a [Serve_stage] (homed by that stage's key). *)
+let relay t (spec : Protocol.job_spec) ~stage request =
   let t0 = Unix.gettimeofday () in
   match Protocol.experiment_config spec with
   | Error msg -> Protocol.Server_error msg
   | Ok cfg -> (
-      match List.assoc_opt stage (Experiment.stage_keys cfg) with
+      let keys = Experiment.stage_keys cfg in
+      match List.assoc_opt stage keys with
       | None -> Protocol.Server_error (Printf.sprintf "unknown stage %S" stage)
       | Some key ->
           Metrics.incr_accepted t.metrics;
           Metrics.incr_executed t.metrics;
-          observe t t0 (dispatch t ~key (Protocol.Serve_stage { spec; stage })))
+          (match request with
+          | Protocol.Submit _ when t.cfg.fanout_stages ->
+              fanout t spec cfg keys
+          | _ -> ());
+          observe t t0 (dispatch t ~key request))
 
 (* Store requests are proxied along the key's ring route: the first live
    worker that answers usefully wins. *)
@@ -266,8 +247,8 @@ let stats t =
 let handle t = function
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Get_stats -> Protocol.Stats_reply (stats t)
-  | Protocol.Submit spec -> handle_submit t spec
-  | Protocol.Serve_stage { spec; stage } -> handle_serve_stage t spec ~stage
+  | Protocol.Submit spec as r -> relay t spec ~stage:"projection" r
+  | Protocol.Serve_stage { spec; stage } as r -> relay t spec ~stage r
   | Protocol.Store_get key ->
       handle_store t ~key (Protocol.Store_get key) ~miss:Protocol.Store_missing
   | Protocol.Store_put { key; data } ->
@@ -275,58 +256,6 @@ let handle t = function
         (Protocol.Store_put { key; data })
         ~miss:(Protocol.Store_ack false)
   | Protocol.Shutdown -> Protocol.Stats_reply (stats t)
-
-(* --- connection plumbing --------------------------------------------------- *)
-
-let close_conn t conn =
-  locked t (fun () ->
-      if not conn.closed then begin
-        conn.closed <- true;
-        try Unix.close conn.fd with Unix.Unix_error _ -> ()
-      end)
-
-let conn_loop t conn =
-  let rec loop () =
-    match
-      Protocol.recv ~max_frame:t.cfg.max_frame Protocol.request_codec conn.fd
-    with
-    | None -> ()
-    | Some req ->
-        let resp =
-          try handle t req
-          with exn -> Protocol.Server_error (Printexc.to_string exn)
-        in
-        Protocol.send Protocol.response_codec conn.fd resp;
-        if req = Protocol.Shutdown then Atomic.set t.stop_flag true else loop ()
-  in
-  Fun.protect
-    ~finally:(fun () -> close_conn t conn)
-    (fun () ->
-      try loop () with
-      | Protocol.Protocol_error _ | Unix.Unix_error _ | End_of_file -> ())
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else
-      match
-        (try `Conn (fst (Unix.accept ~cloexec:true t.listen_fd)) with
-        | Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> `Retry
-        | Unix.Unix_error _ -> `Stop)
-      with
-      | `Retry -> loop ()
-      | `Stop -> ()
-      | `Conn fd ->
-          if Atomic.get t.stop_flag then
-            (try Unix.close fd with Unix.Unix_error _ -> ())
-          else begin
-            let conn = { fd; thread = None; closed = false } in
-            locked t (fun () -> t.conns <- conn :: t.conns);
-            conn.thread <- Some (Thread.create (conn_loop t) conn);
-            loop ()
-          end
-  in
-  loop ()
 
 (* --- health probes --------------------------------------------------------- *)
 
@@ -349,17 +278,16 @@ let probe_once t w =
           if w.consecutive_failures >= eject_after_failures then
             w.alive <- false)
 
-let probe_loop t =
+let probe_loop t listener =
   let rec sleep remaining =
-    if remaining > 0.0 && not (Atomic.get t.stop_flag) then begin
+    if remaining > 0.0 && not (Listener.stopping listener) then begin
       let step = Float.min 0.05 remaining in
       Thread.delay step;
       sleep (remaining -. step)
     end
   in
   let rec loop () =
-    if Atomic.get t.stop_flag then ()
-    else begin
+    if not (Listener.stopping listener) then begin
       List.iter (probe_once t) t.order;
       sleep t.cfg.probe_period_s;
       loop ()
@@ -370,10 +298,6 @@ let probe_loop t =
 (* --- lifecycle ------------------------------------------------------------- *)
 
 let start cfg =
-  let listen_fd = Transport.listen cfg.listen in
-  let bound = Transport.bound_endpoint listen_fd cfg.listen in
-  let names = List.map Transport.to_string cfg.workers in
-  let ring = Hash_ring.create names in
   let table = Hashtbl.create 8 in
   let order =
     List.filter_map
@@ -396,80 +320,38 @@ let start cfg =
         end)
       cfg.workers
   in
-  let t =
+  let st =
     {
       cfg;
-      listen_fd;
-      bound;
-      ring;
+      ring = Hash_ring.create (List.map Transport.to_string cfg.workers);
       table;
       order;
       metrics = Metrics.create ();
       mutex = Mutex.create ();
       cond = Condition.create ();
-      stop_flag = Atomic.make false;
-      conns = [];
-      state = Serving;
-      accept_thread = None;
-      prober = None;
     }
   in
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t.prober <- Some (Thread.create probe_loop t);
-  t
+  let listener =
+    Listener.start ~max_frame:cfg.max_frame ~handle:(handle st) cfg.listen
+  in
+  { st; listener; prober = Thread.create (probe_loop st) listener }
 
-let bound t = t.bound
+let bound t = Listener.bound t.listener
 
 let workers_alive t =
-  locked t (fun () ->
-      List.filter_map (fun w -> if w.alive then Some w.w_name else None) t.order)
+  locked t.st (fun () ->
+      List.filter_map
+        (fun w -> if w.alive then Some w.w_name else None)
+        t.st.order)
 
-let request_stop t =
-  Atomic.set t.stop_flag true;
-  locked t (fun () -> Condition.broadcast t.cond)
+let stats t = stats t.st
 
+(* The prober leaves on its own once the listener is stopping. *)
 let stop t =
-  request_stop t;
-  let already =
-    locked t (fun () ->
-        if t.state = Stopped then true
-        else begin
-          t.state <- Stopped;
-          false
-        end)
-  in
-  if not already then begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
-    (try Transport.close_quietly (Transport.connect ~timeout_s:1.0 t.bound)
-     with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    let conns = locked t (fun () -> t.conns) in
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    List.iter (fun c -> Option.iter Thread.join c.thread) conns;
-    Option.iter Thread.join t.prober;
-    (match t.cfg.listen with
-    | Transport.Unix_socket path -> (
-        try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Transport.Tcp _ -> ())
-  end
+  Listener.stop t.listener;
+  Thread.join t.prober
 
-let run ?on_ready cfg =
+let run ?(on_ready = ignore) cfg =
   let t = start cfg in
-  let handler = Sys.Signal_handle (fun _ -> request_stop t) in
-  let previous =
-    List.map (fun s -> (s, Sys.signal s handler)) [ Sys.sigterm; Sys.sigint ]
-  in
-  Option.iter (fun f -> f t) on_ready;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (s, old) -> Sys.set_signal s old) previous)
-    (fun () ->
-      while not (Atomic.get t.stop_flag) do
-        Thread.delay 0.05
-      done;
-      stop t)
+  Listener.run ~on_ready:(fun () -> on_ready t) t.listener;
+  Thread.join t.prober

@@ -19,7 +19,13 @@
     re-run, never lost — results are content-addressed so a re-run is
     bit-identical).  A background prober [Get_stats]s every worker each
     [probe_period_s]: repeated failures eject a node, one success
-    readmits it and refreshes its queue depth. *)
+    readmits it and refreshes its queue depth.
+
+    Lifecycle: the same {!Dl_serve.Listener} as {!Dl_serve.Server} — a
+    stale socket file is taken over, a live one refused, and a stop
+    (SIGTERM/SIGINT under {!run}, a [Shutdown] request, or {!stop})
+    drains: accepting stops, then every relay already in flight is given
+    up to 10 s to bring its worker's answer back to its client. *)
 
 type config = {
   listen : Dl_serve.Transport.endpoint;
@@ -43,14 +49,16 @@ val config :
   workers:Dl_serve.Transport.endpoint list -> unit -> config
 (** Defaults: 4 in-flight per worker, 1 s probes, no stage fan-out,
     {!Dl_serve.Protocol.default_max_frame}, 2 s connects, steal margin 2.
-    @raise Invalid_argument on an empty worker list. *)
+    @raise Invalid_argument on an empty worker list, a [max_in_flight]
+    below 1, or a [probe_period_s] that is not positive (NaN included). *)
 
 type t
 
 val start : config -> t
-(** Bind, start the accept loop and the health prober, return.  Workers
+(** Bind, start the listener and the health prober, return.  Workers
     need not be up yet — dispatch ejects the dead and the prober readmits
-    them once they answer. *)
+    them once they answer.
+    @raise Failure on a live socket or a non-socket file at the path. *)
 
 val bound : t -> Dl_serve.Transport.endpoint
 (** Resolves an ephemeral [Tcp (host, 0)] listen port. *)
@@ -63,9 +71,13 @@ val stats : t -> Dl_serve.Protocol.stats
     live workers. *)
 
 val stop : t -> unit
-(** Stop accepting, drain relay connections, join all threads.  Workers
-    are left running (they are independent daemons). *)
+(** Drain (stop accepting, wait up to 10 s for every in-flight relay to
+    write its answer), close the connections, unlink a Unix socket and
+    join all threads, the prober included.  Blocks until done;
+    idempotent.  Workers are left running (they are independent
+    daemons). *)
 
 val run : ?on_ready:(t -> unit) -> config -> unit
-(** {!start}, then block until a [Shutdown] request or SIGINT/SIGTERM,
-    then {!stop} — the body of [dlproj coord]. *)
+(** {!start}, install SIGTERM/SIGINT handlers, call [on_ready], and block
+    until a signal or a [Shutdown] request has drained the coordinator
+    as {!stop} does — the body of [dlproj coord]. *)

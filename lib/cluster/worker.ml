@@ -97,7 +97,7 @@ let peer_publish st key data =
   | _ -> ()
 
 let start ?workers ?queue_capacity ?cache_capacity ?domains_per_worker
-    ?max_frame ?read_deadline_s ?on_job_start ?cache_dir ~listen () =
+    ?max_frame ?on_job_start ?cache_dir ~listen () =
   let state =
     {
       mutex = Mutex.create ();
@@ -114,7 +114,7 @@ let start ?workers ?queue_capacity ?cache_capacity ?domains_per_worker
   in
   let cfg =
     Server.config ?workers ?queue_capacity ?cache_capacity
-      ?domains_per_worker ?max_frame ?read_deadline_s ?on_job_start
+      ?domains_per_worker ?max_frame ?on_job_start
       ?cache_dir ~remote ~listen ()
   in
   let server = Server.start cfg in
@@ -131,3 +131,8 @@ let set_peers t endpoints =
 let peers t = locked t.state (fun () -> Hash_ring.members t.state.ring)
 
 let stop t = Server.stop t.server
+
+let run ?(on_ready = ignore) t =
+  Dl_serve.Listener.run
+    ~on_ready:(fun () -> on_ready t)
+    (Server.listener t.server)

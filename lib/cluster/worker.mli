@@ -12,7 +12,7 @@ type t
 
 val start :
   ?workers:int -> ?queue_capacity:int -> ?cache_capacity:int ->
-  ?domains_per_worker:int -> ?max_frame:int -> ?read_deadline_s:float ->
+  ?domains_per_worker:int -> ?max_frame:int ->
   ?on_job_start:(string -> unit) -> ?cache_dir:string ->
   listen:Dl_serve.Transport.endpoint -> unit -> t
 (** Start serving.  Without [cache_dir] there is no local store, so the
@@ -35,3 +35,8 @@ val server : t -> Dl_serve.Server.t
 
 val stop : t -> unit
 (** Graceful drain ({!Dl_serve.Server.stop}). *)
+
+val run : ?on_ready:(t -> unit) -> t -> unit
+(** Serve a started worker until SIGTERM/SIGINT or a [Shutdown] request
+    drains it ({!Dl_serve.Listener.run}); [on_ready] runs once the
+    handlers are in place — the body of [dlproj serve --peer]. *)

@@ -1,19 +1,17 @@
-(** The projection daemon: a stream-socket listener ({!Transport} — Unix
-    domain or TCP) in front of {!Job_queue} and {!Dl_core.Experiment.run}.
+(** The projection daemon: {!Dl_core.Experiment.run} behind a
+    {!Listener} (Unix domain or TCP), admitting jobs through {!Job_queue}.
 
-    Thread anatomy: one accept thread; one connection thread per client
-    (it decodes frames, admits jobs, blocks in {!Job_queue.await} and
-    writes its own responses — fan-out needs no dedicated writer); [workers]
-    scheduler threads, each owning one long-lived {!Dl_util.Parallel} pool
-    ({!Dl_util.Parallel.t} is not re-entrant, so pools are never shared)
-    that {!Dl_core.Experiment.run} reuses across jobs; one supervisor
-    thread that turns a stop request (signal flag, [Shutdown] RPC, or
-    {!stop}) into the drain sequence.
+    Threads: the {!Listener}'s accept, connection and supervisor threads
+    (a connection thread decodes a frame, admits the job, blocks in
+    {!Job_queue.await} and writes its own response); and [workers]
+    scheduler threads, each owning one long-lived {!Dl_util.Parallel}
+    pool ({!Dl_util.Parallel.t} is not re-entrant, so pools are never
+    shared) that {!Dl_core.Experiment.run} reuses across jobs.
 
-    Drain-then-exit: stop admitting (submissions now get [Rejected]), let
-    the workers finish every queued and running job, wait for each
-    connection to write out the response it owes, then close the
-    connections, join everything and unlink the socket. *)
+    Drain-then-exit is the {!Listener}'s; the server's part of it is to
+    stop admitting (submissions now get [Rejected]) and let the workers
+    finish every queued and running job before the listener waits for
+    each connection to write out the response it owes. *)
 
 type config = {
   listen : Transport.endpoint;
@@ -24,10 +22,6 @@ type config = {
   cache_dir : string option;  (** Artifact store for the stage graph and
                                   the [Store_get]/[Store_put] peer tier. *)
   max_frame : int;
-  read_deadline_s : float option;
-      (** Per-frame read deadline on client connections: once a frame's
-          first byte arrives, the rest must follow within this bound
-          (slow-loris protection).  [None] (default) disables it. *)
   remote : Dl_store.Stage.remote option;
       (** Peer store tier threaded into every job's experiment config —
           how a cluster worker fetches artifacts it misses locally
@@ -41,40 +35,35 @@ type config = {
 val config :
   ?workers:int -> ?queue_capacity:int -> ?cache_capacity:int ->
   ?domains_per_worker:int -> ?cache_dir:string -> ?max_frame:int ->
-  ?read_deadline_s:float -> ?remote:Dl_store.Stage.remote ->
+  ?remote:Dl_store.Stage.remote ->
   ?on_job_start:(string -> unit) -> listen:Transport.endpoint -> unit ->
   config
 (** Defaults: 1 worker, queue 16, cache 32,
     [Dl_util.Parallel.default_domains ()] domains per worker,
-    {!Protocol.default_max_frame}, no read deadline, no peer tier. *)
+    {!Protocol.default_max_frame}, no peer tier. *)
 
 type t
 
 val start : config -> t
-(** Bind and serve.  A stale Unix-socket file (left by a crashed server)
-    is removed after probing that nothing answers on it; a {e live} socket
-    raises [Failure] instead of stealing the address.
+(** Start the workers and the {!Listener} ({!Listener.start} says how a
+    stale or live socket file is handled).
+    @raise Failure on a live socket or a non-socket file at the path.
     @raise Unix.Unix_error on bind/listen failures. *)
+
+val listener : t -> Listener.t
+(** What {!Dl_cluster.Worker.run} serves through. *)
 
 val bound : t -> Transport.endpoint
 (** The endpoint actually listening — binding [Tcp (host, 0)] resolves to
     the kernel-assigned port. *)
 
 val stop : t -> unit
-(** Request the graceful drain and block until the server has fully shut
-    down.  Idempotent and callable from any thread. *)
-
-val request_stop : t -> unit
-(** Async-signal-safe stop request: sets a flag the supervisor acts on.
-    This is what the SIGTERM/SIGINT handlers call. *)
-
-val wait : t -> unit
-(** Block until the server has shut down (however the stop was
-    triggered). *)
+(** Drain gracefully and block until the server has fully shut down.
+    Idempotent. *)
 
 val stats : t -> Protocol.stats
 
 val run : ?on_ready:(t -> unit) -> config -> unit
-(** [start], install SIGTERM/SIGINT handlers that {!request_stop}, call
-    [on_ready] (the CLI's "serving on ..." banner — after the socket is
-    live, so a bind failure never claims to serve), then {!wait}. *)
+(** {!start}, then {!Listener.run}: SIGTERM/SIGINT drain the server, and
+    [on_ready] (the CLI's "serving on ..." banner) runs after the socket
+    is live, so a bind failure never claims to serve. *)

@@ -584,6 +584,16 @@ let test_probe_readmission () =
                   Alcotest.(check int) "revived worker readmitted" 2
                     (List.length (Coord.workers_alive coord)))))
 
+let test_coord_rejects_probe_period () =
+  List.iter
+    (fun p ->
+      match
+        Coord.config ~probe_period_s:p ~listen:loopback ~workers:[ loopback ] ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "probe_period_s %g accepted" p)
+    [ 0.0; -1.0; Float.nan; Float.neg_infinity ]
+
 let () =
   Alcotest.run "dl_cluster"
     [
@@ -625,6 +635,8 @@ let () =
             test_probe_readmission;
           Alcotest.test_case "fan-out submit = direct run" `Quick
             test_fanout_coordinator;
+          Alcotest.test_case "non-positive probe period rejected" `Quick
+            test_coord_rejects_probe_period;
         ] );
       ( "stage-table",
         [

@@ -11,6 +11,8 @@ module Job_queue = Dl_serve.Job_queue
 module Server = Dl_serve.Server
 module Client = Dl_serve.Client
 module Transport = Dl_serve.Transport
+module Worker = Dl_cluster.Worker
+module Coord = Dl_cluster.Coord
 
 let ep path = Transport.Unix_socket path
 module Codec = Dl_store.Codec
@@ -559,18 +561,109 @@ let test_server_deadline_expires_queued_job () =
       (* the expired job was cancelled at dispatch, never executed *)
       Alcotest.(check int) "only the blocker executed" 1 s.P.executed)
 
-let test_server_sigterm_drains () =
+(* A deadline already past on arrival is answered [Expired] on both
+   admission paths, whole experiments and single stages, and never
+   reaches the queue. *)
+let test_server_past_deadline_not_queued () =
+  with_server (fun server socket ->
+      let spec = { quick_spec with P.deadline_ms = Some 0 } in
+      Client.with_client (ep socket) (fun c ->
+          List.iter
+            (fun req ->
+              match Client.rpc c req with
+              | P.Expired -> ()
+              | _ -> Alcotest.fail "a past deadline must answer Expired")
+            [ P.Submit spec; P.Serve_stage { spec; stage = "atpg" } ]);
+      let s = Server.stats server in
+      Alcotest.(check int) "both counted expired" 2 s.P.expired;
+      Alcotest.(check int) "nothing accepted" 0 s.P.accepted;
+      Alcotest.(check int) "nothing executed" 0 s.P.executed)
+
+(* --- every daemon's lifecycle --------------------------------------------- *)
+
+(* The daemons that share {!Dl_serve.Listener}, each listening on a Unix
+   socket path: [run] blocks until a signal drains it; [start] returns
+   once it serves, with its stop function. *)
+type daemon = {
+  run : on_job_start:(string -> unit) -> string -> unit;
+  start : string -> unit -> unit;
+}
+
+let server_daemon =
+  let cfg ?on_job_start path =
+    Server.config ~workers:1 ~domains_per_worker:1 ?on_job_start
+      ~listen:(ep path) ()
+  in
+  {
+    run = (fun ~on_job_start path -> Server.run (cfg ~on_job_start path));
+    start =
+      (fun path ->
+        let s = Server.start (cfg path) in
+        fun () -> Server.stop s);
+  }
+
+let start_worker ?on_job_start listen =
+  Worker.start ~workers:1 ~domains_per_worker:1 ?on_job_start ~listen ()
+
+let worker_daemon =
+  {
+    run =
+      (fun ~on_job_start path ->
+        Worker.run (start_worker ~on_job_start (ep path)));
+    start =
+      (fun path ->
+        let w = start_worker (ep path) in
+        fun () -> Worker.stop w);
+  }
+
+(* A coordinator on the path, in front of one worker on loopback TCP. *)
+let coord_daemon =
+  let coord_cfg path w =
+    Coord.config ~listen:(ep path) ~workers:[ Worker.bound w ] ()
+  in
+  let loopback = Transport.Tcp ("127.0.0.1", 0) in
+  {
+    run =
+      (fun ~on_job_start path ->
+        let w = start_worker ~on_job_start loopback in
+        Fun.protect
+          ~finally:(fun () -> Worker.stop w)
+          (fun () -> Coord.run (coord_cfg path w)));
+    start =
+      (fun path ->
+        let w = start_worker loopback in
+        match Coord.start (coord_cfg path w) with
+        | c ->
+            fun () ->
+              Coord.stop c;
+              Worker.stop w
+        | exception e ->
+            Worker.stop w;
+            raise e);
+  }
+
+let accepts socket =
+  match Transport.connect (ep socket) with
+  | fd ->
+      Transport.close_quietly fd;
+      true
+  | exception Unix.Unix_error _ -> false
+
+let test_sigterm_drains daemon () =
   let socket = tmp_socket () in
   let served_ref = ref None in
   let on_job_start _ =
-    (* SIGTERM arrives while the job is mid-flight; the drain must still
-       deliver its response before the process side exits *)
-    Unix.kill (Unix.getpid ()) Sys.sigterm
+    (* SIGTERM arrives while the job is mid-flight, and the job is held
+       until the socket refuses connections: the drain has begun, and it
+       must still deliver this job's response before the daemon exits.
+       (No Alcotest failure here: this runs on a scheduler thread.) *)
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while accepts socket && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done
   in
-  let cfg =
-    Server.config ~workers:1 ~domains_per_worker:1 ~on_job_start ~listen:(ep socket) ()
-  in
-  let runner = Thread.create (fun () -> Server.run cfg) () in
+  let runner = Thread.create (fun () -> daemon.run ~on_job_start socket) () in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while not (Sys.file_exists socket) && Unix.gettimeofday () < deadline do
     Thread.delay 0.005
@@ -586,25 +679,94 @@ let test_server_sigterm_drains () =
   | None -> Alcotest.fail "no response before exit");
   Alcotest.(check bool) "socket unlinked on exit" false (Sys.file_exists socket)
 
-let test_server_stale_socket_recovery () =
+let test_stale_socket_recovery daemon () =
   let socket = tmp_socket () in
-  (* fake a crashed server: a bound-but-dead socket file *)
+  (* fake a crashed daemon: a bound-but-dead socket file *)
   let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind dead (Unix.ADDR_UNIX socket);
   Unix.close dead;
-  let cfg = Server.config ~domains_per_worker:1 ~listen:(ep socket) () in
-  let server = Server.start cfg in
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
+  let stop = daemon.start socket in
+  Fun.protect ~finally:stop (fun () ->
       Client.with_client (ep socket) (fun c ->
           Alcotest.(check bool) "recovered and serving" true (Client.ping c));
-      (* a live server must not be stolen from *)
-      match Server.start cfg with
+      (* a live daemon must not be stolen from *)
+      match daemon.start socket with
       | exception Failure _ -> ()
-      | t2 ->
-          Server.stop t2;
-          Alcotest.fail "second server bound over a live one")
+      | stop2 ->
+          stop2 ();
+          Alcotest.fail "second daemon bound over a live one")
+
+let lifecycle_cases =
+  List.concat_map
+    (fun (suffix, daemon) ->
+      [
+        Alcotest.test_case ("SIGTERM drains in-flight job" ^ suffix) `Quick
+          (test_sigterm_drains daemon);
+        Alcotest.test_case
+          ("stale socket recovery, live socket refused" ^ suffix)
+          `Quick
+          (test_stale_socket_recovery daemon);
+      ])
+    [
+      ("", server_daemon);
+      (" (worker)", worker_daemon);
+      (" (coord)", coord_daemon);
+    ]
+
+(* --- daemon flags -------------------------------------------------------- *)
+
+let dlproj = "../bin/dlproj.exe"
+
+(* Run the CLI with [args]; a daemon that accepted its flags and kept
+   serving is killed after 10 s.  Returns the exit status and stderr. *)
+let run_cli args =
+  let err_path = Filename.temp_file "dlproj-cli" ".err" in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process dlproj (Array.of_list (dlproj :: args)) null null err
+  in
+  Unix.close err;
+  Unix.close null;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec reap () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.01;
+        reap ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        snd (Unix.waitpid [] pid)
+    | _, status -> status
+  in
+  let status = reap () in
+  let stderr = In_channel.with_open_bin err_path In_channel.input_all in
+  Sys.remove err_path;
+  (status, stderr)
+
+let test_flag_must_be_positive args flag () =
+  match run_cli (args @ [ "--socket"; tmp_socket () ]) with
+  | Unix.WEXITED 1, err ->
+      Alcotest.(check string) "one-line error"
+        (Printf.sprintf "dlproj: error: %s must be positive\n" flag)
+        err
+  | _, err ->
+      Alcotest.failf "%s: expected exit 1, stderr was %S"
+        (String.concat " " args) err
+
+let flag_cases =
+  let coord = [ "coord"; "--worker"; "127.0.0.1:1" ] in
+  List.map
+    (fun (args, flag) ->
+      Alcotest.test_case (String.concat " " args) `Quick
+        (test_flag_must_be_positive args flag))
+    [
+      ([ "serve"; "--workers"; "0" ], "--workers");
+      ([ "serve"; "--queue"; "0" ], "--queue");
+      (coord @ [ "--max-in-flight"; "0" ], "--max-in-flight");
+      (coord @ [ "--probe-ms"; "0" ], "--probe-ms");
+      (coord @ [ "--probe-ms=-5" ], "--probe-ms");
+    ]
 
 (* --- key plan vs actual run ---------------------------------------------- *)
 
@@ -1314,13 +1476,13 @@ let () =
             test_server_queue_full_rejects;
           Alcotest.test_case "deadline expires queued job" `Quick
             test_server_deadline_expires_queued_job;
-          Alcotest.test_case "SIGTERM drains in-flight job" `Quick
-            test_server_sigterm_drains;
-          Alcotest.test_case "stale socket recovery, live socket refused"
-            `Quick test_server_stale_socket_recovery;
           Alcotest.test_case "invalid spec is an error, not a job" `Quick
             test_server_invalid_spec_not_queued;
-        ] );
+          Alcotest.test_case "past deadline expires on both paths" `Quick
+            test_server_past_deadline_not_queued;
+        ]
+        @ lifecycle_cases );
+      ("daemon flags", flag_cases);
       ( "keys",
         [
           Alcotest.test_case "stage-key plan matches run" `Quick
