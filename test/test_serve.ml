@@ -1482,7 +1482,7 @@ let () =
             test_server_past_deadline_not_queued;
         ]
         @ lifecycle_cases );
-      ("daemon flags", flag_cases);
+      ("cli-flags", flag_cases);
       ( "keys",
         [
           Alcotest.test_case "stage-key plan matches run" `Quick
