@@ -922,9 +922,15 @@ let store_bench () =
     Printf.eprintf "FAIL: warm speedup %.2fx < 3x\n" speedup;
     failed := true
   end;
+  (* Every stage of the warm run was a hit, so nothing needed the layout. *)
+  if Lazy.is_val warm.Experiment.extraction.layout then begin
+    Printf.eprintf "FAIL: the warm run synthesized the layout\n";
+    failed := true
+  end;
   if !failed then exit 1;
   print_endline
-    "gate: warm run bit-identical to cold and served entirely from cache."
+    "gate: warm run bit-identical to cold, served entirely from cache, no \
+     layout synthesized."
 
 (* ------------------------------------------------------------ serve bench *)
 
@@ -1309,8 +1315,10 @@ let cluster_bench () =
    against the retained reference: detections and region solves must equal
    the reference's, and the two engine runs' memo counters must be equal
    (exit 1 otherwise).  Every wall time is printed, with the region shapes,
-   how solves were answered (full key, ext-only key, or computed) and the
-   relaxation rounds of the computed solves.  Not in the default set: the
+   how solves were answered (full key, ext-only key, or computed), the
+   relaxation rounds of the computed solves, and how often each solver cap
+   stopped a computation unsettled: the 8-pass feedback loop of a region
+   evaluation, and the round cap of a solve.  Not in the default set: the
    reference takes about a minute on c432s and five on c880s. *)
 let swift_bench () =
   section_banner "Swift" "switch-level engine: 1 domain, pooled, Swift.Reference";
@@ -1320,7 +1328,9 @@ let swift_bench () =
       [ ("circuit", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
         ("region solves", Table.Right); ("shapes", Table.Right);
         ("full-key hits", Table.Right); ("ext-only hits", Table.Right);
-        ("misses", Table.Right); ("rounds", Table.Right); ("pipeline s", Table.Right);
+        ("misses", Table.Right); ("rounds", Table.Right);
+        ("feedback caps", Table.Right); ("round caps", Table.Right);
+        ("pipeline s", Table.Right);
         ("reference s", Table.Right); ("1-domain s", Table.Right);
         (Printf.sprintf "%d-domain s" domains, Table.Right); ("speed-up", Table.Right) ]
   in
@@ -1366,10 +1376,11 @@ let swift_bench () =
           string_of_int (Array.length vectors); string_of_int serial.region_solves;
           string_of_int memo.shapes; string_of_int memo.full_hits;
           string_of_int memo.ext_only_hits; string_of_int memo.misses;
-          string_of_int memo.rounds; Printf.sprintf "%.2f" pipeline_s;
+          string_of_int memo.rounds; string_of_int memo.feedback_capped;
+          string_of_int memo.rounds_capped; Printf.sprintf "%.2f" pipeline_s;
           Printf.sprintf "%.2f" slow_s; Printf.sprintf "%.2f" serial_s;
           Printf.sprintf "%.2f" pooled_s; Printf.sprintf "%.1fx" (slow_s /. pooled_s) ])
-    [ "c432s"; "c880s" ];
+    [ "c432s_small"; "c432s"; "c880s" ];
   Table.print t;
   print_endline
     "identical detections and region solves on every circuit, and identical \

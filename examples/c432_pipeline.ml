@@ -39,8 +39,10 @@ let () =
   let cfg = Experiment.config ~seed:7 ~max_random_vectors:1024 ~domains circuit in
   let e = Experiment.run cfg in
 
-  (* Layout and extraction summary (fig. 3 territory). *)
-  Format.printf "@\n%a@\n" Dl_layout.Layout.pp_stats e.extraction.layout;
+  (* Layout and extraction summary (fig. 3 territory).  The layout is
+     built on first use: a run whose layout-ifa stage was a store hit
+     synthesizes it here, from the mapped circuit. *)
+  Format.printf "@\n%a@\n" Dl_layout.Layout.pp_stats (Lazy.force e.extraction.layout);
   Format.printf "%a@\n" Dl_extract.Ifa.pp_summary e.extraction;
   print_endline "fault-weight histogram (log bins):";
   print_string (Dl_util.Histogram.render ~width:40 (Dl_extract.Ifa.weight_histogram ~bins:12 e.extraction));

@@ -49,8 +49,10 @@ type state = {
   table : (string, wstate) Hashtbl.t;
   order : wstate list;
   metrics : Metrics.t;
-  mutex : Mutex.t;  (* guards every wstate's mutable fields *)
+  mutex : Mutex.t;  (* guards every wstate's mutable fields, [calls], [cut] *)
   cond : Condition.t;  (* broadcast when a worker frees up or dies *)
+  mutable calls : Client.t list;  (* worker connections awaiting a reply *)
+  mutable cut : bool;  (* the drain gave up on them: no new calls *)
 }
 
 type t = { st : state; listener : Listener.t; prober : Thread.t }
@@ -77,10 +79,13 @@ let release t w =
 (* Pick a worker for [key]: the key's home node by default, stolen by the
    least-loaded live worker when the home shard is hot (load difference
    beyond [steal_margin]).  Blocks while every eligible worker is at its
-   in-flight cap; [None] once no live untried worker remains. *)
+   in-flight cap; [None] once no live untried worker remains, or once the
+   drain has cut the relays off. *)
 let acquire t ~key ~tried =
   locked t (fun () ->
       let rec go () =
+      if t.cut then None
+      else
       let usable =
         List.filter
           (fun w -> w.alive && not (Hashtbl.mem tried w.w_name))
@@ -119,10 +124,32 @@ let acquire t ~key ~tried =
       in
       go ())
 
+exception Cut_off
+
+(* A call to a worker, registered so that [cut_off] can abort it.
+   @raise Cut_off once the drain has cut the relays off. *)
 let worker_rpc t w request =
   Client.with_client ~max_frame:t.cfg.max_frame
-    ~connect_timeout_s:t.cfg.connect_timeout_s w.w_endpoint
-    (fun c -> Client.rpc c request)
+    ~connect_timeout_s:t.cfg.connect_timeout_s w.w_endpoint (fun c ->
+      locked t (fun () ->
+          if t.cut then raise Cut_off;
+          t.calls <- c :: t.calls);
+      Fun.protect
+        ~finally:(fun () ->
+          locked t (fun () -> t.calls <- List.filter (( != ) c) t.calls))
+        (fun () -> Client.rpc c request))
+
+(* The listener's drain is over with relays still waiting on workers that
+   do not answer: abort those calls, and refuse new ones. *)
+let cut_off t =
+  locked t (fun () ->
+      t.cut <- true;
+      List.iter Client.abort t.calls;
+      Condition.broadcast t.cond)
+
+let is_cut t = locked t (fun () -> t.cut)
+
+let cut_reply = Protocol.Server_error "coordinator stopped before a worker answered"
 
 (* Relay one request, surviving worker deaths: a connection failure (or a
    mid-frame hangup — the worker died while computing) ejects the worker
@@ -134,6 +161,7 @@ let dispatch t ~key request =
   let tried = Hashtbl.create 4 in
   let rec attempt last_reject =
     match acquire t ~key ~tried with
+    | None when is_cut t -> cut_reply
     | None -> (
         match last_reject with
         | Some r -> r
@@ -147,6 +175,9 @@ let dispatch t ~key request =
                 Hashtbl.replace tried w.w_name ();
                 attempt (Some resp)
             | resp -> resp)
+        | exception _ when is_cut t ->
+            release t w;
+            cut_reply
         | exception _ ->
             release t w;
             mark_dead t w;
@@ -226,6 +257,7 @@ let handle_store t ~key request ~miss =
             | Protocol.Store_found _ as r -> r
             | Protocol.Store_ack true as r -> r
             | _ -> go rest
+            | exception _ when is_cut t -> miss
             | exception _ ->
                 mark_dead t w;
                 go rest)
@@ -261,10 +293,12 @@ let handle t = function
 
 let eject_after_failures = 2
 
+(* A probe not answered within the probe period is a failure. *)
 let probe_once t w =
   match
     Client.with_client ~max_frame:t.cfg.max_frame
-      ~connect_timeout_s:t.cfg.connect_timeout_s w.w_endpoint Client.get_stats
+      ~connect_timeout_s:t.cfg.connect_timeout_s w.w_endpoint
+      (Client.get_stats ~timeout_s:t.cfg.probe_period_s)
   with
   | stats ->
       locked t (fun () ->
@@ -288,7 +322,9 @@ let probe_loop t listener =
   in
   let rec loop () =
     if not (Listener.stopping listener) then begin
-      List.iter (probe_once t) t.order;
+      List.iter
+        (fun w -> if not (Listener.stopping listener) then probe_once t w)
+        t.order;
       sleep t.cfg.probe_period_s;
       loop ()
     end
@@ -329,10 +365,13 @@ let start cfg =
       metrics = Metrics.create ();
       mutex = Mutex.create ();
       cond = Condition.create ();
+      calls = [];
+      cut = false;
     }
   in
   let listener =
-    Listener.start ~max_frame:cfg.max_frame ~handle:(handle st) cfg.listen
+    Listener.start ~max_frame:cfg.max_frame ~cut_off:(fun () -> cut_off st)
+      ~handle:(handle st) cfg.listen
   in
   { st; listener; prober = Thread.create (probe_loop st) listener }
 

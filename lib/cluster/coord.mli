@@ -19,13 +19,16 @@
     re-run, never lost — results are content-addressed so a re-run is
     bit-identical).  A background prober [Get_stats]s every worker each
     [probe_period_s]: repeated failures eject a node, one success
-    readmits it and refreshes its queue depth.
+    readmits it and refreshes its queue depth.  A probe not answered
+    within [probe_period_s] is a failure.
 
     Lifecycle: the same {!Dl_serve.Listener} as {!Dl_serve.Server} — a
     stale socket file is taken over, a live one refused, and a stop
     (SIGTERM/SIGINT under {!run}, a [Shutdown] request, or {!stop})
     drains: accepting stops, then every relay already in flight is given
-    up to 10 s to bring its worker's answer back to its client. *)
+    up to 10 s to bring its worker's answer back to its client.  A relay
+    still waiting after that is cut off: its worker call is aborted and
+    its client answered [Server_error]. *)
 
 type config = {
   listen : Dl_serve.Transport.endpoint;
@@ -72,10 +75,11 @@ val stats : t -> Dl_serve.Protocol.stats
 
 val stop : t -> unit
 (** Drain (stop accepting, wait up to 10 s for every in-flight relay to
-    write its answer), close the connections, unlink a Unix socket and
-    join all threads, the prober included.  Blocks until done;
-    idempotent.  Workers are left running (they are independent
-    daemons). *)
+    write its answer, then cut off the rest), close the connections,
+    unlink a Unix socket and join all threads, the prober included.
+    Returns within about 10 s plus one probe period, even when a worker
+    accepts connections and never answers; idempotent.  Workers are left
+    running (they are independent daemons). *)
 
 val run : ?on_ready:(t -> unit) -> config -> unit
 (** {!start}, install SIGTERM/SIGINT handlers, call [on_ready], and block

@@ -289,15 +289,25 @@ let fault_sim =
         sim_stats = sim.stats;
       })
 
-(* 4. Layout synthesis and inductive fault analysis.  Mapping and layout
-   are recomputed even on a warm run (they are deterministic, cheap and
-   needed as live data structures); the geometry *scan* — the expensive
-   part — is what the layout-ifa artifact caches.  The layout is built
-   before the stage is consulted, hit or miss. *)
-let flat = per_run (fun r -> Dl_cell.Mapping.flatten (mapping.get r))
+(* 4. Layout synthesis and inductive fault analysis.  The layout-ifa
+   artifact stores the extraction's faults and class accounting, not the
+   layout: the layout is a lazy value, built from the decoded mapping
+   circuit and [cfg.rows] alone.  A miss forces it to run the geometry
+   scan; a hit leaves it unbuilt, so a warm run synthesizes no layout
+   unless a caller of [Experiment.t] forces [extraction.layout].  The lazy
+   values capture the circuit and [rows], never the run context: [t]
+   keeps the layout, and a context holds every artifact and derived value
+   of its run, so a lazy value closing over it would keep them all alive
+   for as long as [t] lives (DESIGN.md §6c). *)
+let flat =
+  per_run (fun r ->
+      let c = mapping.get r in
+      lazy (Dl_cell.Mapping.flatten c))
 
 let layout =
-  per_run (fun r -> Dl_layout.Layout.synthesize ?rows:r.cfg.rows (flat r))
+  per_run (fun r ->
+      let flat = flat r and rows = r.cfg.rows in
+      lazy (Dl_layout.Layout.synthesize ?rows (Lazy.force flat)))
 
 let layout_ifa =
   stage ~name:"layout-ifa" ~codec:Artifact.ifa ~inputs:[ "mapping" ]
@@ -309,18 +319,16 @@ let layout_ifa =
           ( "rows",
             match cfg.rows with None -> "auto" | Some r -> string_of_int r );
         ])
-    (fun r ->
-      let layout = layout r in
-      fun () ->
-        let e =
-          Ifa.extract ~stats:r.cfg.stats
-            ~min_weight_ratio:r.cfg.min_weight_ratio layout
-        in
-        {
-          Artifact.faults = e.faults;
-          gross_weight = e.gross_weight;
-          summaries = e.summaries;
-        })
+    (fun r () ->
+      let e =
+        Ifa.extract ~stats:r.cfg.stats ~min_weight_ratio:r.cfg.min_weight_ratio
+          (Lazy.force (layout r))
+      in
+      {
+        Artifact.faults = e.faults;
+        gross_weight = e.gross_weight;
+        summaries = e.summaries;
+      })
 
 let realistic_faults r = (layout_ifa.get r).Artifact.faults
 
@@ -339,7 +347,7 @@ let swift =
   stage ~name:"swift" ~codec:Artifact.swift
     ~inputs:[ "mapping"; "layout-ifa"; "atpg" ]
     (fun r () ->
-      let network = Dl_switch.Network.build (flat r) in
+      let network = Dl_switch.Network.build (Lazy.force (flat r)) in
       let s =
         Swift.run ~domains:r.cfg.domains ?pool:r.cfg.pool network
           ~faults:(realistic_faults r) ~vectors:(vectors r)

@@ -159,6 +159,9 @@ type t = {
       (** Engine counters of the gate-level fault-sim stage (cached with
           the detections artifact, so available on warm runs too). *)
   extraction : Dl_extract.Ifa.extraction;
+      (** Its [layout] is built when the layout-ifa stage missed, and
+          otherwise on first [Lazy.force], from [mapped_circuit] and
+          [cfg.rows]: a warm run synthesizes no layout. *)
   scale_factor : float;        (** Weight scaling applied for target yield. *)
   yield : float;               (** = [cfg.target_yield]. *)
   scaled_weights : float array;  (** Per realistic fault, after scaling. *)

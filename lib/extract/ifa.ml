@@ -10,7 +10,7 @@ type class_summary = {
 }
 
 type extraction = {
-  layout : Layout.t;
+  layout : Layout.t Lazy.t;
   faults : Realistic.t array;
   gross_weight : float;
   summaries : class_summary list;
@@ -378,7 +378,7 @@ let extract ?(stats = Defect_stats.default) ?(min_weight_ratio = 0.0) (l : Layou
       acc.class_totals []
     |> List.sort (fun a b -> compare b.total_weight a.total_weight)
   in
-  { layout = l; faults; gross_weight = acc.gross; summaries }
+  { layout = Lazy.from_val l; faults; gross_weight = acc.gross; summaries }
 
 let total_weight e =
   Dl_util.Stats.total (Array.map (fun (f : Realistic.t) -> f.weight) e.faults)
@@ -396,7 +396,7 @@ let weight_histogram ?(bins = 24) e =
 
 let pp_summary ppf e =
   Format.fprintf ppf "IFA %s: %d weighted faults, total weight %.4e (Y=%.4f), gross %.3e@."
-    e.layout.Layout.network.Mapping.circuit.title (Array.length e.faults)
+    (Lazy.force e.layout).Layout.network.Mapping.circuit.title (Array.length e.faults)
     (total_weight e) (yield_of e) e.gross_weight;
   List.iter
     (fun s ->

@@ -15,7 +15,10 @@ type class_summary = {
 }
 
 type extraction = {
-  layout : Dl_layout.Layout.t;
+  layout : Dl_layout.Layout.t Lazy.t;
+      (** The layout the faults were extracted from.  {!extract} returns it
+          already built; an experiment whose layout-ifa stage was a store
+          hit builds it on first use. *)
   faults : Dl_switch.Realistic.t array;
   gross_weight : float;
       (** Chip-killing defects excluded from the fault list (supply-rail
@@ -43,3 +46,4 @@ val weight_histogram : ?bins:int -> extraction -> Dl_util.Histogram.t
 (** Log-binned histogram of fault weights: the paper's Fig. 3. *)
 
 val pp_summary : Format.formatter -> extraction -> unit
+(** Forces [layout] (the summary names its circuit). *)

@@ -68,13 +68,39 @@ let with_client ?max_frame ?connect_timeout_s ?retries ?backoff_ms endpoint f =
   let t = connect ?max_frame ?connect_timeout_s ?retries ?backoff_ms endpoint in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-let rpc ?deadline_s t request =
+let abort t =
+  if not t.closed then
+    try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+(* Block until [fd] is readable or [until] (absolute) has passed. *)
+let rec readable_by fd until =
+  let left = until -. Unix.gettimeofday () in
+  left > 0.0
+  &&
+  match Unix.select [ fd ] [] [] left with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> readable_by fd until
+
+let rpc ?deadline_s ?timeout_s t request =
   let at = Transport.to_string t.endpoint in
   (* EPIPE here means the server hung up mid-exchange: surface it as a
      protocol error so callers don't confuse it with a broken stdout. *)
   (try Protocol.send Protocol.request_codec t.fd request
    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
      conn_error "server at %s closed the connection" at);
+  (* With [timeout_s], the reply's first byte must come before the
+     instant and the frame must end by it too. *)
+  let deadline_s =
+    match timeout_s with
+    | None -> deadline_s
+    | Some s ->
+        let until = Unix.gettimeofday () +. s in
+        if not (readable_by t.fd until) then
+          conn_error "server at %s did not reply within %gs" at s;
+        let left = until -. Unix.gettimeofday () in
+        Some (Option.fold ~none:left ~some:(Float.min left) deadline_s)
+  in
   match
     Protocol.recv ~max_frame:t.max_frame ?deadline_s Protocol.response_codec
       t.fd
@@ -138,5 +164,5 @@ let expect_stats = function
       raise (Protocol.Protocol_error ("server error: " ^ m))
   | _ -> raise (Protocol.Protocol_error "unexpected reply to stats request")
 
-let get_stats t = expect_stats (rpc t Protocol.Get_stats)
+let get_stats ?timeout_s t = expect_stats (rpc ?timeout_s t Protocol.Get_stats)
 let shutdown t = expect_stats (rpc t Protocol.Shutdown)

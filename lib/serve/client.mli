@@ -33,10 +33,18 @@ val with_client :
   ?backoff_ms:int -> Transport.endpoint -> (t -> 'a) -> 'a
 (** Connect, run, close (also on exception). *)
 
-val rpc : ?deadline_s:float -> t -> Protocol.request -> Protocol.response
+val abort : t -> unit
+(** Shut the connection down, from any thread: an {!rpc} blocked on it
+    raises {!Protocol.Protocol_error}.  {!close} is still needed. *)
+
+val rpc :
+  ?deadline_s:float -> ?timeout_s:float -> t -> Protocol.request ->
+  Protocol.response
 (** One round trip.  [deadline_s] bounds the server's reply {e frame}
     (clock starts at its first byte; see {!Protocol.read_frame}) — it does
     NOT bound how long the server may think before starting to reply.
+    [timeout_s] does: the whole reply must have arrived within [timeout_s]
+    of sending the request.
     @raise Protocol.Protocol_error if the server hangs up (the message
     says whether it was at a frame boundary or mid-frame) or answers with
     an undecodable frame. *)
@@ -65,8 +73,9 @@ val store_put : t -> key:string -> bytes -> bool
 (** Offer a codec-enveloped artifact; [false] means the server rejected
     it (no store attached, or envelope validation failed). *)
 
-val get_stats : t -> Protocol.stats
-(** @raise Protocol.Protocol_error on a non-[Stats_reply] answer. *)
+val get_stats : ?timeout_s:float -> t -> Protocol.stats
+(** [timeout_s] as for {!rpc}.
+    @raise Protocol.Protocol_error on a non-[Stats_reply] answer. *)
 
 val shutdown : t -> Protocol.stats
 (** Ask the server to drain and exit; returns its final statistics. *)

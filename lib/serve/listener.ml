@@ -11,6 +11,7 @@ type t = {
   max_frame : int;
   handle : Protocol.request -> Protocol.response;
   drain : unit -> unit;
+  cut_off : (unit -> unit) option;
   mutex : Mutex.t;  (* guards conns, stopped and every conn's busy/fd *)
   cond : Condition.t;  (* broadcast once stopped *)
   mutable conns : conn list;  (* open connections only *)
@@ -109,15 +110,25 @@ let drain_and_close t =
   Option.iter Thread.join t.accept_thread;
   Transport.close_quietly t.listen_fd;
   t.drain ();
-  (* Give each connection time to write the response it owes, then close
-     under it (shutdown first, so a thread blocked in read wakes). *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while
-    locked t (fun () -> List.exists (fun c -> c.busy) t.conns)
-    && Unix.gettimeofday () < deadline
-  do
-    Thread.delay 0.01
-  done;
+  (* Give each connection time to write the response it owes.  A handler
+     still busy after that is told to give up, and its answer gets a
+     moment to go out.  Then close under the connections (shutdown first,
+     so a thread blocked in read wakes). *)
+  let busy () = locked t (fun () -> List.exists (fun c -> c.busy) t.conns) in
+  let wait_idle seconds =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while busy () && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done
+  in
+  wait_idle 10.0;
+  Option.iter
+    (fun cut_off ->
+      if busy () then begin
+        cut_off ();
+        wait_idle 1.0
+      end)
+    t.cut_off;
   let conns =
     locked t (fun () ->
         List.iter
@@ -145,8 +156,8 @@ let rec supervise t =
     supervise t
   end
 
-let start ?(max_frame = Protocol.default_max_frame) ?(drain = ignore) ~handle
-    endpoint =
+let start ?(max_frame = Protocol.default_max_frame) ?(drain = ignore) ?cut_off
+    ~handle endpoint =
   (match endpoint with
   | Transport.Unix_socket path -> prepare_socket path
   | Transport.Tcp _ -> ());
@@ -159,6 +170,7 @@ let start ?(max_frame = Protocol.default_max_frame) ?(drain = ignore) ~handle
       max_frame;
       handle;
       drain;
+      cut_off;
       mutex = Mutex.create ();
       cond = Condition.create ();
       conns = [];

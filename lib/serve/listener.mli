@@ -9,13 +9,15 @@
     request, or {!stop}) into the drain.
 
     Drain-then-exit: stop accepting, run the caller's [drain] hook, wait
-    up to 10 s for every connection to write the response it owes, then
-    close the connections, join their threads and unlink the socket. *)
+    up to 10 s for every connection to write the response it owes (if
+    one still has not and the caller gave a [cut_off] hook, run it and
+    wait up to 1 s more), then close the connections, join their threads
+    and unlink the socket. *)
 
 type t
 
 val start :
-  ?max_frame:int -> ?drain:(unit -> unit) ->
+  ?max_frame:int -> ?drain:(unit -> unit) -> ?cut_off:(unit -> unit) ->
   handle:(Protocol.request -> Protocol.response) -> Transport.endpoint -> t
 (** Bind and serve.  A stale Unix-socket file (left by a crashed daemon)
     is removed after probing that nothing answers on it; a {e live}
@@ -24,7 +26,10 @@ val start :
     raises is answered as [Server_error].  After a [Shutdown] request is
     answered the listener drains.  [drain] (default: nothing) runs once
     accepting has stopped and before the wait for pending responses —
-    the {!Server} finishes its queued and running jobs there.
+    the {!Server} finishes its queued and running jobs there.  [cut_off]
+    (default: none) runs when the drain's wait ends with a handler still
+    running; it must make every running [handle] return soon — the
+    coordinator aborts its worker calls there.
     @raise Unix.Unix_error on bind/listen failures. *)
 
 val bound : t -> Transport.endpoint

@@ -5,6 +5,52 @@ module Realistic = Dl_switch.Realistic
 module Geom = Dl_layout.Geom
 module Defect_stats = Dl_extract.Defect_stats
 
+(* The hot reads of the ifa and swift decoders, here so that they inline:
+   the common case (in bounds, a one-byte varint, a 0/1 option tag) is
+   read directly, and anything else is handed to [B] from the same offset,
+   so every error is [B]'s own. *)
+let byte (c : B.cursor) =
+  let pos = c.pos in
+  if pos < Bytes.length c.data then begin
+    c.pos <- pos + 1;
+    Char.code (Bytes.unsafe_get c.data pos)
+  end
+  else B.read_byte c
+
+let varint (c : B.cursor) =
+  let pos = c.pos in
+  if pos < Bytes.length c.data && Bytes.unsafe_get c.data pos < '\x80' then begin
+    c.pos <- pos + 1;
+    Char.code (Bytes.unsafe_get c.data pos)
+  end
+  else B.read_varint c
+
+let varint_option (c : B.cursor) =
+  let pos = c.pos in
+  match if pos < Bytes.length c.data then Bytes.unsafe_get c.data pos else '\255' with
+  | '\000' ->
+      c.pos <- pos + 1;
+      None
+  | '\001' ->
+      c.pos <- pos + 1;
+      Some (varint c)
+  | _ -> B.read_option B.read_varint c
+
+(* [B.read_array decode c] as a loop, for a [decode] that inlines.  Like
+   [Array.init], it makes the array from the first element, and a
+   negative count fails as it does. *)
+let[@inline] read_array_with decode c =
+  let n = B.read_count c in
+  if n < 0 then invalid_arg "Array.init"
+  else if n = 0 then [||]
+  else begin
+    let a = Array.make n (decode c) in
+    for i = 1 to n - 1 do
+      Array.unsafe_set a i (decode c)
+    done;
+    a
+  end
+
 (* ----------------------------------------------------------- circuit *)
 
 let encode_circuit buf (c : Circuit.t) =
@@ -260,21 +306,21 @@ let encode_realistic buf (f : Realistic.t) =
 
 let decode_realistic cur : Realistic.t =
   let kind =
-    match B.read_byte cur with
+    match byte cur with
     | 0 ->
-        let node_a = B.read_varint cur in
-        let node_b = B.read_varint cur in
+        let node_a = varint cur in
+        let node_b = varint cur in
         Realistic.Bridge { node_a; node_b }
-    | 1 -> Realistic.Transistor_stuck_open (B.read_varint cur)
-    | 2 -> Realistic.Transistor_stuck_on (B.read_varint cur)
+    | 1 -> Realistic.Transistor_stuck_open (varint cur)
+    | 2 -> Realistic.Transistor_stuck_on (varint cur)
     | 3 ->
-        let gate = B.read_varint cur in
-        let pin = B.read_varint cur in
-        let policy = policy_of_code (B.read_byte cur) in
+        let gate = varint cur in
+        let pin = varint cur in
+        let policy = policy_of_code (byte cur) in
         Realistic.Input_open { gate; pin; policy }
     | 4 ->
-        let node = B.read_varint cur in
-        let policy = policy_of_code (B.read_byte cur) in
+        let node = varint cur in
+        let policy = policy_of_code (byte cur) in
         Realistic.Stem_open { node; policy }
     | t -> raise (B.Corrupt (Printf.sprintf "bad realistic-fault tag %d" t))
   in
@@ -318,7 +364,7 @@ let ifa : ifa Codec.t =
       buf x.summaries
   in
   let decode cur =
-    let faults = B.read_array decode_realistic cur in
+    let faults = read_array_with decode_realistic cur in
     let gross_weight = B.read_float cur in
     let summaries =
       B.read_list
@@ -341,6 +387,54 @@ type swift = {
   region_solves : int;
 }
 
+(* Detections repeat: most faults are first detected within the first few
+   vectors.  Decoding shares equal [Some k] values and equal records
+   (immutable, so sharing is invisible) through small per-decode caches,
+   which spares the minor heap most of what it would otherwise promote
+   into the large detection array. *)
+type detection_cache = {
+  somes : int option array;  (* [somes.(k)] is [Some k] once seen *)
+  records : Dl_switch.Swift.detection array;  (* direct-mapped *)
+}
+
+let detection_cache_size = 256
+
+let undetected : Dl_switch.Swift.detection = { voltage = None; iddq = None }
+
+let detection_cache () =
+  {
+    somes = Array.make detection_cache_size None;
+    records = Array.make detection_cache_size undetected;
+  }
+
+(* [varint_option], with [Some k] shared for small [k]. *)
+let shared_option cache c =
+  match varint_option c with
+  | Some k when k < detection_cache_size -> (
+      match cache.somes.(k) with
+      | Some _ as s -> s
+      | None ->
+          let s = Some k in
+          cache.somes.(k) <- s;
+          s)
+  | o -> o
+
+let code = function None -> 0 | Some k -> k + 1
+
+let decode_detection cache cur : Dl_switch.Swift.detection =
+  let voltage = shared_option cache cur in
+  let iddq = shared_option cache cur in
+  let slot =
+    ((code voltage * 31) + code iddq) land (detection_cache_size - 1)
+  in
+  let r = cache.records.(slot) in
+  if r.voltage == voltage && r.iddq == iddq then r
+  else begin
+    let r = { Dl_switch.Swift.voltage; iddq } in
+    cache.records.(slot) <- r;
+    r
+  end
+
 let swift : swift Codec.t =
   let encode buf x =
     B.write_array
@@ -352,14 +446,8 @@ let swift : swift Codec.t =
     B.write_varint buf x.region_solves
   in
   let decode cur =
-    let detection =
-      B.read_array
-        (fun c ->
-          let voltage = B.read_option B.read_varint c in
-          let iddq = B.read_option B.read_varint c in
-          { Dl_switch.Swift.voltage; iddq })
-        cur
-    in
+    let cache = detection_cache () in
+    let detection = read_array_with (decode_detection cache) cur in
     let vectors_applied = B.read_varint cur in
     let region_solves = B.read_varint cur in
     { detection; vectors_applied; region_solves }

@@ -44,8 +44,8 @@ val detections : detections Codec.t
 
 (** IFA extraction output minus the layout geometry: the weighted
     realistic fault list and the per-class accounting.  The layout itself
-    is re-synthesized deterministically from the mapped circuit on a warm
-    run (cheap), so it is not persisted. *)
+    is a deterministic function of the mapped circuit and the row count,
+    so it is not persisted: a warm run rebuilds it only if asked for. *)
 type ifa = {
   faults : Dl_switch.Realistic.t array;
   gross_weight : float;

@@ -31,16 +31,34 @@ let key_of_path path = Filename.chop_suffix (Filename.basename path) ".art"
 
 let mem t key = Sys.file_exists (object_path t key)
 
+(* Through a file descriptor, not a channel: a channel's 64 KiB buffer
+   lives outside the heap until the GC finalises the channel, long after
+   it is closed, and a warm run reads one object per stage.  Failures
+   raise [Sys_error], as [open_in] would. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let sys_error e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
+  let read fd =
+    let n = (Unix.fstat fd).st_size in
+    let data = Bytes.create n in
+    let rec fill pos =
+      if pos < n then
+        match Unix.read fd data pos (n - pos) with
+        | 0 -> raise End_of_file
+        | k -> fill (pos + k)
+    in
+    fill 0;
+    data
+  in
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) -> sys_error e
+  | fd -> (
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> try read fd with Unix.Unix_error (e, _, _) -> sys_error e))
 
 let load t key =
-  let path = object_path t key in
-  match read_file path with
-  | s -> Some (Bytes.unsafe_of_string s)
+  match read_file (object_path t key) with
+  | data -> Some data
   | exception Sys_error _ -> None
   | exception End_of_file -> None
 
@@ -124,15 +142,13 @@ let stats t =
         | exception Sys_error _ -> (n, bytes)
         | s ->
             let kind =
-              match
-                Codec.inspect ~check_crc:false (Bytes.unsafe_of_string s)
-              with
+              match Codec.inspect ~check_crc:false s with
               | Ok (kind, _) -> kind
               | Error _ -> "?"
             in
             let c, b = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl kind) in
-            Hashtbl.replace tbl kind (c + 1, b + String.length s);
-            (n + 1, bytes + String.length s))
+            Hashtbl.replace tbl kind (c + 1, b + Bytes.length s);
+            (n + 1, bytes + Bytes.length s))
   in
   let by_kind =
     Hashtbl.fold (fun kind (c, b) acc -> (kind, c, b) :: acc) tbl []
@@ -150,7 +166,7 @@ let verify t =
         match read_file path with
         | exception Sys_error m -> (n + 1, (key, "unreadable: " ^ m) :: bad)
         | s -> (
-            match Codec.inspect ~check_crc:true (Bytes.unsafe_of_string s) with
+            match Codec.inspect ~check_crc:true s with
             | Ok _ -> (n + 1, bad)
             | Error e -> (n + 1, (key, Codec.error_to_string e) :: bad)))
   in
@@ -214,7 +230,7 @@ let gc ?(current = Artifact.current_versions) ?max_bytes t =
       match read_file path with
       | exception Sys_error _ -> drop removed_corrupt
       | s -> (
-          match Codec.inspect ~check_crc:true (Bytes.unsafe_of_string s) with
+          match Codec.inspect ~check_crc:true s with
           | Error _ -> drop removed_corrupt
           | Ok (kind, version) -> (
               match List.assoc_opt kind current with

@@ -692,11 +692,12 @@ type scratch = {
   mutable cond : int array;  (* per edge: [off], [on] or [maybe] *)
   mutable read_charge : bool;  (* the last solve read [charge] *)
   mutable rounds : int;  (* relaxation rounds of every solve so far *)
+  mutable capped : int;  (* solves stopped by the round cap, unsettled *)
 }
 
 let scratch () =
   { values = [||]; reach = [||]; queue = [||]; dist_dn = [||]; dist_up = [||];
-    visited = [||]; cond = [||]; read_charge = false; rounds = 0 }
+    visited = [||]; cond = [||]; read_charge = false; rounds = 0; capped = 0 }
 
 let ensure s (cr : shape) =
   let n = cr.n in
@@ -837,6 +838,7 @@ let rail_passes (cr : shape) s ~ext =
 
 let read_charge s = s.read_charge
 let rounds s = s.rounds
+let capped s = s.capped
 
 let solve_compiled (cr : shape) s ~ext ~charge ~out =
   ensure s cr;
@@ -907,4 +909,5 @@ let solve_compiled (cr : shape) s ~ext ~charge ~out =
     out.(i) <- values.(cr.solved.(i))
   done;
   s.rounds <- s.rounds + !rounds;
+  if not !stable then s.capped <- s.capped + 1;
   !fight

@@ -148,3 +148,8 @@ val read_charge : scratch -> bool
 
 val rounds : scratch -> int
 (** Relaxation rounds run by every {!solve_compiled} on this scratch. *)
+
+val capped : scratch -> int
+(** The {!solve_compiled} calls on this scratch that stopped at their
+    [4 * (n + 2)]-round cap with some gate operand still changing; their
+    outcome is the last round's values. *)

@@ -396,10 +396,13 @@ type memo_stats = {
   mutable ext_only_hits : int;
   mutable misses : int;
   mutable rounds : int;
+  mutable feedback_capped : int;
+  mutable rounds_capped : int;
 }
 
 let memo_stats () =
-  { shapes = 0; full_hits = 0; ext_only_hits = 0; misses = 0; rounds = 0 }
+  { shapes = 0; full_hits = 0; ext_only_hits = 0; misses = 0; rounds = 0;
+    feedback_capped = 0; rounds_capped = 0 }
 
 (* What [Propagate.run]'s map holds for a node: -1 when absent. *)
 let observed cone id = if Cone.mem cone id then code (Cone.get cone id) else -1
@@ -433,6 +436,7 @@ type worker = {
   mutable full_hits : int;
   mutable ext_only_hits : int;
   mutable misses : int;
+  mutable feedback_capped : int;
 }
 
 let record_hit ctx w ~vector fi =
@@ -519,6 +523,7 @@ let run_region ctx w r fi =
         if observed cone r.inputs.(j) <> before.(j) then stable := false
       done
     done;
+    if not !stable then w.feedback_capped <- w.feedback_capped + 1;
     if Cone.po_detects cone then begin
       if ctx.record then record_hit ctx w ~vector:!k fi;
       if !voltage < 0 then voltage := !k
@@ -651,6 +656,7 @@ let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats ?domains ?pool
       full_hits = 0;
       ext_only_hits = 0;
       misses = 0;
+      feedback_capped = 0;
     }
   in
   (* Each pool worker claims tasks until none is left. *)
@@ -692,7 +698,9 @@ let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats ?domains ?pool
       st.full_hits <- st.full_hits + sum (fun w -> w.full_hits);
       st.ext_only_hits <- st.ext_only_hits + sum (fun w -> w.ext_only_hits);
       st.misses <- st.misses + sum (fun w -> w.misses);
-      st.rounds <- st.rounds + sum (fun w -> Solver.rounds w.scratch))
+      st.rounds <- st.rounds + sum (fun w -> Solver.rounds w.scratch);
+      st.feedback_capped <- st.feedback_capped + sum (fun w -> w.feedback_capped);
+      st.rounds_capped <- st.rounds_capped + sum (fun w -> Solver.capped w.scratch))
     stats;
   {
     faults;

@@ -28,6 +28,13 @@ type memo_stats = {
       (** Solves answered by an outcome that held for any charge. *)
   mutable misses : int;  (** Solves computed (or not memoisable). *)
   mutable rounds : int;  (** Relaxation rounds of the computed solves. *)
+  mutable feedback_capped : int;
+      (** Region evaluations (fault, vector) whose feedback loop stopped at
+          its 8-pass cap with a region input still changing; the last
+          pass's values stand. *)
+  mutable rounds_capped : int;
+      (** Computed solves stopped at {!Solver.solve_compiled}'s
+          [4 * (n + 2)]-round cap ({!Solver.capped}). *)
 }
 (** Memo counters of {!run}, summed over the runs they are passed to. *)
 

@@ -83,20 +83,24 @@ let write_bools_packed buf a =
 
 (* ------------------------------------------------------------- reading *)
 
+(* [need c 1], inlined: this is the hot path of every decoder. *)
 let read_byte c =
-  need c 1;
-  let b = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  b
+  let pos = c.pos in
+  if pos >= Bytes.length c.data then need c 1;
+  c.pos <- pos + 1;
+  Char.code (Bytes.unsafe_get c.data pos)
 
+(* A loop rather than a local recursive function, which would allocate
+   a closure per call. *)
 let read_varint c =
-  let rec go shift acc =
-    if shift > Sys.int_size - 1 then corrupt "varint overflow at offset %d" c.pos;
+  let shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
+    if !shift > Sys.int_size - 1 then corrupt "varint overflow at offset %d" c.pos;
     let b = read_byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let read_int c = unzigzag (read_varint c)
 
@@ -125,13 +129,17 @@ let read_option r c =
   | 1 -> Some (r c)
   | b -> corrupt "bad option tag %d at offset %d" b (c.pos - 1)
 
-let read_array r c =
+let read_count c =
   let n = read_varint c in
   (* Sanity bound: a well-formed element occupies at least one byte, so a
      count beyond the remaining bytes is framing corruption, not a huge
      allocation request. *)
   if n > remaining c then
     corrupt "array count %d exceeds remaining %d bytes" n (remaining c);
+  n
+
+let read_array r c =
+  let n = read_count c in
   Array.init n (fun _ -> r c)
 
 let read_list r c =
@@ -154,21 +162,53 @@ let read_bools_packed c =
 
 (* ------------------------------------------------------------- crc32 *)
 
-(* On native ints: every value stays within 32 bits, so nothing is boxed. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* Slicing-by-8 on native ints: every value stays within 32 bits, so
+   nothing is boxed.  Table [k] (entries [256k .. 256k + 255]) advances a
+   byte's contribution through [k] further zero bytes, so one step folds
+   eight input bytes with eight lookups. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
+
+(* Four little-endian bytes as a non-negative int.  [Int64.to_int] of an
+   8-byte read would drop bit 63 on 63-bit ints, hence two halves. *)
+let get_u32 data i = Int32.to_int (Bytes.get_int32_le data i) land 0xFFFFFFFF
 
 let crc32 ?(crc = 0l) data ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     invalid_arg "Binary.crc32: range out of bounds";
+  let t = crc_tables in
+  (* Every index below is masked to its table, so the lookups skip the
+     bounds check. *)
+  let get = Array.unsafe_get in
   let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c := crc_table.((!c lxor Char.code (Bytes.get data i)) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos and stop = pos + len in
+  while !i + 8 <= stop do
+    let lo = !c lxor get_u32 data !i and hi = get_u32 data (!i + 4) in
+    c :=
+      get t (1792 + (lo land 0xFF))
+      lxor get t (1536 + ((lo lsr 8) land 0xFF))
+      lxor get t (1280 + ((lo lsr 16) land 0xFF))
+      lxor get t (1024 + (lo lsr 24))
+      lxor get t (768 + (hi land 0xFF))
+      lxor get t (512 + ((hi lsr 8) land 0xFF))
+      lxor get t (256 + ((hi lsr 16) land 0xFF))
+      lxor get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to stop - 1 do
+    c := get t ((!c lxor Char.code (Bytes.get data j)) land 0xFF) lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 

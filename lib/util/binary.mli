@@ -56,6 +56,14 @@ val read_float : cursor -> float
 val read_string : cursor -> string
 val read_option : (cursor -> 'a) -> cursor -> 'a option
 val read_array : (cursor -> 'a) -> cursor -> 'a array
+(** A {!read_count}, then that many elements. *)
+
+val read_count : cursor -> int
+(** An array's element count, as {!read_array} reads it: raises {!Corrupt}
+    when it exceeds the remaining bytes (every element takes at least
+    one), so a decoder that loops over the elements itself keeps the same
+    sanity bound. *)
+
 val read_list : (cursor -> 'a) -> cursor -> 'a list
 val read_bools_packed : cursor -> bool array
 

@@ -584,6 +584,104 @@ let test_probe_readmission () =
                   Alcotest.(check int) "revived worker readmitted" 2
                     (List.length (Coord.workers_alive coord)))))
 
+(* A worker that accepts every connection, reads what it is sent and
+   never answers.  [requests ()] counts the frames it has read. *)
+let start_silent_worker () =
+  let fd = Transport.listen loopback in
+  let bound = Transport.bound_endpoint fd loopback in
+  let mutex = Mutex.create () in
+  let held = ref [] and requests = ref 0 and stopped = ref false in
+  let rec hold conn =
+    match P.read_frame conn with
+    | Some _ ->
+        Mutex.protect mutex (fun () -> incr requests);
+        hold conn
+    | None -> ()
+    | exception (P.Protocol_error _ | Unix.Unix_error _) -> ()
+  in
+  let rec accept () =
+    match Unix.accept ~cloexec:true fd with
+    | conn, _ ->
+        Mutex.protect mutex (fun () -> held := conn :: !held);
+        ignore (Thread.create hold conn);
+        accept ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  let acceptor = Thread.create accept () in
+  let stop () =
+    Mutex.protect mutex (fun () ->
+        if not !stopped then begin
+          stopped := true;
+          (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          List.iter
+            (fun c ->
+              try Unix.shutdown c Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+            !held
+        end);
+    Thread.join acceptor;
+    Transport.close_quietly fd
+  in
+  (bound, (fun () -> Mutex.protect mutex (fun () -> !requests)), stop)
+
+(* [f ()] on its own thread; [Some v] once it has returned, [None] if it
+   has not within [seconds].  A hung [f] is left behind, so the test fails
+   instead of hanging. *)
+let within seconds f =
+  let result = Atomic.make None in
+  ignore (Thread.create (fun () -> Atomic.set result (Some (f ()))) ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Atomic.get result
+
+let test_stop_with_silent_worker () =
+  let worker, requests, stop_worker = start_silent_worker () in
+  Fun.protect ~finally:stop_worker (fun () ->
+      let probe_period_s = 0.5 in
+      let coord =
+        Coord.start
+          (Coord.config ~probe_period_s ~listen:loopback ~workers:[ worker ] ())
+      in
+      (* One submit relayed to the worker before two unanswered probes
+         eject it; the probe is its first request. *)
+      let reply = Atomic.make None in
+      let client =
+        Thread.create
+          (fun () ->
+            Atomic.set reply
+              (Some
+                 (try
+                    Client.with_client (Coord.bound coord) (fun c ->
+                        match Client.submit c (quick_spec 1) with
+                        | P.Server_error m -> m
+                        | _ -> "an answer")
+                  with P.Protocol_error m -> m)))
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while requests () < 2 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "the worker holds a probe and the relay" true
+        (requests () >= 2);
+      let drain_s = 10.0 and slack_s = 2.0 in
+      let t0 = Unix.gettimeofday () in
+      match within (drain_s +. probe_period_s +. slack_s) (fun () -> Coord.stop coord) with
+      | None ->
+          Alcotest.failf "Coord.stop still blocked after %.1f s"
+            (drain_s +. probe_period_s +. slack_s)
+      | Some () ->
+          let took = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "stop returned in %.1f s, after the drain" took)
+            true
+            (took >= drain_s -. 0.5);
+          Thread.join client;
+          Alcotest.(check (option string)) "the client is told why"
+            (Some "coordinator stopped before a worker answered")
+            (Atomic.get reply))
+
 let test_coord_rejects_probe_period () =
   List.iter
     (fun p ->
@@ -637,6 +735,8 @@ let () =
             test_fanout_coordinator;
           Alcotest.test_case "non-positive probe period rejected" `Quick
             test_coord_rejects_probe_period;
+          Alcotest.test_case "stop returns with a silent worker" `Slow
+            test_stop_with_silent_worker;
         ] );
       ( "stage-table",
         [

@@ -122,17 +122,27 @@ let crc32_int32 ?(crc = 0l) data ~pos ~len =
   done;
   Int32.logxor !c 0xFFFFFFFFl
 
+(* Lengths 0 to 4,096 from every start offset mod 8, so the 8-byte steps
+   meet every alignment and tail length; half the cases are short. *)
 let prop_crc32_equals_int32 =
   QCheck.Test.make ~name:"crc32 = Int32 implementation, chained" ~count:500
-    QCheck.(triple string string int32)
-    (fun (a, b, seed) ->
-      let data = Bytes.of_string (a ^ b) and la = String.length a in
-      let len = Bytes.length data - la in
-      B.crc32 data ~pos:0 ~len:(Bytes.length data)
-      = crc32_int32 data ~pos:0 ~len:(Bytes.length data)
-      && B.crc32 ~crc:seed data ~pos:la ~len = crc32_int32 ~crc:seed data ~pos:la ~len
-      && B.crc32 ~crc:(B.crc32 data ~pos:0 ~len:la) data ~pos:la ~len
-         = B.crc32 data ~pos:0 ~len:(Bytes.length data))
+    QCheck.(
+      triple
+        (string_of_size Gen.(frequency [ (1, int_bound 40); (1, int_bound 4103) ]))
+        small_nat int32)
+    (fun (s, split, seed) ->
+      let data = Bytes.of_string s in
+      List.for_all
+        (fun pos ->
+          let len = Bytes.length data - pos in
+          let la = if len > 0 then split mod (len + 1) else 0 in
+          len < 0
+          || B.crc32 data ~pos ~len = crc32_int32 data ~pos ~len
+             && B.crc32 ~crc:seed data ~pos ~len = crc32_int32 ~crc:seed data ~pos ~len
+             && B.crc32 ~crc:(B.crc32 data ~pos ~len:la) data ~pos:(pos + la)
+                  ~len:(len - la)
+                = B.crc32 data ~pos ~len)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
 let test_truncation_is_corrupt () =
   let buf = Buffer.create 16 in
@@ -254,30 +264,249 @@ let prop_detections_roundtrip =
         { Artifact.first_detection; vectors_applied; gate_evaluations;
           sim_stats })
 
+(* Real extraction + swift output of c432s_small: every kind, policy and
+   class constructor a pipeline produces. *)
+let c432s_small_artifacts =
+  lazy
+    (let c = Transform.decompose_for_cells (Benchmarks.c432s_small ()) in
+     let m = Dl_cell.Mapping.flatten c in
+     let e = Dl_extract.Ifa.extract (Dl_layout.Layout.synthesize m) in
+     let rng = Dl_util.Rng.create 11 in
+     let vectors =
+       Array.init 16 (fun _ ->
+           Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
+     in
+     let r =
+       Dl_switch.Swift.run (Dl_switch.Network.build m) ~faults:e.faults ~vectors
+     in
+     ( { Artifact.faults = e.faults; gross_weight = e.gross_weight;
+         summaries = e.summaries },
+       { Artifact.detection = r.detection; vectors_applied = r.vectors_applied;
+         region_solves = r.region_solves } ))
+
 let test_ifa_swift_roundtrip () =
-  (* Real extraction + swift output: every kind/policy/class constructor a
-     pipeline produces goes through the wire format. *)
-  let c = Transform.decompose_for_cells (Benchmarks.c432s_small ()) in
-  let m = Dl_cell.Mapping.flatten c in
-  let l = Dl_layout.Layout.synthesize m in
-  let e = Dl_extract.Ifa.extract l in
-  let ifa =
-    { Artifact.faults = e.faults; gross_weight = e.gross_weight;
-      summaries = e.summaries }
-  in
+  let ifa, swift = Lazy.force c432s_small_artifacts in
   Alcotest.(check bool) "ifa" true (roundtrip Artifact.ifa ifa);
-  let network = Dl_switch.Network.build m in
-  let rng = Dl_util.Rng.create 11 in
-  let vectors =
-    Array.init 16 (fun _ ->
-        Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
-  in
-  let r = Dl_switch.Swift.run network ~faults:e.faults ~vectors in
-  let swift =
-    { Artifact.detection = r.detection; vectors_applied = r.vectors_applied;
-      region_solves = r.region_solves }
-  in
   Alcotest.(check bool) "swift" true (roundtrip Artifact.swift swift)
+
+(* --- the ifa and swift decoders against the generic readers ---------------- *)
+
+(* The ifa and swift decoders as they were written on the generic
+   [B.read_array]/[B.read_option]/[B.read_list] readers: the oracle of the
+   codecs' direct loops. *)
+module Generic = struct
+  module Realistic = Dl_switch.Realistic
+  module Geom = Dl_layout.Geom
+  module Defect_stats = Dl_extract.Defect_stats
+
+  let layer_of_code = function
+    | 0 -> Geom.Diffusion_n
+    | 1 -> Geom.Diffusion_p
+    | 2 -> Geom.Poly
+    | 3 -> Geom.Metal1
+    | 4 -> Geom.Metal2
+    | 5 -> Geom.Contact
+    | 6 -> Geom.Via
+    | c -> raise (B.Corrupt (Printf.sprintf "bad layer code %d" c))
+
+  let policy_of_code = function
+    | 0 -> Realistic.Floats_low
+    | 1 -> Realistic.Floats_high
+    | 2 -> Realistic.Floats_unknown
+    | c -> raise (B.Corrupt (Printf.sprintf "bad float-policy code %d" c))
+
+  let decode_realistic cur : Realistic.t =
+    let kind =
+      match B.read_byte cur with
+      | 0 ->
+          let node_a = B.read_varint cur in
+          let node_b = B.read_varint cur in
+          Realistic.Bridge { node_a; node_b }
+      | 1 -> Realistic.Transistor_stuck_open (B.read_varint cur)
+      | 2 -> Realistic.Transistor_stuck_on (B.read_varint cur)
+      | 3 ->
+          let gate = B.read_varint cur in
+          let pin = B.read_varint cur in
+          let policy = policy_of_code (B.read_byte cur) in
+          Realistic.Input_open { gate; pin; policy }
+      | 4 ->
+          let node = B.read_varint cur in
+          let policy = policy_of_code (B.read_byte cur) in
+          Realistic.Stem_open { node; policy }
+      | t -> raise (B.Corrupt (Printf.sprintf "bad realistic-fault tag %d" t))
+    in
+    let weight = B.read_float cur in
+    let label = B.read_string cur in
+    { kind; weight; label }
+
+  let decode_defect_class cur =
+    match B.read_byte cur with
+    | 0 -> Defect_stats.Short_on (layer_of_code (B.read_byte cur))
+    | 1 -> Defect_stats.Open_on (layer_of_code (B.read_byte cur))
+    | 2 -> Defect_stats.Oxide_pinhole
+    | 3 -> Defect_stats.Contact_open
+    | t -> raise (B.Corrupt (Printf.sprintf "bad defect-class tag %d" t))
+
+  let ifa cur : Artifact.ifa =
+    let faults = B.read_array decode_realistic cur in
+    let gross_weight = B.read_float cur in
+    let summaries =
+      B.read_list
+        (fun c ->
+          let cls = decode_defect_class c in
+          let count = B.read_varint c in
+          let total_weight = B.read_float c in
+          { Dl_extract.Ifa.cls; count; total_weight })
+        cur
+    in
+    { faults; gross_weight; summaries }
+
+  let swift cur : Artifact.swift =
+    let detection =
+      B.read_array
+        (fun c ->
+          let voltage = B.read_option B.read_varint c in
+          let iddq = B.read_option B.read_varint c in
+          { Dl_switch.Swift.voltage; iddq })
+        cur
+    in
+    let vectors_applied = B.read_varint cur in
+    let region_solves = B.read_varint cur in
+    { detection; vectors_applied; region_solves }
+end
+
+let payload (codec : _ Codec.t) v =
+  let buf = Buffer.create 4096 in
+  codec.encode buf v;
+  Buffer.to_bytes buf
+
+(* What decoding [data] gives: the value re-encoded (bit-exact, NaNs
+   included) and the cursor's end, or the exception raised. *)
+let decode_outcome (codec : _ Codec.t) decode data =
+  let cur = B.cursor data in
+  match decode cur with
+  | v -> Ok (Bytes.to_string (payload codec v), cur.B.pos)
+  | exception e -> Error (Printexc.to_string e)
+
+let same_as_generic codec generic data =
+  decode_outcome codec codec.Codec.decode data = decode_outcome codec generic data
+
+(* Every way [data] can be cut or have one byte changed at [at]. *)
+let damaged data ~at ~byte =
+  let n = Bytes.length data in
+  if n = 0 then [ data ]
+  else begin
+    let at = at mod n in
+    let flipped = Bytes.copy data in
+    Bytes.set flipped at (Char.chr byte);
+    [ data; Bytes.sub data 0 at; flipped ]
+  end
+
+let test_decoders_match_generic_real () =
+  let ifa, swift = Lazy.force c432s_small_artifacts in
+  let ifa_bytes = payload Artifact.ifa ifa and swift_bytes = payload Artifact.swift swift in
+  Alcotest.(check bool) "ifa = generic" true
+    (Artifact.ifa.decode (B.cursor ifa_bytes) = Generic.ifa (B.cursor ifa_bytes));
+  Alcotest.(check bool) "swift = generic" true
+    (Artifact.swift.decode (B.cursor swift_bytes)
+    = Generic.swift (B.cursor swift_bytes));
+  (* A changed byte every 97: tags, counts, varints and labels. *)
+  let check name codec generic data =
+    for at = 0 to (Bytes.length data / 97) - 1 do
+      List.iter
+        (fun d ->
+          if not (same_as_generic codec generic d) then
+            Alcotest.failf "%s: differs from the generic decoder, byte %d damaged"
+              name (at * 97))
+        (damaged data ~at:(at * 97) ~byte:(at * 37 land 0xFF))
+    done
+  in
+  check "ifa" Artifact.ifa Generic.ifa ifa_bytes;
+  check "swift" Artifact.swift Generic.swift swift_bytes
+
+let gen_realistic =
+  let open QCheck.Gen in
+  let id = oneof [ int_bound 300; int_bound 2_000_000 ] in
+  let policy =
+    oneofl Dl_switch.Realistic.[ Floats_low; Floats_high; Floats_unknown ]
+  in
+  let kind =
+    oneof
+      [
+        map2 (fun node_a node_b -> Dl_switch.Realistic.Bridge { node_a; node_b }) id id;
+        map (fun t -> Dl_switch.Realistic.Transistor_stuck_open t) id;
+        map (fun t -> Dl_switch.Realistic.Transistor_stuck_on t) id;
+        map3
+          (fun gate pin policy -> Dl_switch.Realistic.Input_open { gate; pin; policy })
+          id (int_bound 5) policy;
+        map2 (fun node policy -> Dl_switch.Realistic.Stem_open { node; policy }) id policy;
+      ]
+  in
+  map3
+    (fun kind weight label -> { Dl_switch.Realistic.kind; weight; label })
+    kind float (string_size ~gen:printable (int_bound 30))
+
+let gen_summary =
+  let open QCheck.Gen in
+  let layer = oneofl Dl_layout.Geom.[ Diffusion_n; Diffusion_p; Poly; Metal1; Metal2; Contact; Via ] in
+  let cls =
+    oneof
+      Dl_extract.Defect_stats.
+        [ map (fun l -> Short_on l) layer; map (fun l -> Open_on l) layer;
+          return Oxide_pinhole; return Contact_open ]
+  in
+  map3 (fun cls count total_weight -> { Dl_extract.Ifa.cls; count; total_weight })
+    cls nat float
+
+let gen_detection =
+  let open QCheck.Gen in
+  let first = opt (oneof [ int_bound 40; int_bound 300; int_bound 100_000 ]) in
+  map2 (fun voltage iddq -> { Dl_switch.Swift.voltage; iddq }) first first
+
+let damage = QCheck.Gen.(pair nat (int_bound 255))
+
+let prop_ifa_decoder_matches_generic =
+  QCheck.Test.make ~name:"ifa decoder = generic decoder, random artifacts" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (triple (array_size (int_bound 40) gen_realistic) float
+              (list_size (int_bound 6) gen_summary))
+           damage))
+    (fun ((faults, gross_weight, summaries), (at, byte)) ->
+      let data = payload Artifact.ifa { Artifact.faults; gross_weight; summaries } in
+      List.for_all (same_as_generic Artifact.ifa Generic.ifa) (damaged data ~at ~byte))
+
+let prop_swift_decoder_matches_generic =
+  QCheck.Test.make ~name:"swift decoder = generic decoder, random artifacts"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (triple (array_size (int_bound 600) gen_detection) nat nat)
+           damage))
+    (fun ((detection, vectors_applied, region_solves), (at, byte)) ->
+      let data =
+        payload Artifact.swift { Artifact.detection; vectors_applied; region_solves }
+      in
+      List.for_all (same_as_generic Artifact.swift Generic.swift) (damaged data ~at ~byte))
+
+(* The payloads with the envelope and its CRC out of the way, cut at every
+   byte: each decoder must raise [Corrupt], and nothing else. *)
+let test_truncated_real_payloads_corrupt () =
+  let ifa, swift = Lazy.force c432s_small_artifacts in
+  let check name (codec : _ Codec.t) v =
+    let data = payload codec v in
+    for len = 0 to Bytes.length data - 1 do
+      match codec.decode (B.cursor (Bytes.sub data 0 len)) with
+      | exception B.Corrupt _ -> ()
+      | exception e ->
+          Alcotest.failf "%s cut to %d bytes raised %s" name len (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s cut to %d bytes decoded" name len
+    done
+  in
+  check "ifa" Artifact.ifa ifa;
+  check "swift" Artifact.swift swift
 
 let prop_summary_roundtrip =
   QCheck.Test.make ~name:"summaries round-trip" ~count:100
@@ -647,6 +876,25 @@ let test_experiment_uncached_matches_cached () =
            (fun s -> stage_key plain s = stage_key cached s)
            all_stages))
 
+(* The layout is built by a layout-ifa miss and by nothing on a warm run;
+   forced afterwards, it is the cold run's layout. *)
+let test_layout_built_on_demand () =
+  with_store_dir (fun dir ->
+      let cfg =
+        Experiment.config ~seed:7 ~max_random_vectors:16 ~domains:1
+          ~cache_dir:dir (Benchmarks.c432s_small ())
+      in
+      let cold = Experiment.run cfg in
+      Alcotest.(check bool) "cold run built the layout" true
+        (Lazy.is_val cold.extraction.layout);
+      let warm = Experiment.run cfg in
+      Alcotest.(check bool) "warm run hit every stage" true
+        (List.for_all (fun s -> outcome warm s = Stage.Hit) all_stages);
+      Alcotest.(check bool) "warm run left the layout unbuilt" false
+        (Lazy.is_val warm.extraction.layout);
+      Alcotest.(check bool) "forced warm layout = cold layout" true
+        (Lazy.force warm.extraction.layout = Lazy.force cold.extraction.layout))
+
 let test_statistical_stage_key_sensitivity () =
   (* The MC / bootstrap knobs must fingerprint ONLY their own stages: the
      simulation artifacts of a tuned re-run stay warm.  stage_keys derives
@@ -730,12 +978,17 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_circuit_roundtrip; prop_stuck_faults_roundtrip;
             prop_patterns_roundtrip; prop_detections_roundtrip;
-            prop_summary_roundtrip ]
+            prop_summary_roundtrip; prop_ifa_decoder_matches_generic;
+            prop_swift_decoder_matches_generic ]
         @ [
             Alcotest.test_case "built-in circuits round-trip" `Quick
               test_builtin_circuits_roundtrip;
             Alcotest.test_case "ifa + swift artifacts round-trip" `Quick
               test_ifa_swift_roundtrip;
+            Alcotest.test_case "ifa + swift decoders = generic, real artifacts"
+              `Quick test_decoders_match_generic_real;
+            Alcotest.test_case "truncated ifa + swift payloads are Corrupt" `Slow
+              test_truncated_real_payloads_corrupt;
             Alcotest.test_case "wafer-mc round-trip" `Quick
               test_wafer_mc_roundtrip;
             Alcotest.test_case "bootstrap-fit round-trip" `Quick
@@ -775,5 +1028,7 @@ let () =
             test_experiment_cold_warm_and_invalidation;
           Alcotest.test_case "uncached matches cached" `Slow
             test_experiment_uncached_matches_cached;
+          Alcotest.test_case "layout built on demand" `Quick
+            test_layout_built_on_demand;
         ] );
     ]

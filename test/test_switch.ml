@@ -519,7 +519,8 @@ let all_opens (c : Circuit.t) =
   |> Array.of_list
 
 let stats_fields (st : Swift.memo_stats) =
-  [ st.shapes; st.full_hits; st.ext_only_hits; st.misses; st.rounds ]
+  [ st.shapes; st.full_hits; st.ext_only_hits; st.misses; st.rounds;
+    st.feedback_capped; st.rounds_capped ]
 
 (* The serial engine, pools of 1, 2 and 3 domains and the reference agree
    on detections and region solves in every drop mode; the engine's memo
@@ -776,6 +777,45 @@ let test_charge_read_not_ext_only () =
 
 (* --- Pooled engine ------------------------------------------------------------ *)
 
+(* Bridges from a node onto the gates two and three levels downstream of
+   it: a loop through an odd number of inversions can oscillate, so some
+   region evaluations run into the feedback cap.  The cap counters, like
+   every memo counter, are the same for any pool size. *)
+let test_cap_counters_pool_independent () =
+  let c, m, net = build "c432s_small" in
+  let bridge a b =
+    { Realistic.kind =
+        Realistic.Bridge
+          { node_a = m.Mapping.signal_node.(a); node_b = m.Mapping.signal_node.(b) };
+      weight = 1.0; label = "feedback" }
+  in
+  let downstream id = Array.to_list c.Circuit.fanouts.(id) in
+  let faults =
+    Array.to_list c.Circuit.nodes
+    |> List.concat_map (fun (nd : Circuit.node) ->
+           let two = List.concat_map downstream (downstream nd.id) in
+           List.map (bridge nd.id) (two @ List.concat_map downstream two))
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let vectors = random_vectors c 8 in
+  let stats ?pool ?domains () =
+    let st = Swift.memo_stats () in
+    let r = Swift.run ~drop_when:`Never ~memo_stats:st ?pool ?domains net ~faults ~vectors in
+    (r.detection, st)
+  in
+  let serial, st = stats ~domains:1 () in
+  Alcotest.(check bool) "some evaluation reaches the feedback cap" true
+    (st.feedback_capped > 0);
+  List.iter
+    (fun domains ->
+      Parallel.with_pool ~domains (fun pool ->
+          let detection, st' = stats ~pool () in
+          let name what = Printf.sprintf "%s, pool of %d" what domains in
+          Alcotest.(check bool) (name "detections") true (detection = serial);
+          Alcotest.(check (list int)) (name "memo and cap counters")
+            (stats_fields st) (stats_fields st')))
+    [ 2; 3 ]
+
 let family_case seed =
   let fams = Array.of_list Generator.Family.all in
   let fam = fams.(seed mod Array.length fams) in
@@ -901,6 +941,8 @@ let () =
         [
           Alcotest.test_case "swift stage independent of domains" `Quick
             test_swift_stage_independent_of_domains;
+          Alcotest.test_case "cap counters independent of pool size" `Quick
+            test_cap_counters_pool_independent;
           QCheck_alcotest.to_alcotest prop_pooled_families;
           QCheck_alcotest.to_alcotest prop_x_open_never_voltage_detected;
         ] );
