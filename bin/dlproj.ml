@@ -207,8 +207,7 @@ let project_cmd =
 (* JSON fragments for the optional statistical stages, spliced into the
    served-response object (where null means "stage not run" and an
    infinite alpha renders as null = unclustered). *)
-let json_float_or_null v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
+let json_float = Dl_serve.Protocol.json_float
 
 let wafer_mc_json (m : Dl_core.Wafer_mc.t) =
   let bands =
@@ -218,38 +217,38 @@ let wafer_mc_json (m : Dl_core.Wafer_mc.t) =
              "{\"k\": %d, \"theta\": %s, \"dl\": %s, \"q05\": %s, \"q50\": \
               %s, \"q95\": %s}"
              b.k
-             (json_float_or_null b.coverage)
-             (json_float_or_null b.dl_point)
-             (json_float_or_null b.dl_q05)
-             (json_float_or_null b.dl_q50)
-             (json_float_or_null b.dl_q95))
+             (json_float b.coverage)
+             (json_float b.dl_point)
+             (json_float b.dl_q05)
+             (json_float b.dl_q50)
+             (json_float b.dl_q95))
     |> Array.to_list |> String.concat ", "
   in
   Printf.sprintf
     "{\"dies\": %d, \"wafers\": %d, \"lots\": %d, \"alpha_wafer\": %s, \
      \"alpha_lot\": %s, \"observed_yield\": %s, \"bands\": [%s]}"
     m.dies m.wafers m.lots
-    (json_float_or_null m.alpha_wafer)
-    (json_float_or_null m.alpha_lot)
-    (json_float_or_null (Dl_core.Wafer_mc.observed_yield m))
+    (json_float m.alpha_wafer)
+    (json_float m.alpha_lot)
+    (json_float (Dl_core.Wafer_mc.observed_yield m))
     bands
 
 let bootstrap_json (b : Dl_core.Bootstrap.t) =
   let ci (c : Dl_core.Bootstrap.ci) =
     Printf.sprintf "{\"lo\": %s, \"median\": %s, \"hi\": %s}"
-      (json_float_or_null c.lo)
-      (json_float_or_null c.median)
-      (json_float_or_null c.hi)
+      (json_float c.lo)
+      (json_float c.median)
+      (json_float c.hi)
   in
   Printf.sprintf
     "{\"replicates\": %d, \"r\": {\"point\": %s, \"ci\": %s}, \"theta_max\": \
      {\"point\": %s, \"ci\": %s}, \"alpha\": {\"point\": %s, \"ci\": %s}}"
     b.replicates
-    (json_float_or_null b.point.Dl_core.Projection.params.r)
+    (json_float b.point.Dl_core.Projection.params.r)
     (ci b.r)
-    (json_float_or_null b.point.Dl_core.Projection.params.theta_max)
+    (json_float b.point.Dl_core.Projection.params.theta_max)
     (ci b.theta_max)
-    (json_float_or_null b.alpha_point)
+    (json_float b.alpha_point)
     (ci b.alpha)
 
 let ndet_json (nd : Dl_core.Experiment.ndet_result) =
@@ -260,19 +259,19 @@ let ndet_json (nd : Dl_core.Experiment.ndet_result) =
              "{\"n\": %d, \"final_t\": %s, \"r\": %s, \"theta_max\": %s, \
               \"residual_dl\": %s, \"k_at_target\": %d, \"dl_at_target\": %s}"
              r.n
-             (json_float_or_null r.final_t)
-             (json_float_or_null r.fit.Dl_core.Projection.params.r)
-             (json_float_or_null r.fit.Dl_core.Projection.params.theta_max)
-             (json_float_or_null r.residual_dl)
+             (json_float r.final_t)
+             (json_float r.fit.Dl_core.Projection.params.r)
+             (json_float r.fit.Dl_core.Projection.params.theta_max)
+             (json_float r.residual_dl)
              r.k_at_target
-             (json_float_or_null r.dl_at_target))
+             (json_float r.dl_at_target))
     |> Array.to_list |> String.concat ", "
   in
   Printf.sprintf
     "{\"n\": %d, \"t_star\": %s, \"rows\": [%s], \"gen_vectors\": %d, \
      \"gen_random\": %d, \"gen_topup\": %d, \"gen_under_quota\": %d}"
     nd.ndet_n
-    (json_float_or_null nd.dl_n.t_star)
+    (json_float nd.dl_n.t_star)
     rows nd.gen_stats.final_vectors nd.gen_stats.random_vectors
     nd.gen_stats.topup_vectors nd.gen_stats.under_quota
 
@@ -651,7 +650,7 @@ let cache_cmd =
     | `Gc ->
         let r =
           Dl_store.Store.gc ?max_bytes
-            ~current:Dl_store.Artifact.current_versions store
+            ~current:Dl_core.Experiment.codec_versions store
         in
         Printf.printf
           "kept %d; removed %d corrupt, %d stale-format, %d evicted \

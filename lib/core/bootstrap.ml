@@ -2,6 +2,7 @@ module Seeds = Dl_util.Seeds
 module Rng = Dl_util.Rng
 module Stats = Dl_util.Stats
 module Coverage = Dl_fault.Coverage
+module B = Dl_util.Binary
 
 type ci = { lo : float; median : float; hi : float }
 
@@ -121,15 +122,46 @@ let run ?(fit_points = 100) ~seeds ~replicates ~yield ~t_firsts ~theta_firsts
     theta_max_samples.(i) <- fit.Projection.params.theta_max;
     alpha_samples.(i) <- alpha
   done;
-  {
-    replicates;
-    fit_points;
-    point;
-    alpha_point;
-    r = ci_of_samples r_samples;
-    theta_max = ci_of_samples theta_max_samples;
-    alpha = ci_of_samples alpha_samples;
-    r_samples;
-    theta_max_samples;
-    alpha_samples;
-  }
+  of_samples ~fit_points ~point ~alpha_point ~r_samples ~theta_max_samples
+    ~alpha_samples
+
+(* The percentile summaries are not stored: [of_samples] recomputes them
+   on decode, so the two can never disagree. *)
+let codec : t Dl_store.Codec.t =
+  let encode buf t =
+    let write_floats = B.write_array (fun b v -> B.write_float b v) in
+    B.write_varint buf t.fit_points;
+    B.write_float buf t.point.params.r;
+    B.write_float buf t.point.params.theta_max;
+    B.write_float buf t.point.rmse;
+    B.write_bool buf (t.point.rmse_scale = Projection.Log10);
+    B.write_float buf t.alpha_point;
+    write_floats buf t.r_samples;
+    write_floats buf t.theta_max_samples;
+    write_floats buf t.alpha_samples
+  in
+  let decode cur =
+    let fit_points = B.read_varint cur in
+    let r = B.read_float cur in
+    let theta_max = B.read_float cur in
+    let rmse = B.read_float cur in
+    let log10 = B.read_bool cur in
+    let alpha_point = B.read_float cur in
+    let r_samples = B.read_array B.read_float cur in
+    let theta_max_samples = B.read_array B.read_float cur in
+    let alpha_samples = B.read_array B.read_float cur in
+    if
+      Array.length theta_max_samples <> Array.length r_samples
+      || Array.length alpha_samples <> Array.length r_samples
+    then raise (B.Corrupt "bootstrap-fit sample arrays differ in length");
+    let point =
+      {
+        Projection.params = { r; theta_max };
+        rmse;
+        rmse_scale = (if log10 then Projection.Log10 else Projection.Linear);
+      }
+    in
+    of_samples ~fit_points ~point ~alpha_point ~r_samples ~theta_max_samples
+      ~alpha_samples
+  in
+  { kind = "bootstrap-fit"; version = 1; encode; decode }

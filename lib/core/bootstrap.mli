@@ -68,7 +68,12 @@ val of_samples :
   theta_max_samples:float array ->
   alpha_samples:float array ->
   t
-(** Rebuild a result from its persisted parts — what the [bootstrap-fit]
-    stage decoder uses (the percentile summaries are recomputed from the
-    samples, so they can never disagree with them).
+(** Rebuild a result from its persisted parts — what {!codec} decodes
+    through (the percentile summaries are recomputed from the samples, so
+    they can never disagree with them).
     @raise Invalid_argument on empty or length-mismatched samples. *)
+
+val codec : t Dl_store.Codec.t
+(** The [bootstrap-fit] stage artifact: the point estimates and the
+    samples, floats bit-for-bit.  Decoding raises
+    {!Dl_util.Binary.Corrupt} on sample arrays of unequal length. *)

@@ -212,19 +212,11 @@ let atpg =
   stage ~name:"atpg" ~codec:Artifact.atpg ~inputs:[ "mapping" ]
     ~fingerprint:(fun cfg -> Some (atpg_knobs cfg))
     (fun r () ->
-      let a, _ =
-        Dl_atpg.Atpg.full_flow ~seed:r.cfg.seed
-          ~max_random:r.cfg.max_random_vectors (mapping.get r)
-      in
-      {
-        Artifact.vectors = a.vectors;
-        stats = a.stats;
-        coverage = a.coverage;
-        untestable_faults = a.untestable_faults;
-        aborted_faults = a.aborted_faults;
-      })
+      fst
+        (Dl_atpg.Atpg.full_flow ~seed:r.cfg.seed
+           ~max_random:r.cfg.max_random_vectors (mapping.get r)))
 
-let vectors r = (atpg.get r).Artifact.vectors
+let vectors r = (atpg.get r).vectors
 
 (* The paper neglects redundant stuck-at faults ("so that T(k) -> 1 when
    k -> infinity"); drop the PODEM-proven-redundant ones from the T
@@ -249,7 +241,7 @@ let universe =
     (fun r () ->
       let module S = Dl_fault.Stuck_at in
       let c = mapping.get r in
-      let untestable = (atpg.get r).Artifact.untestable_faults in
+      let untestable = (atpg.get r).untestable_faults in
       let all = S.universe c in
       let mem faults f = Array.exists (S.equal f) faults in
       let faults, redundant =
@@ -348,39 +340,27 @@ let swift =
     ~inputs:[ "mapping"; "layout-ifa"; "atpg" ]
     (fun r () ->
       let network = Dl_switch.Network.build (Lazy.force (flat r)) in
-      let s =
-        Swift.run ~domains:r.cfg.domains ?pool:r.cfg.pool network
-          ~faults:(realistic_faults r) ~vectors:(vectors r)
-      in
-      {
-        Artifact.detection = s.detection;
-        vectors_applied = s.vectors_applied;
-        region_solves = s.region_solves;
-      })
+      Swift.run ~domains:r.cfg.domains ?pool:r.cfg.pool network
+        ~faults:(realistic_faults r) ~vectors:(vectors r))
+
+let detection r = (swift.get r).detection
 
 let voltage_firsts =
   per_run (fun r ->
-      Array.map
-        (fun (d : Swift.detection) -> d.voltage)
-        (swift.get r).Artifact.detection)
+      Array.map (fun (d : Swift.detection) -> d.voltage) (detection r))
 
 let t_curve =
   per_run (fun r -> Coverage.make (fault_sim.get r).Artifact.first_detection)
 
 let theta_curve =
-  per_run (fun r -> Coverage.make ~weights:(fst (scaled r)) (voltage_firsts r))
+  per_run (fun r ->
+      Swift.weighted_coverage ~weights:(fst (scaled r)) (detection r))
 
-let gamma_curve = per_run (fun r -> Coverage.make (voltage_firsts r))
+let gamma_curve = per_run (fun r -> Swift.unweighted_coverage (detection r))
 
 let theta_iddq_curve =
   per_run (fun r ->
-      let first (d : Swift.detection) =
-        match (d.voltage, d.iddq) with
-        | Some a, Some b -> Some (min a b)
-        | None, x | x, None -> x
-      in
-      Coverage.make ~weights:(fst (scaled r))
-        (Array.map first (swift.get r).Artifact.detection))
+      Swift.iddq_weighted_coverage ~weights:(fst (scaled r)) (detection r))
 
 (* 7. Susceptibility fit and summary (the only stage a target-yield or
    fit-resolution change invalidates). *)
@@ -405,7 +385,7 @@ let projection =
           Projection.fit_theta
             (fit_samples ~t ~theta ~n ~points:fit_sample_points)
         in
-        let stats = (atpg.get r).Artifact.stats in
+        let stats = (atpg.get r).stats in
         let scale_factor = snd (scaled r) in
         let text =
           Format.asprintf
@@ -438,91 +418,8 @@ let projection =
 
 let seeds_of cfg name = Dl_util.Seeds.scope (Dl_util.Seeds.create cfg.seed) name
 
-let artifact_of_wafer_mc (t : Wafer_mc.t) : Artifact.wafer_mc =
-  {
-    Artifact.mc_dies = t.dies;
-    mc_dies_per_wafer = t.dies_per_wafer;
-    mc_wafers_per_lot = t.wafers_per_lot;
-    mc_wafers = t.wafers;
-    mc_lots = t.lots;
-    mc_alpha_wafer = t.alpha_wafer;
-    mc_alpha_lot = t.alpha_lot;
-    mc_defective = t.defective;
-    mc_bands =
-      Array.map
-        (fun (b : Wafer_mc.band) ->
-          {
-            Artifact.k = b.k;
-            coverage = b.coverage;
-            dl_point = b.dl_point;
-            dl_q05 = b.dl_q05;
-            dl_q50 = b.dl_q50;
-            dl_q95 = b.dl_q95;
-            passed = b.passed;
-            defective_passed = b.defective_passed;
-            wafer_dls = b.wafer_dls;
-          })
-        t.bands;
-  }
-
-let wafer_mc_of_artifact (a : Artifact.wafer_mc) : Wafer_mc.t =
-  {
-    Wafer_mc.dies = a.Artifact.mc_dies;
-    dies_per_wafer = a.mc_dies_per_wafer;
-    wafers_per_lot = a.mc_wafers_per_lot;
-    wafers = a.mc_wafers;
-    lots = a.mc_lots;
-    alpha_wafer = a.mc_alpha_wafer;
-    alpha_lot = a.mc_alpha_lot;
-    defective = a.mc_defective;
-    bands =
-      Array.map
-        (fun (b : Artifact.wafer_mc_band) ->
-          {
-            Wafer_mc.k = b.Artifact.k;
-            coverage = b.coverage;
-            dl_point = b.dl_point;
-            dl_q05 = b.dl_q05;
-            dl_q50 = b.dl_q50;
-            dl_q95 = b.dl_q95;
-            passed = b.passed;
-            defective_passed = b.defective_passed;
-            wafer_dls = b.wafer_dls;
-          })
-        a.mc_bands;
-  }
-
-let artifact_of_bootstrap (b : Bootstrap.t) : Artifact.bootstrap_fit =
-  {
-    Artifact.fit_points = b.fit_points;
-    point_r = b.point.Projection.params.r;
-    point_theta_max = b.point.Projection.params.theta_max;
-    point_rmse = b.point.Projection.rmse;
-    point_rmse_log10 = (b.point.Projection.rmse_scale = Projection.Log10);
-    alpha_point = b.alpha_point;
-    r_samples = b.r_samples;
-    theta_max_samples = b.theta_max_samples;
-    alpha_samples = b.alpha_samples;
-  }
-
-(* An eq. 9 fit as the summary and bootstrap-fit artifacts store it. *)
-let fit_of ~r ~theta_max ~rmse ~log10 =
-  {
-    Projection.params = { Projection.r; theta_max };
-    rmse;
-    rmse_scale = (if log10 then Projection.Log10 else Projection.Linear);
-  }
-
-let bootstrap_of_artifact (a : Artifact.bootstrap_fit) : Bootstrap.t =
-  Bootstrap.of_samples ~fit_points:a.Artifact.fit_points
-    ~point:
-      (fit_of ~r:a.point_r ~theta_max:a.point_theta_max ~rmse:a.point_rmse
-         ~log10:a.point_rmse_log10)
-    ~alpha_point:a.alpha_point ~r_samples:a.r_samples
-    ~theta_max_samples:a.theta_max_samples ~alpha_samples:a.alpha_samples
-
 let wafer_mc =
-  stage ~name:"wafer-mc" ~codec:Artifact.wafer_mc
+  stage ~name:"wafer-mc" ~codec:Wafer_mc.codec
     ~inputs:[ "atpg"; "layout-ifa"; "swift" ]
     ~fingerprint:(fun cfg ->
       Option.map
@@ -543,16 +440,15 @@ let wafer_mc =
         Coverage.log_spaced ~max:(Array.length (vectors r)) ~points:m.mc_points
       in
       let points = Array.map (fun k -> (k, Coverage.at (theta_curve r) k)) ks in
-      artifact_of_wafer_mc
-        (Wafer_mc.simulate ~dies_per_wafer:m.mc_dies_per_wafer
-           ~wafers_per_lot:m.mc_wafers_per_lot ~alpha_wafer:m.mc_alpha_wafer
-           ~alpha_lot:m.mc_alpha_lot
-           ~seeds:(seeds_of r.cfg "wafer-mc")
-           ~dies:m.mc_dies ~weights:(fst (scaled r)) ~firsts:(voltage_firsts r)
-           ~points ()))
+      Wafer_mc.simulate ~dies_per_wafer:m.mc_dies_per_wafer
+        ~wafers_per_lot:m.mc_wafers_per_lot ~alpha_wafer:m.mc_alpha_wafer
+        ~alpha_lot:m.mc_alpha_lot
+        ~seeds:(seeds_of r.cfg "wafer-mc")
+        ~dies:m.mc_dies ~weights:(fst (scaled r)) ~firsts:(voltage_firsts r)
+        ~points ())
 
 let bootstrap_fit =
-  stage ~name:"bootstrap-fit" ~codec:Artifact.bootstrap_fit
+  stage ~name:"bootstrap-fit" ~codec:Bootstrap.codec
     ~inputs:[ "fault-universe"; "fault-sim"; "layout-ifa"; "swift" ]
     ~fingerprint:(fun cfg ->
       Option.map
@@ -564,14 +460,13 @@ let bootstrap_fit =
           ])
         cfg.bootstrap)
     (fun r () ->
-      artifact_of_bootstrap
-        (Bootstrap.run ~fit_points:fit_sample_points
-           ~seeds:(seeds_of r.cfg "bootstrap-fit")
-           ~replicates:(Option.get r.cfg.bootstrap)
-           ~yield:r.cfg.target_yield
-           ~t_firsts:(fault_sim.get r).Artifact.first_detection
-           ~theta_firsts:(voltage_firsts r) ~theta_weights:(fst (scaled r))
-           ~n_vectors:(Array.length (vectors r)) ()))
+      Bootstrap.run ~fit_points:fit_sample_points
+        ~seeds:(seeds_of r.cfg "bootstrap-fit")
+        ~replicates:(Option.get r.cfg.bootstrap)
+        ~yield:r.cfg.target_yield
+        ~t_firsts:(fault_sim.get r).Artifact.first_detection
+        ~theta_firsts:(voltage_firsts r) ~theta_weights:(fst (scaled r))
+        ~n_vectors:(Array.length (vectors r)) ())
 
 (* 10/11. n-detection (PR: Dl_ndet).  The ndet-sim stage profiles the SAME
    atpg vector sequence under a detection quota, so its n = 1 slice is
@@ -605,18 +500,9 @@ let ndet_atpg =
     ~fingerprint:(fun cfg ->
       Option.map (fun n -> ("n", string_of_int n) :: atpg_knobs cfg) cfg.ndet)
     (fun r () ->
-      let a =
-        Dl_ndet.Atpg_n.run ~seed:r.cfg.seed
-          ~max_random:r.cfg.max_random_vectors ~engine:r.cfg.sim_engine
-          ~n:(Option.get r.cfg.ndet) (mapping.get r) ~faults:(universe.get r)
-      in
-      {
-        Artifact.na_vectors = a.Dl_ndet.Atpg_n.vectors;
-        na_counts = a.counts;
-        na_stats = a.stats;
-        na_untestable_faults = a.untestable_faults;
-        na_aborted_faults = a.aborted_faults;
-      })
+      Dl_ndet.Atpg_n.run ~seed:r.cfg.seed ~max_random:r.cfg.max_random_vectors
+        ~engine:r.cfg.sim_engine ~n:(Option.get r.cfg.ndet) (mapping.get r)
+        ~faults:(universe.get r))
 
 let table =
   [
@@ -652,6 +538,9 @@ let keys cfg =
 let stage_keys cfg = List.tl (keys cfg)
 let request_key cfg = List.assoc "projection" (stage_keys cfg)
 
+let codec_versions =
+  List.map (fun (Row s) -> (s.codec.kind, s.codec.version)) table
+
 (* [name] and every stage upstream of it (with repeats). *)
 let rec upstream name =
   let inputs (Row s) = if s.name = name then s.inputs else [] in
@@ -667,6 +556,14 @@ let context cfg keys =
   let store = Option.map Dl_store.Store.open_ cfg.cache_dir in
   { cfg; graph = Stage.create ?store ?remote:cfg.remote (); keys;
     memo = Hashtbl.create 32 }
+
+(* An eq. 9 fit as the summary artifact stores it. *)
+let fit_of (s : Artifact.summary) =
+  {
+    Projection.params = { Projection.r = s.fit_r; theta_max = s.fit_theta_max };
+    rmse = s.fit_rmse;
+    rmse_scale = (if s.fit_rmse_log10 then Projection.Log10 else Projection.Linear);
+  }
 
 let run cfg =
   let r = context cfg (keys cfg) in
@@ -695,9 +592,9 @@ let run cfg =
             Dl_n.analyze ~fit_points:fit_sample_points ~profile
               ~theta_curve:(theta_curve r) ~yield:cfg.target_yield
               ~n_vectors:(Array.length atpg_art.vectors) ();
-          gen_vectors = gen.Artifact.na_vectors;
-          gen_counts = gen.na_counts;
-          gen_stats = gen.na_stats;
+          gen_vectors = gen.vectors;
+          gen_counts = gen.counts;
+          gen_stats = gen.stats;
         })
       cfg.ndet
   in
@@ -722,22 +619,10 @@ let run cfg =
      theta_curve = theta_curve r;
      gamma_curve = gamma_curve r;
      theta_iddq_curve = theta_iddq_curve r;
-     swift_result =
-       {
-         Swift.faults = realistic_faults r;
-         detection = (swift.get r).detection;
-         vectors_applied = (swift.get r).vectors_applied;
-         region_solves = (swift.get r).region_solves;
-       };
-     fit =
-       fit_of ~r:summary.fit_r ~theta_max:summary.fit_theta_max
-         ~rmse:summary.fit_rmse ~log10:summary.fit_rmse_log10;
-     wafer_mc =
-       Option.map (fun _ -> wafer_mc_of_artifact (wafer_mc.get r)) cfg.mc;
-     bootstrap_fit =
-       Option.map
-         (fun _ -> bootstrap_of_artifact (bootstrap_fit.get r))
-         cfg.bootstrap;
+     swift_result = swift.get r;
+     fit = fit_of summary;
+     wafer_mc = Option.map (fun _ -> wafer_mc.get r) cfg.mc;
+     bootstrap_fit = Option.map (fun _ -> bootstrap_fit.get r) cfg.bootstrap;
      ndet;
      summary = summary.text;
      stage_reports = Stage.reports r.graph;

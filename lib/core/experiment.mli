@@ -132,6 +132,10 @@ val request_key : config -> string
     of {!Dl_serve}.  The optional statistical stages are not part of it;
     their own stage keys play that role for their artifacts. *)
 
+val codec_versions : (string * int) list
+(** [(kind, version)] of every stage's codec, from the stage table: the
+    current formats {!Dl_store.Store.gc} keeps. *)
+
 (** The n-detection extension's live result (when [cfg.ndet] is set).
     [profile] is the multi-detect simulation of the SAME vector sequence
     the 1-detection flow applies — its n = 1 slice is bit-identical to

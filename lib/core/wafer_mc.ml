@@ -3,6 +3,7 @@ module Rng = Dl_util.Rng
 module Prob = Dl_util.Prob
 module Stats = Dl_util.Stats
 module Histogram = Dl_util.Histogram
+module B = Dl_util.Binary
 
 type band = {
   k : int;
@@ -27,6 +28,57 @@ type t = {
   defective : int;
   bands : band array;
 }
+
+let codec : t Dl_store.Codec.t =
+  let encode_band buf b =
+    B.write_varint buf b.k;
+    B.write_float buf b.coverage;
+    B.write_float buf b.dl_point;
+    B.write_float buf b.dl_q05;
+    B.write_float buf b.dl_q50;
+    B.write_float buf b.dl_q95;
+    B.write_varint buf b.passed;
+    B.write_varint buf b.defective_passed;
+    B.write_array (fun b v -> B.write_float b v) buf b.wafer_dls
+  in
+  let decode_band cur =
+    let k = B.read_varint cur in
+    let coverage = B.read_float cur in
+    let dl_point = B.read_float cur in
+    let dl_q05 = B.read_float cur in
+    let dl_q50 = B.read_float cur in
+    let dl_q95 = B.read_float cur in
+    let passed = B.read_varint cur in
+    let defective_passed = B.read_varint cur in
+    let wafer_dls = B.read_array B.read_float cur in
+    { k; coverage; dl_point; dl_q05; dl_q50; dl_q95; passed;
+      defective_passed; wafer_dls }
+  in
+  let encode buf t =
+    B.write_varint buf t.dies;
+    B.write_varint buf t.dies_per_wafer;
+    B.write_varint buf t.wafers_per_lot;
+    B.write_varint buf t.wafers;
+    B.write_varint buf t.lots;
+    B.write_float buf t.alpha_wafer;
+    B.write_float buf t.alpha_lot;
+    B.write_varint buf t.defective;
+    B.write_array encode_band buf t.bands
+  in
+  let decode cur =
+    let dies = B.read_varint cur in
+    let dies_per_wafer = B.read_varint cur in
+    let wafers_per_lot = B.read_varint cur in
+    let wafers = B.read_varint cur in
+    let lots = B.read_varint cur in
+    let alpha_wafer = B.read_float cur in
+    let alpha_lot = B.read_float cur in
+    let defective = B.read_varint cur in
+    let bands = B.read_array decode_band cur in
+    { dies; dies_per_wafer; wafers_per_lot; wafers; lots; alpha_wafer;
+      alpha_lot; defective; bands }
+  in
+  { kind = "wafer-mc"; version = 1; encode; decode }
 
 let observed_yield t =
   if t.dies = 0 then 1.0

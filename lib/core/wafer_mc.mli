@@ -58,6 +58,9 @@ type t = {
   bands : band array;        (** One per requested coverage point, in order. *)
 }
 
+val codec : t Dl_store.Codec.t
+(** The [wafer-mc] stage artifact: every field, floats bit-for-bit. *)
+
 val simulate :
   ?dies_per_wafer:int ->
   ?wafers_per_lot:int ->

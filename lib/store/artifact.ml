@@ -145,16 +145,8 @@ let stuck_faults : Stuck_at.t array Codec.t =
 
 (* -------------------------------------------------------------- atpg *)
 
-type atpg = {
-  vectors : bool array array;
-  stats : Dl_atpg.Atpg.stats;
-  coverage : float;
-  untestable_faults : Stuck_at.t array;
-  aborted_faults : Stuck_at.t array;
-}
-
-let atpg : atpg Codec.t =
-  let encode buf a =
+let atpg : Dl_atpg.Atpg.result Codec.t =
+  let encode buf (a : Dl_atpg.Atpg.result) =
     encode_patterns buf a.vectors;
     let s = a.stats in
     B.write_varint buf s.total_faults;
@@ -168,7 +160,7 @@ let atpg : atpg Codec.t =
     B.write_array encode_stuck buf a.untestable_faults;
     B.write_array encode_stuck buf a.aborted_faults
   in
-  let decode cur =
+  let decode cur : Dl_atpg.Atpg.result =
     let vectors = decode_patterns cur in
     let total_faults = B.read_varint cur in
     let random_detected = B.read_varint cur in
@@ -208,43 +200,37 @@ type detections = {
   sim_stats : Dl_fault.Fault_sim.Stats.t;
 }
 
+let write_sim_stats buf (s : Dl_fault.Fault_sim.Stats.t) =
+  B.write_varint buf s.gate_evaluations;
+  B.write_varint buf s.events;
+  B.write_varint buf s.faults_inferred;
+  B.write_varint buf s.faults_simulated;
+  B.write_varint buf s.stem_simulations;
+  B.write_varint buf s.faults_dropped
+
+let read_sim_stats cur : Dl_fault.Fault_sim.Stats.t =
+  let gate_evaluations = B.read_varint cur in
+  let events = B.read_varint cur in
+  let faults_inferred = B.read_varint cur in
+  let faults_simulated = B.read_varint cur in
+  let stem_simulations = B.read_varint cur in
+  let faults_dropped = B.read_varint cur in
+  { gate_evaluations; events; faults_inferred; faults_simulated;
+    stem_simulations; faults_dropped }
+
 let detections : detections Codec.t =
   let encode buf d =
     B.write_array (B.write_option (fun b v -> B.write_varint b v)) buf d.first_detection;
     B.write_varint buf d.vectors_applied;
     B.write_varint buf d.gate_evaluations;
-    let s = d.sim_stats in
-    B.write_varint buf s.Dl_fault.Fault_sim.Stats.gate_evaluations;
-    B.write_varint buf s.events;
-    B.write_varint buf s.faults_inferred;
-    B.write_varint buf s.faults_simulated;
-    B.write_varint buf s.stem_simulations;
-    B.write_varint buf s.faults_dropped
+    write_sim_stats buf d.sim_stats
   in
   let decode cur =
     let first_detection = B.read_array (B.read_option B.read_varint) cur in
     let vectors_applied = B.read_varint cur in
     let gate_evaluations = B.read_varint cur in
-    let sg = B.read_varint cur in
-    let events = B.read_varint cur in
-    let faults_inferred = B.read_varint cur in
-    let faults_simulated = B.read_varint cur in
-    let stem_simulations = B.read_varint cur in
-    let faults_dropped = B.read_varint cur in
-    {
-      first_detection;
-      vectors_applied;
-      gate_evaluations;
-      sim_stats =
-        {
-          Dl_fault.Fault_sim.Stats.gate_evaluations = sg;
-          events;
-          faults_inferred;
-          faults_simulated;
-          stem_simulations;
-          faults_dropped;
-        };
-    }
+    let sim_stats = read_sim_stats cur in
+    { first_detection; vectors_applied; gate_evaluations; sim_stats }
   in
   { kind = "detections"; version = 2; encode; decode }
 
@@ -381,12 +367,6 @@ let ifa : ifa Codec.t =
 
 (* ------------------------------------------------------------- swift *)
 
-type swift = {
-  detection : Dl_switch.Swift.detection array;
-  vectors_applied : int;
-  region_solves : int;
-}
-
 (* Detections repeat: most faults are first detected within the first few
    vectors.  Decoding shares equal [Some k] values and equal records
    (immutable, so sharing is invisible) through small per-decode caches,
@@ -435,8 +415,8 @@ let decode_detection cache cur : Dl_switch.Swift.detection =
     r
   end
 
-let swift : swift Codec.t =
-  let encode buf x =
+let swift : Dl_switch.Swift.result Codec.t =
+  let encode buf (x : Dl_switch.Swift.result) =
     B.write_array
       (fun b (d : Dl_switch.Swift.detection) ->
         B.write_option (fun b v -> B.write_varint b v) b d.voltage;
@@ -450,7 +430,7 @@ let swift : swift Codec.t =
     let detection = read_array_with (decode_detection cache) cur in
     let vectors_applied = B.read_varint cur in
     let region_solves = B.read_varint cur in
-    { detection; vectors_applied; region_solves }
+    { Dl_switch.Swift.detection; vectors_applied; region_solves }
   in
   { kind = "swift"; version = 1; encode; decode }
 
@@ -485,128 +465,6 @@ let summary : summary Codec.t =
   in
   { kind = "summary"; version = 1; encode; decode }
 
-(* ---------------------------------------------------------- wafer-mc *)
-
-type wafer_mc_band = {
-  k : int;
-  coverage : float;
-  dl_point : float;
-  dl_q05 : float;
-  dl_q50 : float;
-  dl_q95 : float;
-  passed : int;
-  defective_passed : int;
-  wafer_dls : float array;
-}
-
-type wafer_mc = {
-  mc_dies : int;
-  mc_dies_per_wafer : int;
-  mc_wafers_per_lot : int;
-  mc_wafers : int;
-  mc_lots : int;
-  mc_alpha_wafer : float;
-  mc_alpha_lot : float;
-  mc_defective : int;
-  mc_bands : wafer_mc_band array;
-}
-
-let wafer_mc : wafer_mc Codec.t =
-  let encode_band buf (b : wafer_mc_band) =
-    B.write_varint buf b.k;
-    B.write_float buf b.coverage;
-    B.write_float buf b.dl_point;
-    B.write_float buf b.dl_q05;
-    B.write_float buf b.dl_q50;
-    B.write_float buf b.dl_q95;
-    B.write_varint buf b.passed;
-    B.write_varint buf b.defective_passed;
-    B.write_array (fun b v -> B.write_float b v) buf b.wafer_dls
-  in
-  let decode_band cur : wafer_mc_band =
-    let k = B.read_varint cur in
-    let coverage = B.read_float cur in
-    let dl_point = B.read_float cur in
-    let dl_q05 = B.read_float cur in
-    let dl_q50 = B.read_float cur in
-    let dl_q95 = B.read_float cur in
-    let passed = B.read_varint cur in
-    let defective_passed = B.read_varint cur in
-    let wafer_dls = B.read_array B.read_float cur in
-    { k; coverage; dl_point; dl_q05; dl_q50; dl_q95; passed;
-      defective_passed; wafer_dls }
-  in
-  let encode buf x =
-    B.write_varint buf x.mc_dies;
-    B.write_varint buf x.mc_dies_per_wafer;
-    B.write_varint buf x.mc_wafers_per_lot;
-    B.write_varint buf x.mc_wafers;
-    B.write_varint buf x.mc_lots;
-    B.write_float buf x.mc_alpha_wafer;
-    B.write_float buf x.mc_alpha_lot;
-    B.write_varint buf x.mc_defective;
-    B.write_array encode_band buf x.mc_bands
-  in
-  let decode cur =
-    let mc_dies = B.read_varint cur in
-    let mc_dies_per_wafer = B.read_varint cur in
-    let mc_wafers_per_lot = B.read_varint cur in
-    let mc_wafers = B.read_varint cur in
-    let mc_lots = B.read_varint cur in
-    let mc_alpha_wafer = B.read_float cur in
-    let mc_alpha_lot = B.read_float cur in
-    let mc_defective = B.read_varint cur in
-    let mc_bands = B.read_array decode_band cur in
-    { mc_dies; mc_dies_per_wafer; mc_wafers_per_lot; mc_wafers; mc_lots;
-      mc_alpha_wafer; mc_alpha_lot; mc_defective; mc_bands }
-  in
-  { kind = "wafer-mc"; version = 1; encode; decode }
-
-(* ------------------------------------------------------ bootstrap-fit *)
-
-type bootstrap_fit = {
-  fit_points : int;
-  point_r : float;
-  point_theta_max : float;
-  point_rmse : float;
-  point_rmse_log10 : bool;
-  alpha_point : float;
-  r_samples : float array;
-  theta_max_samples : float array;
-  alpha_samples : float array;
-}
-
-let bootstrap_fit : bootstrap_fit Codec.t =
-  let encode buf x =
-    B.write_varint buf x.fit_points;
-    B.write_float buf x.point_r;
-    B.write_float buf x.point_theta_max;
-    B.write_float buf x.point_rmse;
-    B.write_bool buf x.point_rmse_log10;
-    B.write_float buf x.alpha_point;
-    B.write_array (fun b v -> B.write_float b v) buf x.r_samples;
-    B.write_array (fun b v -> B.write_float b v) buf x.theta_max_samples;
-    B.write_array (fun b v -> B.write_float b v) buf x.alpha_samples
-  in
-  let decode cur =
-    let fit_points = B.read_varint cur in
-    let point_r = B.read_float cur in
-    let point_theta_max = B.read_float cur in
-    let point_rmse = B.read_float cur in
-    let point_rmse_log10 = B.read_bool cur in
-    let alpha_point = B.read_float cur in
-    let r_samples = B.read_array B.read_float cur in
-    let theta_max_samples = B.read_array B.read_float cur in
-    let alpha_samples = B.read_array B.read_float cur in
-    if
-      Array.length theta_max_samples <> Array.length r_samples
-      || Array.length alpha_samples <> Array.length r_samples
-    then raise (B.Corrupt "bootstrap-fit sample arrays differ in length");
-    { fit_points; point_r; point_theta_max; point_rmse; point_rmse_log10;
-      alpha_point; r_samples; theta_max_samples; alpha_samples }
-  in
-  { kind = "bootstrap-fit"; version = 1; encode; decode }
-
 (* -------------------------------------------------------- ndet *)
 
 type ndet_profile = {
@@ -617,24 +475,6 @@ type ndet_profile = {
   nd_gate_evaluations : int;
   nd_sim_stats : Dl_fault.Fault_sim.Stats.t;
 }
-
-let write_sim_stats buf (s : Dl_fault.Fault_sim.Stats.t) =
-  B.write_varint buf s.gate_evaluations;
-  B.write_varint buf s.events;
-  B.write_varint buf s.faults_inferred;
-  B.write_varint buf s.faults_simulated;
-  B.write_varint buf s.stem_simulations;
-  B.write_varint buf s.faults_dropped
-
-let read_sim_stats cur : Dl_fault.Fault_sim.Stats.t =
-  let gate_evaluations = B.read_varint cur in
-  let events = B.read_varint cur in
-  let faults_inferred = B.read_varint cur in
-  let faults_simulated = B.read_varint cur in
-  let stem_simulations = B.read_varint cur in
-  let faults_dropped = B.read_varint cur in
-  { gate_evaluations; events; faults_inferred; faults_simulated;
-    stem_simulations; faults_dropped }
 
 let ndet_profile : ndet_profile Codec.t =
   let encode buf (p : ndet_profile) =
@@ -660,20 +500,12 @@ let ndet_profile : ndet_profile Codec.t =
   in
   { kind = "ndet-profile"; version = 1; encode; decode }
 
-type ndet_atpg = {
-  na_vectors : bool array array;
-  na_counts : int array;
-  na_stats : Dl_ndet.Atpg_n.stats;
-  na_untestable_faults : Stuck_at.t array;
-  na_aborted_faults : Stuck_at.t array;
-}
-
-let ndet_atpg : ndet_atpg Codec.t =
-  let encode buf (a : ndet_atpg) =
-    encode_patterns buf a.na_vectors;
-    B.write_array (fun b k -> B.write_varint b k) buf a.na_counts;
-    let s = a.na_stats in
-    B.write_varint buf s.Dl_ndet.Atpg_n.n;
+let ndet_atpg : Dl_ndet.Atpg_n.result Codec.t =
+  let encode buf (a : Dl_ndet.Atpg_n.result) =
+    encode_patterns buf a.vectors;
+    B.write_array (fun b k -> B.write_varint b k) buf a.counts;
+    let s = a.stats in
+    B.write_varint buf s.n;
     B.write_varint buf s.total_faults;
     B.write_varint buf s.untestable;
     B.write_varint buf s.aborted;
@@ -681,12 +513,12 @@ let ndet_atpg : ndet_atpg Codec.t =
     B.write_varint buf s.random_vectors;
     B.write_varint buf s.topup_vectors;
     B.write_varint buf s.final_vectors;
-    B.write_array encode_stuck buf a.na_untestable_faults;
-    B.write_array encode_stuck buf a.na_aborted_faults
+    B.write_array encode_stuck buf a.untestable_faults;
+    B.write_array encode_stuck buf a.aborted_faults
   in
-  let decode cur : ndet_atpg =
-    let na_vectors = decode_patterns cur in
-    let na_counts = B.read_array B.read_varint cur in
+  let decode cur : Dl_ndet.Atpg_n.result =
+    let vectors = decode_patterns cur in
+    let counts = B.read_array B.read_varint cur in
     let n = B.read_varint cur in
     let total_faults = B.read_varint cur in
     let untestable = B.read_varint cur in
@@ -695,12 +527,12 @@ let ndet_atpg : ndet_atpg Codec.t =
     let random_vectors = B.read_varint cur in
     let topup_vectors = B.read_varint cur in
     let final_vectors = B.read_varint cur in
-    let na_untestable_faults = B.read_array decode_stuck cur in
-    let na_aborted_faults = B.read_array decode_stuck cur in
+    let untestable_faults = B.read_array decode_stuck cur in
+    let aborted_faults = B.read_array decode_stuck cur in
     {
-      na_vectors;
-      na_counts;
-      na_stats =
+      vectors;
+      counts;
+      stats =
         {
           n;
           total_faults;
@@ -711,27 +543,11 @@ let ndet_atpg : ndet_atpg Codec.t =
           topup_vectors;
           final_vectors;
         };
-      na_untestable_faults;
-      na_aborted_faults;
+      untestable_faults;
+      aborted_faults;
     }
   in
   { kind = "ndet-atpg"; version = 1; encode; decode }
-
-let current_versions =
-  [
-    (circuit.kind, circuit.version);
-    (patterns.kind, patterns.version);
-    (stuck_faults.kind, stuck_faults.version);
-    (atpg.kind, atpg.version);
-    (detections.kind, detections.version);
-    (ifa.kind, ifa.version);
-    (swift.kind, swift.version);
-    (summary.kind, summary.version);
-    (wafer_mc.kind, wafer_mc.version);
-    (bootstrap_fit.kind, bootstrap_fit.version);
-    (ndet_profile.kind, ndet_profile.version);
-    (ndet_atpg.kind, ndet_atpg.version);
-  ]
 
 let defect_stats_fingerprint na_stats =
   let buf = Buffer.create 256 in

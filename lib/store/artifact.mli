@@ -17,17 +17,17 @@ val patterns : bool array array Codec.t
 
 val stuck_faults : Dl_fault.Stuck_at.t array Codec.t
 
+(** A codec is typed on the library's own result wherever that record
+    holds exactly the stored fields: {!atpg}, {!swift} and {!ndet_atpg}
+    here, [Dl_core.Wafer_mc.codec] and [Dl_core.Bootstrap.codec] beside
+    their types.  The four records below stay because their live types
+    also carry what is never stored: the fault list a stage was given
+    ({!detections}, {!ndet_profile}), a lazily built layout ({!ifa}), or
+    a fit the summary flattens ({!summary}). *)
+
+val atpg : Dl_atpg.Atpg.result Codec.t
 (** ATPG stage output: the ordered vector sequence plus the flow
     statistics and the redundancy verdicts downstream stages filter on. *)
-type atpg = {
-  vectors : bool array array;
-  stats : Dl_atpg.Atpg.stats;
-  coverage : float;
-  untestable_faults : Dl_fault.Stuck_at.t array;
-  aborted_faults : Dl_fault.Stuck_at.t array;
-}
-
-val atpg : atpg Codec.t
 
 (** Gate-level fault-simulation output, minus the fault list (which is the
     separately-cached universe artifact the detections are parallel to).
@@ -54,15 +54,9 @@ type ifa = {
 
 val ifa : ifa Codec.t
 
+val swift : Dl_switch.Swift.result Codec.t
 (** Switch-level (swift) simulation output, parallel to the IFA fault
     list. *)
-type swift = {
-  detection : Dl_switch.Swift.detection array;
-  vectors_applied : int;
-  region_solves : int;
-}
-
-val swift : swift Codec.t
 
 (** Experiment summary: the rendered one-paragraph summary plus the
     fitted eq. 9 parameters and the yield-scaling factor. *)
@@ -77,54 +71,6 @@ type summary = {
 }
 
 val summary : summary Codec.t
-
-(** One coverage point of a Monte-Carlo DL(T) band
-    (mirrors {!Dl_core.Wafer_mc.band}). *)
-type wafer_mc_band = {
-  k : int;
-  coverage : float;
-  dl_point : float;
-  dl_q05 : float;
-  dl_q50 : float;
-  dl_q95 : float;
-  passed : int;
-  defective_passed : int;
-  wafer_dls : float array;
-}
-
-(** Monte-Carlo wafer/lot simulation output (the [wafer-mc] stage;
-    mirrors {!Dl_core.Wafer_mc.t}). *)
-type wafer_mc = {
-  mc_dies : int;
-  mc_dies_per_wafer : int;
-  mc_wafers_per_lot : int;
-  mc_wafers : int;
-  mc_lots : int;
-  mc_alpha_wafer : float;
-  mc_alpha_lot : float;
-  mc_defective : int;
-  mc_bands : wafer_mc_band array;
-}
-
-val wafer_mc : wafer_mc Codec.t
-
-(** Bootstrap refit output (the [bootstrap-fit] stage): the full-data
-    point estimates plus the per-replicate parameter samples — the
-    percentile intervals are recomputed from the samples on decode
-    ({!Dl_core.Bootstrap.of_samples}), so the two can never disagree. *)
-type bootstrap_fit = {
-  fit_points : int;
-  point_r : float;
-  point_theta_max : float;
-  point_rmse : float;
-  point_rmse_log10 : bool;
-  alpha_point : float;
-  r_samples : float array;
-  theta_max_samples : float array;
-  alpha_samples : float array;
-}
-
-val bootstrap_fit : bootstrap_fit Codec.t
 
 (** Multi-detect simulation output (the [ndet-sim] stage), minus the fault
     list — like {!detections}, the counts and detection indices are
@@ -142,21 +88,8 @@ type ndet_profile = {
 
 val ndet_profile : ndet_profile Codec.t
 
-(** n-detection test-generation output (the [ndet-atpg] stage; mirrors
-    {!Dl_ndet.Atpg_n.result}). *)
-type ndet_atpg = {
-  na_vectors : bool array array;
-  na_counts : int array;
-  na_stats : Dl_ndet.Atpg_n.stats;
-  na_untestable_faults : Dl_fault.Stuck_at.t array;
-  na_aborted_faults : Dl_fault.Stuck_at.t array;
-}
-
-val ndet_atpg : ndet_atpg Codec.t
-
-val current_versions : (string * int) list
-(** [(kind, version)] for every codec above — what {!Store.gc} uses to
-    drop artifacts whose format byte is stale. *)
+val ndet_atpg : Dl_ndet.Atpg_n.result Codec.t
+(** n-detection test-generation output (the [ndet-atpg] stage). *)
 
 val defect_stats_fingerprint : Dl_extract.Defect_stats.t -> string
 (** Canonical digest of the non-zero defect classes (name, density, x0):

@@ -31,30 +31,37 @@ let key_of_path path = Filename.chop_suffix (Filename.basename path) ".art"
 
 let mem t key = Sys.file_exists (object_path t key)
 
-(* Through a file descriptor, not a channel: a channel's 64 KiB buffer
-   lives outside the heap until the GC finalises the channel, long after
-   it is closed, and a warm run reads one object per stage.  Failures
-   raise [Sys_error], as [open_in] would. *)
-let read_file path =
+(* Files are read and written through a file descriptor, not a channel:
+   a channel's 64 KiB buffer lives outside the heap until the GC
+   finalises the channel, long after it is closed, and a warm run reads
+   one object per stage.  Failures raise [Sys_error], as the channel
+   functions would. *)
+let with_fd path flags f =
   let sys_error e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
-  let read fd =
-    let n = (Unix.fstat fd).st_size in
-    let data = Bytes.create n in
-    let rec fill pos =
-      if pos < n then
-        match Unix.read fd data pos (n - pos) with
-        | 0 -> raise End_of_file
-        | k -> fill (pos + k)
-    in
-    fill 0;
-    data
-  in
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  match Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644 with
   | exception Unix.Unix_error (e, _, _) -> sys_error e
   | fd -> (
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
-        (fun () -> try read fd with Unix.Unix_error (e, _, _) -> sys_error e))
+        (fun () -> try f fd with Unix.Unix_error (e, _, _) -> sys_error e))
+
+let read_file path =
+  with_fd path [ Unix.O_RDONLY ] (fun fd ->
+      let n = (Unix.fstat fd).st_size in
+      let data = Bytes.create n in
+      let rec fill pos =
+        if pos < n then
+          match Unix.read fd data pos (n - pos) with
+          | 0 -> raise End_of_file
+          | k -> fill (pos + k)
+      in
+      fill 0;
+      data)
+
+(* [Unix.write] repeats until every byte is written or it fails. *)
+let write_file path flags data =
+  with_fd path (Unix.O_WRONLY :: Unix.O_CREAT :: flags) (fun fd ->
+      ignore (Unix.write fd data 0 (Bytes.length data)))
 
 let load t key =
   match read_file (object_path t key) with
@@ -62,13 +69,10 @@ let load t key =
   | exception Sys_error _ -> None
   | exception End_of_file -> None
 
+(* One [write] on an [O_APPEND] descriptor per line. *)
 let append_manifest t ~key ~kind ~version ~bytes =
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (manifest_path t)
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Printf.fprintf oc "%s %s %d %d\n" key kind version bytes)
+  write_file (manifest_path t) [ Unix.O_APPEND ]
+    (Bytes.of_string (Printf.sprintf "%s %s %d %d\n" key kind version bytes))
 
 (* The pid alone is not enough to make tmp names unique: server worker
    threads share a process and may put the same key concurrently (e.g. a
@@ -84,12 +88,8 @@ let put t ~key ~kind ~version data =
          (Atomic.fetch_and_add put_seq 1)
          (Filename.basename path))
   in
-  let oc = open_out_bin tmp in
-  (try
-     output_bytes oc data;
-     close_out oc
+  (try write_file tmp [ Unix.O_TRUNC ] data
    with e ->
-     close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path;
@@ -213,7 +213,7 @@ let manifest_order t =
       in
       List.rev newest_first
 
-let gc ?(current = Artifact.current_versions) ?max_bytes t =
+let gc ~current ?max_bytes t =
   let removed_corrupt = ref 0
   and removed_stale = ref 0
   and removed_evicted = ref 0

@@ -70,11 +70,12 @@ type gc_report = {
   removed_bytes : int;
 }
 
-val gc : ?current:(string * int) list -> ?max_bytes:int -> t -> gc_report
-(** Remove corrupt artifacts, artifacts whose format version is older
-    than [current] for their kind (default {!Artifact.current_versions}),
-    and — when [max_bytes] is given — evict oldest-first (manifest
-    insertion order) until the store fits.  Rewrites the manifest. *)
+val gc : current:(string * int) list -> ?max_bytes:int -> t -> gc_report
+(** Remove corrupt artifacts, artifacts whose format version differs
+    from [current]'s for their kind (a kind absent from [current] is
+    kept), and — when [max_bytes] is given — evict oldest-first (manifest
+    insertion order) until the store fits.  Rewrites the manifest.  The
+    pipeline's list is [Dl_core.Experiment.codec_versions]. *)
 
 val fold : t -> init:'a -> f:('a -> key:string -> path:string -> 'a) -> 'a
 (** Iterate every stored object (any order). *)

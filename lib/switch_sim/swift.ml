@@ -8,7 +8,6 @@ module Parallel = Dl_util.Parallel
 type detection = { voltage : int option; iddq : int option }
 
 type result = {
-  faults : Realistic.t array;
   detection : detection array;
   vectors_applied : int;
   region_solves : int;
@@ -211,7 +210,7 @@ module Reference = struct
         end
       done
     done;
-    { faults; detection; vectors_applied = n_vectors; region_solves = !region_solves }
+    { detection; vectors_applied = n_vectors; region_solves = !region_solves }
 end
 
 (* --- compiled engine ------------------------------------------------------- *)
@@ -703,7 +702,6 @@ let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats ?domains ?pool
       st.rounds_capped <- st.rounds_capped + sum (fun w -> Solver.capped w.scratch))
     stats;
   {
-    faults;
     detection =
       Array.init n_faults (fun fi ->
           { voltage = vector_opt ctx.voltage_at.(fi); iddq = vector_opt ctx.iddq_at.(fi) });
@@ -713,14 +711,13 @@ let run ?(drop_when = `Both) ?on_voltage_detect ?memo_stats:stats ?domains ?pool
 
 (* --- coverage projections ------------------------------------------------ *)
 
-let weights_of r = Array.map (fun (f : Realistic.t) -> f.weight) r.faults
+let voltage_firsts detection = Array.map (fun d -> d.voltage) detection
 
-let weighted_coverage r =
-  Dl_fault.Coverage.make ~weights:(weights_of r)
-    (Array.map (fun d -> d.voltage) r.detection)
+let weighted_coverage ~weights detection =
+  Dl_fault.Coverage.make ~weights (voltage_firsts detection)
 
-let unweighted_coverage r =
-  Dl_fault.Coverage.make (Array.map (fun d -> d.voltage) r.detection)
+let unweighted_coverage detection =
+  Dl_fault.Coverage.make (voltage_firsts detection)
 
 let earliest a b =
   match (a, b) with
@@ -728,10 +725,9 @@ let earliest a b =
   | Some x, None | None, Some x -> Some x
   | None, None -> None
 
-let iddq_weighted_coverage r =
-  Dl_fault.Coverage.make ~weights:(weights_of r)
-    (Array.map (fun d -> earliest d.voltage d.iddq) r.detection)
-
+let iddq_weighted_coverage ~weights detection =
+  Dl_fault.Coverage.make ~weights
+    (Array.map (fun d -> earliest d.voltage d.iddq) detection)
 
 let signature net ~fault ~vectors =
   let fails = Array.make (Array.length vectors) false in

@@ -15,8 +15,7 @@ type detection = {
 }
 
 type result = {
-  faults : Realistic.t array;
-  detection : detection array;
+  detection : detection array;  (** Parallel to the simulated faults. *)
   vectors_applied : int;
   region_solves : int;  (** Work metric: switch-level region evaluations. *)
 }
@@ -103,13 +102,15 @@ val signal_of : Dl_cell.Mapping.network -> int -> int option
 (** The circuit node of a network node, when it is a signal node (not a
     rail or a cell-internal node). *)
 
-val weighted_coverage : result -> Dl_fault.Coverage.t
-(** Θ(k): voltage-detection coverage weighted by fault weights (eq. 6). *)
+val weighted_coverage : weights:float array -> detection array -> Dl_fault.Coverage.t
+(** Θ(k): voltage-detection coverage, fault [i] weighing [weights.(i)]
+    (eq. 6). *)
 
-val unweighted_coverage : result -> Dl_fault.Coverage.t
-(** Γ(k): same detections with every fault weighted equally. *)
+val unweighted_coverage : detection array -> Dl_fault.Coverage.t
+(** Γ(k): the same detections with every fault weighted equally. *)
 
-val iddq_weighted_coverage : result -> Dl_fault.Coverage.t
+val iddq_weighted_coverage :
+  weights:float array -> detection array -> Dl_fault.Coverage.t
 (** Θ(k) when an IDDQ measurement accompanies every vector (detection =
     earlier of voltage/current). *)
 

@@ -281,8 +281,7 @@ let c432s_small_artifacts =
      in
      ( { Artifact.faults = e.faults; gross_weight = e.gross_weight;
          summaries = e.summaries },
-       { Artifact.detection = r.detection; vectors_applied = r.vectors_applied;
-         region_solves = r.region_solves } ))
+       r ))
 
 let test_ifa_swift_roundtrip () =
   let ifa, swift = Lazy.force c432s_small_artifacts in
@@ -361,7 +360,7 @@ module Generic = struct
     in
     { faults; gross_weight; summaries }
 
-  let swift cur : Artifact.swift =
+  let swift cur : Dl_switch.Swift.result =
     let detection =
       B.read_array
         (fun c ->
@@ -372,7 +371,7 @@ module Generic = struct
     in
     let vectors_applied = B.read_varint cur in
     let region_solves = B.read_varint cur in
-    { detection; vectors_applied; region_solves }
+    { Dl_switch.Swift.detection; vectors_applied; region_solves }
 end
 
 let payload (codec : _ Codec.t) v =
@@ -487,7 +486,8 @@ let prop_swift_decoder_matches_generic =
            damage))
     (fun ((detection, vectors_applied, region_solves), (at, byte)) ->
       let data =
-        payload Artifact.swift { Artifact.detection; vectors_applied; region_solves }
+        payload Artifact.swift
+          { Dl_switch.Swift.detection; vectors_applied; region_solves }
       in
       List.for_all (same_as_generic Artifact.swift Generic.swift) (damaged data ~at ~byte))
 
@@ -530,52 +530,72 @@ let prop_summary_roundtrip =
 
 (* --- statistical-stage artifacts ------------------------------------------ *)
 
-let sample_wafer_mc () =
-  let band i =
-    { Artifact.k = (i + 1) * 16; coverage = 0.2 *. float_of_int (i + 1);
+module Wafer_mc = Dl_core.Wafer_mc
+module Bootstrap = Dl_core.Bootstrap
+
+let sample_wafer_mc () : Wafer_mc.t =
+  let band i : Wafer_mc.band =
+    { k = (i + 1) * 16; coverage = 0.2 *. float_of_int (i + 1);
       dl_point = 0.01 /. float_of_int (i + 1); dl_q05 = 0.001; dl_q50 = 0.005;
       dl_q95 = 0.02; passed = 900 - i; defective_passed = 9 - i;
       wafer_dls = Array.init (3 + i) (fun j -> 0.002 *. float_of_int j) }
   in
-  { Artifact.mc_dies = 1000; mc_dies_per_wafer = 256; mc_wafers_per_lot = 4;
-    mc_wafers = 4; mc_lots = 1; mc_alpha_wafer = Float.infinity;
-    mc_alpha_lot = 2.5; mc_defective = 250;
-    mc_bands = Array.init 3 band }
+  { dies = 1000; dies_per_wafer = 256; wafers_per_lot = 4; wafers = 4;
+    lots = 1; alpha_wafer = Float.infinity; alpha_lot = 2.5; defective = 250;
+    bands = Array.init 3 band }
 
 let sample_bootstrap_fit () =
-  { Artifact.fit_points = 100; point_r = 1.5; point_theta_max = 0.9;
-    point_rmse = 0.01; point_rmse_log10 = false; alpha_point = 12.5;
-    r_samples = Array.init 20 (fun i -> 1.4 +. (0.01 *. float_of_int i));
-    theta_max_samples = Array.init 20 (fun i -> 0.88 +. (0.001 *. float_of_int i));
-    alpha_samples = Array.init 20 (fun i -> 10.0 +. float_of_int i) }
+  Bootstrap.of_samples ~fit_points:100
+    ~point:
+      { Dl_core.Projection.params = { r = 1.5; theta_max = 0.9 }; rmse = 0.01;
+        rmse_scale = Linear }
+    ~alpha_point:12.5
+    ~r_samples:(Array.init 20 (fun i -> 1.4 +. (0.01 *. float_of_int i)))
+    ~theta_max_samples:(Array.init 20 (fun i -> 0.88 +. (0.001 *. float_of_int i)))
+    ~alpha_samples:(Array.init 20 (fun i -> 10.0 +. float_of_int i))
+
+(* A c17 run with every optional stage on, and a c432s_small run with the
+   library defaults. *)
+let c17_all_stages dir =
+  Dl_core.Experiment.config ~mc:(Dl_core.Experiment.mc ~dies:512 ())
+    ~bootstrap:20 ~ndet:4 ?cache_dir:dir (Benchmarks.c17 ())
+
+let c432s_small_defaults dir =
+  Dl_core.Experiment.config ?cache_dir:dir (Benchmarks.c432s_small ())
+
+let c17_run = lazy (Dl_core.Experiment.run (c17_all_stages None))
 
 let test_wafer_mc_roundtrip () =
   (* Exact round-trip, including the infinite (no-clustering) alpha. *)
   Alcotest.(check bool) "wafer-mc" true
-    (roundtrip Artifact.wafer_mc (sample_wafer_mc ()))
+    (roundtrip Wafer_mc.codec (sample_wafer_mc ()));
+  Alcotest.(check bool) "wafer-mc of a c17 run" true
+    (roundtrip Wafer_mc.codec (Option.get (Lazy.force c17_run).wafer_mc))
 
 let test_bootstrap_fit_roundtrip () =
   Alcotest.(check bool) "bootstrap-fit" true
-    (roundtrip Artifact.bootstrap_fit (sample_bootstrap_fit ()))
+    (roundtrip Bootstrap.codec (sample_bootstrap_fit ()));
+  Alcotest.(check bool) "bootstrap-fit of a c17 run" true
+    (roundtrip Bootstrap.codec (Option.get (Lazy.force c17_run).bootstrap_fit))
 
 let test_wafer_mc_every_byte_flip_detected () =
-  let data = Codec.to_bytes Artifact.wafer_mc (sample_wafer_mc ()) in
+  let data = Codec.to_bytes Wafer_mc.codec (sample_wafer_mc ()) in
   for i = 0 to Bytes.length data - 1 do
     let corrupted = Bytes.copy data in
     Bytes.set corrupted i
       (Char.chr (Char.code (Bytes.get corrupted i) lxor 0x40));
-    match Codec.of_bytes Artifact.wafer_mc corrupted with
+    match Codec.of_bytes Wafer_mc.codec corrupted with
     | Ok _ -> Alcotest.failf "byte flip at %d went undetected" i
     | Error _ -> ()
   done
 
 let test_bootstrap_fit_every_byte_flip_detected () =
-  let data = Codec.to_bytes Artifact.bootstrap_fit (sample_bootstrap_fit ()) in
+  let data = Codec.to_bytes Bootstrap.codec (sample_bootstrap_fit ()) in
   for i = 0 to Bytes.length data - 1 do
     let corrupted = Bytes.copy data in
     Bytes.set corrupted i
       (Char.chr (Char.code (Bytes.get corrupted i) lxor 0x40));
-    match Codec.of_bytes Artifact.bootstrap_fit corrupted with
+    match Codec.of_bytes Bootstrap.codec corrupted with
     | Ok _ -> Alcotest.failf "byte flip at %d went undetected" i
     | Error _ -> ()
   done
@@ -589,26 +609,96 @@ let stale_version_rejected (type a) (codec : a Codec.t) (v : a) =
 
 let test_statistical_version_bump_is_stale () =
   Alcotest.(check bool) "wafer-mc stale" true
-    (stale_version_rejected Artifact.wafer_mc (sample_wafer_mc ()));
+    (stale_version_rejected Wafer_mc.codec (sample_wafer_mc ()));
   Alcotest.(check bool) "bootstrap-fit stale" true
-    (stale_version_rejected Artifact.bootstrap_fit (sample_bootstrap_fit ()))
+    (stale_version_rejected Bootstrap.codec (sample_bootstrap_fit ()))
 
 let test_bootstrap_fit_length_mismatch_is_malformed () =
   (* The three sample arrays are parallel (one entry per replicate); a
-     mismatched encoding must not decode. *)
+     mismatched encoding must not decode, and its decoder fails as a
+     corrupt payload does. *)
   let v = sample_bootstrap_fit () in
-  let bad = { v with Artifact.theta_max_samples = Array.make 3 0.9 } in
-  match Codec.of_bytes Artifact.bootstrap_fit (Codec.to_bytes Artifact.bootstrap_fit bad) with
+  let bad = { v with theta_max_samples = Array.make 3 0.9 } in
+  (match Bootstrap.codec.decode (B.cursor (payload Bootstrap.codec bad)) with
+  | exception B.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "raised %s, not Corrupt" (Printexc.to_string e)
+  | _ -> Alcotest.fail "length-mismatched samples decoded");
+  match Codec.of_bytes Bootstrap.codec (Codec.to_bytes Bootstrap.codec bad) with
   | Error (Codec.Malformed _) -> ()
   | Ok _ -> Alcotest.fail "length-mismatched samples decoded"
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
 
-let test_current_versions_cover_statistical_stages () =
+(* Every format the store keeps, as the stage table declares it: a kind
+   or version change here is a format change. *)
+let test_codec_versions_from_stage_table () =
+  Alcotest.(check (list (pair string int))) "stage codecs"
+    [ ("circuit", 1); ("atpg", 1); ("stuck-faults", 1); ("detections", 2);
+      ("ifa", 1); ("swift", 1); ("summary", 1); ("wafer-mc", 1);
+      ("bootstrap-fit", 1); ("ndet-profile", 1); ("ndet-atpg", 1) ]
+    Dl_core.Experiment.codec_versions
+
+(* The MD5 of every stage artifact's bytes, as [Codec.to_bytes] of the
+   computed value wrote them to the store.  A change here changes what a
+   filled store holds: every stored artifact of that stage misses. *)
+type any_codec = Any : 'a Codec.t -> any_codec
+
+let stage_codecs =
+  [ ("mapping", Any Artifact.circuit); ("atpg", Any Artifact.atpg);
+    ("fault-universe", Any Artifact.stuck_faults);
+    ("fault-sim", Any Artifact.detections); ("layout-ifa", Any Artifact.ifa);
+    ("swift", Any Artifact.swift); ("projection", Any Artifact.summary);
+    ("wafer-mc", Any Wafer_mc.codec); ("bootstrap-fit", Any Bootstrap.codec);
+    ("ndet-sim", Any Artifact.ndet_profile);
+    ("ndet-atpg", Any Artifact.ndet_atpg) ]
+
+let pinned_artifact_digests =
+  [
+    ( c17_all_stages,
+      [ ("mapping", "7f730f7e7bc51919871e0c400e934a1c");
+        ("atpg", "242fe297eb14cb4572fb2a73bc0062da");
+        ("fault-universe", "e1ec81682c7c4ac3b32fcf287d2173f6");
+        ("fault-sim", "2793ea6e4609efbbb6242838147e3cae");
+        ("layout-ifa", "e06d178ce0acacf0d1eed7813df3c380");
+        ("swift", "db98da96a98994dc664cff30216bc936");
+        ("projection", "c87b7c237b96cf1d22c8d8ebf531a0a8");
+        ("wafer-mc", "d50f771e5deb1439fbc3b4ec0113f46a");
+        ("bootstrap-fit", "faaf25b36c1a62654f64d96d69de6f54");
+        ("ndet-sim", "bf817eb6a6b03983986feccd29fb75f5");
+        ("ndet-atpg", "9434374f9e954e8fad60bf9172830ffe") ] );
+    ( c432s_small_defaults,
+      [ ("mapping", "443cd622af139050bbcbb6c9987bddde");
+        ("atpg", "fc8b0a9d14a3da07e8f98e36845c5548");
+        ("fault-universe", "998c65e6a8ad39795eee8585730a1a63");
+        ("fault-sim", "e78ae52ae9b98edf0051ae3c6609495d");
+        ("layout-ifa", "739718f344427435b3d2cbad8f52d7e3");
+        ("swift", "0ca39d298a29c76e63cd8c811e8fcf2c");
+        ("projection", "16887e89fdecc49eaef77d2ade58d2fb") ] );
+  ]
+
+let test_artifact_bytes_pinned () =
   List.iter
-    (fun kind ->
-      Alcotest.(check bool) (kind ^ " registered") true
-        (List.mem_assoc kind Artifact.current_versions))
-    [ "wafer-mc"; "bootstrap-fit" ]
+    (fun (config, digests) ->
+      with_store_dir (fun dir ->
+          let cfg = config (Some dir) in
+          ignore (Dl_core.Experiment.run cfg);
+          let store = Store.open_ dir in
+          let keys = Dl_core.Experiment.stage_keys cfg in
+          Alcotest.(check (list string)) "stages" (List.map fst digests)
+            (List.map fst keys);
+          List.iter
+            (fun (stage, key) ->
+              let data = Option.get (Store.load store key) in
+              Alcotest.(check string) (stage ^ " digest")
+                (List.assoc stage digests)
+                (Digest.to_hex (Digest.bytes data));
+              let (Any codec) = List.assoc stage stage_codecs in
+              match Codec.of_bytes codec data with
+              | Ok v ->
+                  Alcotest.(check bool) (stage ^ " re-encodes") true
+                    (Bytes.equal (Codec.to_bytes codec v) data)
+              | Error e -> Alcotest.fail (Codec.error_to_string e))
+            keys))
+    pinned_artifact_digests
 
 (* --- store ---------------------------------------------------------------- *)
 
@@ -1001,8 +1091,10 @@ let () =
               test_statistical_version_bump_is_stale;
             Alcotest.test_case "bootstrap-fit sample mismatch rejected" `Quick
               test_bootstrap_fit_length_mismatch_is_malformed;
-            Alcotest.test_case "current_versions covers new kinds" `Quick
-              test_current_versions_cover_statistical_stages;
+            Alcotest.test_case "codec versions from the stage table" `Quick
+              test_codec_versions_from_stage_table;
+            Alcotest.test_case "stage artifact bytes pinned" `Quick
+              test_artifact_bytes_pinned;
           ] );
       ( "store",
         [

@@ -237,13 +237,14 @@ let test_weighted_coverage_composition () =
   in
   let vectors = exhaustive_vectors c in
   let r = Swift.run net ~faults ~vectors in
-  let theta = Swift.weighted_coverage r in
-  let gamma = Swift.unweighted_coverage r in
+  let weights = [| 3.0; 1.0 |] in
+  let theta = Swift.weighted_coverage ~weights r.detection in
+  let gamma = Swift.unweighted_coverage r.detection in
   let n = Array.length vectors in
   (* bridge detected, float-X open not: theta = 3/4, gamma = 1/2 *)
   Alcotest.(check (float 1e-12)) "theta" 0.75 (Dl_fault.Coverage.at theta n);
   Alcotest.(check (float 1e-12)) "gamma" 0.5 (Dl_fault.Coverage.at gamma n);
-  let iddq = Swift.iddq_weighted_coverage r in
+  let iddq = Swift.iddq_weighted_coverage ~weights r.detection in
   Alcotest.(check (float 1e-12)) "iddq completes" 1.0 (Dl_fault.Coverage.at iddq n)
 
 let test_good_values_match_sim2 () =
@@ -879,12 +880,8 @@ let test_swift_stage_independent_of_domains () =
   let stage domains =
     let cfg = Experiment.config ~domains ~max_random_vectors:16 c in
     let e = Experiment.run cfg in
-    let art =
-      { Artifact.detection = e.swift_result.detection;
-        vectors_applied = e.swift_result.vectors_applied;
-        region_solves = e.swift_result.region_solves }
-    in
-    (List.assoc "swift" (Experiment.stage_keys cfg), Dl_store.Codec.to_bytes Artifact.swift art)
+    ( List.assoc "swift" (Experiment.stage_keys cfg),
+      Dl_store.Codec.to_bytes Artifact.swift e.swift_result )
   in
   let key1, bytes1 = stage 1 and key2, bytes2 = stage 2 in
   Alcotest.(check string) "stage key" key1 key2;
