@@ -9,18 +9,16 @@
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
    quality resistive stability sweep clustered lot par kernel store serve
-   mc ndet projection micro, and swift and atpg (only when named:
-   reference runs of minutes and seconds)
+   serve-load cluster mc ndet projection micro, and swift and atpg (only
+   when named: reference runs of minutes and seconds).  An unknown name
+   fails the run (exit 2) before any section starts.
 
-   The [kernel] section additionally writes BENCH_fault_sim.json
-   (machine-readable old-vs-new throughput gate) to the working directory
-   or to $BENCH_FAULT_SIM_JSON; [store] likewise writes BENCH_store.json
-   (cold-vs-warm artifact-cache gate) or $BENCH_STORE_JSON; [serve] writes
-   BENCH_serve.json (concurrent loopback daemon gate) or
-   $BENCH_SERVE_JSON; [mc] writes BENCH_mc.json (Monte-Carlo throughput
-   and uncertainty-band gate) or $BENCH_MC_JSON; [ndet] writes
-   BENCH_ndet.json (multi-detect overhead and DL(n) monotonicity gate) or
-   $BENCH_NDET_JSON. *)
+   Sections report through one harness: [check] gates (a failed check
+   prints one FAIL line and makes the run exit 1 once every requested
+   section has run) and [metric] rows.  The run writes every row to
+   BENCH.jsonl in the working directory, truncated per run, one JSON
+   object per line: {"section", "metric", "value", "unit", "host",
+   "nproc"}. *)
 
 open Dl_core
 module Coverage = Dl_fault.Coverage
@@ -28,6 +26,83 @@ module Table = Dl_util.Table
 
 let section_banner name description =
   Printf.printf "\n================ %s — %s ================\n" name description
+
+(* ---------------------------------------------------------------- harness *)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The first run's result and the least of [n] wall times: single runs of a
+   few milliseconds swing with load. *)
+let best_of n f =
+  let r, t = timed f in
+  let best = ref t in
+  for _ = 2 to n do
+    best := Float.min !best (snd (timed f))
+  done;
+  (r, !best)
+
+(* The section the driver is running, whether all of its checks have held,
+   and the rows recorded so far (newest first). *)
+let current = ref ""
+let section_ok = ref true
+let failed = ref false
+let rows : (string * string * float * string) list ref = ref []
+
+let check ok fmt =
+  Printf.ksprintf
+    (fun m ->
+      if not ok then begin
+        flush stdout;
+        Printf.eprintf "FAIL: %s\n%!" m;
+        section_ok := false;
+        failed := true
+      end)
+    fmt
+
+(* The section's one-line summary of its gates, printed only if they held. *)
+let gate fmt =
+  Printf.ksprintf (fun m -> if !section_ok then print_endline ("gate: " ^ m)) fmt
+
+let metric name value unit = rows := (!current, name, value, unit) :: !rows
+let count name n = metric name (float_of_int n) "count"
+let flag name b = metric name (if b then 1.0 else 0.0) "bool"
+
+let cpu_model () =
+  let model line =
+    match String.index_opt line ':' with
+    | Some i when String.trim (String.sub line 0 i) = "model name" ->
+        Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | text ->
+      Option.value ~default:"unknown"
+        (List.find_map model (String.split_on_char '\n' text))
+  | exception Sys_error _ -> "unknown"
+
+let rec remove_tree path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let write_rows path =
+  let module P = Dl_serve.Protocol in
+  let host = P.json_escape (cpu_model ()) in
+  let nproc = Domain.recommended_domain_count () in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun (section, name, value, unit) ->
+          Printf.fprintf oc
+            "{\"section\":\"%s\",\"metric\":\"%s\",\"value\":%s,\"unit\":\"%s\",\
+             \"host\":\"%s\",\"nproc\":%d}\n"
+            section (P.json_escape name) (P.json_float value) unit host nproc)
+        (List.rev !rows))
 
 (* ---------------------------------------------------------------- fig 1 *)
 
@@ -83,9 +158,11 @@ let experiment =
   lazy
     (let c = Dl_netlist.Benchmarks.c432s () in
      Printf.printf "\n[running the c432s experiment: layout extraction + ATPG + gate/switch fault simulation...]\n%!";
-     let t0 = Sys.time () in
-     let e = Experiment.run (Experiment.config ~seed:7 ~max_random_vectors:4096 c) in
-     Printf.printf "[experiment done in %.1fs cpu]\n%!" (Sys.time () -. t0);
+     let e, s =
+       timed (fun () ->
+           Experiment.run (Experiment.config ~seed:7 ~max_random_vectors:4096 c))
+     in
+     Printf.printf "[experiment done in %.1fs]\n%!" s;
      e)
 
 (* ---------------------------------------------------------------- fig 3 *)
@@ -134,7 +211,7 @@ let fig4 () =
 let fig5 () =
   let e = Lazy.force experiment in
   section_banner "Fig.5" "DL vs stuck-at coverage: simulation, WB, fitted eq. 11";
-  let fit = Experiment.fit_params e () in
+  let fit = e.fit in
   let fit_dl =
     let ks = Experiment.sample_ks e ~points:100 in
     Projection.fit_dl ~yield:e.yield (Experiment.dl_vs_t_points e ~ks)
@@ -396,7 +473,7 @@ let stability () =
       let e =
         Experiment.run (Experiment.config ~seed ~max_random_vectors:512 circuit)
       in
-      let fit = Experiment.fit_params e () in
+      let fit = e.fit in
       rs := fit.params.r :: !rs;
       thetas := fit.params.theta_max :: !thetas;
       Table.add_row t
@@ -441,7 +518,7 @@ let sweep () =
         Experiment.run
           (Experiment.config ~seed:7 ~max_random_vectors:512 ~stats circuit)
       in
-      let fit = Experiment.fit_params e () in
+      let fit = e.fit in
       Table.add_row t
         [
           Printf.sprintf "%.1fx" scale;
@@ -470,7 +547,7 @@ let sweep () =
         Experiment.run
           (Experiment.config ~seed:7 ~max_random_vectors:512 ~stats circuit)
       in
-      let fit = Experiment.fit_params e () in
+      let fit = e.fit in
       let theta_final = Coverage.at e.theta_curve (Array.length e.vectors) in
       Table.add_row t2
         [
@@ -535,20 +612,15 @@ let par () =
   Printf.printf "%d faults x %d vectors, recommended domains: %d\n%!"
     (Array.length faults) (Array.length vectors)
     (Dl_util.Parallel.default_domains ());
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let serial, t_serial =
-    time (fun () -> Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors)
+    timed (fun () -> Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors)
   in
   Printf.printf "serial: %.3f s (%d detected, %d gate evals)\n%!" t_serial
     (Dl_fault.Fault_sim.detected_count serial)
     serial.gate_evaluations;
   (* Old-vs-new: the retained pre-kernel engine on the same workload. *)
   let reference, t_reference =
-    time (fun () ->
+    timed (fun () ->
         Dl_fault.Fault_sim.Reference.run ~drop_detected:false c ~faults ~vectors)
   in
   Printf.printf
@@ -567,7 +639,7 @@ let par () =
     (fun domains ->
       Dl_util.Parallel.with_pool ~domains (fun pool ->
           let r, dt =
-            time (fun () ->
+            timed (fun () ->
                 Dl_fault.Fault_sim.run_parallel ~drop_detected:false ~pool c
                   ~faults ~vectors)
           in
@@ -601,11 +673,10 @@ let par () =
 
 (* Old-vs-new simulation gate: measures gate-evaluation throughput and
    steady-state allocation of the wide PPSFP engine against the retained
-   reference engine, checks the results are bit-for-bit identical, and
-   writes the machine-readable BENCH_fault_sim.json so the perf trajectory
-   is tracked run over run.  Exits non-zero if the hot loop allocates or if
-   the wide engine's speedup over the reference falls below
-   [min_wide_speedup] on any of the larger circuits. *)
+   reference engine and checks the results are bit-for-bit identical.
+   Fails if the hot loop allocates or if the wide engine's speedup over the
+   reference falls below [min_wide_speedup] on any of the larger
+   circuits. *)
 
 (* 2x the flat-kernel engine's speedup over the reference (median of five
    runs per circuit: 3.3x on c880s, 4.0x on c1355s, 3.85x on c1908s, 2-vCPU
@@ -615,6 +686,7 @@ let min_wide_speedup = 8.0
 
 let kernel_bench () =
   section_banner "Kernel" "wide PPSFP engine vs reference engine (c432s)";
+  let module F = Dl_fault.Fault_sim in
   let c =
     Dl_netlist.Transform.decompose_for_cells (Dl_netlist.Benchmarks.c432s ())
   in
@@ -625,28 +697,19 @@ let kernel_bench () =
         Array.init (Dl_netlist.Circuit.input_count c) (fun _ ->
             Dl_util.Rng.bool rng))
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Best of three: single runs of a few milliseconds swing with load. *)
-  let best_time f =
-    let r, t1 = time f in
-    let _, t2 = time f in
-    let _, t3 = time f in
-    (r, Float.min t1 (Float.min t2 t3))
-  in
-  let measure ~section ~run_new ~run_ref =
+  let measure name ~drop_detected =
+    let run_new () = F.run ~drop_detected c ~faults ~vectors in
+    let run_ref () = F.Reference.run ~drop_detected c ~faults ~vectors in
     (* Warm-up runs amortize lowering and first-touch costs out of both
        the timing and the Gc delta. *)
-    let reference : Dl_fault.Fault_sim.result = run_ref () in
-    let warm : Dl_fault.Fault_sim.result = run_new () in
-    assert (warm.first_detection = reference.first_detection);
+    let reference = run_ref () in
+    let warm = run_new () in
+    check (warm.first_detection = reference.first_detection)
+      "%s: wide detections differ from the reference" name;
     let m0 = Gc.minor_words () in
-    let result, t_new = time run_new in
+    let result, t_new = timed run_new in
     let m1 = Gc.minor_words () in
-    let _, t_ref = time run_ref in
+    let _, t_ref = timed run_ref in
     let evals = float_of_int result.gate_evaluations in
     let gate_evals_per_sec = evals /. t_new in
     let minor_words_per_eval = (m1 -. m0) /. evals in
@@ -654,38 +717,27 @@ let kernel_bench () =
     Printf.printf
       "%-10s wide %.3fs (%.1fM evals/s, %.4f minor words/eval)  \
        reference %.3fs  speedup %.2fx\n%!"
-      section t_new (gate_evals_per_sec /. 1e6) minor_words_per_eval t_ref
+      name t_new (gate_evals_per_sec /. 1e6) minor_words_per_eval t_ref
       speedup;
-    (section, gate_evals_per_sec, minor_words_per_eval, speedup)
+    metric (name ^ ".gate_evals_per_sec") gate_evals_per_sec "1/s";
+    metric (name ^ ".minor_words_per_eval") minor_words_per_eval "words";
+    metric (name ^ ".speedup_vs_reference") speedup "x";
+    minor_words_per_eval
   in
-  (* Explicit lets: list literals evaluate right-to-left in OCaml, which
-     would scramble the printed order. *)
-  let row_micro =
-    measure ~section:"micro"
-      ~run_new:(fun () ->
-        Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors)
-      ~run_ref:(fun () ->
-        Dl_fault.Fault_sim.Reference.run ~drop_detected:false c ~faults
-          ~vectors)
-  in
-  let row_drop =
-    measure ~section:"drop"
-      ~run_new:(fun () ->
-        Dl_fault.Fault_sim.run ~drop_detected:true c ~faults ~vectors)
-      ~run_ref:(fun () ->
-        Dl_fault.Fault_sim.Reference.run ~drop_detected:true c ~faults
-          ~vectors)
-  in
-  let rows = [ row_micro; row_drop ] in
-  (* --- per-engine rows on c880s-class and larger circuits -------------- *)
-  (* One row per engine per circuit: wall-clock over the same 1024-vector
-     no-drop workload (so throughput in fault-vector pairs per second is
-     engine-comparable even though the wide engine evaluates far fewer
-     gates), speedup vs the reference, and steady-state allocation per gate
-     evaluation measured as the delta between a half- and a full-length run
-     (cancelling per-run lowering and buffer setup). *)
-  let failed = ref false in
-  let engine_rows_for (cname, build) =
+  let micro_words = measure "micro" ~drop_detected:false in
+  ignore (measure "drop" ~drop_detected:true);
+  check (micro_words <= 0.5)
+    "steady-state hot loop allocates %.4f minor words per gate evaluation \
+     (expected ~0)"
+    micro_words;
+  (* --- wide vs reference on c880s-class and larger circuits ------------- *)
+  (* Wall-clock over the same 1024-vector no-drop workload (so throughput
+     in fault-vector pairs per second is engine-comparable even though the
+     wide engine evaluates far fewer gates), speedup vs the reference, and
+     steady-state allocation per gate evaluation measured as the delta
+     between a half- and a full-length run (cancelling per-run lowering and
+     buffer setup). *)
+  let circuit (cname, build) =
     let c = Dl_netlist.Transform.decompose_for_cells (build ()) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let rng = Dl_util.Rng.create 4242 in
@@ -696,153 +748,80 @@ let kernel_bench () =
     in
     let half = Array.sub vectors 0 512 in
     let run engine vecs =
-      Dl_fault.Fault_sim.run_with ~engine ~drop_detected:false c ~faults
-        ~vectors:vecs
+      F.run_with ~engine ~drop_detected:false c ~faults ~vectors:vecs
     in
     Printf.printf "\n%s: %d gates, %d collapsed faults, %d vectors\n%!" cname
       (Dl_netlist.Circuit.node_count c - Dl_netlist.Circuit.input_count c)
       (Array.length faults) (Array.length vectors);
-    let reference = run Dl_fault.Fault_sim.Reference vectors in
     let pairs = float_of_int (Array.length faults * Array.length vectors) in
-    let raw =
-      List.map
-        (fun engine ->
-          ignore (run engine half) (* warm: fault-collapse, first touch *);
-          let mh0 = Gc.minor_words () in
-          let r_half = run engine half in
-          let mh1 = Gc.minor_words () in
-          let mf0 = Gc.minor_words () in
-          let r = run engine vectors in
-          let mf1 = Gc.minor_words () in
-          let _, t = best_time (fun () -> run engine vectors) in
-          let identical = r.first_detection = reference.first_detection in
-          if not identical then begin
-            Printf.eprintf "FAIL: %s/%s detection words differ from reference\n"
-              cname
-              (Dl_fault.Fault_sim.engine_to_string engine);
-            failed := true
-          end;
-          let d_evals =
-            r.Dl_fault.Fault_sim.stats.Dl_fault.Fault_sim.Stats.gate_evaluations
-            - r_half.Dl_fault.Fault_sim.stats
-                .Dl_fault.Fault_sim.Stats.gate_evaluations
-          in
-          let words_per_eval =
-            if d_evals <= 0 then 0.0
-            else (mf1 -. mf0 -. (mh1 -. mh0)) /. float_of_int d_evals
-          in
-          (engine, t, r, words_per_eval, identical))
-        Dl_fault.Fault_sim.engines
+    let measure engine =
+      ignore (run engine half) (* warm: fault-collapse, first touch *);
+      let mh0 = Gc.minor_words () in
+      let r_half = run engine half in
+      let mh1 = Gc.minor_words () in
+      let mf0 = Gc.minor_words () in
+      let r = run engine vectors in
+      let mf1 = Gc.minor_words () in
+      let _, t = best_of 3 (fun () -> run engine vectors) in
+      let d_evals =
+        r.stats.F.Stats.gate_evaluations - r_half.stats.F.Stats.gate_evaluations
+      in
+      let words_per_eval =
+        if d_evals <= 0 then 0.0
+        else (mf1 -. mf0 -. (mh1 -. mh0)) /. float_of_int d_evals
+      in
+      let name = cname ^ "." ^ F.engine_to_string engine in
+      let s = r.stats in
+      metric (name ^ ".time_s") t "s";
+      metric (name ^ ".fault_vectors_per_sec") (pairs /. t) "1/s";
+      metric (name ^ ".minor_words_per_gate_eval") words_per_eval "words";
+      count (name ^ ".gate_evaluations") s.F.Stats.gate_evaluations;
+      count (name ^ ".events") s.F.Stats.events;
+      count (name ^ ".faults_inferred") s.F.Stats.faults_inferred;
+      count (name ^ ".faults_simulated") s.F.Stats.faults_simulated;
+      count (name ^ ".stem_simulations") s.F.Stats.stem_simulations;
+      count (name ^ ".faults_dropped") s.F.Stats.faults_dropped;
+      (r, t, words_per_eval)
     in
-    let t_ref =
-      List.fold_left
-        (fun acc (e, t, _, _, _) ->
-          if e = Dl_fault.Fault_sim.Reference then t else acc)
-        nan raw
-    in
+    let reference, t_ref, ref_wpe = measure F.Reference in
+    let wide, t_wide, wide_wpe = measure F.Wide in
+    let speedup = t_ref /. t_wide in
+    let identical = wide.first_detection = reference.first_detection in
+    metric (cname ^ ".wide.speedup_vs_reference") speedup "x";
     let table = Table.create
         [ ("engine", Table.Left); ("time", Table.Right);
           ("Mfault-vec/s", Table.Right); ("vs reference", Table.Right);
           ("words/eval", Table.Right); ("identical", Table.Right) ]
     in
-    let rows =
-      List.map
-        (fun (engine, t, (r : Dl_fault.Fault_sim.result), wpe, identical) ->
-          let speedup = t_ref /. t in
-          Table.add_row table
-            [ Dl_fault.Fault_sim.engine_to_string engine;
-              Printf.sprintf "%.3f s" t;
-              Printf.sprintf "%.2f" (pairs /. t /. 1e6);
-              Printf.sprintf "%.2fx" speedup;
-              Printf.sprintf "%.4f" wpe;
-              (if identical then "yes" else "NO") ];
-          (cname, engine, t, pairs /. t, speedup, wpe, r.Dl_fault.Fault_sim.stats))
-        raw
+    let row engine t speedup wpe identical =
+      Table.add_row table
+        [ F.engine_to_string engine;
+          Printf.sprintf "%.3f s" t;
+          Printf.sprintf "%.2f" (pairs /. t /. 1e6);
+          Printf.sprintf "%.2fx" speedup;
+          Printf.sprintf "%.4f" wpe;
+          (if identical then "yes" else "NO") ]
     in
+    row F.Reference t_ref 1.0 ref_wpe true;
+    row F.Wide t_wide speedup wide_wpe identical;
     Table.print table;
-    (* gates: the wide engine must beat the reference by [min_wide_speedup]
-       on these circuits, and its hot loop must stay allocation-free *)
-    List.iter
-      (fun (_, e, _, _, speedup, wpe, _) ->
-        if e = Dl_fault.Fault_sim.Wide then begin
-          if speedup < min_wide_speedup then begin
-            Printf.eprintf
-              "FAIL: %s: wide engine %.2fx over the reference, below %.1fx\n"
-              cname speedup min_wide_speedup;
-            failed := true
-          end;
-          if wpe > 0.05 then begin
-            Printf.eprintf
-              "FAIL: %s: wide hot loop allocates %.4f minor words per gate \
-               evaluation (gate: 0.05)\n"
-              cname wpe;
-            failed := true
-          end
-        end)
-      rows;
-    rows
+    check identical "%s/wide detection words differ from reference" cname;
+    check (speedup >= min_wide_speedup)
+      "%s: wide engine %.2fx over the reference, below %.1fx" cname speedup
+      min_wide_speedup;
+    check (wide_wpe <= 0.05)
+      "%s: wide hot loop allocates %.4f minor words per gate evaluation \
+       (gate: 0.05)"
+      cname wide_wpe
   in
-  let engine_rows =
-    List.concat_map engine_rows_for
-      [ ("c880s", Dl_netlist.Benchmarks.c880s);
-        ("c1355s", Dl_netlist.Benchmarks.c1355s);
-        ("c1908s", Dl_netlist.Benchmarks.c1908s) ]
-  in
-  let json_path =
-    match Sys.getenv_opt "BENCH_FAULT_SIM_JSON" with
-    | Some p -> p
-    | None -> "BENCH_fault_sim.json"
-  in
-  let oc = open_out json_path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (section, geps, words, speedup) ->
-      Printf.fprintf oc
-        "  {\"section\": %S, \"gate_evals_per_sec\": %.0f, \
-         \"minor_words_per_eval\": %.4f, \"speedup_vs_reference\": %.3f}%s\n"
-        section geps words speedup
-        (if i = List.length rows - 1 && engine_rows = [] then "" else ","))
-    rows;
-  List.iteri
-    (fun i (cname, engine, t, tput, speedup, wpe, stats) ->
-      let s = stats in
-      Printf.fprintf oc
-        "  {\"section\": %S, \"engine\": %S, \"time_s\": %.4f, \
-         \"fault_vectors_per_sec\": %.0f, \"speedup_vs_reference\": %.3f, \
-         \"minor_words_per_gate_eval\": %.4f, \"stats\": \
-         {\"gate_evaluations\": %d, \"events\": %d, \"faults_inferred\": %d, \
-         \"faults_simulated\": %d, \"stem_simulations\": %d, \
-         \"faults_dropped\": %d}}%s\n"
-        cname
-        (Dl_fault.Fault_sim.engine_to_string engine)
-        t tput speedup wpe s.Dl_fault.Fault_sim.Stats.gate_evaluations
-        s.Dl_fault.Fault_sim.Stats.events
-        s.Dl_fault.Fault_sim.Stats.faults_inferred
-        s.Dl_fault.Fault_sim.Stats.faults_simulated
-        s.Dl_fault.Fault_sim.Stats.stem_simulations
-        s.Dl_fault.Fault_sim.Stats.faults_dropped
-        (if i = List.length engine_rows - 1 then "" else ","))
-    engine_rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  let micro_words =
-    List.fold_left
-      (fun acc (s, _, w, _) -> if s = "micro" then w else acc)
-      infinity rows
-  in
-  if micro_words > 0.5 then begin
-    Printf.eprintf
-      "FAIL: steady-state hot loop allocates %.4f minor words per gate \
-       evaluation (expected ~0)\n"
-      micro_words;
-    exit 1
-  end;
-  if !failed then exit 1;
-  Printf.printf
-    "gate: identity asserted against the reference engine on every row;\n\
+  List.iter circuit
+    [ ("c880s", Dl_netlist.Benchmarks.c880s);
+      ("c1355s", Dl_netlist.Benchmarks.c1355s);
+      ("c1908s", Dl_netlist.Benchmarks.c1908s) ];
+  gate
+    "identity asserted against the reference engine on every row;\n\
      steady-state allocation ~0 words per gate evaluation; wide engine\n\
-     >= %.0fx over the reference on c880s/c1355s/c1908s.\n"
+     >= %.0fx over the reference on c880s/c1355s/c1908s."
     min_wide_speedup
 
 (* ------------------------------------------------------------ store bench *)
@@ -850,31 +829,20 @@ let kernel_bench () =
 (* Cold-vs-warm gate for the artifact store: the same c432s pipeline twice
    through one fresh cache must (a) produce a bit-identical summary and
    fit, (b) hit every stage on the second run, and (c) be meaningfully
-   faster warm.  Writes the machine-readable BENCH_store.json (or
-   $BENCH_STORE_JSON) so the caching win is tracked run over run. *)
+   faster warm. *)
 let store_bench () =
   section_banner "Store" "artifact cache cold vs warm (c432s pipeline)";
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
   let cache_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dlproj_store_bench_%d" (Unix.getpid ()))
   in
-  if Sys.file_exists cache_dir then rm_rf cache_dir;
+  remove_tree cache_dir;
   let run () =
     let c = Dl_netlist.Benchmarks.c432s () in
-    let t0 = Unix.gettimeofday () in
-    let e =
-      Experiment.run
-        (Experiment.config ~seed:7 ~max_random_vectors:256 ~cache_dir c)
-    in
-    (e, Unix.gettimeofday () -. t0)
+    timed (fun () ->
+        Experiment.run
+          (Experiment.config ~seed:7 ~max_random_vectors:256 ~cache_dir c))
   in
   Printf.printf "[cold run...]\n%!";
   let cold, cold_s = run () in
@@ -892,45 +860,24 @@ let store_bench () =
   Printf.printf "cold %.3f s, warm %.3f s — %.0fx, warm hits %d/%d\n" cold_s
     warm_s speedup hits total;
   Format.printf "%a@." Dl_store.Stage.pp_reports warm.Experiment.stage_reports;
-  let identical =
-    cold.Experiment.summary = warm.Experiment.summary
-    && cold.Experiment.fit = warm.Experiment.fit
-  in
-  rm_rf cache_dir;
-  let json_path =
-    match Sys.getenv_opt "BENCH_STORE_JSON" with
-    | Some p -> p
-    | None -> "BENCH_store.json"
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"section\": \"store\", \"cold_s\": %.3f, \"warm_s\": %.3f, \
-     \"warm_speedup\": %.2f, \"hit_rate\": %.3f}\n"
-    cold_s warm_s speedup hit_rate;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
-  if not identical then begin
-    Printf.eprintf "FAIL: warm summary/fit differ from cold\n";
-    failed := true
-  end;
-  if hit_rate < 1.0 then begin
-    Printf.eprintf "FAIL: warm run hit only %d of %d stages\n" hits total;
-    failed := true
-  end;
-  if speedup < 3.0 then begin
-    Printf.eprintf "FAIL: warm speedup %.2fx < 3x\n" speedup;
-    failed := true
-  end;
+  remove_tree cache_dir;
+  metric "cold_s" cold_s "s";
+  metric "warm_s" warm_s "s";
+  metric "warm_speedup" speedup "x";
+  metric "hit_rate" hit_rate "ratio";
+  check
+    (cold.Experiment.summary = warm.Experiment.summary
+    && cold.Experiment.fit = warm.Experiment.fit)
+    "warm summary/fit differ from cold";
+  check (hit_rate >= 1.0) "warm run hit only %d of %d stages" hits total;
+  check (speedup >= 3.0) "warm speedup %.2fx < 3x" speedup;
   (* Every stage of the warm run was a hit, so nothing needed the layout. *)
-  if Lazy.is_val warm.Experiment.extraction.layout then begin
-    Printf.eprintf "FAIL: the warm run synthesized the layout\n";
-    failed := true
-  end;
-  if !failed then exit 1;
-  print_endline
-    "gate: warm run bit-identical to cold, served entirely from cache, no \
-     layout synthesized."
+  check
+    (not (Lazy.is_val warm.Experiment.extraction.layout))
+    "the warm run synthesized the layout";
+  gate
+    "warm run bit-identical to cold, served entirely from cache, no layout \
+     synthesized."
 
 (* ------------------------------------------------------------ serve bench *)
 
@@ -940,8 +887,7 @@ let store_bench () =
    cache and only a handful of underlying experiments ever run.  Measures
    end-to-end throughput and client-observed latency percentiles, then
    gates: every request answered with a Result, answers for the same key
-   identical, and the coalescing hit-rate above one half.  Writes the
-   machine-readable BENCH_serve.json (or $BENCH_SERVE_JSON). *)
+   identical, and the coalescing hit-rate above one half. *)
 let serve_bench () =
   section_banner "Serve" "concurrent loopback clients vs the projection daemon";
   let module P = Dl_serve.Protocol in
@@ -969,11 +915,10 @@ let serve_bench () =
   let client_thread i () =
     Dl_serve.Client.with_client socket (fun c ->
         for r = 0 to per_client - 1 do
-          let t0 = Unix.gettimeofday () in
-          match Dl_serve.Client.submit c (spec ((i + r) mod distinct)) with
-          | P.Result served ->
-              latencies.((i * per_client) + r) <-
-                (Unix.gettimeofday () -. t0) *. 1000.0;
+          let spec = spec ((i + r) mod distinct) in
+          match timed (fun () -> Dl_serve.Client.submit c spec) with
+          | P.Result served, s ->
+              latencies.((i * per_client) + r) <- s *. 1000.0;
               let p = served.P.payload in
               Mutex.lock key_mutex;
               (match Hashtbl.find_opt by_key p.P.request_key with
@@ -985,10 +930,11 @@ let serve_bench () =
   in
   Printf.printf "[%d clients x %d requests, %d distinct configs...]\n%!"
     clients per_client distinct;
-  let wall0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun i -> Thread.create (client_thread i) ()) in
-  List.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. wall0 in
+  let (), wall_s =
+    timed (fun () ->
+        List.iter Thread.join
+          (List.init clients (fun i -> Thread.create (client_thread i) ())))
+  in
   let stats = Dl_serve.Server.stats server in
   Dl_serve.Server.stop server;
   let sorted = Array.copy latencies in
@@ -1008,37 +954,23 @@ let serve_bench () =
     total wall_s req_per_sec p50 p99;
   Printf.printf "executed %d, completed %d — coalesce/cache hit-rate %.2f\n"
     stats.P.executed stats.P.completed coalesce_rate;
-  let json_path =
-    match Sys.getenv_opt "BENCH_SERVE_JSON" with
-    | Some p -> p
-    | None -> "BENCH_serve.json"
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"section\": \"serve\", \"clients\": %d, \"requests\": %d, \
-     \"wall_s\": %.3f, \"req_per_sec\": %.0f, \"p50_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"executed\": %d, \"coalesce_rate\": %.3f}\n"
-    clients total wall_s req_per_sec p50 p99 stats.P.executed coalesce_rate;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
-  if Atomic.get failures > 0 then begin
-    Printf.eprintf "FAIL: %d of %d requests were not answered with a Result\n"
-      (Atomic.get failures) total;
-    failed := true
-  end;
-  if Atomic.get mismatches > 0 then begin
-    Printf.eprintf "FAIL: %d answers differed from the first for their key\n"
-      (Atomic.get mismatches);
-    failed := true
-  end;
-  if coalesce_rate <= 0.5 then begin
-    Printf.eprintf "FAIL: coalesce/cache hit-rate %.2f <= 0.5\n" coalesce_rate;
-    failed := true
-  end;
-  if !failed then exit 1;
-  print_endline
-    "gate: every request answered, per-key answers identical, majority\n\
+  count "clients" clients;
+  count "requests" total;
+  metric "wall_s" wall_s "s";
+  metric "req_per_sec" req_per_sec "1/s";
+  metric "p50_ms" p50 "ms";
+  metric "p99_ms" p99 "ms";
+  count "executed" stats.P.executed;
+  metric "coalesce_rate" coalesce_rate "ratio";
+  check (Atomic.get failures = 0)
+    "%d of %d requests were not answered with a Result" (Atomic.get failures)
+    total;
+  check (Atomic.get mismatches = 0)
+    "%d answers differed from the first for their key" (Atomic.get mismatches);
+  check (coalesce_rate > 0.5) "coalesce/cache hit-rate %.2f <= 0.5"
+    coalesce_rate;
+  gate
+    "every request answered, per-key answers identical, majority\n\
      of requests served without re-execution."
 
 (* ------------------------------------------------------- serve-load bench *)
@@ -1048,8 +980,7 @@ let serve_bench () =
    server.  Unlike the closed-loop "serve" section above, arrivals do not
    wait for responses, so rejection/expiry/tail-latency behaviour under a
    fixed offered rate is visible.  Gates: no failed exchanges, a minimum
-   sustained throughput, and a bounded p99.  Writes BENCH_serve_load.json
-   (or $BENCH_SERVE_LOAD_JSON). *)
+   sustained throughput, and a bounded p99. *)
 let serve_load_bench () =
   section_banner "Serve-load"
     "seeded open-loop traffic vs the projection daemon";
@@ -1077,38 +1008,34 @@ let serve_load_bench () =
   let _records, report = L.run ~clients:4 ~socket cfg in
   Dl_serve.Server.stop server;
   Format.printf "%a@." L.pp_report report;
-  let json_path =
-    match Sys.getenv_opt "BENCH_SERVE_LOAD_JSON" with
-    | Some p -> p
-    | None -> "BENCH_serve_load.json"
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc "{\"section\": \"serve-load\", \"report\": %s}\n"
-    (L.report_to_json report);
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
+  count "planned" report.L.planned_n;
+  count "sent" report.L.sent;
+  count "served" report.L.served;
+  count "coalesced" report.L.coalesced;
+  count "rejected" report.L.rejected;
+  count "expired" report.L.expired;
+  count "failed" report.L.failed;
+  metric "elapsed_s" report.L.elapsed_s "s";
+  metric "offered_rate" report.L.offered_rate "1/s";
+  metric "achieved_rate" report.L.achieved_rate "1/s";
+  metric "rejection_rate" report.L.rejection_rate "ratio";
+  metric "rtt_ms.p50" report.L.p50_ms "ms";
+  metric "rtt_ms.p99" report.L.p99_ms "ms";
+  metric "rtt_ms.p999" report.L.p999_ms "ms";
+  metric "rtt_ms.mean" report.L.mean_ms "ms";
+  metric "rtt_ms.max" report.L.max_ms "ms";
   (* Smoke gates: generous (cold family experiments dominate the tail on a
      loaded CI box) but fatal for gross regressions — a wedged queue, a
      coalescer that stopped deduplicating, or a p99 runaway. *)
   let min_throughput = 2.0 and max_p99_ms = 30_000.0 in
-  let failed = ref false in
-  if report.L.failed > 0 then begin
-    Printf.eprintf "FAIL: %d of %d exchanges failed outright\n" report.L.failed
-      report.L.sent;
-    failed := true
-  end;
-  if report.L.achieved_rate < min_throughput then begin
-    Printf.eprintf "FAIL: sustained throughput %.1f served/s < %.1f\n"
-      report.L.achieved_rate min_throughput;
-    failed := true
-  end;
-  if report.L.p99_ms > max_p99_ms then begin
-    Printf.eprintf "FAIL: p99 %.1f ms > %.0f ms\n" report.L.p99_ms max_p99_ms;
-    failed := true
-  end;
-  if !failed then exit 1;
-  Printf.printf
-    "gate: no failed exchanges, >= %.0f served/s sustained, p99 <= %.0f ms\n"
+  check (report.L.failed = 0) "%d of %d exchanges failed outright"
+    report.L.failed report.L.sent;
+  check (report.L.achieved_rate >= min_throughput)
+    "sustained throughput %.1f served/s < %.1f" report.L.achieved_rate
+    min_throughput;
+  check (report.L.p99_ms <= max_p99_ms) "p99 %.1f ms > %.0f ms" report.L.p99_ms
+    max_p99_ms;
+  gate "no failed exchanges, >= %.0f served/s sustained, p99 <= %.0f ms"
     min_throughput max_p99_ms
 
 (* ---------------------------------------------------------- cluster bench *)
@@ -1119,8 +1046,7 @@ let serve_load_bench () =
    store serves resubmissions without recomputing (fetch-through hit-rate
    >= 0.9), and aggregate throughput — >= 3x on a >= 4-core host, a
    reduced no-regression bound on smaller hosts (an in-process fleet
-   cannot out-run its core count).  Appends a cluster row to
-   BENCH_serve.json (or $BENCH_SERVE_JSON). *)
+   cannot out-run its core count). *)
 let cluster_bench () =
   section_banner "Cluster" "1-coordinator/4-worker loopback fleet vs a single worker";
   let module P = Dl_serve.Protocol in
@@ -1144,16 +1070,6 @@ let cluster_bench () =
     (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
-  let rec remove_tree path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter
-          (fun e -> remove_tree (Filename.concat path e))
-          (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  in
   let failures = Atomic.make 0 in
   (* [clients] threads drain a shared batch of distinct seeds; returns
      wall seconds and the answers by seed *)
@@ -1174,10 +1090,11 @@ let cluster_bench () =
           in
           loop ())
     in
-    let wall0 = Unix.gettimeofday () in
-    let threads = List.init clients (fun _ -> Thread.create worker ()) in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. wall0 in
+    let (), wall =
+      timed (fun () ->
+          List.iter Thread.join
+            (List.init clients (fun _ -> Thread.create worker ())))
+    in
     (wall, Array.to_list (Array.map2 (fun s a -> (s, a)) seeds answers))
   in
   (* baseline: the same batch shape against one worker alone *)
@@ -1262,50 +1179,30 @@ let cluster_bench () =
   Printf.printf
     "cross-worker resubmissions: fetch-through hit-rate %.2f, %d mismatches\n"
     hit_rate !mismatches;
-  let json_path =
-    match Sys.getenv_opt "BENCH_SERVE_JSON" with
-    | Some p -> p
-    | None -> "BENCH_serve.json"
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 json_path in
-  Printf.fprintf oc
-    "{\"section\": \"cluster\", \"workers\": %d, \"jobs\": %d, \
-     \"cores\": %d, \"t_single_s\": %.3f, \"t_fleet_s\": %.3f, \
-     \"speedup\": %.3f, \"fetch_hit_rate\": %.3f}\n"
-    fleet_size n_jobs cores t_base t_fleet speedup hit_rate;
-  close_out oc;
-  Printf.printf "appended cluster row to %s\n" json_path;
-  let failed = ref false in
-  if Atomic.get failures > 0 then begin
-    Printf.eprintf "FAIL: %d requests were not answered with a Result\n"
-      (Atomic.get failures);
-    failed := true
-  end;
-  if !mismatches > 0 then begin
-    Printf.eprintf
-      "FAIL: %d cross-worker answers differed from the fleet's\n" !mismatches;
-    failed := true
-  end;
-  if hit_rate < 0.9 then begin
-    Printf.eprintf "FAIL: fetch-through hit-rate %.2f < 0.9\n" hit_rate;
-    failed := true
-  end;
+  count "workers" fleet_size;
+  count "jobs" n_jobs;
+  count "cores" cores;
+  metric "t_single_s" t_base "s";
+  metric "t_fleet_s" t_fleet "s";
+  metric "speedup" speedup "x";
+  metric "fetch_hit_rate" hit_rate "ratio";
+  check (Atomic.get failures = 0) "%d requests were not answered with a Result"
+    (Atomic.get failures);
+  check (!mismatches = 0) "%d cross-worker answers differed from the fleet's"
+    !mismatches;
+  check (hit_rate >= 0.9) "fetch-through hit-rate %.2f < 0.9" hit_rate;
   let min_speedup = if cores >= 4 then 3.0 else 0.35 in
-  if speedup < min_speedup then begin
-    Printf.eprintf "FAIL: fleet speedup %.2fx < %.2fx (on %d cores)\n" speedup
-      min_speedup cores;
-    failed := true
-  end;
-  if !failed then exit 1;
+  check (speedup >= min_speedup) "fleet speedup %.2fx < %.2fx (on %d cores)"
+    speedup min_speedup cores;
   if cores >= 4 then
-    print_endline
-      "gate: all answered, cross-worker answers bit-identical, \
-       fetch-through hit-rate >= 0.9, fleet >= 3x one worker."
+    gate
+      "all answered, cross-worker answers bit-identical, fetch-through \
+       hit-rate >= 0.9, fleet >= 3x one worker."
   else
-    Printf.printf
-      "gate: all answered, cross-worker answers bit-identical, \
-       fetch-through hit-rate >= 0.9; %d-core host, so the 3x fleet gate \
-       is reduced to a %.2fx no-regression bound.\n"
+    gate
+      "all answered, cross-worker answers bit-identical, fetch-through \
+       hit-rate >= 0.9; %d-core host, so the 3x fleet gate is reduced to a \
+       %.2fx no-regression bound."
       cores min_speedup
 
 (* ------------------------------------------------------------------ swift *)
@@ -1313,8 +1210,7 @@ let cluster_bench () =
 (* The compiled switch-level engine on the inputs of a default cold
    pipeline, on one domain and on a pool of [Parallel.default_domains ()],
    against the retained reference: detections and region solves must equal
-   the reference's, and the two engine runs' memo counters must be equal
-   (exit 1 otherwise).  Every wall time is printed, with the region shapes,
+   the reference's, and the two engine runs' memo counters must be equal.  Every wall time is printed, with the region shapes,
    how solves were answered (full key, ext-only key, or computed), the
    relaxation rounds of the computed solves, and how often each solver cap
    stopped a computation unsettled: the 8-pass feedback loop of a region
@@ -1334,11 +1230,6 @@ let swift_bench () =
         ("reference s", Table.Right); ("1-domain s", Table.Right);
         (Printf.sprintf "%d-domain s" domains, Table.Right); ("speed-up", Table.Right) ]
   in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   List.iter
     (fun name ->
       let circuit = Option.get (Dl_netlist.Benchmarks.by_name name) in
@@ -1355,22 +1246,17 @@ let swift_bench () =
       in
       let serial, memo, serial_s = engine 1 in
       let pooled, pooled_memo, pooled_s = engine domains in
-      if pooled.detection <> serial.detection
-         || pooled.region_solves <> serial.region_solves
-         || pooled_memo <> memo
-      then begin
-        Printf.printf "FAIL %s: the %d-domain run differs from the 1-domain run\n" name
-          domains;
-        exit 1
-      end;
+      check
+        (pooled.detection = serial.detection
+        && pooled.region_solves = serial.region_solves
+        && pooled_memo = memo)
+        "%s: the %d-domain run differs from the 1-domain run" name domains;
       let slow, slow_s =
         timed (fun () -> Dl_switch.Swift.Reference.run net ~faults ~vectors)
       in
-      if serial.detection <> slow.detection || serial.region_solves <> slow.region_solves
-      then begin
-        Printf.printf "FAIL %s: compiled engine differs from Swift.Reference\n" name;
-        exit 1
-      end;
+      check
+        (serial.detection = slow.detection && serial.region_solves = slow.region_solves)
+        "%s: compiled engine differs from Swift.Reference" name;
       Table.add_row t
         [ name; string_of_int (Array.length faults);
           string_of_int (Array.length vectors); string_of_int serial.region_solves;
@@ -1382,9 +1268,10 @@ let swift_bench () =
           Printf.sprintf "%.2f" pooled_s; Printf.sprintf "%.1fx" (slow_s /. pooled_s) ])
     [ "c432s_small"; "c432s"; "c880s" ];
   Table.print t;
-  print_endline
-    "identical detections and region solves on every circuit, and identical \
-     memo counters on every pool size."
+  if !section_ok then
+    print_endline
+      "identical detections and region solves on every circuit, and identical \
+       memo counters on every pool size."
 
 (* ------------------------------------------------------------------- atpg *)
 
@@ -1392,7 +1279,7 @@ let swift_bench () =
    flow hands it: every collapsed fault of c432s, and the faults left after
    the random phase on c499s (64 vectors, as in the gate-level benchmark)
    and c880s (the pipeline default).  Outcomes and vectors must be
-   identical (exit 1 otherwise); both wall times are printed.  Not in the
+   identical; both wall times are printed.  Not in the
    default set: the reference takes about ten seconds. *)
 let atpg_bench () =
   section_banner "Atpg" "compiled PODEM vs Podem.Reference";
@@ -1402,11 +1289,6 @@ let atpg_bench () =
         ("untestable", Table.Right); ("aborted", Table.Right);
         ("reference s", Table.Right); ("compiled s", Table.Right);
         ("speed-up", Table.Right) ]
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   List.iter
     (fun (name, max_random) ->
@@ -1430,10 +1312,7 @@ let atpg_bench () =
       let slow, slow_s =
         timed (fun () -> Array.map (Dl_atpg.Podem.Reference.generate ~scoap c) faults)
       in
-      if fast <> slow then begin
-        Printf.printf "FAIL %s: compiled PODEM differs from Podem.Reference\n" name;
-        exit 1
-      end;
+      check (fast = slow) "%s: compiled PODEM differs from Podem.Reference" name;
       let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 fast in
       Table.add_row t
         [ name; string_of_int (Array.length faults);
@@ -1444,7 +1323,7 @@ let atpg_bench () =
           Printf.sprintf "%.1fx" (slow_s /. fast_s) ])
     [ ("c432s", None); ("c499s", Some 64); ("c880s", Some 4096) ];
   Table.print t;
-  print_endline "identical outcomes and vectors on every circuit."
+  if !section_ok then print_endline "identical outcomes and vectors on every circuit."
 
 (* ------------------------------------------------------------- projection *)
 
@@ -1452,9 +1331,9 @@ let atpg_bench () =
    the T(k) and Θ(k) curves ([Coverage.make], unit and weighted) and the
    eq. 9 fit ([Projection.fit_theta] over the pipeline's 100 log-spaced
    samples), each against its retained reference.  Prints the time per
-   call and the minor and direct-major words one call allocates, and exits
-   1 on any bit difference: [at] at every k, [detections_in_order],
-   [final], and the fitted (R, θmax, rmse). *)
+   call and the minor and direct-major words one call allocates, and fails
+   on any bit difference: [at] at every k, [detections_in_order], [final],
+   and the fitted (R, θmax, rmse). *)
 let projection_bench () =
   section_banner "Projection" "coverage curves and eq. 9 fit vs their references";
   let module C = Dl_fault.Coverage in
@@ -1472,27 +1351,19 @@ let projection_bench () =
     ignore (Sys.opaque_identity (f ()));
     (* [Gc.minor_words], not [Gc.counters]: the latter's minor count is
        inexact on OCaml 5.1. *)
-    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int reps in
-    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    let (minor, major), s =
+      timed (fun () ->
+          let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+          for _ = 1 to reps do
+            ignore (Sys.opaque_identity (f ()))
+          done;
+          let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+          (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0)))
+    in
     let per_call w = w /. float_of_int reps in
-    ( us,
-      Printf.sprintf "%.0f/%.0f" (per_call (minor1 -. minor0))
-        (per_call ((major1 -. major0) -. (promoted1 -. promoted0))) )
+    (per_call (s *. 1e6), Printf.sprintf "%.0f/%.0f" (per_call minor) (per_call major))
   in
   let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
-  let failed = ref false in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.printf "FAIL %s\n%!" m;
-        failed := true)
-      fmt
-  in
   List.iter
     (fun name ->
       let e =
@@ -1516,14 +1387,15 @@ let projection_bench () =
       let curve job ?weights firsts =
         let fast = C.make ?weights firsts and slow = C.Reference.make ?weights firsts in
         for k = 0 to n + 1 do
-          if not (same (C.at fast k) (C.Reference.at slow k)) then
-            fail "%s %s: at %d differs from the reference" name job k
+          check (same (C.at fast k) (C.Reference.at slow k))
+            "%s %s: at %d differs from the reference" name job k
         done;
         let fd = C.detections_in_order fast and sd = C.Reference.detections_in_order slow in
-        if Array.length fd <> Array.length sd
-           || not (Array.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') fd sd)
-           || not (same (C.final fast) (C.Reference.final slow))
-        then fail "%s %s: detections_in_order or final differs from the reference" name job;
+        check
+          (Array.length fd = Array.length sd
+          && Array.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') fd sd
+          && same (C.final fast) (C.Reference.final slow))
+          "%s %s: detections_in_order or final differs from the reference" name job;
         row job ~reps:200
           (fun () -> ignore (C.Reference.make ?weights firsts))
           (fun () -> ignore (C.make ?weights firsts));
@@ -1537,17 +1409,17 @@ let projection_bench () =
           (Experiment.sample_ks e ~points:100)
       in
       let fast = Projection.fit_theta points and slow = Projection.Reference.fit_theta points in
-      if not (same fast.params.r slow.params.r
-              && same fast.params.theta_max slow.params.theta_max
-              && same fast.rmse slow.rmse)
-      then fail "%s: fit_theta differs from the reference" name;
+      check
+        (same fast.params.r slow.params.r
+        && same fast.params.theta_max slow.params.theta_max
+        && same fast.rmse slow.rmse)
+        "%s: fit_theta differs from the reference" name;
       row "fit_theta" ~reps:10
         (fun () -> ignore (Projection.Reference.fit_theta points))
         (fun () -> ignore (Projection.fit_theta points)))
     [ "c17"; "c432s_small"; "c880s" ];
   Table.print t;
-  if !failed then exit 1;
-  print_endline "identical curves and fits on every circuit."
+  if !section_ok then print_endline "identical curves and fits on every circuit."
 
 (* ---------------------------------------------------------- micro-benches *)
 
@@ -1676,19 +1548,17 @@ let micro () =
    (a) Wafer_mc.simulate sustains a minimum dies/sec over the extracted
    weight universe, (b) every MC band contains the paper's closed-form
    point estimate (eq. 3) between its 5% and 95% per-wafer quantiles, and
-   (c) the bootstrap CIs contain their own full-data point estimates.
-   Writes the machine-readable BENCH_mc.json (or $BENCH_MC_JSON). *)
+   (c) the bootstrap CIs contain their own full-data point estimates. *)
 let mc_bench () =
   section_banner "MC" "wafer Monte-Carlo + bootstrap gates (c432s)";
   let c = Dl_netlist.Benchmarks.c432s () in
   let mc = Experiment.mc ~dies:20_000 () in
   Printf.printf "[pipeline with --mc-dies 20000 --bootstrap 100...]\n%!";
-  let t0 = Unix.gettimeofday () in
-  let e =
-    Experiment.run
-      (Experiment.config ~seed:7 ~max_random_vectors:256 ~mc ~bootstrap:100 c)
+  let e, pipeline_s =
+    timed (fun () ->
+        Experiment.run
+          (Experiment.config ~seed:7 ~max_random_vectors:256 ~mc ~bootstrap:100 c))
   in
-  let pipeline_s = Unix.gettimeofday () -. t0 in
   let m = Option.get e.Experiment.wafer_mc in
   let b = Option.get e.Experiment.bootstrap_fit in
   (* Throughput: re-run the simulator alone over the same universe. *)
@@ -1703,19 +1573,18 @@ let mc_bench () =
       m.Wafer_mc.bands
   in
   let dies = 50_000 in
-  let t0 = Unix.gettimeofday () in
-  let timed =
-    Wafer_mc.simulate
-      ~seeds:(Dl_util.Seeds.scope (Dl_util.Seeds.create 7) "bench-mc")
-      ~dies ~weights:e.Experiment.scaled_weights ~firsts ~points ()
+  let standalone, mc_s =
+    timed (fun () ->
+        Wafer_mc.simulate
+          ~seeds:(Dl_util.Seeds.scope (Dl_util.Seeds.create 7) "bench-mc")
+          ~dies ~weights:e.Experiment.scaled_weights ~firsts ~points ())
   in
-  let mc_s = Unix.gettimeofday () -. t0 in
   let dies_per_s = float_of_int dies /. mc_s in
   Printf.printf
     "pipeline %.2f s; standalone MC: %d dies x %d points in %.3f s = %.0f \
      dies/s (observed yield %.4f)\n"
     pipeline_s dies (Array.length points) mc_s dies_per_s
-    (Wafer_mc.observed_yield timed);
+    (Wafer_mc.observed_yield standalone);
   let final = Wafer_mc.final_band m in
   Printf.printf
     "final band (k=%d, theta=%.4f): DL %.1f ppm in [%.1f, %.1f] ppm; \
@@ -1750,43 +1619,25 @@ let mc_bench () =
     && Bootstrap.contains b.Bootstrap.theta_max
          b.Bootstrap.point.Projection.params.theta_max
   in
-  let json_path =
-    match Sys.getenv_opt "BENCH_MC_JSON" with
-    | Some p -> p
-    | None -> "BENCH_mc.json"
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"section\": \"mc\", \"dies\": %d, \"mc_s\": %.3f, \"dies_per_s\": \
-     %.0f, \"pipeline_s\": %.2f, \"bands\": %d, \"band_contains_point\": %b, \
-     \"bootstrap_ci_contains_point\": %b}\n"
-    dies mc_s dies_per_s pipeline_s (Array.length m.Wafer_mc.bands)
-    (bad_band = None) ci_ok;
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
+  count "dies" dies;
+  metric "mc_s" mc_s "s";
+  metric "dies_per_s" dies_per_s "1/s";
+  metric "pipeline_s" pipeline_s "s";
+  count "bands" (Array.length m.Wafer_mc.bands);
+  flag "band_contains_point" (bad_band = None);
+  flag "bootstrap_ci_contains_point" ci_ok;
   let min_dies_per_s = 20_000.0 in
-  if dies_per_s < min_dies_per_s then begin
-    Printf.eprintf "FAIL: %.0f dies/s below the %.0f dies/s floor\n" dies_per_s
-      min_dies_per_s;
-    failed := true
-  end;
-  (match bad_band with
-  | Some band ->
-      Printf.eprintf
-        "FAIL: band at k=%d does not contain the closed-form point estimate\n"
-        band.Wafer_mc.k;
-      failed := true
-  | None -> ());
-  if not ci_ok then begin
-    Printf.eprintf
-      "FAIL: bootstrap CI does not contain its own point estimate\n";
-    failed := true
-  end;
-  if !failed then exit 1;
-  print_endline
-    "gate: MC throughput above floor; bands bracket the closed form; \
-     bootstrap CIs bracket their point estimates."
+  check (dies_per_s >= min_dies_per_s) "%.0f dies/s below the %.0f dies/s floor"
+    dies_per_s min_dies_per_s;
+  Option.iter
+    (fun (band : Wafer_mc.band) ->
+      check false "band at k=%d does not contain the closed-form point estimate"
+        band.k)
+    bad_band;
+  check ci_ok "bootstrap CI does not contain its own point estimate";
+  gate
+    "MC throughput above floor; bands bracket the closed form; bootstrap CIs \
+     bracket their point estimates."
 
 (* ------------------------------------------------------------ ndet bench *)
 
@@ -1794,18 +1645,16 @@ let mc_bench () =
    chunked multi-detect driver at quota 4 must cost at most 2.5x the
    dropping 1-detection engine on the same universe and vector sequence
    (best of 3 runs each), and (b) the full-pipeline DL(n) table must be
-   monotone non-increasing in n at the shared coverage target.  Writes the
-   machine-readable BENCH_ndet.json (or $BENCH_NDET_JSON). *)
+   monotone non-increasing in n at the shared coverage target. *)
 let ndet_bench () =
   section_banner "NDET" "multi-detect overhead + DL(n) monotonicity (c880s)";
   let c = Dl_netlist.Benchmarks.c880s () in
   Printf.printf "[pipeline with --ndet 8...]\n%!";
-  let t0 = Unix.gettimeofday () in
-  let e =
-    Experiment.run
-      (Experiment.config ~seed:7 ~max_random_vectors:256 ~ndet:8 c)
+  let e, pipeline_s =
+    timed (fun () ->
+        Experiment.run
+          (Experiment.config ~seed:7 ~max_random_vectors:256 ~ndet:8 c))
   in
-  let pipeline_s = Unix.gettimeofday () -. t0 in
   let nd = Option.get e.Experiment.ndet in
   let mapped = e.Experiment.mapped_circuit in
   let faults = e.Experiment.stuck_faults in
@@ -1822,20 +1671,14 @@ let ndet_bench () =
         Array.init n_pi (fun _ -> Dl_util.Rng.bool rng))
   in
   let repeats = 10 in
-  let best_of_3 f =
-    let rec go best i =
-      if i >= 3 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to repeats do
-          ignore (Sys.opaque_identity (f ()))
-        done;
-        go
-          (Float.min best ((Unix.gettimeofday () -. t0) /. float_of_int repeats))
-          (i + 1)
-      end
+  let per_run f =
+    let (), s =
+      best_of 3 (fun () ->
+          for _ = 1 to repeats do
+            ignore (Sys.opaque_identity (f ()))
+          done)
     in
-    go infinity 0
+    s /. float_of_int repeats
   in
   let single =
     Dl_fault.Fault_sim.run_with ~engine ~drop_detected:true mapped ~faults
@@ -1845,12 +1688,12 @@ let ndet_bench () =
     Dl_fault.Fault_sim.run_ndet ~engine ~drop_after:4 mapped ~faults ~vectors
   in
   let t_single =
-    best_of_3 (fun () ->
+    per_run (fun () ->
         Dl_fault.Fault_sim.run_with ~engine ~drop_detected:true mapped ~faults
           ~vectors)
   in
   let t_ndet4 =
-    best_of_3 (fun () ->
+    per_run (fun () ->
         Dl_fault.Fault_sim.run_ndet ~engine ~drop_after:4 mapped ~faults
           ~vectors)
   in
@@ -1889,45 +1732,24 @@ let ndet_bench () =
       if j > 0 && r.Dl_n.dl_at_target > rows.(j - 1).Dl_n.dl_at_target +. 1e-12
       then monotone := false)
     rows;
-  let json_path =
-    match Sys.getenv_opt "BENCH_NDET_JSON" with
-    | Some p -> p
-    | None -> "BENCH_ndet.json"
-  in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"section\": \"ndet\", \"pipeline_s\": %.2f, \"t_single_s\": %.4f, \
-     \"t_ndet4_s\": %.4f, \"overhead\": %.3f, \"wall_ratio\": %.3f, \
-     \"single_evals\": %d, \"ndet4_evals\": %d, \"dl_monotone\": %b, \
-     \"rows\": [%s]}\n"
-    pipeline_s t_single t_ndet4 overhead wall_ratio
-    single.Dl_fault.Fault_sim.gate_evaluations
-    ndet4.Dl_fault.Fault_sim.gate_evaluations !monotone
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun (r : Dl_n.row) ->
-               Printf.sprintf "{\"n\": %d, \"dl_at_target\": %.17g}" r.Dl_n.n
-                 r.Dl_n.dl_at_target)
-             rows)));
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
+  metric "pipeline_s" pipeline_s "s";
+  metric "t_single_s" t_single "s";
+  metric "t_ndet4_s" t_ndet4 "s";
+  metric "overhead" overhead "x";
+  metric "wall_ratio" wall_ratio "x";
+  count "single_evals" single.Dl_fault.Fault_sim.gate_evaluations;
+  count "ndet4_evals" ndet4.Dl_fault.Fault_sim.gate_evaluations;
+  flag "dl_monotone" !monotone;
+  Array.iter
+    (fun (r : Dl_n.row) ->
+      metric (Printf.sprintf "n%d.dl_at_target" r.n) r.dl_at_target "ratio")
+    rows;
   let max_overhead = 2.5 in
-  if overhead > max_overhead then begin
-    Printf.eprintf
-      "FAIL: run_ndet(4) work overhead %.2fx above the %.1fx ceiling\n"
-      overhead max_overhead;
-    failed := true
-  end;
-  if not !monotone then begin
-    Printf.eprintf "FAIL: DL(n) at the shared target is not non-increasing\n";
-    failed := true
-  end;
-  if !failed then exit 1;
-  print_endline
-    "gate: multi-detect overhead under the ceiling; DL(n) monotone \
-     non-increasing."
+  check (overhead <= max_overhead)
+    "run_ndet(4) work overhead %.2fx above the %.1fx ceiling" overhead
+    max_overhead;
+  check !monotone "DL(n) at the shared target is not non-increasing";
+  gate "multi-detect overhead under the ceiling; DL(n) monotone non-increasing."
 
 (* ------------------------------------------------------------------ main *)
 
@@ -1971,12 +1793,21 @@ let () =
     | _ ->
         List.filter (fun s -> s <> "swift" && s <> "atpg") (List.map fst sections)
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown section %S (have: %s)\n" name
-            (String.concat " " (List.map fst sections));
-          exit 1)
-    requested
+  (match List.filter (fun name -> not (List.mem_assoc name sections)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown section %s (have: %s)\n"
+        (String.concat " " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat " " (List.map fst sections));
+      exit 2);
+  Fun.protect
+    ~finally:(fun () -> write_rows "BENCH.jsonl")
+    (fun () ->
+      List.iter
+        (fun name ->
+          current := name;
+          section_ok := true;
+          (List.assoc name sections) ())
+        requested);
+  Printf.printf "\nwrote BENCH.jsonl (%d rows)\n" (List.length !rows);
+  if !failed then exit 1

@@ -69,7 +69,7 @@ let () =
   Table.print t;
 
   (* Model fit (fig. 5 territory). *)
-  let fit = Experiment.fit_params e () in
+  let fit = e.fit in
   Printf.printf
     "\nfitted eq. 11 parameters: R = %.2f, θmax = %.3f (paper's c432 fit: R = 1.9, θmax = 0.96)\n"
     fit.params.r fit.params.theta_max;

@@ -23,7 +23,7 @@ let run stats =
   Experiment.run (Experiment.config ~seed:7 ~max_random_vectors:512 ~stats circuit)
 
 let describe label e =
-  let fit = Experiment.fit_params e () in
+  let fit = e.Experiment.fit in
   let k = Array.length e.Experiment.vectors in
   Printf.printf "%-22s R = %.2f  θmax = %.3f  final DL = %s\n" label fit.params.r
     fit.params.theta_max
@@ -65,7 +65,7 @@ let () =
           (Defect_stats.scale_class assumed (Defect_stats.Open_on Geom.Metal1) scale)
           (Defect_stats.Open_on Geom.Metal2) scale
       in
-      let fit = Experiment.fit_params (run stats) () in
+      let fit = (run stats).Experiment.fit in
       let err = Float.abs (fit.params.r -. fit_actual.params.r) in
       if err < snd !best then best := (scale, err);
       Table.add_row t

@@ -51,8 +51,8 @@ val run :
     ~n_vectors ()] bootstraps over the stuck-at first-detection array (the
     T(k) sample) and the parallel realistic (first, weight) pairs (the
     Θ(k) sample), fitting on [fit_points] (default 100) log-spaced vector
-    counts up to [n_vectors] — the same grid as
-    {!Experiment.fit_params}.
+    counts up to [n_vectors] — the same grid as the pipeline's own
+    fit ([Experiment.t.fit]).
     @raise Invalid_argument on non-positive [replicates] or [n_vectors],
     yield outside (0, 1], empty detection arrays, or a firsts/weights
     length mismatch. *)

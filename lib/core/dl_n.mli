@@ -50,6 +50,6 @@ val analyze :
   t
 (** Build the dl-vs-n table.  [ns] defaults to {!default_ns}; every
     entry must be in [1, max_n profile].  [fit_points] (default 100,
-    matching {!Experiment.fit_params}) controls the log-spaced sample
+    matching the pipeline's own fit) controls the log-spaced sample
     grid, so at [n:1] the fitted parameters are bit-identical to the
     single-detection pipeline fit over the same curves. *)

@@ -682,9 +682,4 @@ let dl_vs_t_points t ~ks =
 let dl_vs_gamma_points t ~ks =
   Array.map (fun k -> (Coverage.at t.gamma_curve k, defect_level_at t k)) ks
 
-let fit_params t ?(points = fit_sample_points) () =
-  Projection.fit_theta
-    (fit_samples ~t:t.t_curve ~theta:t.theta_curve
-       ~n:(Array.length t.vectors) ~points)
-
 let pp_summary ppf t = Format.pp_print_string ppf t.summary

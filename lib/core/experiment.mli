@@ -176,8 +176,9 @@ type t = {
       (** Θ(k) when IDDQ accompanies every vector. *)
   swift_result : Dl_switch.Swift.result;
   fit : Projection.fit;
-      (** The eq. 9 fit over {!fit_params}'s default sampling (cached with
-          the projection stage). *)
+      (** The eq. 9 fit of [(R, θmax)] on [(T(k), Θ(k))] at 100 log-spaced
+          vector counts up to the sequence length (cached with the
+          projection stage). *)
   wafer_mc : Wafer_mc.t option;
       (** Monte-Carlo DL(T) bands when [cfg.mc] is set (cached as the
           [wafer-mc] stage, seeded from [cfg.seed]). *)
@@ -225,11 +226,6 @@ val dl_vs_t_points : t -> ks:int array -> (float * float) array
 
 val dl_vs_gamma_points : t -> ks:int array -> (float * float) array
 (** Fig. 6 scatter: [(Γ(k), DL(Θ(k)))]. *)
-
-val fit_params : t -> ?points:int -> unit -> Projection.fit
-(** Fit [(R, θmax)] on the [(T(k), Θ(k))] relation (eq. 9) over log-spaced
-    sample counts (default 100).  At the default resolution this equals
-    [t.fit]. *)
 
 val sample_ks : t -> points:int -> int array
 (** Log-spaced vector counts covering the applied sequence. *)

@@ -40,7 +40,7 @@ let of_experiment ?(points = 12) (e : Experiment.t) =
         (ppm (Experiment.defect_level_at e k))
         (ppm (Williams_brown.defect_level ~yield:e.yield ~coverage:t)))
     (Experiment.coverage_rows e ~ks:(Experiment.sample_ks e ~points));
-  let fit = Experiment.fit_params e () in
+  let fit = e.fit in
   out "\n## Fitted model (eq. 11)\n\n";
   out "- R = %.3f, θmax = %.4f (rmse %.4f, %s, on the Θ(T) relation)\n" fit.params.r
     fit.params.theta_max fit.rmse

@@ -106,9 +106,6 @@ let encode_patterns buf (vs : bool array array) =
 
 let decode_patterns cur = B.read_array B.read_bools_packed cur
 
-let patterns : bool array array Codec.t =
-  { kind = "patterns"; version = 1; encode = encode_patterns; decode = decode_patterns }
-
 (* ------------------------------------------------------ stuck faults *)
 
 let encode_stuck buf (f : Stuck_at.t) =

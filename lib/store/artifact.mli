@@ -1,5 +1,5 @@
 (** Typed binary codecs for every pipeline artifact the stage graph
-    caches: circuits, pattern sets, stuck-at universes, per-fault
+    caches: circuits, ATPG test sets, stuck-at universes, per-fault
     detection results, IFA extraction output and experiment summaries.
 
     All codecs are exact round-trips: floats are stored bit-for-bit and
@@ -11,9 +11,6 @@
 open Dl_netlist
 
 val circuit : Circuit.t Codec.t
-
-val patterns : bool array array Codec.t
-(** Test-vector sequences, bit-packed 8 vectors' bits per byte. *)
 
 val stuck_faults : Dl_fault.Stuck_at.t array Codec.t
 

@@ -78,17 +78,34 @@ let test_dl_floor_is_residual () =
 
 let test_fit_parameters_in_plausible_range () =
   let e = Lazy.force experiment in
-  let fit = Experiment.fit_params e () in
+  let fit = e.fit in
   Alcotest.(check bool) "R plausible" true (fit.params.r > 0.5 && fit.params.r < 5.0);
   Alcotest.(check bool) "theta_max plausible" true
     (fit.params.theta_max > 0.7 && fit.params.theta_max <= 1.0);
   Alcotest.(check bool) "fit is tight" true (fit.rmse < 0.05)
 
+(* [e.fit] is eq. 9 fitted on the run's own (T(k), Θ(k)) curves at 100
+   log-spaced vector counts, bit for bit: callers read it instead of
+   refitting. *)
+let test_fit_is_own_curves_fit () =
+  let e = Lazy.force experiment in
+  let points =
+    Array.map
+      (fun k -> (Coverage.at e.t_curve k, Coverage.at e.theta_curve k))
+      (Experiment.sample_ks e ~points:100)
+  in
+  let refit = Projection.fit_theta points in
+  let bits (f : Projection.fit) =
+    List.map Int64.bits_of_float [ f.params.r; f.params.theta_max; f.rmse ]
+  in
+  Alcotest.(check (list int64)) "R, θmax, rmse" (bits refit) (bits e.fit);
+  Alcotest.(check bool) "rmse scale" true (refit.rmse_scale = e.fit.rmse_scale)
+
 let test_fitted_model_tracks_simulation () =
   (* eq 11 with the fitted parameters reproduces the simulated DL(T) cloud
      (paper fig 5's "the theoretical curve matches very well") *)
   let e = Lazy.force experiment in
-  let fit = Experiment.fit_params e () in
+  let fit = e.fit in
   let ks = Experiment.sample_ks e ~points:25 in
   Array.iter
     (fun k ->
@@ -182,6 +199,7 @@ let () =
           Alcotest.test_case "IDDQ improves theta" `Quick test_iddq_improves_theta;
           Alcotest.test_case "DL floor = residual" `Quick test_dl_floor_is_residual;
           Alcotest.test_case "fit plausible" `Quick test_fit_parameters_in_plausible_range;
+          Alcotest.test_case "fit = eq. 9 on own curves" `Quick test_fit_is_own_curves_fit;
           Alcotest.test_case "model tracks simulation" `Quick
             test_fitted_model_tracks_simulation;
           Alcotest.test_case "DL decreases" `Quick test_dl_points_decrease;

@@ -192,9 +192,12 @@ let test_version_bump_is_stale () =
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
 
 let test_kind_mismatch () =
-  let data = Codec.to_bytes Artifact.patterns [| [| true; false |] |] in
+  let data =
+    Codec.to_bytes Artifact.stuck_faults
+      (Dl_fault.Stuck_at.universe (Benchmarks.c17 ()))
+  in
   match Codec.of_bytes Artifact.circuit data with
-  | Error (Codec.Kind_mismatch { expected = "circuit"; found = "patterns" }) -> ()
+  | Error (Codec.Kind_mismatch { expected = "circuit"; found = "stuck-faults" }) -> ()
   | Ok _ -> Alcotest.fail "wrong kind decoded"
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
 
@@ -232,6 +235,7 @@ let prop_stuck_faults_roundtrip =
       && roundtrip Artifact.stuck_faults
            (Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c)))
 
+(* Pattern sets are stored inside the atpg artifact, bit-packed. *)
 let prop_patterns_roundtrip =
   QCheck.Test.make ~name:"pattern sets round-trip" ~count:100
     QCheck.(pair small_nat (int_range 0 24))
@@ -240,7 +244,23 @@ let prop_patterns_roundtrip =
       let vs =
         Array.init n (fun _ -> Array.init width (fun _ -> Dl_util.Rng.bool rng))
       in
-      roundtrip Artifact.patterns vs)
+      roundtrip Artifact.atpg
+        {
+          Dl_atpg.Atpg.vectors = vs;
+          stats =
+            {
+              total_faults = 0;
+              random_detected = 0;
+              deterministic_detected = 0;
+              untestable = 0;
+              aborted = 0;
+              random_vectors = n;
+              deterministic_vectors = 0;
+            };
+          coverage = 0.0;
+          untestable_faults = [||];
+          aborted_faults = [||];
+        })
 
 let prop_detections_roundtrip =
   QCheck.Test.make ~name:"detection results round-trip (v2, with stats)"
@@ -770,13 +790,14 @@ let test_store_gc_drops_stale_and_corrupt () =
       (* Size-capped eviction: oldest goes first (valid envelopes, so only
          the size cap can remove them). *)
       Store.clear s;
-      let vs = Array.init 100 (fun _ -> Array.make 80 true) in
-      let payload = Codec.to_bytes Artifact.patterns vs in
-      let version = Artifact.patterns.Codec.version in
-      Store.put s ~key:(String.make 32 'd') ~kind:"patterns" ~version payload;
-      Store.put s ~key:(String.make 32 'e') ~kind:"patterns" ~version payload;
+      let faults = Dl_fault.Stuck_at.universe (Benchmarks.c432s ()) in
+      let payload = Codec.to_bytes Artifact.stuck_faults faults in
+      let kind = Artifact.stuck_faults.Codec.kind in
+      let version = Artifact.stuck_faults.Codec.version in
+      Store.put s ~key:(String.make 32 'd') ~kind ~version payload;
+      Store.put s ~key:(String.make 32 'e') ~kind ~version payload;
       let cap = Bytes.length payload * 3 / 2 in
-      let r = Store.gc ~current:[ ("patterns", version) ] ~max_bytes:cap s in
+      let r = Store.gc ~current:[ (kind, version) ] ~max_bytes:cap s in
       Alcotest.(check int) "evicted one" 1 r.removed_evicted;
       Alcotest.(check bool) "oldest evicted" false
         (Store.mem s (String.make 32 'd'));
