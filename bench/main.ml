@@ -8,8 +8,8 @@
      dune exec bench/main.exe -- fig4 fig5  # selected sections
 
    Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
-   quality resistive stability sweep clustered lot par kernel store serve
-   serve-load cluster mc ndet projection micro, and swift and atpg (only
+   stability sweep clustered lot par kernel store serve serve-load cluster
+   mc ndet projection micro, and swift and atpg (only
    when named: reference runs of minutes and seconds).  An unknown name
    fails the run (exit 2) before any section starts.
 
@@ -346,90 +346,16 @@ let delay () =
     ks;
   Table.print t;
   Printf.printf
-    "transition coverage lags stuck-at at every k (two conditions per      detection)
-and saturates at %s; a dedicated two-pattern ATPG      (Transition_atpg) covers the rest.
-"
+    "transition coverage lags stuck-at at every k (two conditions per detection)\n\
+     and saturates at %s; a dedicated two-pattern ATPG (Transition_atpg)\n\
+     covers the rest.\n"
     (Table.fmt_pct (Dl_fault.Transition.coverage r));
   let timing = Dl_logic.Timing.analyze c in
   Printf.printf
-    "critical path: %.1f delay units through %d stages; worst slack %.2f
-"
+    "critical path: %.1f delay units through %d stages; worst slack %.2f\n"
     (Dl_logic.Timing.critical_path_delay timing)
     (List.length (Dl_logic.Timing.critical_path timing))
     (Dl_logic.Timing.worst_slack timing)
-
-(* ----------------------------------------------------------- test quality *)
-
-let quality () =
-  let e = Lazy.force experiment in
-  section_banner "Quality" "n-detect profile and fault sampling (extension)";
-  let c = e.Experiment.mapped_circuit in
-  (* n-detect over a manageable prefix of the vector sequence *)
-  let budget = min 256 (Array.length e.Experiment.vectors) in
-  let vectors = Array.sub e.Experiment.vectors 0 budget in
-  let dict = Dl_fault.Dictionary.build c ~faults:e.Experiment.stuck_faults ~vectors in
-  let t = Table.create [ ("n", Table.Right); ("n-detect coverage", Table.Right) ] in
-  List.iter
-    (fun (n, cov) -> Table.add_row t [ string_of_int n; Table.fmt_pct cov ])
-    (Dl_fault.Dictionary.n_detect_profile dict ~max_n:8);
-  Table.print t;
-  Printf.printf "compacted test set: %d of %d vectors preserve coverage
-"
-    (List.length (Dl_fault.Dictionary.greedy_compaction dict))
-    budget;
-  (* sampling accuracy *)
-  let full = Dl_fault.Fault_sim.run c ~faults:e.Experiment.stuck_faults ~vectors in
-  let actual = Dl_fault.Fault_sim.coverage full in
-  let est =
-    Dl_fault.Sampling.estimate_coverage ~seed:5
-      ~sample_size:(Array.length e.Experiment.stuck_faults / 3)
-      c ~faults:e.Experiment.stuck_faults ~vectors
-  in
-  Printf.printf
-    "sampled coverage %.2f%% ± %.2f%% (95%%) vs exact %.2f%% — %s
-"
-    (100.0 *. est.coverage) (100.0 *. est.half_width) (100.0 *. actual)
-    (if Dl_fault.Sampling.interval_ok est ~actual then "interval covers" else "MISS")
-
-(* ---------------------------------------------------------- resistive bridges *)
-
-(* How much of the extracted bridge population stays voltage-detectable as
-   bridge resistance grows (Renovell's resistive bridging model): the
-   physical knob behind theta_max. *)
-let resistive () =
-  let e = Lazy.force experiment in
-  section_banner "Resistive" "bridge coverage vs short resistance (extension)";
-  let m = Dl_cell.Mapping.flatten e.Experiment.mapped_circuit in
-  let network = Dl_switch.Network.build m in
-  (* The 40 heaviest extracted bridges carry most of the weight. *)
-  let bridges =
-    Array.to_list e.Experiment.extraction.faults
-    |> List.filter_map (fun (f : Dl_switch.Realistic.t) ->
-           match f.kind with
-           | Dl_switch.Realistic.Bridge { node_a; node_b } ->
-               Some (f.weight, (node_a, node_b))
-           | _ -> None)
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-    |> List.filteri (fun i _ -> i < 40)
-    |> List.map snd |> Array.of_list
-  in
-  let budget = min 128 (Array.length e.Experiment.vectors) in
-  let vectors = Array.sub e.Experiment.vectors 0 budget in
-  let sweep =
-    Dl_switch.Resistive.coverage_vs_resistance network ~bridges ~vectors
-      ~resistances:[| 0.0; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 |]
-  in
-  let t = Table.create
-      [ ("R_bridge (nmos units)", Table.Right); ("bridges detected", Table.Right) ]
-  in
-  Array.iter
-    (fun (r, cov) ->
-      Table.add_row t [ Printf.sprintf "%.1f" r; Table.fmt_pct cov ])
-    sweep;
-  Table.print t;
-  print_endline
-    "higher-resistance shorts stop flipping logic and escape the voltage test:
-     the resistive tail is part of the residual defect level that IDDQ recovers."
 
 (* ------------------------------------------------------------ clustered DL *)
 
@@ -451,8 +377,8 @@ let clustered () =
     [ 0.0; 0.5; 0.8; 0.9; 0.95; 0.99 ];
   Table.print t;
   print_endline
-    "clustering (small alpha) lowers DL at equal yield/coverage: faulty dies
-     carry several faults and partial tests catch them — the statistics-side
+    "clustering (small alpha) lowers DL at equal yield/coverage: faulty dies\n\
+     carry several faults and partial tests catch them — the statistics-side\n\
      view of Agrawal's multiple-fault argument."
 
 (* ---------------------------------------------------------- seed stability *)
@@ -566,29 +492,37 @@ let sweep () =
 
 (* --------------------------------------------------------------- lot check *)
 
+(* Eq. 3 checked by sampling: a simulated lot over the extracted fault
+   population, with both clustering alphas infinite (independent Poisson
+   defects, the model eq. 3 assumes), tested with the whole vector
+   sequence. *)
 let lot () =
   let e = Lazy.force experiment in
   section_banner "Lot" "Monte-Carlo production lot vs the analytic model";
-  let detected =
+  let firsts =
     Array.map
-      (fun (d : Dl_switch.Swift.detection) -> d.voltage <> None)
+      (fun (d : Dl_switch.Swift.detection) -> d.voltage)
       e.Experiment.swift_result.detection
   in
+  let k = Array.length e.Experiment.vectors in
   let lot =
-    Production.simulate ~seed:13 ~dies:200_000 ~weights:e.Experiment.scaled_weights
-      ~detected ()
+    Wafer_mc.simulate
+      ~seeds:(Dl_util.Seeds.scope (Dl_util.Seeds.create 13) "bench-lot")
+      ~dies:200_000 ~weights:e.Experiment.scaled_weights ~firsts
+      ~points:[| (k, Coverage.at e.Experiment.theta_curve k) |]
+      ()
   in
   let analytic =
-    Weighted.defect_level_of_weights ~weights:e.Experiment.scaled_weights ~detected
+    Weighted.defect_level_of_weights ~weights:e.Experiment.scaled_weights
+      ~detected:(Array.map Option.is_some firsts)
   in
   Printf.printf
-    "200k simulated dies with the extracted fault population:
-    \  observed yield        %.4f   (target 0.75)
-    \  empirical defect lvl  %s
-    \  eq. 3 prediction      %s
-"
-    (Production.observed_yield lot)
-    (Table.fmt_ppm (Production.defect_level lot))
+    "200k simulated dies with the extracted fault population:\n\
+    \  observed yield        %.4f   (target 0.75)\n\
+    \  empirical defect lvl  %s\n\
+    \  eq. 3 prediction      %s\n"
+    (Wafer_mc.observed_yield lot)
+    (Table.fmt_ppm (Wafer_mc.final_band lot).dl_point)
     (Table.fmt_ppm analytic)
 
 (* ------------------------------------------------------- parallel engine *)
@@ -596,7 +530,9 @@ let lot () =
 (* Wall-clock speedup of Fault_sim.run_parallel over the serial engine on a
    c432-scale workload (collapsed fault universe, 1024 random vectors, no
    dropping so every block carries the full fault load), plus a bit-for-bit
-   identity check of every merged field at each domain count. *)
+   identity check of every merged field at each domain count.  Each time is
+   the best of five runs: one run takes about a millisecond, and a single
+   un-warmed one swings by an order of magnitude. *)
 let par () =
   section_banner "Par" "multicore PPSFP speedup vs domain count (c432s)";
   let c =
@@ -612,22 +548,31 @@ let par () =
   Printf.printf "%d faults x %d vectors, recommended domains: %d\n%!"
     (Array.length faults) (Array.length vectors)
     (Dl_util.Parallel.default_domains ());
+  let same (a : Dl_fault.Fault_sim.result) (b : Dl_fault.Fault_sim.result) =
+    a.first_detection = b.first_detection
+    && a.gate_evaluations = b.gate_evaluations
+  in
+  let yes_no ok = if ok then "yes" else "NO" in
   let serial, t_serial =
-    timed (fun () -> Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors)
+    best_of 5 (fun () ->
+        Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors)
   in
   Printf.printf "serial: %.3f s (%d detected, %d gate evals)\n%!" t_serial
     (Dl_fault.Fault_sim.detected_count serial)
     serial.gate_evaluations;
   (* Old-vs-new: the retained pre-kernel engine on the same workload. *)
   let reference, t_reference =
-    timed (fun () ->
+    best_of 5 (fun () ->
         Dl_fault.Fault_sim.Reference.run ~drop_detected:false c ~faults ~vectors)
   in
+  let reference_ok = reference.first_detection = serial.first_detection in
   Printf.printf
     "reference serial: %.3f s — wide speedup %.2fx, identical: %s\n%!"
-    t_reference (t_reference /. t_serial)
-    (if reference.first_detection = serial.first_detection then "yes"
-     else "NO");
+    t_reference (t_reference /. t_serial) (yes_no reference_ok);
+  metric "serial_s" t_serial "s";
+  metric "reference_s" t_reference "s";
+  check reference_ok
+    "par: the serial wide engine's detections differ from the reference's";
   let counts =
     List.sort_uniq Stdlib.compare [ 1; 2; 4; Dl_util.Parallel.default_domains () ]
   in
@@ -639,19 +584,19 @@ let par () =
     (fun domains ->
       Dl_util.Parallel.with_pool ~domains (fun pool ->
           let r, dt =
-            timed (fun () ->
+            best_of 5 (fun () ->
                 Dl_fault.Fault_sim.run_parallel ~drop_detected:false ~pool c
                   ~faults ~vectors)
           in
-          let identical =
-            r.first_detection = serial.first_detection
-            && r.gate_evaluations = serial.gate_evaluations
-          in
+          let identical = same r serial in
           Table.add_row t
             [ string_of_int domains;
               Printf.sprintf "%.3f s" dt;
               Printf.sprintf "%.2fx" (t_serial /. dt);
-              (if identical then "yes" else "NO") ]))
+              yes_no identical ];
+          metric (Printf.sprintf "domains%d.time_s" domains) dt "s";
+          metric (Printf.sprintf "domains%d.speedup" domains) (t_serial /. dt) "x";
+          check identical "par: %d domains differ from the serial run" domains))
     counts;
   Table.print t;
   (* The production mode (fault dropping) must agree too. *)
@@ -660,14 +605,13 @@ let par () =
     Dl_fault.Fault_sim.run_parallel ~drop_detected:true ~domains:4 c ~faults
       ~vectors
   in
-  Printf.printf "drop_detected mode identical at 4 domains: %s\n"
-    (if a.first_detection = b.first_detection
-        && a.gate_evaluations = b.gate_evaluations
-     then "yes"
-     else "NO");
+  let drop_ok = same a b in
+  Printf.printf "drop_detected mode identical at 4 domains: %s\n" (yes_no drop_ok);
+  check drop_ok "par: drop_detected mode differs from the serial run at 4 domains";
   print_endline
     "determinism: sharding is by fault index and merges preserve it, so the\n\
-     table above must read identical = yes at every domain count."
+     table above must read identical = yes at every domain count.";
+  gate "serial = reference; every domain count and drop mode identical to serial."
 
 (* ---------------------------------------------------------- PPSFP engine *)
 
@@ -1764,8 +1708,6 @@ let sections =
     ("examples", examples);
     ("ablation", ablation);
     ("delay", delay);
-    ("quality", quality);
-    ("resistive", resistive);
     ("stability", stability);
     ("sweep", sweep);
     ("clustered", clustered);

@@ -7,9 +7,6 @@
      COP analytics  ->  per-fault p_i  ->  expected T(k)  ->  fitted s_T
      -> test length for a coverage target -> defect level at that length
 
-   and then shows what weighted-random pattern biasing buys on the
-   random-pattern-resistant tail.
-
      dune exec examples/random_test_planning.exe
 *)
 
@@ -87,28 +84,4 @@ let () =
         [ string_of_int k; Table.fmt_pct cov;
           Table.fmt_ppm (Williams_brown.defect_level ~yield:0.75 ~coverage:cov) ])
     [ 10; 100; 1000; 10_000 ];
-  Table.print t2;
-  print_newline ();
-
-  (* 5. Weighted-random biasing against the resistant tail. *)
-  let resistant =
-    Array.of_list (Dl_atpg.Cop.random_pattern_resistant cop c ~threshold:0.01)
-  in
-  Printf.printf "random-pattern-resistant faults (COP p < 1%%): %d\n"
-    (Array.length resistant);
-  if Array.length resistant > 0 then begin
-    let bias = Dl_atpg.Weighted_random.optimize_bias ~budget:2048 c ~faults:resistant in
-    let uniform =
-      Dl_atpg.Weighted_random.expected_coverage c ~faults:resistant
-        ~bias:(Array.make (Circuit.input_count c) 0.5)
-        ~k:2048
-    in
-    let biased =
-      Dl_atpg.Weighted_random.expected_coverage c ~faults:resistant ~bias ~k:2048
-    in
-    Printf.printf
-      "expected coverage of the resistant tail after 2048 vectors:\n\
-      \  uniform random   %s\n\
-      \  weighted random  %s\n"
-      (Table.fmt_pct uniform) (Table.fmt_pct biased)
-  end
+  Table.print t2

@@ -6,7 +6,6 @@ type modification =
   | Remove_transistor of int
   | Short_transistor of int
   | Bridge_nodes of { node_a : int; node_b : int }
-  | Resistive_bridge of { node_a : int; node_b : int; resistance : float }
 
 (* Relative series resistances of the strength model.  The NMOS/PMOS ratio
    reflects electron/hole mobility, and deliberately breaks ties so that a
@@ -53,7 +52,7 @@ let make (net : Network.t) ~instances ~modifications =
     (function
       | Remove_transistor ti -> Hashtbl.replace removed ti ()
       | Short_transistor ti -> Hashtbl.replace shorted ti ()
-      | Bridge_nodes _ | Resistive_bridge _ -> ())
+      | Bridge_nodes _ -> ())
     modifications;
   let local_of = Hashtbl.create 32 in
   let globals = ref [] in
@@ -99,10 +98,11 @@ let make (net : Network.t) ~instances ~modifications =
       done)
     instances;
   let pi_nodes = ref [] in
-  let add_bridge node_a node_b resistance =
+  let add_bridge node_a node_b =
     let a = intern node_a and b = intern node_b in
     edges :=
-      { endpoint_a = a; endpoint_b = b; resistance; gating = Always_on } :: !edges;
+      { endpoint_a = a; endpoint_b = b; resistance = r_bridge; gating = Always_on }
+      :: !edges;
     List.iter
       (fun (g, l) ->
         if Network.is_primary_input net g then pi_nodes := (l, g) :: !pi_nodes
@@ -111,11 +111,7 @@ let make (net : Network.t) ~instances ~modifications =
   in
   List.iter
     (function
-      | Bridge_nodes { node_a; node_b } -> add_bridge node_a node_b r_bridge
-      | Resistive_bridge { node_a; node_b; resistance } ->
-          if Float.is_nan resistance || resistance < 0.0 then
-            invalid_arg "Solver: bridge resistance must be non-negative";
-          add_bridge node_a node_b resistance
+      | Bridge_nodes { node_a; node_b } -> add_bridge node_a node_b
       | Remove_transistor _ | Short_transistor _ -> ())
     modifications;
   (* De-duplicate resolved list, drop rails. *)
@@ -287,15 +283,15 @@ let solve t ~external_value ~charge =
 (* A region lowered into arrays: everything a compiled solve reads, and
    nothing else.  Locals keep [make]'s numbering, so the exact Dijkstra
    below scans nodes in the reference's order and breaks ties the same
-   way.  Edges that can never relax (self loops, infinite resistance) are
-   dropped.  Each gate terminal is resolved to a local (a solved node, or
-   a rail whose scratch value never changes) or to an external slot.
+   way.  Self loops, which can never relax, are dropped.  Each gate
+   terminal is resolved to a local (a solved node, or a rail whose scratch
+   value never changes) or to an external slot.
 
    Regions that lower to equal arrays are one [shape], interned per
    {!lowering}: a solve of a shape is a function of the external slot
    values and the charge alone, so every fault of a shape can share its
    solves.  The kept edges, solved nodes and pads decide the shape; the
-   CSR adjacency and [exact_only] are derived from them. *)
+   CSR adjacency is derived from them. *)
 type shape = {
   id : int;  (* dense index in the lowering that interned it *)
   n : int;
@@ -316,7 +312,6 @@ type shape = {
   pad_local : int array;
   pad_slot : int array;
   pad_r : float array;
-  exact_only : bool;  (* a path sum might overflow: always run Dijkstra *)
   operand : bool array;  (* per local: gates some kept transistor edge *)
 }
 
@@ -452,7 +447,7 @@ let collect lw ~instances ~modifications =
   (* The adjacency does not see which end is which, so neither does the
      shape. *)
   let edge a b r chan gate =
-    if a <> b && r < infinite then begin
+    if a <> b then begin
       push lw.e_a (Int.min a b);
       push lw.e_b (Int.max a b);
       push_float lw.e_r r;
@@ -464,7 +459,7 @@ let collect lw ~instances ~modifications =
     (function
       | Remove_transistor ti -> lw.removed.(ti) <- stamp
       | Short_transistor ti -> lw.shorted.(ti) <- stamp
-      | Bridge_nodes _ | Resistive_bridge _ -> ())
+      | Bridge_nodes _ -> ())
     modifications;
   List.iter
     (fun ii ->
@@ -491,20 +486,16 @@ let collect lw ~instances ~modifications =
     end
     else push lw.resolved l
   in
-  let bridge node_a node_b r =
+  let bridge node_a node_b =
     let a = intern node_a in
     let b = intern node_b in
-    edge a b r 0 (-1);
+    edge a b r_bridge 0 (-1);
     endpoint node_a a;
     endpoint node_b b
   in
   List.iter
     (function
-      | Bridge_nodes { node_a; node_b } -> bridge node_a node_b r_bridge
-      | Resistive_bridge { node_a; node_b; resistance } ->
-          if Float.is_nan resistance || resistance < 0.0 then
-            invalid_arg "Solver: bridge resistance must be non-negative";
-          bridge node_a node_b resistance
+      | Bridge_nodes { node_a; node_b } -> bridge node_a node_b
       | Remove_transistor _ | Short_transistor _ -> ())
     modifications;
   (gnd, vdd)
@@ -582,9 +573,6 @@ let new_shape lw ~id ~gnd ~vdd ~n_resolved =
     add e_a.(e) e_b.(e) e;
     add e_b.(e) e_a.(e) e
   done;
-  (* No path is longer than a pad driver (< 1) plus every edge in series;
-     while that stays far below [max_float], no distance sum overflows. *)
-  let total = Array.fold_left ( +. ) 1.0 e_r in
   let e_chan = contents lw.e_chan and e_gate = contents lw.e_gate in
   let operand = Array.make n false in
   for e = 0 to m - 1 do
@@ -610,7 +598,6 @@ let new_shape lw ~id ~gnd ~vdd ~n_resolved =
     pad_local = contents lw.pad_local;
     pad_slot = contents lw.pad_slot;
     pad_r = contents lw.pad_r;
-    exact_only = not (total < 1e300);
     operand;
   }
 
@@ -800,40 +787,23 @@ let shortest (cr : shape) s ~ext ~source ~definite dist =
     end
   done
 
-let mark_finite (cr : shape) s dist bit =
-  for l = 0 to cr.n - 1 do
-    if dist.(l) < infinite then s.reach.(l) <- s.reach.(l) lor bit
-  done
-
 (* One relaxation round's four rail passes into [s.reach]; when some solved
    node is definitely driven from both rails, also the exact definite
    distances, which decide who wins the fight. *)
 let rail_passes (cr : shape) s ~ext =
   Array.fill s.reach 0 cr.n 0;
-  if cr.exact_only then begin
-    shortest cr s ~ext ~source:cr.c_gnd ~definite:false s.dist_dn;
-    mark_finite cr s s.dist_dn pos_dn;
-    shortest cr s ~ext ~source:cr.c_vdd ~definite:false s.dist_dn;
-    mark_finite cr s s.dist_dn pos_up;
+  reach_pass cr s ~ext ~source:cr.c_gnd ~definite:true def_dn;
+  reach_pass cr s ~ext ~source:cr.c_vdd ~definite:true def_up;
+  reach_pass cr s ~ext ~source:cr.c_gnd ~definite:false pos_dn;
+  reach_pass cr s ~ext ~source:cr.c_vdd ~definite:false pos_up;
+  let both = ref false in
+  for i = 0 to Array.length cr.solved - 1 do
+    if s.reach.(cr.solved.(i)) land (def_dn lor def_up) = def_dn lor def_up then
+      both := true
+  done;
+  if !both then begin
     shortest cr s ~ext ~source:cr.c_gnd ~definite:true s.dist_dn;
-    mark_finite cr s s.dist_dn def_dn;
-    shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up;
-    mark_finite cr s s.dist_up def_up
-  end
-  else begin
-    reach_pass cr s ~ext ~source:cr.c_gnd ~definite:true def_dn;
-    reach_pass cr s ~ext ~source:cr.c_vdd ~definite:true def_up;
-    reach_pass cr s ~ext ~source:cr.c_gnd ~definite:false pos_dn;
-    reach_pass cr s ~ext ~source:cr.c_vdd ~definite:false pos_up;
-    let both = ref false in
-    for i = 0 to Array.length cr.solved - 1 do
-      if s.reach.(cr.solved.(i)) land (def_dn lor def_up) = def_dn lor def_up then
-        both := true
-    done;
-    if !both then begin
-      shortest cr s ~ext ~source:cr.c_gnd ~definite:true s.dist_dn;
-      shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up
-    end
+    shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up
   end
 
 let read_charge s = s.read_charge

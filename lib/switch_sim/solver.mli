@@ -20,10 +20,6 @@ type modification =
           gate-oxide short. *)
   | Bridge_nodes of { node_a : int; node_b : int }
       (** Hard (zero-resistance) short between two network nodes. *)
-  | Resistive_bridge of { node_a : int; node_b : int; resistance : float }
-      (** Short with a finite resistance in units of the NMOS channel
-          resistance: large values weaken the coupling until the bridge
-          stops flipping logic (its critical resistance). *)
 
 type t
 

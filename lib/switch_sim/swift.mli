@@ -117,7 +117,7 @@ val iddq_weighted_coverage :
 val signature : Network.t -> fault:Realistic.t -> vectors:bool array array -> bool array
 (** Per-vector tester signature of one fault under the full ordered
     sequence ([true] = the vector fails), with charge continuity preserved
-    for sequential (stuck-open) behaviour.  Input to diagnosis. *)
+    for sequential (stuck-open) behaviour. *)
 
 val good_values : Network.t -> bool array array -> bool array array
 (** [good_values net vectors]: fault-free circuit response, one bool per

@@ -1,7 +1,6 @@
-(* Tests for the extension layers: clustered-yield DL, fault sampling,
+(* Tests for the extension layers: clustered-yield DL,
    detection-probability theory, transition/delay faults, static timing,
-   production-lot Monte Carlo, n-detect metrics, SVG export and the extra
-   arithmetic generators. *)
+   SVG export and the extra arithmetic generators. *)
 
 open Dl_netlist
 
@@ -62,42 +61,6 @@ let test_clustered_fit () =
   let alpha_fit, rmse = Dl_core.Clustered.fit_alpha ~yield:yield_ pts in
   checkf_eps 1e-3 "alpha recovered" alpha_true alpha_fit;
   Alcotest.(check bool) "tight" true (rmse < 1e-6)
-
-(* --- Fault sampling ------------------------------------------------------------ *)
-
-let test_sampling_full_sample_exact () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
-  let vectors = random_vectors c 32 in
-  let full = Dl_fault.Fault_sim.run c ~faults ~vectors in
-  let est =
-    Dl_fault.Sampling.estimate_coverage ~sample_size:(Array.length faults) c ~faults
-      ~vectors
-  in
-  checkf_eps 1e-12 "full sample = truth" (Dl_fault.Fault_sim.coverage full) est.coverage;
-  checkf_eps 1e-12 "zero width (fpc)" 0.0 est.half_width
-
-let test_sampling_interval_contains_truth () =
-  let c = Option.get (Benchmarks.by_name "c432s") in
-  let c = Transform.decompose_for_cells c in
-  let faults = Dl_fault.Stuck_at.universe c in
-  let vectors = random_vectors c 48 in
-  let full = Dl_fault.Fault_sim.run c ~faults ~vectors in
-  let actual = Dl_fault.Fault_sim.coverage full in
-  (* with several seeds, the 95% interval should almost always contain it *)
-  let hits = ref 0 in
-  for seed = 1 to 20 do
-    let est =
-      Dl_fault.Sampling.estimate_coverage ~seed ~sample_size:150 c ~faults ~vectors
-    in
-    if Dl_fault.Sampling.interval_ok est ~actual then incr hits
-  done;
-  Alcotest.(check bool) "19/20 intervals cover" true (!hits >= 17)
-
-let test_sampling_required_size () =
-  (* classic: 1% half-width at 95% needs ~9604 *)
-  let n = Dl_fault.Sampling.required_sample_size ~half_width:0.01 () in
-  Alcotest.(check bool) "near 9604" true (n >= 9500 && n <= 9700)
 
 (* --- Detection probabilities ------------------------------------------------------ *)
 
@@ -270,83 +233,6 @@ let test_timing_cla_faster_than_ripple () =
   let d c = Dl_logic.Timing.critical_path_delay (Dl_logic.Timing.analyze c) in
   Alcotest.(check bool) "lookahead is faster" true (d cla < d rip)
 
-(* --- Production lot Monte Carlo ---------------------------------------------------------- *)
-
-let test_lot_validates_weighted_model () =
-  (* 2000 uniform faults, 80% detected, yield 0.75 by construction *)
-  let n = 2000 in
-  let w = -.log 0.75 /. float_of_int n in
-  let weights = Array.make n w in
-  let detected = Array.init n (fun i -> i < 8 * n / 10) in
-  let lot = Dl_core.Production.simulate ~seed:5 ~dies:60_000 ~weights ~detected () in
-  let analytic = Dl_core.Weighted.defect_level_of_weights ~weights ~detected in
-  let empirical = Dl_core.Production.defect_level lot in
-  Alcotest.(check bool)
-    (Printf.sprintf "lot %.4f vs model %.4f" empirical analytic)
-    true
-    (Float.abs (empirical -. analytic) < 0.01);
-  Alcotest.(check bool) "yield matches" true
-    (Float.abs (Dl_core.Production.observed_yield lot -. 0.75) < 0.01)
-
-let test_lot_validates_clustered_model () =
-  let n = 1000 in
-  let alpha = 1.0 in
-  let m = Dl_core.Clustered.mean_faults ~yield:0.75 ~alpha in
-  let weights = Array.make n (m /. float_of_int n) in
-  let detected = Array.init n (fun i -> i < 9 * n / 10) in
-  let lot =
-    Dl_core.Production.simulate_clustered ~seed:11 ~dies:60_000 ~alpha ~weights
-      ~detected ()
-  in
-  let analytic = Dl_core.Clustered.defect_level ~yield:0.75 ~alpha ~coverage:0.9 in
-  let empirical = Dl_core.Production.defect_level lot in
-  Alcotest.(check bool)
-    (Printf.sprintf "clustered lot %.4f vs model %.4f" empirical analytic)
-    true
-    (Float.abs (empirical -. analytic) < 0.012);
-  Alcotest.(check bool) "clustered yield" true
-    (Float.abs (Dl_core.Production.observed_yield lot -. 0.75) < 0.012)
-
-let test_gamma_sampler_moments () =
-  let rng = Dl_util.Rng.create 3 in
-  List.iter
-    (fun alpha ->
-      let nsamp = 40_000 in
-      let xs =
-        Array.init nsamp (fun _ -> Dl_core.Production.gamma_sample rng ~alpha)
-      in
-      let mean = Dl_util.Stats.mean xs in
-      let var = Dl_util.Stats.variance xs in
-      Alcotest.(check bool)
-        (Printf.sprintf "mean 1 at alpha %.1f" alpha)
-        true
-        (Float.abs (mean -. 1.0) < 0.03);
-      Alcotest.(check bool)
-        (Printf.sprintf "variance 1/alpha at %.1f" alpha)
-        true
-        (Float.abs (var -. (1.0 /. alpha)) < 0.1 /. alpha))
-    [ 0.5; 1.0; 4.0 ]
-
-(* --- N-detect ------------------------------------------------------------------------------- *)
-
-let test_n_detect_monotone () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
-  let vectors = random_vectors c 32 in
-  let dict = Dl_fault.Dictionary.build c ~faults ~vectors in
-  let profile = Dl_fault.Dictionary.n_detect_profile dict ~max_n:6 in
-  let rec check_monotone = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-        Alcotest.(check bool) "non-increasing" true (b <= a +. 1e-12);
-        check_monotone rest
-    | _ -> ()
-  in
-  check_monotone profile;
-  (* n = 1 equals plain coverage *)
-  let sim = Dl_fault.Fault_sim.run c ~faults ~vectors in
-  checkf_eps 1e-12 "n=1 = coverage" (Dl_fault.Fault_sim.coverage sim)
-    (Dl_fault.Dictionary.n_detect_coverage dict ~n:1)
-
 (* --- SVG ---------------------------------------------------------------------------------------- *)
 
 let test_svg_renders () =
@@ -473,85 +359,6 @@ let test_dot_throw_determinism () =
   let a = run () and b = run () in
   Alcotest.(check bool) "repeatable" true (a.shorts = b.shorts && a.opens = b.opens)
 
-(* --- Resistive bridges ------------------------------------------------------------------------- *)
-
-let resistive_fixture () =
-  let c = Transform.decompose_for_cells (Benchmarks.c17 ()) in
-  let m = Dl_cell.Mapping.flatten c in
-  (c, m, Dl_switch.Network.build m)
-
-let test_resistive_zero_matches_swift () =
-  let c, m, net = resistive_fixture () in
-  let sn name = m.Dl_cell.Mapping.signal_node.(Circuit.find c name) in
-  let vectors =
-    Array.init 32 (fun k -> Array.init 5 (fun pi -> k lsr pi land 1 = 1))
-  in
-  let a = sn "n10" and b = sn "n19" in
-  let d = Dl_switch.Resistive.detect net ~node_a:a ~node_b:b ~vectors in
-  let fault =
-    { Dl_switch.Realistic.kind = Dl_switch.Realistic.Bridge { node_a = a; node_b = b };
-      weight = 1.0; label = "" }
-  in
-  let r = Dl_switch.Swift.run net ~faults:[| fault |] ~vectors in
-  Alcotest.(check bool) "hard short matches swift" true
-    (d.voltage = r.detection.(0).voltage)
-
-let test_resistive_monotone_escape () =
-  let c, m, net = resistive_fixture () in
-  let sn name = m.Dl_cell.Mapping.signal_node.(Circuit.find c name) in
-  let vectors =
-    Array.init 32 (fun k -> Array.init 5 (fun pi -> k lsr pi land 1 = 1))
-  in
-  let a = sn "n10" and b = sn "n19" in
-  let hard = Dl_switch.Resistive.detect ~resistance:0.0 net ~node_a:a ~node_b:b ~vectors in
-  let huge = Dl_switch.Resistive.detect ~resistance:1e6 net ~node_a:a ~node_b:b ~vectors in
-  Alcotest.(check bool) "hard short detected" true (hard.voltage <> None);
-  Alcotest.(check bool) "huge resistance escapes voltage" true (huge.voltage = None)
-
-let test_critical_resistance_bracket () =
-  let c, m, net = resistive_fixture () in
-  let sn name = m.Dl_cell.Mapping.signal_node.(Circuit.find c name) in
-  let vectors =
-    Array.init 32 (fun k -> Array.init 5 (fun pi -> k lsr pi land 1 = 1))
-  in
-  let a = sn "n10" and b = sn "n19" in
-  match Dl_switch.Resistive.critical_resistance net ~node_a:a ~node_b:b ~vectors with
-  | None -> Alcotest.fail "hard short is detected, so Rcrit exists"
-  | Some rc ->
-      Alcotest.(check bool) "positive" true (rc >= 0.0);
-      (* just below: detected; well above: escapes *)
-      let below =
-        Dl_switch.Resistive.detect ~resistance:(Float.max 0.0 (rc -. 0.1)) net
-          ~node_a:a ~node_b:b ~vectors
-      in
-      let above =
-        Dl_switch.Resistive.detect ~resistance:(rc +. 0.5) net ~node_a:a ~node_b:b
-          ~vectors
-      in
-      Alcotest.(check bool) "below detected" true (below.voltage <> None);
-      Alcotest.(check bool) "above escapes" true (above.voltage = None)
-
-let test_resistance_sweep_monotone () =
-  let c, m, net = resistive_fixture () in
-  let sn name = m.Dl_cell.Mapping.signal_node.(Circuit.find c name) in
-  let vectors =
-    Array.init 32 (fun k -> Array.init 5 (fun pi -> k lsr pi land 1 = 1))
-  in
-  let bridges =
-    [| (sn "n10", sn "n19"); (sn "n11", sn "n22"); (sn "n16", sn "n23") |]
-  in
-  let sweep =
-    Dl_switch.Resistive.coverage_vs_resistance net ~bridges ~vectors
-      ~resistances:[| 0.0; 0.5; 1.0; 2.0; 4.0; 16.0 |]
-  in
-  let prev = ref 1.1 in
-  Array.iter
-    (fun (_, cov) ->
-      Alcotest.(check bool) "coverage non-increasing in resistance" true
-        (cov <= !prev +. 1e-12);
-      prev := cov)
-    sweep
-
 (* --- Verilog ------------------------------------------------------------------------------------- *)
 
 let test_verilog_roundtrip () =
@@ -645,7 +452,7 @@ let test_compaction_useful_mask_identity () =
     r.first_detection
 
 
-(* --- COP and weighted random ---------------------------------------------------------- *)
+(* --- COP -------------------------------------------------------------------------- *)
 
 let test_cop_signal_probabilities_tree () =
   (* On fanout-free logic COP is exact. *)
@@ -702,56 +509,6 @@ let test_cop_flags_resistant_faults () =
   let cop17 = Dl_atpg.Cop.compute c17 in
   Alcotest.(check bool) "c17 easy" true
     (Dl_atpg.Cop.random_pattern_resistant cop17 c17 ~threshold:0.01 = [])
-
-let test_weighted_random_beats_uniform () =
-  (* a wide AND: uniform random rarely sets the output; biased inputs fix it *)
-  let b = Circuit.Builder.create ~title:"wide" in
-  let names = List.init 8 (Printf.sprintf "i%d") in
-  List.iter (Circuit.Builder.add_input b) names;
-  Circuit.Builder.add_gate b "m1" Gate.And (List.filteri (fun i _ -> i < 4) names);
-  Circuit.Builder.add_gate b "m2" Gate.And (List.filteri (fun i _ -> i >= 4) names);
-  Circuit.Builder.add_gate b "o" Gate.And [ "m1"; "m2" ];
-  Circuit.Builder.add_output b "o";
-  let c = Circuit.Builder.finalize b in
-  let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
-  let bias = Dl_atpg.Weighted_random.optimize_bias ~budget:64 c ~faults in
-  (* the optimizer should push inputs toward 1 *)
-  Array.iter
-    (fun p -> Alcotest.(check bool) "bias raised" true (p >= 0.5))
-    bias;
-  let uniform_cov =
-    Dl_atpg.Weighted_random.expected_coverage c ~faults
-      ~bias:(Array.make 8 0.5) ~k:64
-  in
-  let biased_cov = Dl_atpg.Weighted_random.expected_coverage c ~faults ~bias ~k:64 in
-  Alcotest.(check bool) "biased beats uniform" true (biased_cov > uniform_cov);
-  (* and it holds empirically, not just in the COP model *)
-  let vectors = Dl_atpg.Weighted_random.generate ~seed:3 c ~bias ~count:64 in
-  let biased_sim = Dl_fault.Fault_sim.run c ~faults ~vectors in
-  let uniform_vectors =
-    Dl_atpg.Weighted_random.generate ~seed:3 c ~bias:(Array.make 8 0.5) ~count:64
-  in
-  let uniform_sim = Dl_fault.Fault_sim.run c ~faults ~vectors:uniform_vectors in
-  Alcotest.(check bool) "empirically better or equal" true
-    (Dl_fault.Fault_sim.detected_count biased_sim
-     >= Dl_fault.Fault_sim.detected_count uniform_sim)
-
-let test_weighted_random_generate_bias () =
-  let c = Benchmarks.c17 () in
-  let bias = [| 0.9; 0.1; 0.5; 0.9; 0.1 |] in
-  let vectors = Dl_atpg.Weighted_random.generate ~seed:8 c ~bias ~count:5000 in
-  Array.iteri
-    (fun pi expected ->
-      let ones =
-        Array.fold_left (fun acc v -> if v.(pi) then acc + 1 else acc) 0 vectors
-      in
-      let frac = float_of_int ones /. 5000.0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "input %d near %.1f" pi expected)
-        true
-        (Float.abs (frac -. expected) < 0.03))
-    bias
-
 
 (* --- Gate-level bridging faults ----------------------------------------------------------- *)
 
@@ -883,12 +640,6 @@ let () =
           Alcotest.test_case "required coverage" `Quick test_clustered_required_coverage;
           Alcotest.test_case "fit alpha" `Quick test_clustered_fit;
         ] );
-      ( "sampling",
-        [
-          Alcotest.test_case "full sample exact" `Quick test_sampling_full_sample_exact;
-          Alcotest.test_case "interval coverage" `Slow test_sampling_interval_contains_truth;
-          Alcotest.test_case "required size" `Quick test_sampling_required_size;
-        ] );
       ( "detectability",
         [
           Alcotest.test_case "analytic curve" `Quick test_detectability_analytic_curve;
@@ -917,13 +668,6 @@ let () =
             test_timing_tighter_clock_negative_slack;
           Alcotest.test_case "CLA faster than ripple" `Quick test_timing_cla_faster_than_ripple;
         ] );
-      ( "production",
-        [
-          Alcotest.test_case "lot validates eq. 3" `Slow test_lot_validates_weighted_model;
-          Alcotest.test_case "lot validates clustered" `Slow test_lot_validates_clustered_model;
-          Alcotest.test_case "gamma moments" `Slow test_gamma_sampler_moments;
-        ] );
-      ("n-detect", [ Alcotest.test_case "profile" `Quick test_n_detect_monotone ]);
       ( "svg",
         [
           Alcotest.test_case "renders" `Quick test_svg_renders;
@@ -939,13 +683,6 @@ let () =
         [
           Alcotest.test_case "matches analytic" `Slow test_dot_throw_matches_analytic;
           Alcotest.test_case "deterministic" `Quick test_dot_throw_determinism;
-        ] );
-      ( "resistive",
-        [
-          Alcotest.test_case "zero = swift" `Quick test_resistive_zero_matches_swift;
-          Alcotest.test_case "monotone escape" `Quick test_resistive_monotone_escape;
-          Alcotest.test_case "critical resistance" `Quick test_critical_resistance_bracket;
-          Alcotest.test_case "sweep monotone" `Quick test_resistance_sweep_monotone;
         ] );
       ( "verilog",
         [
@@ -965,11 +702,6 @@ let () =
           Alcotest.test_case "biased inputs" `Quick test_cop_biased_inputs;
           Alcotest.test_case "matches Monte Carlo" `Slow test_cop_matches_monte_carlo_on_tree;
           Alcotest.test_case "flags resistant faults" `Quick test_cop_flags_resistant_faults;
-        ] );
-      ( "weighted-random",
-        [
-          Alcotest.test_case "beats uniform" `Quick test_weighted_random_beats_uniform;
-          Alcotest.test_case "generation bias" `Quick test_weighted_random_generate_bias;
         ] );
       ( "report", [ Alcotest.test_case "contents" `Quick test_report_contents ] );
       ( "bridge-gate",

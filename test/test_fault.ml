@@ -800,67 +800,6 @@ let test_detections_in_order () =
     (let ks = Array.map fst evs in
      ks = [| 1; 4; 9 |])
 
-(* --- Dictionary ------------------------------------------------------------------- *)
-
-let test_dictionary_consistency () =
-  let c = Benchmarks.c17 () in
-  let faults = Stuck_at.collapse c (Stuck_at.universe c) in
-  let vectors = random_vectors c 24 in
-  let dict = Dictionary.build c ~faults ~vectors in
-  (* agrees with the single-vector oracle *)
-  Array.iteri
-    (fun fi f ->
-      Array.iteri
-        (fun vi v ->
-          Alcotest.(check bool) "dict matches oracle"
-            (Fault_sim.detects_fault c f v)
-            (Dictionary.detects dict ~fault:fi ~vector:vi))
-        vectors)
-    faults
-
-let test_dictionary_diagnosis () =
-  let c = Benchmarks.c17 () in
-  let faults = Stuck_at.collapse c (Stuck_at.universe c) in
-  let vectors = random_vectors c 24 in
-  let dict = Dictionary.build c ~faults ~vectors in
-  (* a fault's own signature must include it as a candidate *)
-  for fi = 0 to Array.length faults - 1 do
-    let failing = Dictionary.detecting_vectors dict fi in
-    if failing <> [] then begin
-      let passing =
-        List.filter (fun v -> not (List.mem v failing)) (List.init 24 Fun.id)
-      in
-      let cands = Dictionary.candidates dict ~failing ~passing in
-      Alcotest.(check bool) "self-candidate" true (List.mem fi cands)
-    end
-  done
-
-let test_dictionary_compaction_preserves_coverage () =
-  let c = Option.get (Benchmarks.by_name "mux3") in
-  let faults = Stuck_at.collapse c (Stuck_at.universe c) in
-  let vectors = random_vectors c 64 in
-  let dict = Dictionary.build c ~faults ~vectors in
-  let subset = Dictionary.greedy_compaction dict in
-  (* every fault detected by the full set is detected by the subset *)
-  for fi = 0 to Array.length faults - 1 do
-    let all = Dictionary.detecting_vectors dict fi in
-    if all <> [] then
-      Alcotest.(check bool) "covered by subset" true
-        (List.exists (fun v -> List.mem v subset) all)
-  done;
-  Alcotest.(check bool) "subset smaller" true (List.length subset <= 64)
-
-let test_dictionary_essential () =
-  let c = Benchmarks.c17 () in
-  let faults = Stuck_at.collapse c (Stuck_at.universe c) in
-  let vectors = random_vectors c 8 in
-  let dict = Dictionary.build c ~faults ~vectors in
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) "essential vector detects something" true
-        (Dictionary.detected_faults dict v <> []))
-    (Dictionary.essential_vectors dict)
-
 (* --- Detectability ---------------------------------------------------------- *)
 
 let test_detectability_estimate () =
@@ -1164,14 +1103,6 @@ let () =
           Alcotest.test_case "at = old scan" `Quick test_coverage_at_matches_scan;
           Alcotest.test_case "detection staircase" `Quick test_detections_in_order;
           Alcotest.test_case "bad input rejected" `Quick test_coverage_rejects_bad_input;
-        ] );
-      ( "dictionary",
-        [
-          Alcotest.test_case "oracle consistency" `Quick test_dictionary_consistency;
-          Alcotest.test_case "diagnosis" `Quick test_dictionary_diagnosis;
-          Alcotest.test_case "compaction preserves coverage" `Quick
-            test_dictionary_compaction_preserves_coverage;
-          Alcotest.test_case "essential vectors" `Quick test_dictionary_essential;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -411,14 +411,6 @@ let cell_modifications c (m : Mapping.network) =
   List.map (fun ti -> Solver.Remove_transistor ti) ts
   @ List.map (fun ti -> Solver.Short_transistor ti) ts
   @ List.map (fun (a, b) -> Solver.Bridge_nodes { node_a = a; node_b = b }) pairs
-  @ List.concat_map
-      (fun (a, b) ->
-        List.map
-          (fun resistance -> Solver.Resistive_bridge { node_a = a; node_b = b; resistance })
-          (* [max_float] makes the region run every pass as exact Dijkstra:
-             its distance sums could overflow. *)
-          [ 0.0; 0.5; 64.0; Float.max_float; infinity ])
-      [ (out, List.hd pis); (out, m.Mapping.gnd) ]
 
 let all_assignments n =
   let vals = [| T3.V0; T3.V1; T3.VX |] in
@@ -472,29 +464,6 @@ let test_compiled_solve_every_cell () =
         (cell_modifications c m))
     Dl_cell.Cell.all_kinds;
   Alcotest.(check bool) "some solves compared" true (!solves > 1000)
-
-let test_nan_resistance_rejected () =
-  let c, m, net = inv_fixture () in
-  let a = m.Mapping.signal_node.(c.Circuit.outputs.(0)) in
-  let modifications resistance =
-    [ Solver.Resistive_bridge { node_a = a; node_b = m.Mapping.gnd; resistance } ]
-  in
-  let bridge resistance =
-    Solver.make net ~instances:[ 0 ] ~modifications:(modifications resistance)
-  in
-  Alcotest.check_raises "nan"
-    (Invalid_argument "Solver: bridge resistance must be non-negative") (fun () ->
-      ignore (bridge Float.nan));
-  (* An infinite resistance is an open bridge: the inverter works. *)
-  let cr =
-    Solver.lower (Solver.lowering net) ~instances:[ 0 ]
-      ~modifications:(modifications infinity)
-  in
-  let out = Array.make (Array.length (Solver.solved_nodes cr)) T3.VX in
-  ignore
-    (Solver.solve_compiled (Solver.shape cr) (Solver.scratch ()) ~ext:[| T3.V1 |]
-       ~charge:(Array.copy out) ~out);
-  Alcotest.(check char) "inverter output" '0' (T3.to_char out.(0))
 
 let realistic_faults name =
   let c, m, net = build name in
@@ -582,58 +551,6 @@ let test_swift_matches_reference_c17 () =
 let test_swift_matches_reference_c432s_small () =
   let c, net, faults = realistic_faults "c432s_small" in
   check_same_as_reference net ~faults ~vectors:(random_vectors c 24)
-
-(* [Resistive.detect] written on the reference solver and the Hashtbl cone
-   walk: one solve per vector from unknown charge, no feedback. *)
-let reference_resistive net ~resistance ~node_a ~node_b ~vectors =
-  let m = Network.mapping net in
-  let c = m.Mapping.circuit in
-  let region =
-    Solver.make net
-      ~instances:
-        (List.sort_uniq compare
-           (List.filter_map (Network.owner_instance net) [ node_a; node_b ]))
-      ~modifications:[ Solver.Resistive_bridge { node_a; node_b; resistance } ]
-  in
-  let first p = List.find_opt (fun k -> p k) (List.init (Array.length vectors) Fun.id) in
-  let goods = Swift.good_values net vectors in
-  let outcome k =
-    let ext g = match Swift.signal_of m g with Some s -> T3.of_bool goods.(k).(s) | None -> T3.VX in
-    Solver.solve region ~external_value:ext ~charge:(fun _ -> T3.VX)
-  in
-  let voltage k =
-    let seeds =
-      List.filter_map
-        (fun (g, v) -> Option.map (fun s -> (s, v)) (Swift.signal_of m g))
-        (outcome k).values
-    in
-    Dl_logic.Propagate.(po_detects c goods.(k) (run c goods.(k) seeds))
-  in
-  (first voltage, first (fun k -> (outcome k).fight))
-
-let test_resistive_matches_reference_solver () =
-  let c, _, net = build "c432s_small" in
-  let _, _, faults = realistic_faults "c432s_small" in
-  let vectors = random_vectors c 12 in
-  let bridges =
-    List.filter_map
-      (fun (f : Realistic.t) ->
-        match f.kind with Realistic.Bridge { node_a; node_b } -> Some (node_a, node_b) | _ -> None)
-      (Array.to_list faults)
-    |> List.filteri (fun i _ -> i mod 7 = 0)
-  in
-  List.iter
-    (fun (node_a, node_b) ->
-      List.iter
-        (fun resistance ->
-          let d = Resistive.detect ~resistance net ~node_a ~node_b ~vectors in
-          let voltage, iddq = reference_resistive net ~resistance ~node_a ~node_b ~vectors in
-          (* [detect] stops at the later of its two first detections. *)
-          Alcotest.(check (pair (option int) (option int)))
-            (Printf.sprintf "bridge %d/%d at R=%g" node_a node_b resistance)
-            (voltage, iddq) (d.voltage, d.iddq))
-        [ 0.0; 0.5; 3.0; 64.0; infinity ])
-    bridges
 
 (* The reusable cone walker against the Hashtbl walk it replaces. *)
 let prop_cone_matches_run =
@@ -900,7 +817,6 @@ let () =
           Alcotest.test_case "fault-free cells = gates" `Quick test_solver_fault_free_cells;
           Alcotest.test_case "compiled = reference, every cell" `Quick
             test_compiled_solve_every_cell;
-          Alcotest.test_case "nan resistance rejected" `Quick test_nan_resistance_rejected;
         ] );
       ( "faults",
         [
@@ -925,8 +841,6 @@ let () =
             test_swift_matches_reference_c17;
           Alcotest.test_case "compiled = reference, c432s_small" `Slow
             test_swift_matches_reference_c432s_small;
-          Alcotest.test_case "resistive = reference solver" `Quick
-            test_resistive_matches_reference_solver;
           Alcotest.test_case "stuck-open shapes shared across instances" `Quick
             test_stuck_open_shapes_shared;
           Alcotest.test_case "pad strength splits shapes" `Quick
