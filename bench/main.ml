@@ -7,10 +7,10 @@
      dune exec bench/main.exe               # everything
      dune exec bench/main.exe -- fig4 fig5  # selected sections
 
-   Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation delay
-   stability sweep clustered lot par kernel store serve serve-load cluster
-   mc ndet projection micro, and swift and atpg (only
-   when named: reference runs of minutes and seconds).  An unknown name
+   Sections: fig1 fig2 fig3 fig4 fig5 fig6 examples ablation stability
+   sweep clustered lot par kernel store serve serve-load cluster mc ndet
+   projection micro, and swift and atpg (only when named: reference runs
+   of minutes and seconds).  An unknown name
    fails the run (exit 2) before any section starts.
 
    Sections report through one harness: [check] gates (a failed check
@@ -319,43 +319,6 @@ let ablation () =
   print_endline
     "reading: IDDQ removes most of the residual defect level (bridges fight);\n\
      using the unweighted coverage as Θ misestimates the floor — weights matter."
-
-(* ------------------------------------------------------------- delay test *)
-
-(* The paper's closing argument: delay testing must join voltage testing.
-   Transition-fault coverage over the same vector sequence, plus the timing
-   profile that delay tests exercise. *)
-let delay () =
-  let e = Lazy.force experiment in
-  section_banner "Delay" "transition faults and timing (extension; paper refs [8], conclusions)";
-  let c = e.Experiment.mapped_circuit in
-  let faults = Dl_fault.Transition.universe c in
-  let r = Dl_fault.Transition.run c ~faults ~vectors:e.Experiment.vectors in
-  let curve = Dl_fault.Transition.coverage_curve r in
-  let t = Table.create
-      [ ("k", Table.Right); ("stuck-at T(k)", Table.Right);
-        ("transition TF(k)", Table.Right) ]
-  in
-  let ks = Experiment.sample_ks e ~points:10 in
-  Array.iter
-    (fun k ->
-      Table.add_row t
-        [ string_of_int k;
-          Table.fmt_pct (Coverage.at e.Experiment.t_curve k);
-          Table.fmt_pct (Coverage.at curve k) ])
-    ks;
-  Table.print t;
-  Printf.printf
-    "transition coverage lags stuck-at at every k (two conditions per detection)\n\
-     and saturates at %s; a dedicated two-pattern ATPG (Transition_atpg)\n\
-     covers the rest.\n"
-    (Table.fmt_pct (Dl_fault.Transition.coverage r));
-  let timing = Dl_logic.Timing.analyze c in
-  Printf.printf
-    "critical path: %.1f delay units through %d stages; worst slack %.2f\n"
-    (Dl_logic.Timing.critical_path_delay timing)
-    (List.length (Dl_logic.Timing.critical_path timing))
-    (Dl_logic.Timing.worst_slack timing)
 
 (* ------------------------------------------------------------ clustered DL *)
 
@@ -1707,7 +1670,6 @@ let sections =
     ("fig6", fig6);
     ("examples", examples);
     ("ablation", ablation);
-    ("delay", delay);
     ("stability", stability);
     ("sweep", sweep);
     ("clustered", clustered);

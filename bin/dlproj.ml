@@ -9,6 +9,7 @@
      ndet       n-detection test generation and per-n coverage profile
      benchmarks list built-in benchmark circuits
      cache      artifact-store maintenance (stats, verify, gc)
+     compact    static compaction of a random vector set
      check      differential/metamorphic self-checks + mutation self-test
      bench-io   read/write ISCAS-85 .bench files
      serve      projection daemon on a Unix-domain socket or TCP endpoint
@@ -55,7 +56,8 @@ let check_writable_parent = function
 let circuit_arg =
   let doc =
     "Circuit: a built-in benchmark name (c17, c432s, c432s_small, add8, ...) or \
-     a path to an ISCAS-85 .bench file."
+     a path to a netlist file: structural Verilog if it ends in .v, an ISCAS-85 \
+     .bench file otherwise."
   in
   Arg.(value & pos 0 string "c432s" & info [] ~docv:"CIRCUIT" ~doc)
 
@@ -89,15 +91,7 @@ let info_cmd =
         Printf.printf "  %s SA%d cost %d\n" (Circuit.name mapped id)
           (if stuck then 1 else 0)
           cost)
-      (Dl_atpg.Scoap.hardest_faults scoap 5);
-    let timing = Dl_logic.Timing.analyze mapped in
-    Printf.printf "critical path: %.2f delay units over %d stages\n"
-      (Dl_logic.Timing.critical_path_delay timing)
-      (List.length (Dl_logic.Timing.critical_path timing));
-    let cop = Dl_atpg.Cop.compute mapped in
-    let resistant = Dl_atpg.Cop.random_pattern_resistant cop mapped ~threshold:0.005 in
-    Printf.printf "random-pattern-resistant stem faults (COP p < 0.5%%): %d\n"
-      (List.length resistant)
+      (Dl_atpg.Scoap.hardest_faults scoap 5)
   in
   Cmd.v (Cmd.info "info" ~version ~doc:"Circuit statistics and testability profile.")
     Term.(const run $ circuit_arg)
@@ -106,6 +100,7 @@ let info_cmd =
 
 let atpg_cmd =
   let run spec seed max_random =
+    if max_random < 0 then die "--max-random must be >= 0";
     let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
     let r, faults = Dl_atpg.Atpg.full_flow ~seed ~max_random c in
     Printf.printf
@@ -153,17 +148,27 @@ let extract_cmd =
 
 let project_cmd =
   let run yield coverage r theta_max target_ppm =
+    (match target_ppm with
+     | Some ppm when not (ppm >= 0.0 && ppm < 1e6) ->
+         die "--target-ppm must be in [0, 1e6), got %g" ppm
+     | _ -> ());
     let params = { Dl_core.Projection.r; theta_max } in
     let t = Table.create [ ("model", Table.Left); ("DL", Table.Right) ] in
-    Table.add_row t
-      [ "Williams-Brown";
-        Table.fmt_ppm (Dl_core.Williams_brown.defect_level ~yield ~coverage) ];
-    Table.add_row t
-      [ Printf.sprintf "eq.11 (R=%.2f, θmax=%.2f)" r theta_max;
-        Table.fmt_ppm (Dl_core.Projection.defect_level ~yield ~params ~coverage) ];
-    Table.add_row t
-      [ "residual (T=1)";
-        Table.fmt_ppm (Dl_core.Projection.residual_defect_level ~yield ~theta_max) ];
+    (* The rows validate every parameter before the first line is printed;
+       with --target-ppm checked above, nothing after them can raise. *)
+    (match
+       Table.add_row t
+         [ "Williams-Brown";
+           Table.fmt_ppm (Dl_core.Williams_brown.defect_level ~yield ~coverage) ];
+       Table.add_row t
+         [ Printf.sprintf "eq.11 (R=%.2f, θmax=%.2f)" r theta_max;
+           Table.fmt_ppm (Dl_core.Projection.defect_level ~yield ~params ~coverage) ];
+       Table.add_row t
+         [ "residual (T=1)";
+           Table.fmt_ppm (Dl_core.Projection.residual_defect_level ~yield ~theta_max) ]
+     with
+     | () -> ()
+     | exception Invalid_argument msg -> die "%s" msg);
     Table.print t;
     match target_ppm with
     | None -> ()
@@ -286,6 +291,7 @@ let splice_json base extras =
 let pipeline_cmd =
   let run spec seed jobs max_random target_yield points no_collapse sim_stats
       mc_dies mc_alpha_wafer mc_alpha_lot bootstrap ndet report cache json =
+    if points < 1 then die "--points must be >= 1";
     let c = load_circuit spec in
     check_writable_parent report;
     let mc =
@@ -312,9 +318,14 @@ let pipeline_cmd =
       | k -> Some k
     in
     let cfg =
-      Dl_core.Experiment.config ~seed ~max_random_vectors:max_random ~target_yield
-        ~domains:(resolve_jobs jobs) ~collapse_faults:(not no_collapse)
-        ?cache_dir:cache ?mc ?bootstrap ?ndet c
+      match
+        Dl_core.Experiment.config ~seed ~max_random_vectors:max_random
+          ~target_yield ~domains:(resolve_jobs jobs)
+          ~collapse_faults:(not no_collapse) ?cache_dir:cache ?mc ?bootstrap
+          ?ndet c
+      with
+      | cfg -> cfg
+      | exception Invalid_argument msg -> die "%s" msg
     in
     let t0 = Unix.gettimeofday () in
     let e = Dl_core.Experiment.run cfg in
@@ -537,6 +548,7 @@ let pipeline_cmd =
 let ndet_cmd =
   let run spec seed jobs n max_random =
     if n < 1 then die "-n must be >= 1";
+    if max_random < 0 then die "--max-random must be >= 0";
     let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let r =
@@ -682,28 +694,11 @@ let cache_cmd =
        ~doc:"Artifact-store maintenance (stats, verify, gc).")
     Term.(const run $ action $ dir $ max_bytes)
 
-(* ------------------------------------------------------------ transition *)
-
-let transition_cmd =
-  let run spec seed =
-    let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
-    let faults = Dl_fault.Transition.universe c in
-    let r = Dl_atpg.Transition_atpg.run ~seed c ~faults in
-    Printf.printf
-      "%d transition faults: two-pattern coverage %.2f%% with %d pairs \
-       (untestable %d, aborted %d)\n"
-      (Array.length faults) (100.0 *. r.coverage) (Array.length r.pairs)
-      r.untestable r.aborted
-  in
-  Cmd.v
-    (Cmd.info "transition" ~version
-       ~doc:"Two-pattern (transition/delay fault) test generation.")
-    Term.(const run $ circuit_arg $ seed_arg)
-
 (* --------------------------------------------------------------- compact *)
 
 let compact_cmd =
   let run spec seed count =
+    if count < 0 then die "--vectors must be >= 0";
     let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let rng = Dl_util.Rng.create seed in
@@ -1195,27 +1190,6 @@ let coord_cmd =
     Term.(const run $ socket_arg $ tcp_arg $ worker_specs $ max_in_flight
           $ probe_ms $ fanout)
 
-(* ------------------------------------------------------------------ svg *)
-
-let svg_cmd =
-  let run spec out scale =
-    let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
-    let l = Dl_layout.Layout.synthesize (Dl_cell.Mapping.flatten c) in
-    Dl_layout.Svg.write_file ~scale out l;
-    Format.printf "%a@." Dl_layout.Layout.pp_stats l;
-    Printf.printf "wrote %s\n" out
-  in
-  let out =
-    Arg.(value & opt string "layout.svg" & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Output SVG path.")
-  in
-  let scale =
-    Arg.(value & opt float 2.0 & info [ "scale" ] ~docv:"PX"
-           ~doc:"Pixels per lambda.")
-  in
-  Cmd.v (Cmd.info "svg" ~version ~doc:"Render the synthesized layout to SVG.")
-    Term.(const run $ circuit_arg $ out $ scale)
-
 let () =
   (* A client whose server hung up mid-write must get the one-line
      diagnostic below (the client maps socket EPIPE to Protocol_error),
@@ -1225,9 +1199,9 @@ let () =
   let doc = "defect-level projection from layout-extracted realistic faults" in
   let main = Cmd.group (Cmd.info "dlproj" ~version ~doc)
       [ info_cmd; atpg_cmd; extract_cmd; project_cmd; pipeline_cmd; ndet_cmd;
-        benchmarks_cmd; cache_cmd; transition_cmd; compact_cmd; check_cmd;
+        benchmarks_cmd; cache_cmd; compact_cmd; check_cmd;
         bench_io_cmd; serve_cmd; submit_cmd; ping_cmd; bench_serve_cmd;
-        coord_cmd; svg_cmd ]
+        coord_cmd ]
   in
   (* Operational failures (missing files, malformed netlists, bad paths,
      missing or dead sockets) get a one-line diagnostic and exit 1 instead

@@ -108,165 +108,6 @@ let test_detectability_hardest () =
   | other ->
       Alcotest.failf "unexpected hardest order (%d entries)" (List.length other)
 
-(* --- Transition faults -------------------------------------------------------------- *)
-
-let test_transition_universe () =
-  let c = Benchmarks.c17 () in
-  Alcotest.(check int) "2 per node" 22 (Array.length (Dl_fault.Transition.universe c))
-
-let test_transition_pair_oracle () =
-  let c = Benchmarks.c17 () in
-  (* STR at a PI: launch 0 then capture with an SA0-detecting vector *)
-  let n1 = Circuit.find c "n1" in
-  let f = { Dl_fault.Transition.node = n1; edge = Dl_fault.Transition.Rise } in
-  let sa0 = { Dl_fault.Stuck_at.site = Dl_fault.Stuck_at.Stem n1; polarity = Dl_fault.Stuck_at.Sa0 } in
-  (* find a capture vector *)
-  let capture = ref None in
-  for _ = 1 to 200 do
-    let v = Array.init 5 (fun _ -> Dl_util.Rng.bool rng) in
-    if !capture = None && Dl_fault.Fault_sim.detects_fault c sa0 v then capture := Some v
-  done;
-  let v2 = Option.get !capture in
-  let v1_low = Array.copy v2 in
-  v1_low.(0) <- false;
-  (* position of n1 in inputs: find it *)
-  let pos = ref 0 in
-  Array.iteri (fun i pi -> if pi = n1 then pos := i) c.inputs;
-  let v1 = Array.copy v2 in
-  v1.(!pos) <- false;
-  Alcotest.(check bool) "launch 0 detects" true
-    (Dl_fault.Transition.detects_pair c f ~v1 ~v2);
-  let v1' = Array.copy v2 in
-  v1'.(!pos) <- true;
-  Alcotest.(check bool) "launch 1 does not" false
-    (Dl_fault.Transition.detects_pair c f ~v1:v1' ~v2)
-
-let test_transition_run_matches_oracle () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Transition.universe c in
-  let vectors = random_vectors c 60 in
-  let r = Dl_fault.Transition.run c ~faults ~vectors in
-  Array.iteri
-    (fun i first ->
-      (* oracle scan over consecutive pairs *)
-      let oracle = ref None in
-      for k = 1 to Array.length vectors - 1 do
-        if
-          !oracle = None
-          && Dl_fault.Transition.detects_pair c faults.(i) ~v1:vectors.(k - 1)
-               ~v2:vectors.(k)
-        then oracle := Some k
-      done;
-      if first <> !oracle then
-        Alcotest.failf "transition %s mismatch"
-          (Dl_fault.Transition.to_string c faults.(i)))
-    r.first_detection
-
-let test_transition_needs_two_vectors () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Transition.universe c in
-  let r = Dl_fault.Transition.run c ~faults ~vectors:(random_vectors c 1) in
-  Alcotest.(check bool) "nothing detectable with one vector" true
-    (Array.for_all (fun d -> d = None) r.first_detection)
-
-let test_transition_atpg_complete_on_c17 () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Transition.universe c in
-  let r = Dl_atpg.Transition_atpg.run c ~faults in
-  checkf_eps 1e-9 "full two-pattern coverage" 1.0 r.coverage;
-  Alcotest.(check int) "no aborts" 0 r.aborted;
-  (* every reported pair is verified by construction; double-check one *)
-  Array.iter
-    (fun (v1, v2) ->
-      Alcotest.(check int) "pair widths" (Array.length v1) (Array.length v2))
-    r.pairs
-
-let test_transition_atpg_on_adder () =
-  let c = Generator.ripple_adder 4 in
-  let faults = Dl_fault.Transition.universe c in
-  let r = Dl_atpg.Transition_atpg.run c ~faults in
-  Alcotest.(check bool) "high coverage" true (r.coverage > 0.95)
-
-(* --- Static timing -------------------------------------------------------------------- *)
-
-let test_timing_unit_delay_equals_levels () =
-  let c = Benchmarks.c432s () in
-  let t = Dl_logic.Timing.analyze ~model:Dl_logic.Timing.Unit_delay c in
-  Array.iter
-    (fun (nd : Circuit.node) ->
-      checkf_eps 1e-9 "arrival = level"
-        (float_of_int c.levels.(nd.id))
-        (Dl_logic.Timing.arrival t nd.id))
-    c.nodes
-
-let test_timing_critical_path_consistent () =
-  let c = Benchmarks.c432s () in
-  let t = Dl_logic.Timing.analyze c in
-  let path = Dl_logic.Timing.critical_path t in
-  Alcotest.(check bool) "starts at a PI" true
-    (match path with
-    | first :: _ -> c.nodes.(first).kind = Gate.Input
-    | [] -> false);
-  let delay = Dl_logic.Timing.path_delay t path in
-  checkf_eps 1e-9 "path delay = critical delay" (Dl_logic.Timing.critical_path_delay t) delay
-
-let test_timing_slack_nonnegative_at_default_clock () =
-  let c = Option.get (Benchmarks.by_name "cla8") in
-  let t = Dl_logic.Timing.analyze c in
-  checkf_eps 1e-9 "worst slack zero" 0.0 (Dl_logic.Timing.worst_slack t);
-  Array.iter
-    (fun (nd : Circuit.node) ->
-      Alcotest.(check bool) "slack >= 0" true (Dl_logic.Timing.slack t nd.id >= -1e-9))
-    c.nodes
-
-let test_timing_tighter_clock_negative_slack () =
-  let c = Benchmarks.c17 () in
-  let t0 = Dl_logic.Timing.analyze c in
-  let tight =
-    Dl_logic.Timing.analyze ~clock_period:(Dl_logic.Timing.critical_path_delay t0 /. 2.0) c
-  in
-  Alcotest.(check bool) "violations appear" true (Dl_logic.Timing.worst_slack tight < 0.0)
-
-let test_timing_cla_faster_than_ripple () =
-  let cla = Generator.carry_lookahead_adder 8 in
-  let rip = Generator.ripple_adder 8 in
-  let d c = Dl_logic.Timing.critical_path_delay (Dl_logic.Timing.analyze c) in
-  Alcotest.(check bool) "lookahead is faster" true (d cla < d rip)
-
-(* --- SVG ---------------------------------------------------------------------------------------- *)
-
-let test_svg_renders () =
-  let c = Transform.decompose_for_cells (Benchmarks.c17 ()) in
-  let l = Dl_layout.Layout.synthesize (Dl_cell.Mapping.flatten c) in
-  let svg = Dl_layout.Svg.render l in
-  Alcotest.(check bool) "starts with svg tag" true
-    (String.length svg > 100 && String.sub svg 0 4 = "<svg");
-  (* one rect element per shape plus background *)
-  let count_rects s =
-    let n = ref 0 and i = ref 0 in
-    let needle = "<rect" in
-    while !i >= 0 && !i < String.length s do
-      match String.index_from_opt s !i '<' with
-      | None -> i := -1
-      | Some j ->
-          if j + String.length needle <= String.length s
-             && String.sub s j (String.length needle) = needle
-          then incr n;
-          i := j + 1
-    done;
-    !n
-  in
-  Alcotest.(check int) "rect count" (Array.length l.Dl_layout.Layout.rects + 1)
-    (count_rects svg)
-
-let test_svg_escapes () =
-  Alcotest.(check bool) "escape" true
-    (let c = Transform.decompose_for_cells (Benchmarks.c17 ()) in
-     let l = Dl_layout.Layout.synthesize (Dl_cell.Mapping.flatten c) in
-     let svg = Dl_layout.Svg.render l in
-     (* no raw ampersands outside entities; cheap check: parseable title tags *)
-     String.length svg > 0)
-
 (* --- New generators -------------------------------------------------------------------------------- *)
 
 let test_cla_equals_ripple () =
@@ -452,64 +293,6 @@ let test_compaction_useful_mask_identity () =
     r.first_detection
 
 
-(* --- COP -------------------------------------------------------------------------- *)
-
-let test_cop_signal_probabilities_tree () =
-  (* On fanout-free logic COP is exact. *)
-  let b = Circuit.Builder.create ~title:"tree" in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_input b "b";
-  Circuit.Builder.add_input b "c";
-  Circuit.Builder.add_gate b "ab" Gate.And [ "a"; "b" ];
-  Circuit.Builder.add_gate b "o" Gate.Or [ "ab"; "c" ];
-  Circuit.Builder.add_output b "o";
-  let c = Circuit.Builder.finalize b in
-  let cop = Dl_atpg.Cop.compute c in
-  checkf_eps 1e-12 "and" 0.25 (Dl_atpg.Cop.probability_one cop (Circuit.find c "ab"));
-  checkf_eps 1e-12 "or" 0.625 (Dl_atpg.Cop.probability_one cop (Circuit.find c "o"));
-  (* observability of a through AND then OR: P(b=1) * P(c=0) *)
-  checkf_eps 1e-12 "obs a" 0.25 (Dl_atpg.Cop.observability cop (Circuit.find c "a"));
-  checkf_eps 1e-12 "obs c" 0.75 (Dl_atpg.Cop.observability cop (Circuit.find c "c"))
-
-let test_cop_biased_inputs () =
-  let b = Circuit.Builder.create ~title:"bias" in
-  Circuit.Builder.add_input b "a";
-  Circuit.Builder.add_input b "b";
-  Circuit.Builder.add_gate b "o" Gate.And [ "a"; "b" ];
-  Circuit.Builder.add_output b "o";
-  let c = Circuit.Builder.finalize b in
-  let cop = Dl_atpg.Cop.compute ~input_bias:[| 0.9; 0.9 |] c in
-  checkf_eps 1e-12 "biased and" 0.81
-    (Dl_atpg.Cop.probability_one cop (Circuit.find c "o"))
-
-let test_cop_matches_monte_carlo_on_tree () =
-  (* fanout-free: COP detection probabilities = empirical estimates *)
-  let c = Generator.parity_tree 8 in
-  let faults = Dl_fault.Stuck_at.universe c in
-  let cop = Dl_atpg.Cop.compute c in
-  let mc = Dl_fault.Detectability.estimate ~seed:5 ~samples:4000 c ~faults in
-  let mc_probs = Dl_fault.Detectability.probabilities mc in
-  Array.iteri
-    (fun i f ->
-      let analytic = Dl_atpg.Cop.detection_probability cop f in
-      Alcotest.(check bool)
-        (Printf.sprintf "fault %d" i)
-        true
-        (Float.abs (analytic -. mc_probs.(i)) < 0.05))
-    faults
-
-let test_cop_flags_resistant_faults () =
-  (* the priority controller's wide-AND cone is random-resistant *)
-  let c = Option.get (Benchmarks.by_name "c432s") in
-  let cop = Dl_atpg.Cop.compute c in
-  let resistant = Dl_atpg.Cop.random_pattern_resistant cop c ~threshold:0.01 in
-  Alcotest.(check bool) "some resistant faults" true (resistant <> []);
-  (* and c17 has none at that threshold *)
-  let c17 = Benchmarks.c17 () in
-  let cop17 = Dl_atpg.Cop.compute c17 in
-  Alcotest.(check bool) "c17 easy" true
-    (Dl_atpg.Cop.random_pattern_resistant cop17 c17 ~threshold:0.01 = [])
-
 (* --- Gate-level bridging faults ----------------------------------------------------------- *)
 
 let test_bridge_gate_resolution_rules () =
@@ -648,31 +431,6 @@ let () =
           Alcotest.test_case "test length" `Quick test_detectability_test_length;
           Alcotest.test_case "hardest" `Quick test_detectability_hardest;
         ] );
-      ( "transition",
-        [
-          Alcotest.test_case "universe" `Quick test_transition_universe;
-          Alcotest.test_case "pair oracle" `Quick test_transition_pair_oracle;
-          Alcotest.test_case "run = oracle" `Quick test_transition_run_matches_oracle;
-          Alcotest.test_case "needs two vectors" `Quick test_transition_needs_two_vectors;
-          Alcotest.test_case "ATPG complete on c17" `Quick test_transition_atpg_complete_on_c17;
-          Alcotest.test_case "ATPG on adder" `Slow test_transition_atpg_on_adder;
-        ] );
-      ( "timing",
-        [
-          Alcotest.test_case "unit delay = levels" `Quick test_timing_unit_delay_equals_levels;
-          Alcotest.test_case "critical path consistent" `Quick
-            test_timing_critical_path_consistent;
-          Alcotest.test_case "default clock slack" `Quick
-            test_timing_slack_nonnegative_at_default_clock;
-          Alcotest.test_case "tight clock violates" `Quick
-            test_timing_tighter_clock_negative_slack;
-          Alcotest.test_case "CLA faster than ripple" `Quick test_timing_cla_faster_than_ripple;
-        ] );
-      ( "svg",
-        [
-          Alcotest.test_case "renders" `Quick test_svg_renders;
-          Alcotest.test_case "escapes" `Quick test_svg_escapes;
-        ] );
       ( "generators",
         [
           Alcotest.test_case "CLA = ripple" `Quick test_cla_equals_ripple;
@@ -695,13 +453,6 @@ let () =
         [
           Alcotest.test_case "preserves coverage" `Quick test_compaction_preserves_coverage;
           Alcotest.test_case "useful mask" `Quick test_compaction_useful_mask_identity;
-        ] );
-      ( "cop",
-        [
-          Alcotest.test_case "tree probabilities" `Quick test_cop_signal_probabilities_tree;
-          Alcotest.test_case "biased inputs" `Quick test_cop_biased_inputs;
-          Alcotest.test_case "matches Monte Carlo" `Slow test_cop_matches_monte_carlo_on_tree;
-          Alcotest.test_case "flags resistant faults" `Quick test_cop_flags_resistant_faults;
         ] );
       ( "report", [ Alcotest.test_case "contents" `Quick test_report_contents ] );
       ( "bridge-gate",

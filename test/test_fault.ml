@@ -849,72 +849,6 @@ let test_detectability_hardest_and_length () =
   Alcotest.(check bool) "target above the testable fraction" true
     (Detectability.test_length_for d0 ~target:0.9 = None)
 
-(* --- Transition faults ------------------------------------------------------- *)
-
-let test_transition_run_matches_pair_oracle () =
-  let c = Benchmarks.c17 () in
-  let u = Transition.universe c in
-  Alcotest.(check int) "both edges at every node" (2 * Circuit.node_count c)
-    (Array.length u);
-  let vectors = random_vectors c 40 in
-  let r = Transition.run c ~faults:u ~vectors in
-  Array.iteri
-    (fun i f ->
-      match r.Transition.first_detection.(i) with
-      | Some k ->
-          Alcotest.(check bool) "capture index in range" true
-            (k >= 1 && k < Array.length vectors);
-          Alcotest.(check bool) "reported pair detects" true
-            (Transition.detects_pair c f ~v1:vectors.(k - 1) ~v2:vectors.(k));
-          for j = 1 to k - 1 do
-            if Transition.detects_pair c f ~v1:vectors.(j - 1) ~v2:vectors.(j)
-            then
-              Alcotest.failf "%s: pair %d detects before reported first %d"
-                (Transition.to_string c f) j k
-          done
-      | None ->
-          for j = 1 to Array.length vectors - 1 do
-            if Transition.detects_pair c f ~v1:vectors.(j - 1) ~v2:vectors.(j)
-            then
-              Alcotest.failf "%s undetected but pair %d detects"
-                (Transition.to_string c f) j
-          done)
-    u
-
-let test_transition_launch_capture_reduction () =
-  (* A slow-to-rise fault at [n] is detected by (v1, v2) iff v1 launches
-     n = 0 and v2 detects n stuck-at-0 (dually for slow-to-fall) — checked
-     against the ternary single-vector oracle, which is independent of the
-     two-pattern machinery. *)
-  let c = Benchmarks.c17 () in
-  let vectors = random_vectors c 12 in
-  Array.iter
-    (fun (f : Transition.t) ->
-      for j = 1 to Array.length vectors - 1 do
-        let v1 = vectors.(j - 1) and v2 = vectors.(j) in
-        let launch = (Dl_logic.Sim2.run_single c v1).(f.node) in
-        let stuck =
-          {
-            Stuck_at.site = Stuck_at.Stem f.node;
-            polarity =
-              (match f.edge with
-              | Transition.Rise -> Stuck_at.Sa0
-              | Transition.Fall -> Stuck_at.Sa1);
-          }
-        in
-        let expected =
-          (match f.edge with
-          | Transition.Rise -> not launch
-          | Transition.Fall -> launch)
-          && Fault_sim.detects_fault c stuck v2
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s pair %d" (Transition.to_string c f) j)
-          expected
-          (Transition.detects_pair c f ~v1 ~v2)
-      done)
-    (Transition.universe c)
-
 (* --- qcheck ----------------------------------------------------------------------- *)
 
 let prop_coverage_in_unit_range =
@@ -1060,13 +994,6 @@ let () =
             test_detectability_estimate;
           Alcotest.test_case "hardest and test length" `Quick
             test_detectability_hardest_and_length;
-        ] );
-      ( "transition",
-        [
-          Alcotest.test_case "run = pair oracle" `Quick
-            test_transition_run_matches_pair_oracle;
-          Alcotest.test_case "launch/capture reduction" `Quick
-            test_transition_launch_capture_reduction;
         ] );
       ( "kernel",
         [

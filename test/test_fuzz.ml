@@ -243,31 +243,6 @@ let prop_extraction_sites_valid =
               node >= 0 && node < Circuit.node_count c)
         e.Dl_extract.Ifa.faults)
 
-(* --- transition faults vs oracle ------------------------------------------------------ *)
-
-let prop_transition_oracle =
-  QCheck.Test.make ~name:"transition run matches the pair oracle" ~count:8
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let c = random_circuit seed in
-      let rng = Dl_util.Rng.create (seed * 13) in
-      let universe = Dl_fault.Transition.universe c in
-      let faults = Dl_util.Rng.sample rng universe (min 10 (Array.length universe)) in
-      let vectors = vectors_of rng c 25 in
-      let r = Dl_fault.Transition.run c ~faults ~vectors in
-      Array.for_all
-        (fun i ->
-          let oracle = ref None in
-          for k = 1 to Array.length vectors - 1 do
-            if
-              !oracle = None
-              && Dl_fault.Transition.detects_pair c faults.(i) ~v1:vectors.(k - 1)
-                   ~v2:vectors.(k)
-            then oracle := Some k
-          done;
-          r.first_detection.(i) = !oracle)
-        (Array.init (Array.length faults) Fun.id))
-
 (* --- compaction safety ------------------------------------------------------------------ *)
 
 let prop_compaction_preserves =
@@ -285,23 +260,6 @@ let prop_compaction_preserves =
 
 
 (* --- extended properties ------------------------------------------------------- *)
-
-let prop_transition_atpg_verified =
-  QCheck.Test.make ~name:"transition ATPG pairs are verified detectors" ~count:6
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let c = random_circuit seed in
-      let rng = Dl_util.Rng.create (seed * 19) in
-      let universe = Dl_fault.Transition.universe c in
-      let faults = Dl_util.Rng.sample rng universe (min 8 (Array.length universe)) in
-      let r = Dl_atpg.Transition_atpg.run c ~faults in
-      (* every emitted pair detects at least one of the target faults *)
-      Array.for_all
-        (fun (v1, v2) ->
-          Array.exists
-            (fun f -> Dl_fault.Transition.detects_pair c f ~v1 ~v2)
-            faults)
-        r.pairs)
 
 let prop_detectability_curve_monotone =
   QCheck.Test.make ~name:"expected coverage is monotone in k" ~count:100
@@ -330,50 +288,6 @@ let prop_clustered_between_bounds =
       let dl = Dl_core.Clustered.defect_level ~yield:y ~alpha ~coverage:t in
       dl >= -1e-12 && dl <= (1.0 -. y) +. 1e-9)
 
-let prop_timing_arrival_monotone =
-  QCheck.Test.make ~name:"arrival times increase along fanin edges" ~count:15
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let c = random_circuit seed in
-      let t = Dl_logic.Timing.analyze c in
-      Array.for_all
-        (fun (nd : Circuit.node) ->
-          Array.for_all
-            (fun src -> Dl_logic.Timing.arrival t src < Dl_logic.Timing.arrival t nd.id)
-            nd.fanin
-          || nd.kind = Gate.Input)
-        c.Circuit.nodes)
-
-let prop_cop_probabilities_in_range =
-  QCheck.Test.make ~name:"COP probabilities and observabilities in [0,1]" ~count:20
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let c = random_circuit seed in
-      let cop = Dl_atpg.Cop.compute c in
-      Array.for_all
-        (fun (nd : Circuit.node) ->
-          let p = Dl_atpg.Cop.probability_one cop nd.id in
-          let o = Dl_atpg.Cop.observability cop nd.id in
-          p >= 0.0 && p <= 1.0 && o >= 0.0 && o <= 1.0)
-        c.Circuit.nodes)
-
-let prop_svg_well_formed =
-  QCheck.Test.make ~name:"SVG output is structurally sane" ~count:5
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let c = Transform.decompose_for_cells (random_circuit seed) in
-      let l = Dl_layout.Layout.synthesize (Dl_cell.Mapping.flatten c) in
-      let svg = Dl_layout.Svg.render l in
-      let count needle =
-        let nh = String.length svg and nn = String.length needle in
-        let c = ref 0 in
-        for i = 0 to nh - nn do
-          if String.sub svg i nn = needle then incr c
-        done;
-        !c
-      in
-      count "<g " = count "</g>" && count "<svg" = 1 && count "</svg>" = 1)
-
 let () =
   Alcotest.run "fuzz"
     [
@@ -389,13 +303,8 @@ let () =
             prop_switch_level_fault_free;
             prop_layout_no_shorts;
             prop_extraction_sites_valid;
-            prop_transition_oracle;
             prop_compaction_preserves;
-            prop_transition_atpg_verified;
             prop_detectability_curve_monotone;
             prop_clustered_between_bounds;
-            prop_timing_arrival_monotone;
-            prop_cop_probabilities_in_range;
-            prop_svg_well_formed;
           ] );
     ]

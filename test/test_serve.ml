@@ -718,16 +718,19 @@ let lifecycle_cases =
 let dlproj = "../bin/dlproj.exe"
 
 (* Run the CLI with [args]; a daemon that accepted its flags and kept
-   serving is killed after 10 s.  Returns the exit status and stderr. *)
+   serving is killed after 10 s.  Returns the exit status, stdout and
+   stderr. *)
 let run_cli args =
-  let err_path = Filename.temp_file "dlproj-cli" ".err" in
-  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process dlproj (Array.of_list (dlproj :: args)) null null err
+  let capture suffix =
+    let path = Filename.temp_file "dlproj-cli" suffix in
+    (path, Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600)
   in
-  Unix.close err;
-  Unix.close null;
+  let out_path, out = capture ".out" and err_path, err = capture ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid =
+    Unix.create_process dlproj (Array.of_list (dlproj :: args)) null out err
+  in
+  List.iter Unix.close [ out; err; null ];
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec reap () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -740,19 +743,42 @@ let run_cli args =
     | _, status -> status
   in
   let status = reap () in
-  let stderr = In_channel.with_open_bin err_path In_channel.input_all in
-  Sys.remove err_path;
-  (status, stderr)
+  let read path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  let stdout = read out_path in
+  (status, stdout, read err_path)
 
 let test_flag_must_be_positive args flag () =
   match run_cli (args @ [ "--socket"; tmp_socket () ]) with
-  | Unix.WEXITED 1, err ->
+  | Unix.WEXITED 1, _, err ->
       Alcotest.(check string) "one-line error"
         (Printf.sprintf "dlproj: error: %s must be positive\n" flag)
         err
-  | _, err ->
+  | _, _, err ->
       Alcotest.failf "%s: expected exit 1, stderr was %S"
         (String.concat " " args) err
+
+(* An out-of-range value on a one-shot command is a user error: exit 1
+   with one [dlproj: error:] line naming [what], printed before any other
+   output, and never reported as an internal error. *)
+let test_bad_value args what () =
+  let cmd = String.concat " " args in
+  match run_cli args with
+  | Unix.WEXITED 1, out, err ->
+      Alcotest.(check string) (cmd ^ ": no output before the error") "" out;
+      if
+        not
+          (String.starts_with ~prefix:"dlproj: error: " err
+          && String.index_opt err '\n' = Some (String.length err - 1)
+          && contains_sub ~sub:what err
+          && not (contains_sub ~sub:"internal error" err))
+      then
+        Alcotest.failf "%s: expected one user-error line naming %s, got %S"
+          cmd what err
+  | _, _, err -> Alcotest.failf "%s: expected exit 1, stderr was %S" cmd err
 
 let flag_cases =
   let coord = [ "coord"; "--worker"; "127.0.0.1:1" ] in
@@ -767,6 +793,23 @@ let flag_cases =
       (coord @ [ "--probe-ms"; "0" ], "--probe-ms");
       (coord @ [ "--probe-ms=-5" ], "--probe-ms");
     ]
+  @ List.map
+      (fun (args, what) ->
+        Alcotest.test_case (String.concat " " args) `Quick
+          (test_bad_value args what))
+      [
+        ([ "pipeline"; "c17"; "--points"; "0" ], "--points");
+        ([ "pipeline"; "c17"; "--yield"; "5" ], "target_yield");
+        ([ "pipeline"; "c17"; "--max-random=-5" ], "max_random_vectors");
+        ([ "atpg"; "c17"; "--max-random=-5" ], "--max-random");
+        ([ "ndet"; "c17"; "--max-random=-5" ], "--max-random");
+        ([ "compact"; "c17"; "--vectors=-5" ], "--vectors");
+        ([ "project"; "--target-ppm=-5" ], "--target-ppm");
+        ([ "project"; "--yield"; "5" ], "yield");
+        ([ "project"; "--coverage"; "2" ], "coverage");
+        ([ "project"; "--theta-max"; "2" ], "theta_max");
+        ([ "project"; "--ratio=-1" ], "R must be positive");
+      ]
 
 (* --- key plan vs actual run ---------------------------------------------- *)
 
