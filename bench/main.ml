@@ -1371,15 +1371,21 @@ let micro () =
   in
   let bridge_out = Array.copy bridge_charge in
   let kernel = Dl_netlist.Kernel.of_circuit c432 in
-  let kernel_buf = Dl_netlist.Kernel.create_words kernel in
+  let kernel_buf = Dl_netlist.Kernel.create_words4 kernel in
+  (* own generator, so the rows above keep their inputs *)
+  let vectors256 =
+    let rng = Dl_util.Rng.create 256 in
+    Array.init 256 (fun _ ->
+        Array.init (Dl_netlist.Circuit.input_count c432) (fun _ -> Dl_util.Rng.bool rng))
+  in
   let tests =
     [
       Test.make ~name:"sim2 reference: c432s, 64 patterns"
         (Staged.stage (fun () -> ignore (Dl_logic.Sim2.run c432 words)));
-      Test.make ~name:"sim2 kernel: c432s, 64 patterns"
+      Test.make ~name:"sim2 kernel: c432s, 256 patterns"
         (Staged.stage (fun () ->
-             Dl_logic.Sim2.load_words kernel kernel_buf words;
-             Dl_logic.Sim2.run_flat kernel kernel_buf));
+             Dl_logic.Sim2.load_patterns4 kernel kernel_buf vectors256 ~base:0 ~count:256;
+             Dl_logic.Sim2.run_flat4 kernel kernel_buf));
       Test.make ~name:"ppsfp wide: c432s block, all faults"
         (Staged.stage (fun () ->
              ignore (Dl_fault.Fault_sim.run c432 ~faults ~vectors:vectors64)));

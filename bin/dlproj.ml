@@ -148,27 +148,30 @@ let extract_cmd =
 
 let project_cmd =
   let run yield coverage r theta_max target_ppm =
+    (* The models' own ranges, checked here so the error names the flag;
+       nothing below can raise. *)
+    if not (yield > 0.0 && yield <= 1.0) then
+      die "--yield must be in (0, 1], got %g" yield;
+    if not (coverage >= 0.0 && coverage <= 1.0) then
+      die "--coverage must be in [0, 1], got %g" coverage;
+    if not (theta_max > 0.0 && theta_max <= 1.0) then
+      die "--theta-max must be in (0, 1], got %g" theta_max;
+    if not (r > 0.0) then die "--ratio must be positive, got %g" r;
     (match target_ppm with
      | Some ppm when not (ppm >= 0.0 && ppm < 1e6) ->
          die "--target-ppm must be in [0, 1e6), got %g" ppm
      | _ -> ());
     let params = { Dl_core.Projection.r; theta_max } in
     let t = Table.create [ ("model", Table.Left); ("DL", Table.Right) ] in
-    (* The rows validate every parameter before the first line is printed;
-       with --target-ppm checked above, nothing after them can raise. *)
-    (match
-       Table.add_row t
-         [ "Williams-Brown";
-           Table.fmt_ppm (Dl_core.Williams_brown.defect_level ~yield ~coverage) ];
-       Table.add_row t
-         [ Printf.sprintf "eq.11 (R=%.2f, θmax=%.2f)" r theta_max;
-           Table.fmt_ppm (Dl_core.Projection.defect_level ~yield ~params ~coverage) ];
-       Table.add_row t
-         [ "residual (T=1)";
-           Table.fmt_ppm (Dl_core.Projection.residual_defect_level ~yield ~theta_max) ]
-     with
-     | () -> ()
-     | exception Invalid_argument msg -> die "%s" msg);
+    Table.add_row t
+      [ "Williams-Brown";
+        Table.fmt_ppm (Dl_core.Williams_brown.defect_level ~yield ~coverage) ];
+    Table.add_row t
+      [ Printf.sprintf "eq.11 (R=%.2f, θmax=%.2f)" r theta_max;
+        Table.fmt_ppm (Dl_core.Projection.defect_level ~yield ~params ~coverage) ];
+    Table.add_row t
+      [ "residual (T=1)";
+        Table.fmt_ppm (Dl_core.Projection.residual_defect_level ~yield ~theta_max) ];
     Table.print t;
     match target_ppm with
     | None -> ()
@@ -292,6 +295,9 @@ let pipeline_cmd =
   let run spec seed jobs max_random target_yield points no_collapse sim_stats
       mc_dies mc_alpha_wafer mc_alpha_lot bootstrap ndet report cache json =
     if points < 1 then die "--points must be >= 1";
+    if not (target_yield > 0.0 && target_yield < 1.0) then
+      die "--yield must be in (0, 1), got %g" target_yield;
+    if max_random < 0 then die "--max-random must be >= 0";
     let c = load_circuit spec in
     check_writable_parent report;
     let mc =
@@ -722,6 +728,7 @@ let compact_cmd =
 
 let check_cmd =
   let run engines seconds seed out self_test list_checks replay =
+    if not (seconds > 0.0) then die "--seconds must be positive";
     if list_checks then begin
       List.iter
         (fun (o : Dl_check.Oracle.t) -> Printf.printf "%-18s %s\n" o.name o.doc)
@@ -787,8 +794,9 @@ let check_cmd =
     Arg.(value & flag
          & info [ "self-test" ]
              ~doc:"Run the mutation self-test instead of the registry: plant \
-                   known single-line bugs in a copy of the fault-simulation \
-                   eval loop and prove the harness catches and shrinks them.")
+                   known bugs in fault engines derived from the reference \
+                   fault simulator's detection events and prove the harness \
+                   catches and shrinks them.")
   in
   let list_checks =
     Arg.(value & flag & info [ "list" ] ~doc:"List registered checks and exit.")

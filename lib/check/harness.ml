@@ -191,7 +191,8 @@ let pp_summary ppf s =
 (* The mutant is judged against both correct engines — the wide
    FFR-inference engine and the reference it is pinned against — so the
    self-test also proves each can serve as a bug detector (and, for
-   [Pristine], that the two agree with the copied loop and each other). *)
+   [Pristine], that the mutants' derivation from the reference's event
+   stream agrees with the wide engine). *)
 let mutant_disagreement m (case : Testcase.t) =
   let got = Mutant.run m case.circuit ~faults:case.faults ~vectors:case.vectors in
   let n = Array.length case.faults in
@@ -273,8 +274,8 @@ let self_test ?out_dir ?(max_attempts = 48) ?(seed = 0) () =
       ~gates:(30 + (17 * attempt mod 31))
       ~n_vectors:130 ()
   in
-  (* The pristine copy must agree with the real engine: otherwise a caught
-     "mutant" might only witness drift in the copied loop. *)
+  (* The pristine derivation must agree with the real engine: otherwise a
+     caught "mutant" might only witness a fault in the derivation. *)
   let pristine_report =
     let rec scan attempt =
       if attempt >= 4 then None
@@ -289,7 +290,7 @@ let self_test ?out_dir ?(max_attempts = 48) ?(seed = 0) () =
           shrunk_gates = 0; shrink = None; repro_path = None }
     | None ->
         { mutant = "pristine"; caught = false; attempts = 4;
-          message = "copied eval loop matches the real engine";
+          message = "pristine derivation matches the real engine";
           shrunk_gates = 0; shrink = None; repro_path = None }
   in
   let test_mutant (mname, m) =

@@ -54,11 +54,10 @@ val replay : Testcase.repro -> string * string option
 
 (** {2 Mutation self-test}
 
-    Proof that the harness catches real engine bugs: each known
-    single-line mutant of the PPSFP eval loop ({!Mutant.all}) is run
-    differentially against {!Dl_fault.Fault_sim.run} until a disagreement
-    is found, which is then shrunk; the pristine copy must produce no
-    disagreement at all. *)
+    Proof that the harness catches real engine bugs: each planted PPSFP
+    mutant ({!Mutant.all}) is run differentially against
+    {!Dl_fault.Fault_sim.run} until a disagreement is found, which is then
+    shrunk; the pristine mutant must produce no disagreement at all. *)
 
 type self_report = {
   mutant : string;
@@ -75,6 +74,6 @@ val self_test :
   self_report list * bool
 (** Returns per-mutant reports (pristine first) and the overall verdict:
     every real mutant caught and shrunk to at most 20 gates, and the
-    pristine copy clean. *)
+    pristine mutant clean. *)
 
 val pp_self_reports : Format.formatter -> self_report list * bool -> unit

@@ -7,7 +7,6 @@ open Dl_netlist
 module Sim2 = Dl_logic.Sim2
 module Sim3 = Dl_logic.Sim3
 module Ternary = Dl_logic.Ternary
-module Event_sim = Dl_logic.Event_sim
 module Propagate = Dl_logic.Propagate
 module Fault_sim = Dl_fault.Fault_sim
 module Experiment = Dl_core.Experiment
@@ -23,43 +22,53 @@ let failf fmt = Printf.ksprintf (fun s -> Some s) fmt
 
 (* --- sim2-flat: reference word simulator vs flat CSR kernel ------------- *)
 
+(* Per 256-vector block, each 64-vector sub-word of [run_flat4] against
+   [Sim2.run] on the same vectors; bits past a ragged tail are masked. *)
 let sim2_flat (case : Testcase.t) =
   let c = case.Testcase.circuit in
   let n = Array.length case.vectors in
   if n = 0 then None
   else begin
     let k = Kernel.of_circuit c in
-    let buf = Kernel.create_words k in
-    let n_blocks = (n + 63) / 64 in
+    let buf = Kernel.create_words4 k in
+    let n_blocks = (n + 255) / 256 in
     let rec block b =
       if b >= n_blocks then None
       else begin
-        let base = b * 64 in
-        let count = min 64 (n - base) in
-        let words =
-          Sim2.words_of_patterns c (Array.sub case.vectors base count)
+        Sim2.load_patterns4 k buf case.vectors ~base:(b * 256)
+          ~count:(min 256 (n - (b * 256)));
+        Sim2.run_flat4 k buf;
+        let rec sub w =
+          let base = (b * 256) + (w * 64) in
+          if w = 4 || base >= n then block (b + 1)
+          else begin
+            let count = min 64 (n - base) in
+            let reference =
+              Sim2.run c
+                (Sim2.words_of_patterns c (Array.sub case.vectors base count))
+            in
+            let mask =
+              if count = 64 then -1L
+              else Int64.sub (Int64.shift_left 1L count) 1L
+            in
+            let rec node id =
+              if id >= Circuit.node_count c then sub (w + 1)
+              else
+                let r = Int64.logand reference.(id) mask in
+                let f = Int64.logand buf.{(4 * id) + w} mask in
+                if r <> f then
+                  failf
+                    "Sim2.run vs run_flat4: node %s block %d sub-word %d \
+                     (vectors %d..%d): %Lx vs %Lx"
+                    (Circuit.name c id) b w base
+                    (base + count - 1)
+                    r f
+                else node (id + 1)
+            in
+            node 0
+          end
         in
-        let reference = Sim2.run c words in
-        Sim2.load_patterns k buf case.vectors ~base ~count;
-        Sim2.run_flat k buf;
-        let mask =
-          if count = 64 then -1L else Int64.sub (Int64.shift_left 1L count) 1L
-        in
-        let rec node id =
-          if id >= Circuit.node_count c then block (b + 1)
-          else
-            let r = Int64.logand reference.(id) mask in
-            let f = Int64.logand buf.{id} mask in
-            if r <> f then
-              failf
-                "Sim2.run vs run_flat: node %s block %d (vectors %d..%d): \
-                 %Lx vs %Lx"
-                (Circuit.name c id) b base
-                (base + count - 1)
-                r f
-            else node (id + 1)
-        in
-        node 0
+        sub 0
       end
     in
     block 0
@@ -68,9 +77,10 @@ let sim2_flat (case : Testcase.t) =
 (* --- fault-sim: wide engine vs reference, serial and parallel ----------- *)
 
 (* Pin the production engine ([run], [run_parallel]: [Wide]) bit-identical
-   to the [Reference] engine, serial and on a 3-domain pool: first
-   detections and [on_detect] event streams, both drop modes.  Counters
-   are not compared — not evaluating gates is the wide engine's point. *)
+   to the serial [Reference] engine, serial and on 2- and 3-domain pools:
+   first detections and [on_detect] event streams, both drop modes.
+   Counters are not compared — not evaluating gates is the wide engine's
+   point. *)
 let fault_sim_agreement (case : Testcase.t) =
   let { Testcase.circuit = c; vectors; faults; _ } = case in
   let run_engine f =
@@ -88,11 +98,6 @@ let fault_sim_agreement (case : Testcase.t) =
           run_engine (fun ~on_detect ->
               Fault_sim.run_with ~engine:Reference ~drop_detected:drop
                 ~on_detect c ~faults ~vectors) );
-      ( "reference-parallel-3",
-        fun () ->
-          run_engine (fun ~on_detect ->
-              Fault_sim.run_parallel_with ~engine:Reference ~domains:3
-                ~drop_detected:drop ~on_detect c ~faults ~vectors) );
       ( "wide",
         fun () ->
           run_engine (fun ~on_detect ->
@@ -179,64 +184,59 @@ let fault_sim_agreement (case : Testcase.t) =
       | Some _ as f -> f
       | None -> check_oversized_pool ())
 
-(* --- event-propagate: selective trace vs cone propagation vs Sim2 ------- *)
+(* --- event-propagate: cone propagation vs Sim2 --------------------------- *)
 
+(* Each vector is reached from the previous one (all-zero inputs before the
+   first) by propagating only the changed inputs' cones; every node must
+   then equal a full [Sim2] evaluation, with no X on binary inputs. *)
 let event_propagate (case : Testcase.t) =
   let c = case.Testcase.circuit in
   let n_nodes = Circuit.node_count c in
-  if Array.length case.vectors = 0 then None
-  else begin
-    let es = Event_sim.create c in
-    let prev = ref (Event_sim.node_values es) in
-    let prev_inputs = ref (Array.make (Circuit.input_count c) false) in
-    let rec step vi =
-      if vi >= Array.length case.vectors then None
-      else begin
-        let v = case.vectors.(vi) in
-        let seeds =
-          Array.to_list
-            (Array.mapi
-               (fun i id ->
-                 if v.(i) <> !prev_inputs.(i) then
-                   Some (id, Ternary.of_bool v.(i))
-                 else None)
-               c.inputs)
-          |> List.filter_map Fun.id
-        in
-        let diff = Propagate.run c !prev seeds in
-        ignore (Event_sim.set_inputs es v);
-        let full = Sim2.run_single c v in
-        let rec node id =
-          if id >= n_nodes then begin
-            prev := Event_sim.node_values es;
-            prev_inputs := Array.copy v;
-            step (vi + 1)
-          end
-          else if Event_sim.value es id <> full.(id) then
-            failf "Event_sim vs Sim2: vector %d node %s: %b vs %b" vi
-              (Circuit.name c id) (Event_sim.value es id) full.(id)
-          else
-            let expected =
-              match Hashtbl.find_opt diff id with
-              | Some t -> Ternary.to_bool t
-              | None -> Some !prev.(id)
-            in
-            match expected with
-            | None ->
-                failf "Propagate produced X at node %s on binary inputs \
-                       (vector %d)"
-                  (Circuit.name c id) vi
-            | Some b ->
-                if b <> full.(id) then
-                  failf "Propagate vs Sim2: vector %d node %s: %b vs %b" vi
-                    (Circuit.name c id) b full.(id)
-                else node (id + 1)
-        in
-        node 0
-      end
-    in
-    step 0
-  end
+  let prev_inputs = ref (Array.make (Circuit.input_count c) false) in
+  let prev = ref (Sim2.run_single c !prev_inputs) in
+  let rec step vi =
+    if vi >= Array.length case.vectors then None
+    else begin
+      let v = case.vectors.(vi) in
+      let seeds =
+        Array.to_list
+          (Array.mapi
+             (fun i id ->
+               if v.(i) <> !prev_inputs.(i) then
+                 Some (id, Ternary.of_bool v.(i))
+               else None)
+             c.inputs)
+        |> List.filter_map Fun.id
+      in
+      let diff = Propagate.run c !prev seeds in
+      let full = Sim2.run_single c v in
+      let rec node id =
+        if id >= n_nodes then begin
+          prev := full;
+          prev_inputs := v;
+          step (vi + 1)
+        end
+        else
+          let expected =
+            match Hashtbl.find_opt diff id with
+            | Some t -> Ternary.to_bool t
+            | None -> Some !prev.(id)
+          in
+          match expected with
+          | None ->
+              failf "Propagate produced X at node %s on binary inputs \
+                     (vector %d)"
+                (Circuit.name c id) vi
+          | Some b ->
+              if b <> full.(id) then
+                failf "Propagate vs Sim2: vector %d node %s: %b vs %b" vi
+                  (Circuit.name c id) b full.(id)
+              else node (id + 1)
+      in
+      node 0
+    end
+  in
+  step 0
 
 (* --- sim3-binary: ternary simulator restricted to binary inputs --------- *)
 
@@ -1139,7 +1139,9 @@ let projection_reference (case : Testcase.t) =
 let all =
   [
     { name = "sim2-flat";
-      doc = "Sim2.run vs flat-kernel run_flat, every node word, tail blocks";
+      doc =
+        "Sim2.run vs flat-kernel run_flat4, every node, each 64-vector \
+         sub-word, ragged tails masked";
       kind = Case sim2_flat };
     { name = "fault-sim";
       doc =
@@ -1147,7 +1149,9 @@ let all =
          wider than the universe), both drop modes, detection event streams";
       kind = Case fault_sim_agreement };
     { name = "event-propagate";
-      doc = "Event_sim selective trace vs Propagate cone vs Sim2, per vector";
+      doc =
+        "Propagate cone from the previous vector's Sim2 values vs Sim2, \
+         per vector, no X on binary inputs";
       kind = Case event_propagate };
     { name = "sim3-binary";
       doc = "Sim3 equals Sim2 on fully-binary inputs, every node";

@@ -16,14 +16,17 @@ type t = { name : string; doc : string; kind : kind }
 
 val all : t list
 (** Every registered check, in display order:
-    - ["sim2-flat"]: {!Dl_logic.Sim2.run} vs {!Dl_logic.Sim2.run_flat}
-      on every node word, including 1..63-vector tail blocks;
-    - ["fault-sim"]: {!Dl_fault.Fault_sim.run} vs [Reference.run] vs
-      [run_parallel] (several widths, including wider than the fault
-      universe), both drop modes, plus [on_detect] event streams and
-      evaluation counts;
-    - ["event-propagate"]: {!Dl_logic.Event_sim} vs {!Dl_logic.Propagate}
-      vs {!Dl_logic.Sim2.run_single} across a vector sequence;
+    - ["sim2-flat"]: {!Dl_logic.Sim2.run} vs {!Dl_logic.Sim2.run_flat4}
+      on every node, one 64-vector sub-word at a time, ragged tails
+      masked;
+    - ["fault-sim"]: {!Dl_fault.Fault_sim.run} and [run_parallel] (2 and
+      3 domains, and a pool wider than the fault universe) vs the serial
+      [Reference] engine, both drop modes: first detections and
+      [on_detect] event streams;
+    - ["event-propagate"]: {!Dl_logic.Propagate} from the previous
+      vector's {!Dl_logic.Sim2.run_single} values vs a full
+      {!Dl_logic.Sim2.run_single} across a vector sequence (also catches X
+      leakage);
     - ["sim3-binary"]: {!Dl_logic.Sim3.run} equals two-valued simulation
       when no input is X;
     - ["coverage-monotone"], ["collapse-classes"]: case-level metamorphic

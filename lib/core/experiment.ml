@@ -479,20 +479,10 @@ let ndet_sim =
     ~fingerprint:(fun cfg ->
       Option.map (fun n -> [ ("n", string_of_int n); engine cfg ]) cfg.ndet)
     (fun r () ->
-      let nd =
-        Dl_fault.Fault_sim.run_ndet ~engine:r.cfg.sim_engine
-          ~domains:r.cfg.domains ?pool:r.cfg.pool
-          ~drop_after:(Option.get r.cfg.ndet) (mapping.get r)
-          ~faults:(universe.get r) ~vectors:(vectors r)
-      in
-      {
-        Artifact.nd_drop_after = nd.drop_after;
-        nd_counts = nd.counts;
-        nd_detections = nd.detections;
-        nd_vectors_applied = nd.vectors_applied;
-        nd_gate_evaluations = nd.gate_evaluations;
-        nd_sim_stats = nd.stats;
-      })
+      Dl_fault.Fault_sim.run_ndet ~engine:r.cfg.sim_engine
+        ~domains:r.cfg.domains ?pool:r.cfg.pool
+        ~drop_after:(Option.get r.cfg.ndet) (mapping.get r)
+        ~faults:(universe.get r) ~vectors:(vectors r))
 
 let ndet_atpg =
   stage ~name:"ndet-atpg" ~codec:Artifact.ndet_atpg
@@ -573,18 +563,7 @@ let run cfg =
   let ndet =
     Option.map
       (fun ndet_n ->
-        let nd = ndet_sim.get r and gen = ndet_atpg.get r in
-        let profile =
-          {
-            Dl_fault.Fault_sim.faults = universe.get r;
-            drop_after = nd.Artifact.nd_drop_after;
-            counts = nd.nd_counts;
-            detections = nd.nd_detections;
-            vectors_applied = nd.nd_vectors_applied;
-            gate_evaluations = nd.nd_gate_evaluations;
-            stats = nd.nd_sim_stats;
-          }
-        in
+        let profile = ndet_sim.get r and gen = ndet_atpg.get r in
         {
           ndet_n;
           profile;

@@ -164,28 +164,6 @@ let check_faults (c : Circuit.t) faults =
             bad i f (Printf.sprintf "node %d has %d inputs" gate arity)
   done
 
-(* The contract every parallel entry point shares.  An empty fault universe
-   returns at once (no good-machine simulation, and the drivers' shard
-   clamp stays >= 1); a one-worker pool runs [serial]; a [domains] request
-   wider than the universe is clamped before any domain is spawned — the
-   extra workers could never hold a fault, and an oversized request would
-   hit the runtime's domain limit. *)
-let on_pool ~domains ~pool ~serial ~in_pool ~faults ~vectors =
-  if Array.length faults = 0 then
-    { faults; first_detection = [||]; vectors_applied = Array.length vectors;
-      gate_evaluations = 0; stats = Stats.zero }
-  else
-    let dispatch pool =
-      if Parallel.size pool = 1 then serial () else in_pool pool
-    in
-    match pool with
-    | Some pool -> dispatch pool
-    | None ->
-        let domains =
-          Option.map (fun d -> max 1 (min d (Array.length faults))) domains
-        in
-        Parallel.with_pool ?domains dispatch
-
 (* --- Reference engine ------------------------------------------------------
 
    The pre-kernel PPSFP implementation, retained verbatim as the oracle the
@@ -238,9 +216,8 @@ module Reference = struct
       end
   end
 
-  (* Per-worker mutable state: the faulty-machine scratch arrays and
-     schedule.  The circuit, the [is_output] map and the good-machine words
-     of the current block are shared read-only between workers. *)
+  (* The faulty-machine scratch arrays and schedule, reused from fault to
+     fault. *)
   type scratch = {
     schedule : Schedule.t;
     faulty : int64 array;
@@ -262,9 +239,7 @@ module Reference = struct
   (* Simulate one fault against one 64-vector block.  Returns the detection
      word (one bit per vector of the block that propagates a difference to
      a primary output).  The scratch arrays are clean on entry and are
-     cleaned again before returning.  This is the single code path used by
-     both the serial and the parallel driver, which is what makes them
-     bit-for-bit identical. *)
+     cleaned again before returning. *)
   let simulate_fault (c : Circuit.t) st ~is_output ~good ~valid_mask
       (f : Stuck_at.t) =
     let touch id v =
@@ -390,71 +365,6 @@ module Reference = struct
           gate_evaluations = st.gate_evaluations;
           faults_dropped = dropped_of ~drop_detected first_detection };
     }
-
-  let run_in_pool ~drop_detected ~on_detect pool (c : Circuit.t) ~faults
-      ~vectors =
-    let n_faults = Array.length faults in
-    (* A pool wider than the fault universe would create empty shards whose
-       scratch state (O(nodes) each) is allocated for nothing; clamping
-       changes no result because sharding is by contiguous fault index. *)
-    let shards = min (Parallel.size pool) n_faults in
-    let first_detection = Array.make n_faults None in
-    let live = Array.make n_faults true in
-    let is_output = output_map c in
-    let scratches = Array.init shards (fun _ -> make_scratch c) in
-    let detect_words =
-      match on_detect with Some _ -> Array.make n_faults 0L | None -> [||]
-    in
-    let shard_bounds s = (s * n_faults / shards, (s + 1) * n_faults / shards) in
-    let n_vectors = Array.length vectors in
-    let n_blocks = (n_vectors + 63) / 64 in
-    for block = 0 to n_blocks - 1 do
-      let base = block * 64 in
-      let count = min 64 (n_vectors - base) in
-      let patterns = Array.sub vectors base count in
-      let words = Sim2.words_of_patterns c patterns in
-      let good = Sim2.run c words in
-      let valid_mask = valid_mask_of count in
-      Parallel.run pool ~tasks:shards (fun s ->
-          let st = scratches.(s) in
-          let lo, hi = shard_bounds s in
-          for fi = lo to hi - 1 do
-            if live.(fi) then begin
-              let dw =
-                simulate_fault c st ~is_output ~good ~valid_mask faults.(fi)
-              in
-              if dw <> 0L then begin
-                record_first first_detection fi ~base dw;
-                if on_detect <> None then detect_words.(fi) <- dw;
-                if drop_detected then live.(fi) <- false
-              end
-            end
-          done);
-      match on_detect with
-      | Some callback ->
-          for fi = 0 to n_faults - 1 do
-            if detect_words.(fi) <> 0L then begin
-              fire_events callback ~base ~count ~fault_index:fi detect_words.(fi);
-              detect_words.(fi) <- 0L
-            end
-          done
-      | None -> ()
-    done;
-    let gate_evaluations =
-      Array.fold_left (fun acc st -> acc + st.gate_evaluations) 0 scratches
-    in
-    { faults; first_detection; vectors_applied = n_vectors; gate_evaluations;
-      stats =
-        { Stats.zero with
-          gate_evaluations;
-          faults_dropped = dropped_of ~drop_detected first_detection } }
-
-  let run_parallel ?(drop_detected = true) ?on_detect ?domains ?pool c ~faults
-      ~vectors =
-    on_pool ~domains ~pool ~faults ~vectors
-      ~serial:(fun () -> run ~drop_detected ?on_detect c ~faults ~vectors)
-      ~in_pool:(fun pool ->
-        run_in_pool ~drop_detected ~on_detect pool c ~faults ~vectors)
 end
 
 (* --- Wide engine ------------------------------------------------------------
@@ -1028,19 +938,37 @@ let run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors =
       run_wide ~drop_detected ~on_detect ~workers:1 ~run_tasks:serial_tasks c
         ~faults ~vectors
 
+(* The reference engine has no pooled driver: it runs serially whatever
+   the pool, with the same results, counters and event stream.  For the
+   wide engine an empty fault universe returns at once (no good-machine
+   simulation, and the driver's shard clamp stays >= 1); a one-worker pool
+   runs serially; a [domains] request wider than the universe is clamped
+   before any domain is spawned — the extra workers could never hold a
+   fault, and an oversized request would hit the runtime's domain limit. *)
 let run_pooled ~engine ~drop_detected ~on_detect ?domains ?pool c ~faults
     ~vectors =
+  let serial () =
+    run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors
+  in
+  let dispatch pool =
+    if Parallel.size pool = 1 then serial ()
+    else
+      run_wide ~drop_detected ~on_detect ~workers:(Parallel.size pool)
+        ~run_tasks:(Parallel.run pool) c ~faults ~vectors
+  in
   match engine with
-  | Reference ->
-      Reference.run_parallel ~drop_detected ?on_detect ?domains ?pool c ~faults
-        ~vectors
-  | Wide ->
-      on_pool ~domains ~pool ~faults ~vectors
-        ~serial:(fun () ->
-          run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors)
-        ~in_pool:(fun pool ->
-          run_wide ~drop_detected ~on_detect ~workers:(Parallel.size pool)
-            ~run_tasks:(Parallel.run pool) c ~faults ~vectors)
+  | Reference -> serial ()
+  | Wide when Array.length faults = 0 ->
+      { faults; first_detection = [||]; vectors_applied = Array.length vectors;
+        gate_evaluations = 0; stats = Stats.zero }
+  | Wide -> (
+      match pool with
+      | Some pool -> dispatch pool
+      | None ->
+          let domains =
+            Option.map (fun d -> max 1 (min d (Array.length faults))) domains
+          in
+          Parallel.with_pool ?domains dispatch)
 
 let run_with ~engine ?(drop_detected = true) ?on_detect c ~faults ~vectors =
   check_faults c faults;
@@ -1092,7 +1020,6 @@ let detects_fault (c : Circuit.t) (f : Stuck_at.t) vector =
 (* --- multi-detect (drop-after-n) driver ----------------------------------- *)
 
 type ndet = {
-  faults : Stuck_at.t array;
   drop_after : int;
   counts : int array;
   detections : int array;
@@ -1169,7 +1096,7 @@ let run_ndet ?(engine = Wide) ?domains ?pool ?on_detect ~drop_after
   in
   (match (pool, domains) with
   | Some pool, _ -> drive (Some pool)
-  | None, Some d when d > 1 ->
+  | None, Some d when d > 1 && engine = Wide ->
       Parallel.with_pool ~domains:d (fun pool -> drive (Some pool))
   | None, _ -> drive None);
   let dropped =
@@ -1177,7 +1104,6 @@ let run_ndet ?(engine = Wide) ?domains ?pool ?on_detect ~drop_after
       counts
   in
   {
-    faults;
     drop_after;
     counts;
     detections;

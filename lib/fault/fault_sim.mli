@@ -123,23 +123,13 @@ val run_parallel :
 
 (** The pre-kernel PPSFP engine, retained verbatim as the oracle for
     property-testing [Wide] (and as the baseline of the bench's kernel
-    section).  Same semantics, same signatures; allocates per gate
+    section).  Same semantics as {!run}; serial only; allocates per gate
     evaluation.  Does not validate its fault list ({!run_with}
     [~engine:Reference] does). *)
 module Reference : sig
   val run :
     ?drop_detected:bool ->
     ?on_detect:(fault_index:int -> vector_index:int -> unit) ->
-    Circuit.t ->
-    faults:Stuck_at.t array ->
-    vectors:bool array array ->
-    result
-
-  val run_parallel :
-    ?drop_detected:bool ->
-    ?on_detect:(fault_index:int -> vector_index:int -> unit) ->
-    ?domains:int ->
-    ?pool:Dl_util.Parallel.t ->
     Circuit.t ->
     faults:Stuck_at.t array ->
     vectors:bool array array ->
@@ -172,7 +162,9 @@ val run_parallel_with :
     [run_with ~engine] on the same inputs regardless of worker count —
     including [stats] totals: [Wide] toggles each needed stem exactly once
     per block in a separate phase before fault tracing, so sharding never
-    changes what work is done, only who does it. *)
+    changes what work is done, only who does it.  [Reference] has no
+    pooled driver and runs {!Reference.run} serially whatever
+    [domains]/[pool] say. *)
 
 val lowest_set_bit : int64 -> int option
 (** Index (0-63) of the least-significant set bit, [None] for [0L].
@@ -197,7 +189,6 @@ val detects_fault : Circuit.t -> Stuck_at.t -> bool array -> bool
     curves and DL(n) projections. *)
 
 type ndet = {
-  faults : Stuck_at.t array;
   drop_after : int;  (** the detection quota n (>= 1) *)
   counts : int array;
       (** per-fault detection count, capped at [drop_after] *)
@@ -223,8 +214,8 @@ val run_ndet :
   vectors:bool array array ->
   ndet
 (** Simulate until each fault has been detected [drop_after] times (or the
-    vectors run out), recording every k-th detection index.  Implemented as
-    a chunked driver over {!run_with}/{!run_parallel_with} with dropping
+    vectors run out), recording every k-th detection index, per fault in
+    [faults] order.  Implemented as a chunked driver over {!run_with}/{!run_parallel_with} with dropping
     disabled inside each engine-native block, refreshing the live-fault set
     at block boundaries — exactly the granularity at which the dropping
     engines refresh theirs, so [drop_after:1] reproduces
@@ -233,9 +224,9 @@ val run_ndet :
     [on_detect] fires only for counted detections (at most [drop_after] per
     fault), in the underlying engine's replay order with chunk-global
     vector indices.  [engine] defaults to [Wide]; [domains]/[pool] select
-    the parallel path (one pool is created up front and reused across all
-    chunks).  Raises [Invalid_argument] if [drop_after < 1] or a fault is
-    out of range. *)
+    its parallel path (one pool is created up front and reused across all
+    chunks; [Reference] runs serially and creates none).  Raises
+    [Invalid_argument] if [drop_after < 1] or a fault is out of range. *)
 
 val ndet_kth_detection : ndet -> k:int -> int option array
 (** Vector index of each fault's k-th detection (1-based [k]), [None] where

@@ -18,45 +18,9 @@ let run (c : Circuit.t) pi_words =
 (* --- Flat-kernel entry points -------------------------------------------- *)
 
 (* [run] above is retained as the reference engine the kernel path is
-   property-tested against; the [_flat] family below is the production hot
-   path: caller-provided bigarray buffer, no per-run or per-gate
-   allocation. *)
-
-let load_words (k : Kernel.t) (buf : Kernel.words) pi_words =
-  if Array.length pi_words <> Array.length k.inputs then
-    invalid_arg "Sim2.load_words: one word per primary input required";
-  if Bigarray.Array1.dim buf < k.n then
-    invalid_arg "Sim2.load_words: values buffer shorter than node count";
-  for i = 0 to Array.length k.inputs - 1 do
-    Bigarray.Array1.unsafe_set buf k.inputs.(i) pi_words.(i)
-  done
-
-let load_patterns (k : Kernel.t) (buf : Kernel.words) vectors ~base ~count =
-  let npi = Array.length k.inputs in
-  if count < 0 || count > 64 then
-    invalid_arg "Sim2.load_patterns: count must be in 0..64";
-  if base < 0 || base + count > Array.length vectors then
-    invalid_arg "Sim2.load_patterns: vector slice out of range";
-  if Bigarray.Array1.dim buf < k.n then
-    invalid_arg "Sim2.load_patterns: values buffer shorter than node count";
-  for bit = 0 to count - 1 do
-    if Array.length vectors.(base + bit) <> npi then
-      invalid_arg "Sim2.load_patterns: pattern width mismatch"
-  done;
-  (* Transpose the vector slice straight into the PI word slots: bit [b] of
-     PI word [i] is vector [base+b]'s value for input [i].  High bits beyond
-     [count] are zero-filled, matching [words_of_patterns]. *)
-  for i = 0 to npi - 1 do
-    let pi_id = Array.unsafe_get k.inputs i in
-    let w = ref 0L in
-    for bit = 0 to count - 1 do
-      if Array.unsafe_get (Array.unsafe_get vectors (base + bit)) i then
-        w := Int64.logor !w (Int64.shift_left 1L bit)
-    done;
-    Bigarray.Array1.unsafe_set buf pi_id !w
-  done
-
-let run_flat (k : Kernel.t) (buf : Kernel.words) = Kernel.run_into k buf
+   property-tested against; [load_patterns4]/[run_flat4] below are the
+   production hot path: caller-provided bigarray buffer, 256 patterns per
+   pass, no per-run or per-gate allocation. *)
 
 let load_patterns4 (k : Kernel.t) (buf : Kernel.words) vectors ~base ~count =
   let npi = Array.length k.inputs in
@@ -70,9 +34,10 @@ let load_patterns4 (k : Kernel.t) (buf : Kernel.words) vectors ~base ~count =
     if Array.length vectors.(base + bit) <> npi then
       invalid_arg "Sim2.load_patterns4: pattern width mismatch"
   done;
-  (* Same transpose as [load_patterns], split over the four sub-words: bit
-     [b] of sub-word [w] of PI word [i] is vector [base + 64w + b]'s value
-     for input [i], high bits beyond [count] zero-filled. *)
+  (* Transpose the vector slice straight into the PI word slots, split
+     over the four sub-words: bit [b] of sub-word [w] of PI word [i] is
+     vector [base + 64w + b]'s value for input [i], high bits beyond
+     [count] zero-filled (matching [words_of_patterns]). *)
   for i = 0 to npi - 1 do
     let pi4 = Array.unsafe_get k.inputs i * 4 in
     for w = 0 to 3 do

@@ -12,41 +12,29 @@ val run : Circuit.t -> int64 array -> int64 array
 
     This is the {e reference} engine: simple, allocating, and retained as
     the oracle the flat-kernel path is property-tested against.  Hot loops
-    should use {!run_flat} over a {!Kernel.t}. *)
+    should use {!run_flat4} over a {!Kernel.t}. *)
 
 (** {2 Flat-kernel path}
 
     Allocation-free pipeline: lower once with {!Kernel.of_circuit}, allocate
-    a buffer with {!Kernel.create_words}, then per 64-pattern block call
-    {!load_patterns} (or {!load_words}) followed by {!run_flat}. *)
-
-val load_words : Kernel.t -> Kernel.words -> int64 array -> unit
-(** Seed primary-input words (one per PI, [inputs] order) into the buffer. *)
-
-val load_patterns :
-  Kernel.t -> Kernel.words -> bool array array -> base:int -> count:int -> unit
-(** [load_patterns k buf vectors ~base ~count] transposes the [count] (≤ 64)
-    test vectors starting at [vectors.(base)] directly into the PI word slots
-    of [buf] — bit [b] of each PI word is vector [base+b] — zero-filling bits
-    [count..63].  Replaces the allocating [Array.sub] + {!words_of_patterns}
-    block-prep of the reference path. *)
-
-val run_flat : Kernel.t -> Kernel.words -> unit
-(** Evaluate all gates in topological order against the buffer (PIs must be
-    loaded first).  Equivalent to {!Kernel.run_into}; bit-for-bit identical
-    to {!run} on the same patterns, with zero per-gate allocation. *)
+    a buffer with {!Kernel.create_words4}, then per 256-pattern block call
+    {!load_patterns4} followed by {!run_flat4}. *)
 
 val load_patterns4 :
   Kernel.t -> Kernel.words -> bool array array -> base:int -> count:int -> unit
-(** Wide-block {!load_patterns}: transposes [count] (≤ 256) vectors starting
-    at [vectors.(base)] into a {!Kernel.create_words4} buffer — bit [b] of
-    sub-word [w] of each PI is vector [base + 64w + b] — zero-filling the
-    tail.  Pair with {!run_flat4}. *)
+(** [load_patterns4 k buf vectors ~base ~count] transposes the [count]
+    (≤ 256) test vectors starting at [vectors.(base)] directly into the PI
+    word slots of a {!Kernel.create_words4} buffer — bit [b] of sub-word
+    [w] of each PI is vector [base + 64w + b] — zero-filling the tail, so
+    each sub-word equals {!words_of_patterns} over its 64 vectors.  Raises
+    [Invalid_argument] on a count outside [0..256], a slice outside
+    [vectors], a pattern of the wrong width, or a buffer shorter than
+    [4 * k.n]. *)
 
 val run_flat4 : Kernel.t -> Kernel.words -> unit
 (** 256-pattern evaluation over a wide buffer (= {!Kernel.run_into4}).
-    Sub-word [w] of every node is bit-identical to {!run_flat} over patterns
-    [64w .. 64w+63] of the block. *)
+    Sub-word [w] of every node is bit-identical to {!run} over patterns
+    [64w .. 64w+63] of the block, with zero per-gate allocation. *)
 
 val outputs_of : Circuit.t -> int64 array -> int64 array
 (** Project node values to primary outputs, in [c.outputs] order. *)

@@ -31,8 +31,6 @@ let alloc len =
   Bigarray.Array1.fill buf 0L;
   buf
 
-let create_words t = alloc t.n
-
 let of_circuit (c : Circuit.t) =
   let n = Array.length c.nodes in
   let opcode = Array.make n 0 in
@@ -134,90 +132,15 @@ let of_circuit (c : Circuit.t) =
     n_ffrs = !n_ffrs;
   }
 
-(* Single-gate evaluation against the CSR slice.  Specialized unary and
-   binary paths cover the overwhelming majority of ISCAS gates; the n-ary
-   fallback folds with a local ref, which the native compiler keeps as an
-   unboxed mutable.  No allocation on any path. *)
-let[@inline] eval_unsafe t (buf : words) id =
-  let off = Array.unsafe_get t.fanin_off id in
-  let len = Array.unsafe_get t.fanin_off (id + 1) - off in
-  let op = Array.unsafe_get t.opcode id in
-  if len = 2 then begin
-    let a = Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin off) in
-    let b = Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin (off + 1)) in
-    let v =
-      if op = Gate.op_and then Int64.logand a b
-      else if op = Gate.op_nand then Int64.lognot (Int64.logand a b)
-      else if op = Gate.op_or then Int64.logor a b
-      else if op = Gate.op_nor then Int64.lognot (Int64.logor a b)
-      else if op = Gate.op_xor then Int64.logxor a b
-      else Int64.lognot (Int64.logxor a b)
-    in
-    Bigarray.Array1.unsafe_set buf id v
-  end
-  else if len = 1 then begin
-    let a = Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin off) in
-    Bigarray.Array1.unsafe_set buf id
-      (if Gate.op_inverts op then Int64.lognot a else a)
-  end
-  else if len = 0 then invalid_arg "Kernel.eval_node: node has no fanin"
-  else begin
-    let last = off + len - 1 in
-    if op <= Gate.op_nand then begin
-      let acc = ref (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin off)) in
-      for k = off + 1 to last do
-        acc :=
-          Int64.logand !acc
-            (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin k))
-      done;
-      Bigarray.Array1.unsafe_set buf id
-        (if op = Gate.op_nand then Int64.lognot !acc else !acc)
-    end
-    else if op <= Gate.op_nor then begin
-      let acc = ref (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin off)) in
-      for k = off + 1 to last do
-        acc :=
-          Int64.logor !acc
-            (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin k))
-      done;
-      Bigarray.Array1.unsafe_set buf id
-        (if op = Gate.op_nor then Int64.lognot !acc else !acc)
-    end
-    else begin
-      let acc = ref (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin off)) in
-      for k = off + 1 to last do
-        acc :=
-          Int64.logxor !acc
-            (Bigarray.Array1.unsafe_get buf (Array.unsafe_get t.fanin k))
-      done;
-      Bigarray.Array1.unsafe_set buf id
-        (if op = Gate.op_xnor then Int64.lognot !acc else !acc)
-    end
-  end
-
-let check_dim fn t buf =
-  if Bigarray.Array1.dim buf < t.n then
-    invalid_arg (fn ^ ": values buffer shorter than node count")
-
-let eval_node t buf id =
-  check_dim "Kernel.eval_node" t buf;
-  if id < 0 || id >= t.n then invalid_arg "Kernel.eval_node: id out of range";
-  eval_unsafe t buf id
-
-let run_into t buf =
-  check_dim "Kernel.run_into" t buf;
-  let order = t.gate_order in
-  for i = 0 to Array.length order - 1 do
-    eval_unsafe t buf (Array.unsafe_get order i)
-  done
-
-(* --- 4-word (256-pattern) wide path ----------------------------------------
+(* --- 4-word (256-pattern) evaluation ----------------------------------------
 
    Node [i]'s four words live at [4i .. 4i+3]; word [w] carries patterns
    [64w .. 64w+63] of the block.  Each CSR fanin fetch is amortized over
    256 patterns: the index arithmetic and opcode dispatch run once per
    sub-word group of four, and the inner [w] loops carry only unboxed
-   bigarray reads/writes. *)
+   bigarray reads/writes.  Specialized unary and binary paths cover the
+   overwhelming majority of ISCAS gates; the n-ary fallback folds with a
+   local ref, which the native compiler keeps as an unboxed mutable. *)
 
 let create_words4 t = alloc (4 * t.n)
 

@@ -2,7 +2,7 @@
     values, for allocation-free simulation hot loops.
 
     {!of_circuit} lowers a finalized {!Circuit.t} once into dense int arrays;
-    after that a full 64-pattern circuit evaluation ({!run_into}) performs
+    after that a full 256-pattern circuit evaluation ({!run_into4}) performs
     zero minor-heap allocation — node values live in an [int64] bigarray
     whose reads, writes, and intermediate logic ops the native compiler keeps
     unboxed, and fanin indices come from a concatenated CSR slice instead of
@@ -13,7 +13,8 @@
     same arrays; see [Fault_sim]. *)
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A node-value buffer: one 64-pattern word per node id. *)
+(** A buffer of 64-pattern words: four per node id for {!run_into4}, one
+    per fault-simulator scratch slot. *)
 
 type t = private {
   circuit : Circuit.t;  (** The lowered circuit (names, node metadata). *)
@@ -58,22 +59,7 @@ val of_circuit : Circuit.t -> t
 val alloc : int -> words
 (** Fresh zero-filled word buffer of the given length. *)
 
-val create_words : t -> words
-(** {!alloc} sized to the kernel's node count. *)
-
-val eval_node : t -> words -> int -> unit
-(** [eval_node t buf id] evaluates gate [id] from its fanin values in [buf]
-    and writes the result to [buf.{id}].  Allocation-free.  Raises
-    [Invalid_argument] on a primary input, an out-of-range id, or a buffer
-    shorter than [t.n]. *)
-
-val run_into : t -> words -> unit
-(** Full-circuit evaluation: one linear pass over {!gate_order}.  Caller
-    seeds primary-input words into [buf] first (e.g. [Sim2.load_words]);
-    on return [buf.{id}] holds every node's 64-pattern response.
-    Allocation-free. *)
-
-(** {2 Wide (256-pattern) path}
+(** {2 256-pattern evaluation}
 
     Four words per node: node [i]'s words live at [4i .. 4i+3], word [w]
     carrying patterns [64w .. 64w+63] of the block, so each CSR fanin walk
@@ -83,6 +69,8 @@ val create_words4 : t -> words
 (** Zero-filled wide buffer, [4 * n] words. *)
 
 val run_into4 : t -> words -> unit
-(** Full-circuit evaluation over a wide buffer (PIs seeded first, e.g.
-    [Sim2.load_patterns4]).  Word [w] of every node is bit-identical to a
-    {!run_into} pass over patterns [64w .. 64w+63].  Allocation-free. *)
+(** Full-circuit evaluation: one linear pass over {!gate_order} against a
+    wide buffer (PIs seeded first, e.g. [Sim2.load_patterns4]).  Word [w]
+    of every node is bit-identical to [Sim2.run] over patterns
+    [64w .. 64w+63].  Allocation-free.  Raises [Invalid_argument] on a
+    buffer shorter than [4 * n]. *)

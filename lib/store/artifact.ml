@@ -464,36 +464,27 @@ let summary : summary Codec.t =
 
 (* -------------------------------------------------------- ndet *)
 
-type ndet_profile = {
-  nd_drop_after : int;
-  nd_counts : int array;
-  nd_detections : int array;
-  nd_vectors_applied : int;
-  nd_gate_evaluations : int;
-  nd_sim_stats : Dl_fault.Fault_sim.Stats.t;
-}
-
-let ndet_profile : ndet_profile Codec.t =
-  let encode buf (p : ndet_profile) =
-    B.write_varint buf p.nd_drop_after;
-    B.write_array (fun b k -> B.write_varint b k) buf p.nd_counts;
+let ndet_profile : Dl_fault.Fault_sim.ndet Codec.t =
+  let encode buf (p : Dl_fault.Fault_sim.ndet) =
+    B.write_varint buf p.drop_after;
+    B.write_array (fun b k -> B.write_varint b k) buf p.counts;
     (* detection slots are >= -1: shift by one to stay in varint range *)
-    B.write_array (fun b v -> B.write_varint b (v + 1)) buf p.nd_detections;
-    B.write_varint buf p.nd_vectors_applied;
-    B.write_varint buf p.nd_gate_evaluations;
-    write_sim_stats buf p.nd_sim_stats
+    B.write_array (fun b v -> B.write_varint b (v + 1)) buf p.detections;
+    B.write_varint buf p.vectors_applied;
+    B.write_varint buf p.gate_evaluations;
+    write_sim_stats buf p.stats
   in
-  let decode cur : ndet_profile =
-    let nd_drop_after = B.read_varint cur in
-    let nd_counts = B.read_array B.read_varint cur in
-    let nd_detections = B.read_array (fun c -> B.read_varint c - 1) cur in
-    let nd_vectors_applied = B.read_varint cur in
-    let nd_gate_evaluations = B.read_varint cur in
-    let nd_sim_stats = read_sim_stats cur in
-    if Array.length nd_detections <> Array.length nd_counts * nd_drop_after
+  let decode cur : Dl_fault.Fault_sim.ndet =
+    let drop_after = B.read_varint cur in
+    let counts = B.read_array B.read_varint cur in
+    let detections = B.read_array (fun c -> B.read_varint c - 1) cur in
+    let vectors_applied = B.read_varint cur in
+    let gate_evaluations = B.read_varint cur in
+    let stats = read_sim_stats cur in
+    if Array.length detections <> Array.length counts * drop_after
     then raise (B.Corrupt "ndet-profile detections length mismatch");
-    { nd_drop_after; nd_counts; nd_detections; nd_vectors_applied;
-      nd_gate_evaluations; nd_sim_stats }
+    { drop_after; counts; detections; vectors_applied; gate_evaluations;
+      stats }
   in
   { kind = "ndet-profile"; version = 1; encode; decode }
 

@@ -15,12 +15,12 @@ val circuit : Circuit.t Codec.t
 val stuck_faults : Dl_fault.Stuck_at.t array Codec.t
 
 (** A codec is typed on the library's own result wherever that record
-    holds exactly the stored fields: {!atpg}, {!swift} and {!ndet_atpg}
-    here, [Dl_core.Wafer_mc.codec] and [Dl_core.Bootstrap.codec] beside
-    their types.  The four records below stay because their live types
-    also carry what is never stored: the fault list a stage was given
-    ({!detections}, {!ndet_profile}), a lazily built layout ({!ifa}), or
-    a fit the summary flattens ({!summary}). *)
+    holds exactly the stored fields: {!atpg}, {!swift}, {!ndet_profile}
+    and {!ndet_atpg} here, [Dl_core.Wafer_mc.codec] and
+    [Dl_core.Bootstrap.codec] beside their types.  The three records below
+    stay because their live types also carry what is never stored: the
+    fault list a stage was given ({!detections}), a lazily built layout
+    ({!ifa}), or a fit the summary flattens ({!summary}). *)
 
 val atpg : Dl_atpg.Atpg.result Codec.t
 (** ATPG stage output: the ordered vector sequence plus the flow
@@ -69,21 +69,10 @@ type summary = {
 
 val summary : summary Codec.t
 
-(** Multi-detect simulation output (the [ndet-sim] stage), minus the fault
-    list — like {!detections}, the counts and detection indices are
-    parallel to the separately-cached universe artifact.  [nd_detections]
-    is row-major [faults * drop_after] with [-1] for "never reached the
-    k-th detection" (mirrors {!Dl_fault.Fault_sim.ndet}). *)
-type ndet_profile = {
-  nd_drop_after : int;
-  nd_counts : int array;
-  nd_detections : int array;
-  nd_vectors_applied : int;
-  nd_gate_evaluations : int;
-  nd_sim_stats : Dl_fault.Fault_sim.Stats.t;
-}
-
-val ndet_profile : ndet_profile Codec.t
+val ndet_profile : Dl_fault.Fault_sim.ndet Codec.t
+(** Multi-detect simulation output (the [ndet-sim] stage).  Like
+    {!detections}, the counts and detection indices are parallel to the
+    separately-cached universe artifact. *)
 
 val ndet_atpg : Dl_ndet.Atpg_n.result Codec.t
 (** n-detection test-generation output (the [ndet-atpg] stage). *)

@@ -72,133 +72,146 @@ let test_sim2_pack_unpack () =
 
 (* --- Flat-kernel path ------------------------------------------------------- *)
 
-let test_run_flat_matches_run () =
+let random_vectors c n =
+  Array.init n (fun _ ->
+      Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
+
+(* Random PI words written straight into each sub-word (no pattern
+   transpose) over a buffer pre-filled with all-ones: every node's sub-word
+   [w] must equal Sim2.run over sub-word [w]'s PI words, so run_flat4 also
+   overwrites every non-PI slot. *)
+let test_run_flat4_matches_run_random_words () =
   List.iter
     (fun (name, make) ->
       let c = make () in
       let k = Kernel.of_circuit c in
-      let buf = Kernel.create_words k in
-      for _ = 1 to 10 do
-        let words = Sim2.random_words rng c in
-        let expect = Sim2.run c words in
-        Sim2.load_words k buf words;
-        Sim2.run_flat k buf;
-        Array.iteri
-          (fun id w ->
-            if Bigarray.Array1.get buf id <> w then
-              Alcotest.failf "%s: node %d differs from Sim2.run" name id)
-          expect
-      done)
-    Benchmarks.all
-
-let test_load_patterns_matches_pack () =
-  let c = Benchmarks.c432s_small () in
-  let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
-  let vectors =
-    Array.init 150 (fun _ ->
-        Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
-  in
-  List.iter
-    (fun (base, count) ->
-      let expect =
-        Sim2.words_of_patterns c (Array.sub vectors base count)
-      in
-      Sim2.load_patterns k buf vectors ~base ~count;
-      Array.iteri
-        (fun i pi ->
-          if Bigarray.Array1.get buf pi <> expect.(i) then
-            Alcotest.failf "base=%d count=%d: PI %d transpose mismatch" base count
-              i)
-        k.Kernel.inputs)
-    [ (0, 64); (64, 64); (128, 22); (0, 1); (149, 1); (10, 63) ]
-
-let test_load_patterns_clears_stale_bits () =
-  (* a short block after a full one must not leak the previous block's
-     high bits *)
-  let c = Benchmarks.c17 () in
-  let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
-  let ones = Array.init 64 (fun _ -> Array.make 5 true) in
-  Sim2.load_patterns k buf ones ~base:0 ~count:64;
-  let zeros = [| Array.make 5 false |] in
-  Sim2.load_patterns k buf zeros ~base:0 ~count:1;
-  Array.iter
-    (fun pi ->
-      Alcotest.(check bool) "stale bits cleared" true
-        (Bigarray.Array1.get buf pi = 0L))
-    k.Kernel.inputs
-
-let test_run_flat_matches_sim3_definite () =
-  let c = Generator.ripple_adder 8 in
-  let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
-  for _ = 1 to 20 do
-    let v = Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng) in
-    Sim2.load_patterns k buf [| v |] ~base:0 ~count:1;
-    Sim2.run_flat k buf;
-    let r3 = Sim3.run c (Array.map Ternary.of_bool v) in
-    Array.iteri
-      (fun id t ->
-        let flat = Int64.logand (Bigarray.Array1.get buf id) 1L = 1L in
-        Alcotest.check tern "kernel agrees with sim3" t
-          (Ternary.of_bool flat))
-      r3
-  done
-
-(* Wide path: sub-word [w] of every node after run_flat4 is bit-identical
-   to a run_flat pass over patterns 64w..64w+63 of the same block. *)
-let test_run_flat4_matches_run_flat () =
-  List.iter
-    (fun (name, make) ->
-      let c = make () in
-      let k = Kernel.of_circuit c in
-      let buf = Kernel.create_words k in
       let buf4 = Kernel.create_words4 k in
-      let vectors =
-        Array.init 256 (fun _ ->
-            Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
-      in
-      Sim2.load_patterns4 k buf4 vectors ~base:0 ~count:256;
-      Sim2.run_flat4 k buf4;
-      for w = 0 to 3 do
-        Sim2.load_patterns k buf vectors ~base:(64 * w) ~count:64;
-        Sim2.run_flat k buf;
-        for id = 0 to k.Kernel.n - 1 do
-          if
-            Bigarray.Array1.get buf4 ((4 * id) + w)
-            <> Bigarray.Array1.get buf id
-          then Alcotest.failf "%s: node %d sub-word %d mismatch" name id w
+      for _ = 1 to 10 do
+        let words = Array.init 4 (fun _ -> Sim2.random_words rng c) in
+        Bigarray.Array1.fill buf4 (-1L);
+        Array.iteri
+          (fun i pi ->
+            for w = 0 to 3 do
+              Bigarray.Array1.set buf4 ((4 * pi) + w) words.(w).(i)
+            done)
+          k.Kernel.inputs;
+        Sim2.run_flat4 k buf4;
+        for w = 0 to 3 do
+          Array.iteri
+            (fun id word ->
+              if Bigarray.Array1.get buf4 ((4 * id) + w) <> word then
+                Alcotest.failf "%s: node %d sub-word %d differs from Sim2.run"
+                  name id w)
+            (Sim2.run c words.(w))
         done
       done)
     Benchmarks.all
 
+(* Sub-word [w] of every node after run_flat4 is bit-identical to the
+   reference Sim2.run over patterns 64w..64w+63 of the block. *)
+let test_run_flat4_matches_run () =
+  List.iter
+    (fun (name, make) ->
+      let c = make () in
+      let k = Kernel.of_circuit c in
+      let buf4 = Kernel.create_words4 k in
+      let vectors = random_vectors c 256 in
+      Sim2.load_patterns4 k buf4 vectors ~base:0 ~count:256;
+      Sim2.run_flat4 k buf4;
+      for w = 0 to 3 do
+        let expect =
+          Sim2.run c (Sim2.words_of_patterns c (Array.sub vectors (64 * w) 64))
+        in
+        Array.iteri
+          (fun id word ->
+            if Bigarray.Array1.get buf4 ((4 * id) + w) <> word then
+              Alcotest.failf "%s: node %d sub-word %d differs from Sim2.run"
+                name id w)
+          expect
+      done)
+    Benchmarks.all
+
+(* Each PI sub-word is words_of_patterns over that sub-word's vectors,
+   zero-filled past [count]. *)
+let test_load_patterns4_matches_pack () =
+  let c = Benchmarks.c432s_small () in
+  let k = Kernel.of_circuit c in
+  let buf4 = Kernel.create_words4 k in
+  let vectors = random_vectors c 600 in
+  List.iter
+    (fun (base, count) ->
+      Sim2.load_patterns4 k buf4 vectors ~base ~count;
+      for w = 0 to 3 do
+        let lo = min count (64 * w) and hi = min count (64 * (w + 1)) in
+        let expect =
+          Sim2.words_of_patterns c (Array.sub vectors (base + lo) (hi - lo))
+        in
+        Array.iteri
+          (fun i pi ->
+            if Bigarray.Array1.get buf4 ((4 * pi) + w) <> expect.(i) then
+              Alcotest.failf "base=%d count=%d: PI %d sub-word %d mismatch"
+                base count i w)
+          k.Kernel.inputs
+      done)
+    [ (0, 256); (256, 256); (512, 88); (0, 1); (599, 1); (10, 63); (3, 130) ]
+
+let test_load_patterns4_clears_stale_bits () =
+  (* a short block after a full one must not leak the previous block's
+     high bits *)
+  let c = Benchmarks.c17 () in
+  let k = Kernel.of_circuit c in
+  let buf4 = Kernel.create_words4 k in
+  let ones = Array.init 256 (fun _ -> Array.make 5 true) in
+  Sim2.load_patterns4 k buf4 ones ~base:0 ~count:256;
+  let zeros = [| Array.make 5 false |] in
+  Sim2.load_patterns4 k buf4 zeros ~base:0 ~count:1;
+  Array.iter
+    (fun pi ->
+      for w = 0 to 3 do
+        Alcotest.(check bool) "stale bits cleared" true
+          (Bigarray.Array1.get buf4 ((4 * pi) + w) = 0L)
+      done)
+    k.Kernel.inputs
+
+let test_run_flat4_matches_sim3_definite () =
+  let c = Generator.ripple_adder 8 in
+  let k = Kernel.of_circuit c in
+  let buf4 = Kernel.create_words4 k in
+  let vectors = random_vectors c 20 in
+  Sim2.load_patterns4 k buf4 vectors ~base:0 ~count:20;
+  Sim2.run_flat4 k buf4;
+  Array.iteri
+    (fun bit v ->
+      let r3 = Sim3.run c (Array.map Ternary.of_bool v) in
+      Array.iteri
+        (fun id t ->
+          let word = Bigarray.Array1.get buf4 (4 * id) in
+          let flat = Int64.logand (Int64.shift_right_logical word bit) 1L = 1L in
+          Alcotest.check tern "kernel agrees with sim3" t (Ternary.of_bool flat))
+        r3)
+    vectors
+
 (* A ragged wide block (count not a multiple of 64) zero-fills the tail:
-   covered sub-words match the narrow path, uncovered PI sub-words are 0. *)
+   covered sub-words match words_of_patterns, uncovered PI sub-words are
+   0, even over a dirty buffer. *)
 let test_load_patterns4_ragged_tail () =
   let c = Benchmarks.c432s_small () in
   let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
   let buf4 = Kernel.create_words4 k in
-  let vectors =
-    Array.init 150 (fun _ ->
-        Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng))
-  in
+  let vectors = random_vectors c 150 in
   (* dirty the wide buffer first so stale bits would be caught *)
   Sim2.load_patterns4 k buf4
     (Array.map (fun v -> Array.map (fun _ -> true) v) vectors)
     ~base:0 ~count:150;
   Sim2.load_patterns4 k buf4 vectors ~base:0 ~count:100;
+  (* sub-word 0: patterns 0..63; sub-word 1: the 36-pattern tail *)
+  let w0 = Sim2.words_of_patterns c (Array.sub vectors 0 64)
+  and w1 = Sim2.words_of_patterns c (Array.sub vectors 64 36) in
   Array.iteri
     (fun i pi ->
-      (* sub-word 0: patterns 0..63; sub-word 1: the 36-pattern tail *)
-      Sim2.load_patterns k buf vectors ~base:0 ~count:64;
-      let w0 = Bigarray.Array1.get buf pi in
-      Sim2.load_patterns k buf vectors ~base:64 ~count:36;
-      let w1 = Bigarray.Array1.get buf pi in
-      if Bigarray.Array1.get buf4 (4 * pi) <> w0 then
+      if Bigarray.Array1.get buf4 (4 * pi) <> w0.(i) then
         Alcotest.failf "PI %d sub-word 0 mismatch" i;
-      if Bigarray.Array1.get buf4 ((4 * pi) + 1) <> w1 then
+      if Bigarray.Array1.get buf4 ((4 * pi) + 1) <> w1.(i) then
         Alcotest.failf "PI %d sub-word 1 mismatch" i;
       for w = 2 to 3 do
         if Bigarray.Array1.get buf4 ((4 * pi) + w) <> 0L then
@@ -206,10 +219,10 @@ let test_load_patterns4_ragged_tail () =
       done)
     k.Kernel.inputs
 
-let test_load_patterns_rejects_bad_ranges () =
+let test_load_patterns4_rejects_bad_ranges () =
   let c = Benchmarks.c17 () in
   let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
+  let buf4 = Kernel.create_words4 k in
   let vectors = [| Array.make 5 false |] in
   let expect_invalid what f =
     Alcotest.(check bool) what true
@@ -218,14 +231,17 @@ let test_load_patterns_rejects_bad_ranges () =
          false
        with Invalid_argument _ -> true)
   in
-  expect_invalid "count > 64" (fun () ->
-      Sim2.load_patterns k buf vectors ~base:0 ~count:65);
+  expect_invalid "count > 256" (fun () ->
+      Sim2.load_patterns4 k buf4 (Array.make 257 vectors.(0)) ~base:0
+        ~count:257);
   expect_invalid "slice out of range" (fun () ->
-      Sim2.load_patterns k buf vectors ~base:0 ~count:2);
+      Sim2.load_patterns4 k buf4 vectors ~base:0 ~count:2);
   expect_invalid "negative base" (fun () ->
-      Sim2.load_patterns k buf vectors ~base:(-1) ~count:1);
+      Sim2.load_patterns4 k buf4 vectors ~base:(-1) ~count:1);
   expect_invalid "wrong pattern width" (fun () ->
-      Sim2.load_patterns k buf [| Array.make 4 false |] ~base:0 ~count:1)
+      Sim2.load_patterns4 k buf4 [| Array.make 4 false |] ~base:0 ~count:1);
+  expect_invalid "short buffer" (fun () ->
+      Sim2.load_patterns4 k (Kernel.alloc k.Kernel.n) vectors ~base:0 ~count:1)
 
 (* --- Sim3 ------------------------------------------------------------------ *)
 
@@ -278,40 +294,6 @@ let test_sim3_fault_injection_branch () =
   in
   Alcotest.check tern "good 0" Ternary.V0 good.(n22);
   Alcotest.check tern "faulty 1" Ternary.V1 faulty.(n22)
-
-(* --- Event sim --------------------------------------------------------------- *)
-
-let test_event_sim_matches_sim2 () =
-  let c = Benchmarks.c432s_small () in
-  let es = Event_sim.create c in
-  for _ = 1 to 200 do
-    let v = Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool rng) in
-    let _ = Event_sim.set_inputs es v in
-    let expected = Sim2.run_single c v in
-    Array.iteri
-      (fun id b ->
-        if Event_sim.value es id <> b then Alcotest.failf "node %d mismatch" id)
-      expected
-  done
-
-let test_event_sim_single_input () =
-  let c = Benchmarks.c17 () in
-  let es = Event_sim.create c in
-  let _ = Event_sim.set_inputs es [| true; true; true; true; true |] in
-  let evals_before = Event_sim.evaluations es in
-  (* re-assert the same value: no events *)
-  let n = Event_sim.set_input es 0 true in
-  Alcotest.(check int) "no work for no change" 0 n;
-  Alcotest.(check int) "eval count unchanged" evals_before (Event_sim.evaluations es)
-
-let test_event_sim_activity_bounded () =
-  let c = Generator.ripple_adder 16 in
-  let es = Event_sim.create c in
-  let v = Array.make (Circuit.input_count c) false in
-  let _ = Event_sim.set_inputs es v in
-  (* flipping one low-order input evaluates at most the whole circuit once *)
-  let n = Event_sim.set_input es 0 true in
-  Alcotest.(check bool) "bounded" true (n <= Circuit.node_count c)
 
 (* --- qcheck: Sim3 X-propagation ------------------------------------------- *)
 
@@ -407,17 +389,18 @@ let () =
         ] );
       ( "flat-kernel",
         [
-          Alcotest.test_case "run_flat = run" `Quick test_run_flat_matches_run;
-          Alcotest.test_case "load_patterns = pack" `Quick
-            test_load_patterns_matches_pack;
+          Alcotest.test_case "run_flat4 = run on random PI words" `Quick
+            test_run_flat4_matches_run_random_words;
+          Alcotest.test_case "run_flat4 = run per sub-word" `Quick
+            test_run_flat4_matches_run;
+          Alcotest.test_case "load_patterns4 = pack per sub-word" `Quick
+            test_load_patterns4_matches_pack;
           Alcotest.test_case "stale bits cleared" `Quick
-            test_load_patterns_clears_stale_bits;
+            test_load_patterns4_clears_stale_bits;
           Alcotest.test_case "matches sim3 on definite" `Quick
-            test_run_flat_matches_sim3_definite;
+            test_run_flat4_matches_sim3_definite;
           Alcotest.test_case "bad ranges rejected" `Quick
-            test_load_patterns_rejects_bad_ranges;
-          Alcotest.test_case "run_flat4 = run_flat per sub-word" `Quick
-            test_run_flat4_matches_run_flat;
+            test_load_patterns4_rejects_bad_ranges;
           Alcotest.test_case "load_patterns4 ragged tail" `Quick
             test_load_patterns4_ragged_tail;
         ] );
@@ -428,12 +411,6 @@ let () =
           Alcotest.test_case "partial X dominance" `Quick test_sim3_partial_x;
           Alcotest.test_case "stem fault injection" `Quick test_sim3_fault_injection_stem;
           Alcotest.test_case "branch fault injection" `Quick test_sim3_fault_injection_branch;
-        ] );
-      ( "event-sim",
-        [
-          Alcotest.test_case "matches sim2" `Quick test_event_sim_matches_sim2;
-          Alcotest.test_case "idempotent input" `Quick test_event_sim_single_input;
-          Alcotest.test_case "activity bounded" `Quick test_event_sim_activity_bounded;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -197,36 +197,10 @@ let test_kernel_rejects_malformed_arity () =
   let c = Benchmarks.c17 () in
   let k = Kernel.of_circuit c in
   Alcotest.(check bool) "c17 lowers" true (k.Kernel.n = Circuit.node_count c);
-  Alcotest.check_raises "eval_node on a PI"
-    (Invalid_argument "Kernel.eval_node: node has no fanin") (fun () ->
-      Kernel.eval_node k (Kernel.create_words k) c.Circuit.inputs.(0));
-  Alcotest.check_raises "eval_node out of range"
-    (Invalid_argument "Kernel.eval_node: id out of range") (fun () ->
-      Kernel.eval_node k (Kernel.create_words k) k.Kernel.n);
   Alcotest.check_raises "short buffer"
-    (Invalid_argument "Kernel.run_into: values buffer shorter than node count")
-    (fun () -> Kernel.run_into k (Kernel.alloc 1))
-
-let test_kernel_eval_node_matches_gate () =
-  let c = Benchmarks.c432s () in
-  let k = Kernel.of_circuit c in
-  let buf = Kernel.create_words k in
-  let rng = Dl_util.Rng.create 31 in
-  for i = 0 to k.Kernel.n - 1 do
-    Bigarray.Array1.set buf i (Dl_util.Rng.word rng)
-  done;
-  Array.iter
-    (fun id ->
-      let nd = c.Circuit.nodes.(id) in
-      let expect =
-        Gate.eval_word nd.kind
-          (Array.map (fun src -> Bigarray.Array1.get buf src) nd.fanin)
-      in
-      Kernel.eval_node k buf id;
-      if Bigarray.Array1.get buf id <> expect then
-        Alcotest.failf "node %d (%s): kernel eval differs from Gate.eval_word" id
-          (Gate.to_string nd.kind))
-    k.Kernel.gate_order
+    (Invalid_argument
+       "Kernel.run_into4: values buffer shorter than 4x node count")
+    (fun () -> Kernel.run_into4 k (Kernel.alloc ((4 * k.Kernel.n) - 1)))
 
 (* --- Circuit -------------------------------------------------------------- *)
 
@@ -1256,8 +1230,6 @@ let () =
             test_kernel_ffr_invariants;
           Alcotest.test_case "bounds and validation" `Quick
             test_kernel_rejects_malformed_arity;
-          Alcotest.test_case "eval_node = Gate.eval_word" `Quick
-            test_kernel_eval_node_matches_gate;
         ] );
       ( "circuit",
         [

@@ -799,16 +799,19 @@ let flag_cases =
           (test_bad_value args what))
       [
         ([ "pipeline"; "c17"; "--points"; "0" ], "--points");
-        ([ "pipeline"; "c17"; "--yield"; "5" ], "target_yield");
-        ([ "pipeline"; "c17"; "--max-random=-5" ], "max_random_vectors");
+        ([ "pipeline"; "c17"; "--yield"; "5" ], "--yield");
+        ([ "pipeline"; "c17"; "--max-random=-5" ], "--max-random");
         ([ "atpg"; "c17"; "--max-random=-5" ], "--max-random");
         ([ "ndet"; "c17"; "--max-random=-5" ], "--max-random");
         ([ "compact"; "c17"; "--vectors=-5" ], "--vectors");
         ([ "project"; "--target-ppm=-5" ], "--target-ppm");
-        ([ "project"; "--yield"; "5" ], "yield");
-        ([ "project"; "--coverage"; "2" ], "coverage");
-        ([ "project"; "--theta-max"; "2" ], "theta_max");
-        ([ "project"; "--ratio=-1" ], "R must be positive");
+        ([ "project"; "--yield"; "5" ], "--yield");
+        ([ "project"; "--coverage"; "2" ], "--coverage");
+        ([ "project"; "--theta-max"; "2" ], "--theta-max");
+        ([ "project"; "--ratio=-1" ], "--ratio");
+        ([ "check"; "--seconds"; "0" ], "--seconds must be positive");
+        ([ "check"; "--seconds=-1" ], "--seconds must be positive");
+        ([ "check"; "--seconds"; "nan" ], "--seconds must be positive");
       ]
 
 (* --- key plan vs actual run ---------------------------------------------- *)
