@@ -1114,41 +1114,76 @@ let cluster_bench () =
 
 (* ------------------------------------------------------------------ swift *)
 
-(* The compiled switch-level engine on the inputs of a default cold
-   pipeline, on one domain and on a pool of [Parallel.default_domains ()],
-   against the retained reference: detections and region solves must equal
-   the reference's, and the two engine runs' memo counters must be equal.  Every wall time is printed, with the region shapes,
-   how solves were answered (full key, ext-only key, or computed), the
-   relaxation rounds of the computed solves, and how often each solver cap
-   stopped a computation unsettled: the 8-pass feedback loop of a region
-   evaluation, and the round cap of a solve.  Not in the default set: the
+(* The realistic-fault classes of ROADMAP's swift table: bridges by which
+   of their two nodes a cell drives (both the same cell, two cells, one,
+   none), transistor stuck-opens and stuck-ons, and interconnect opens. *)
+let swift_class net (f : Dl_switch.Realistic.t) =
+  let module R = Dl_switch.Realistic in
+  let owner = Dl_switch.Network.owner_instance net in
+  match f.kind with
+  | R.Bridge { node_a; node_b } -> (
+      match (owner node_a, owner node_b) with
+      | Some a, Some b -> if a = b then "bridge_one_cell" else "bridge_two_cells"
+      | Some _, None | None, Some _ -> "bridge_cell_pi_rail"
+      | None, None -> "bridge_no_cell")
+  | R.Transistor_stuck_open _ -> "stuck_open"
+  | R.Transistor_stuck_on _ -> "stuck_on"
+  | R.Input_open _ | R.Stem_open _ -> "open"
+
+let swift_classes =
+  [ "bridge_two_cells"; "bridge_cell_pi_rail"; "bridge_one_cell"; "bridge_no_cell";
+    "stuck_open"; "stuck_on"; "open" ]
+
+(* The compiled switch-level engine on the inputs of the cold-pipeline
+   benchmark (c432s_small, seed 7, 16 random vectors) and of a default cold
+   pipeline of c432s_small, c432s and c880s, on one domain and on a pool of
+   [Parallel.default_domains ()], against the retained reference:
+   detections and region solves must equal the reference's, and the two
+   engine runs' memo counters must be equal.  Every wall time is printed,
+   with the time and minor words per fault of the region lowering, the
+   region shapes, how solves were answered (full key, ext-only key, or
+   computed), the relaxation rounds of the computed solves, the cone walks,
+   and how often each solver cap stopped a computation unsettled: the
+   8-pass feedback loop of a region evaluation, and the round cap of a
+   solve.  Engine times are the least of five
+   runs.  A second table splits the one-domain time by fault class.  Each
+   circuit's numbers are also [metric] rows.  Not in the default set: the
    reference takes about a minute on c432s and five on c880s. *)
 let swift_bench () =
   section_banner "Swift" "switch-level engine: 1 domain, pooled, Swift.Reference";
   let domains = Dl_util.Parallel.default_domains () in
   let t =
     Table.create
-      [ ("circuit", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
+      [ ("inputs", Table.Left); ("faults", Table.Right); ("vectors", Table.Right);
         ("region solves", Table.Right); ("shapes", Table.Right);
         ("full-key hits", Table.Right); ("ext-only hits", Table.Right);
-        ("misses", Table.Right); ("rounds", Table.Right);
+        ("misses", Table.Right); ("rounds", Table.Right); ("cone walks", Table.Right);
         ("feedback caps", Table.Right); ("round caps", Table.Right);
+        ("lowering ms", Table.Right); ("words/fault", Table.Right);
         ("pipeline s", Table.Right);
         ("reference s", Table.Right); ("1-domain s", Table.Right);
         (Printf.sprintf "%d-domain s" domains, Table.Right); ("speed-up", Table.Right) ]
   in
+  let by_class =
+    Table.create
+      (("inputs (1 domain, ms)", Table.Left)
+      :: List.map (fun name -> (name, Table.Right)) swift_classes)
+  in
   List.iter
-    (fun name ->
+    (fun (label, name, max_random_vectors) ->
       let circuit = Option.get (Dl_netlist.Benchmarks.by_name name) in
-      let e, pipeline_s = timed (fun () -> Experiment.run (Experiment.config circuit)) in
+      let e, pipeline_s =
+        timed (fun () ->
+            Experiment.run (Experiment.config ?max_random_vectors circuit))
+      in
       let net = Dl_switch.Network.build (Dl_cell.Mapping.flatten e.mapped_circuit) in
       let faults = e.extraction.faults and vectors = e.vectors in
+      let n_faults = Array.length faults in
+      (* One counted run, then the least of five wall times. *)
       let engine domains =
         let memo = Dl_switch.Swift.memo_stats () in
-        let r, s =
-          timed (fun () ->
-              Dl_switch.Swift.run ~memo_stats:memo ~domains net ~faults ~vectors)
-        in
+        let r = Dl_switch.Swift.run ~memo_stats:memo ~domains net ~faults ~vectors in
+        let _, s = best_of 5 (fun () -> Dl_switch.Swift.run ~domains net ~faults ~vectors) in
         (r, memo, s)
       in
       let serial, memo, serial_s = engine 1 in
@@ -1157,24 +1192,68 @@ let swift_bench () =
         (pooled.detection = serial.detection
         && pooled.region_solves = serial.region_solves
         && pooled_memo = memo)
-        "%s: the %d-domain run differs from the 1-domain run" name domains;
+        "%s: the %d-domain run differs from the 1-domain run" label domains;
+      (* The lowering alone, as the run does it before its pool starts. *)
+      let words0 = Gc.minor_words () in
+      let (_ : int array) = Dl_switch.Swift.shape_ids net faults in
+      let words = (Gc.minor_words () -. words0) /. float_of_int (max 1 n_faults) in
+      let _, lowering_s = best_of 5 (fun () -> Dl_switch.Swift.shape_ids net faults) in
+      (* Each class alone on one domain; faults are independent, so the
+         classes add up to the whole run. *)
+      let class_s =
+        List.map
+          (fun name ->
+            let faults =
+              Array.of_seq
+                (Seq.filter (fun f -> swift_class net f = name) (Array.to_seq faults))
+            in
+            snd
+              (best_of 5 (fun () -> Dl_switch.Swift.run ~domains:1 net ~faults ~vectors)))
+          swift_classes
+      in
+      Table.add_row by_class
+        (label :: List.map (fun s -> Printf.sprintf "%.2f" (1000.0 *. s)) class_s);
+      List.iter2
+        (fun name s -> metric (Printf.sprintf "%s.class.%s_s" label name) s "s")
+        swift_classes class_s;
       let slow, slow_s =
         timed (fun () -> Dl_switch.Swift.Reference.run net ~faults ~vectors)
       in
       check
         (serial.detection = slow.detection && serial.region_solves = slow.region_solves)
-        "%s: compiled engine differs from Swift.Reference" name;
+        "%s: compiled engine differs from Swift.Reference" label;
+      let row m = Printf.sprintf "%s.%s" label m in
+      metric (row "swift_1_domain_s") serial_s "s";
+      metric (row (Printf.sprintf "swift_%d_domain_s" domains)) pooled_s "s";
+      metric (row "reference_s") slow_s "s";
+      metric (row "lowering_s") lowering_s "s";
+      metric (row "lowering_words_per_fault") words "words";
+      count (row "faults") n_faults;
+      count (row "vectors") (Array.length vectors);
+      count (row "region_solves") serial.region_solves;
+      count (row "shapes") memo.shapes;
+      count (row "full_hits") memo.full_hits;
+      count (row "ext_only_hits") memo.ext_only_hits;
+      count (row "misses") memo.misses;
+      count (row "rounds") memo.rounds;
+      count (row "cone_walks") memo.cone_walks;
+      count (row "feedback_capped") memo.feedback_capped;
+      count (row "rounds_capped") memo.rounds_capped;
       Table.add_row t
-        [ name; string_of_int (Array.length faults);
+        [ label; string_of_int n_faults;
           string_of_int (Array.length vectors); string_of_int serial.region_solves;
           string_of_int memo.shapes; string_of_int memo.full_hits;
           string_of_int memo.ext_only_hits; string_of_int memo.misses;
-          string_of_int memo.rounds; string_of_int memo.feedback_capped;
-          string_of_int memo.rounds_capped; Printf.sprintf "%.2f" pipeline_s;
-          Printf.sprintf "%.2f" slow_s; Printf.sprintf "%.2f" serial_s;
-          Printf.sprintf "%.2f" pooled_s; Printf.sprintf "%.1fx" (slow_s /. pooled_s) ])
-    [ "c432s_small"; "c432s"; "c880s" ];
+          string_of_int memo.rounds; string_of_int memo.cone_walks;
+          string_of_int memo.feedback_capped;
+          string_of_int memo.rounds_capped; Printf.sprintf "%.2f" (1000.0 *. lowering_s);
+          Printf.sprintf "%.0f" words; Printf.sprintf "%.2f" pipeline_s;
+          Printf.sprintf "%.2f" slow_s; Printf.sprintf "%.3f" serial_s;
+          Printf.sprintf "%.3f" pooled_s; Printf.sprintf "%.1fx" (slow_s /. pooled_s) ])
+    [ ("cold-pipeline", "c432s_small", Some 16); ("c432s_small", "c432s_small", None);
+      ("c432s", "c432s", None); ("c880s", "c880s", None) ];
   Table.print t;
+  Table.print by_class;
   if !section_ok then
     print_endline
       "identical detections and region solves on every circuit, and identical \

@@ -1016,6 +1016,35 @@ let swift_reference (case : Testcase.t) =
                 (Dl_switch.Realistic.describe fault)
             else None)
 
+(* --- swift-observability: observability table vs flip walks ------------- *)
+
+(* The table [Swift.run] reads instead of a cone walk, built for every node
+   of the case's circuit over its vectors: bit (n, v) must say whether the
+   [Propagate] walk of n's flip at v, against the fault-free values,
+   reaches a primary output with a definite wrong value. *)
+let swift_observability (case : Testcase.t) =
+  let c = case.Testcase.circuit in
+  let n = Circuit.node_count c in
+  let obs = Swift.observability c ~nodes:(Array.init n Fun.id) ~vectors:case.vectors in
+  let rec vector vi =
+    if vi >= Array.length case.vectors then None
+    else
+      let good = Sim2.run_single c case.vectors.(vi) in
+      let rec node id =
+        if id >= n then vector (vi + 1)
+        else
+          let flip = Ternary.of_bool (not good.(id)) in
+          let want = Propagate.po_detects c good (Propagate.run c good [ (id, flip) ]) in
+          let got = Swift.observable obs ~node:id ~vector:vi in
+          if got <> want then
+            failf "swift-observability: node %s at vector %d: table says %b, flip walk %b"
+              (Circuit.name c id) vi got want
+          else node (id + 1)
+      in
+      node 0
+  in
+  vector 0
+
 (* --- podem-reference: compiled PODEM vs Podem.Reference ------------------ *)
 
 (* Every collapsed fault of the case's circuit after cell decomposition,
@@ -1230,6 +1259,11 @@ let all =
          three most common region shapes): detections and region_solves in \
          every drop mode, one fault's signature";
       kind = Case swift_reference };
+    { name = "swift-observability";
+      doc =
+        "Swift.observability (non-dropping stem stuck-at events) vs a \
+         Propagate walk of each node's flip, every node and vector";
+      kind = Case swift_observability };
     { name = "podem-reference";
       doc =
         "compiled PODEM vs Podem.Reference on every collapsed fault of the \

@@ -66,6 +66,10 @@ val all : t list
       synthesize, IFA): detections and [region_solves] under every drop
       mode, memo counters equal between the two runs, and one fault's
       {!Dl_switch.Swift.signature};
+    - ["swift-observability"]: the {!Dl_switch.Swift.observability} table
+      of every node of the case's circuit over its vectors equals, bit for
+      bit, a {!Dl_logic.Propagate} walk of each node's flip against the
+      fault-free values;
     - ["podem-reference"]: {!Dl_atpg.Podem.run} on one compiled context
       equals [Podem.Reference.generate] (outcome and vector) on every
       collapsed fault of the case's circuit after

@@ -285,13 +285,15 @@ let solve t ~external_value ~charge =
    below scans nodes in the reference's order and breaks ties the same
    way.  Self loops, which can never relax, are dropped.  Each gate
    terminal is resolved to a local (a solved node, or a rail whose scratch
-   value never changes) or to an external slot.
+   value never changes) or to an external slot.  A region has at most
+   [max_locals] locals and [max_edges] kept edges, so a set of either is
+   one native int.
 
    Regions that lower to equal arrays are one [shape], interned per
    {!lowering}: a solve of a shape is a function of the external slot
    values and the charge alone, so every fault of a shape can share its
    solves.  The kept edges, solved nodes and pads decide the shape; the
-   CSR adjacency is derived from them. *)
+   masks are derived from them. *)
 type shape = {
   id : int;  (* dense index in the lowering that interned it *)
   n : int;
@@ -302,18 +304,20 @@ type shape = {
   e_r : float array;
   e_chan : int array;  (* per edge: 0 always on, 1 NMOS, 2 PMOS *)
   e_gate : int array;  (* gate operand: local >= 0, or -1 - external slot *)
-  adj_start : int array;  (* CSR adjacency over locals *)
-  adj_edge : int array;
-  adj_other : int array;
-  adj_r : float array;
   solved : int array;  (* resolved locals, then pad-driven locals *)
   n_resolved : int;
   n_ext : int;
   pad_local : int array;
   pad_slot : int array;
   pad_r : float array;
-  operand : bool array;  (* per local: gates some kept transistor edge *)
+  solved_mask : int;  (* bit per solved local *)
+  operand_mask : int;  (* bit per local that gates some kept transistor edge *)
+  incident : int array;  (* per local: bit per kept edge at it *)
 }
+
+(* A set of locals, or of edges, is one native int. *)
+let max_locals = 62
+let max_edges = 62
 
 type compiled = {
   shape : shape;
@@ -327,20 +331,19 @@ type 'a buf = { mutable data : 'a array; mutable len : int }
 let buf x = { data = Array.make 16 x; len = 0 }
 
 let grow b =
-  if b.len = Array.length b.data then begin
-    let data = Array.make (2 * b.len) b.data.(0) in
-    Array.blit b.data 0 data 0 b.len;
-    b.data <- data
-  end
+  let data = Array.make (2 * b.len) b.data.(0) in
+  Array.blit b.data 0 data 0 b.len;
+  b.data <- data
 
-(* Monomorphic, so that the stores are not generic array accesses. *)
-let push (b : int buf) x =
-  grow b;
+(* Monomorphic, so that the stores are not generic array accesses, and
+   inlined: lowering a region pushes a few hundred values. *)
+let[@inline] push (b : int buf) x =
+  if b.len = Array.length b.data then grow b;
   b.data.(b.len) <- x;
   b.len <- b.len + 1
 
-let push_float (b : float buf) x =
-  grow b;
+let[@inline] push_float (b : float buf) x =
+  if b.len = Array.length b.data then grow b;
   b.data.(b.len) <- x;
   b.len <- b.len + 1
 
@@ -375,6 +378,8 @@ type lowering = {
   pad_local : int buf;
   pad_slot : int buf;
   pad_r : float buf;
+  mutable gnd : int;  (* the rails' locals in the region being lowered *)
+  mutable vdd : int;
   shapes : (int, shape) Hashtbl.t;  (* by hash; colliding shapes coexist *)
   mutable shape_count : int;
 }
@@ -408,104 +413,137 @@ let lowering net =
     pad_local = buf 0;
     pad_slot = buf 0;
     pad_r = buf 0.0;
+    gnd = 0;
+    vdd = 0;
     shapes = Hashtbl.create 64;
     shape_count = 0;
   }
 
 let shape_count lw = lw.shape_count
 
+(* The functions below are top level and take their state as arguments,
+   so that lowering a region allocates no closure. *)
+
+let[@inline] intern_local lw g =
+  if lw.local_mark.(g) = lw.stamp then lw.local_id.(g)
+  else begin
+    let l = lw.globals.len in
+    lw.local_mark.(g) <- lw.stamp;
+    lw.local_id.(g) <- l;
+    push lw.globals g;
+    l
+  end
+
+let rec resolve_instances lw (m : Mapping.network) = function
+  | [] -> ()
+  | ii :: rest ->
+      let inst = m.instances.(ii) in
+      push lw.resolved (intern_local lw inst.output_node);
+      for k = 0 to Array.length inst.internal_nodes - 1 do
+        push lw.resolved (intern_local lw inst.internal_nodes.(k))
+      done;
+      resolve_instances lw m rest
+
+(* The adjacency does not see which end is which, so neither does the
+   shape. *)
+let[@inline] add_edge lw a b r chan gate =
+  if a <> b then begin
+    push lw.e_a (Int.min a b);
+    push lw.e_b (Int.max a b);
+    push_float lw.e_r r;
+    push lw.e_chan chan;
+    push lw.gate_node gate
+  end
+
+let rec mark_devices lw = function
+  | [] -> ()
+  | Remove_transistor ti :: rest ->
+      lw.removed.(ti) <- lw.stamp;
+      mark_devices lw rest
+  | Short_transistor ti :: rest ->
+      lw.shorted.(ti) <- lw.stamp;
+      mark_devices lw rest
+  | Bridge_nodes _ :: rest -> mark_devices lw rest
+
+let rec channel_edges lw (m : Mapping.network) = function
+  | [] -> ()
+  | ii :: rest ->
+      let inst = m.instances.(ii) in
+      for k = 0 to List.length inst.cell.Cell.transistors - 1 do
+        let ti = inst.first_transistor + k in
+        if lw.removed.(ti) <> lw.stamp then begin
+          let tr = m.transistors.(ti) in
+          let a = intern_local lw tr.source in
+          let b = intern_local lw tr.drain in
+          if lw.shorted.(ti) = lw.stamp then add_edge lw a b r_nmos 0 (-1)
+          else
+            match tr.channel with
+            | Cell.Nmos -> add_edge lw a b r_nmos 1 tr.gate
+            | Cell.Pmos -> add_edge lw a b r_pmos 2 tr.gate
+        end
+      done;
+      channel_edges lw m rest
+
+let bridge_endpoint lw g l =
+  if Network.is_primary_input lw.network g then begin
+    push lw.pi_local l;
+    push lw.pi_global g
+  end
+  else push lw.resolved l
+
+let rec bridges lw = function
+  | [] -> ()
+  | Bridge_nodes { node_a; node_b } :: rest ->
+      let a = intern_local lw node_a in
+      let b = intern_local lw node_b in
+      add_edge lw a b r_bridge 0 (-1);
+      bridge_endpoint lw node_a a;
+      bridge_endpoint lw node_b b;
+      bridges lw rest
+  | (Remove_transistor _ | Short_transistor _) :: rest -> bridges lw rest
+
 (* [make]'s numbering, edge order, resolved list and pad list into the
-   buffers, keeping only the edges that can relax.  Returns the rails'
+   buffers, keeping only the edges that can relax, and the rails'
    locals. *)
 let collect lw ~instances ~modifications =
   let m = Network.mapping lw.network in
   lw.stamp <- lw.stamp + 1;
-  let stamp = lw.stamp in
-  List.iter
-    (fun b -> b.len <- 0)
-    [ lw.globals; lw.resolved; lw.pi_local; lw.pi_global; lw.gate_node; lw.e_a;
-      lw.e_b; lw.e_chan ];
+  lw.globals.len <- 0;
+  lw.resolved.len <- 0;
+  lw.pi_local.len <- 0;
+  lw.pi_global.len <- 0;
+  lw.gate_node.len <- 0;
+  lw.e_a.len <- 0;
+  lw.e_b.len <- 0;
   lw.e_r.len <- 0;
-  let intern g =
-    if lw.local_mark.(g) = stamp then lw.local_id.(g)
-    else begin
-      let l = lw.globals.len in
-      lw.local_mark.(g) <- stamp;
-      lw.local_id.(g) <- l;
-      push lw.globals g;
-      l
-    end
-  in
-  let gnd = intern m.Mapping.gnd in
-  let vdd = intern m.Mapping.vdd in
-  List.iter
-    (fun ii ->
-      let inst = m.Mapping.instances.(ii) in
-      push lw.resolved (intern inst.output_node);
-      Array.iter (fun nd -> push lw.resolved (intern nd)) inst.internal_nodes)
-    instances;
-  (* The adjacency does not see which end is which, so neither does the
-     shape. *)
-  let edge a b r chan gate =
-    if a <> b then begin
-      push lw.e_a (Int.min a b);
-      push lw.e_b (Int.max a b);
-      push_float lw.e_r r;
-      push lw.e_chan chan;
-      push lw.gate_node gate
-    end
-  in
-  List.iter
-    (function
-      | Remove_transistor ti -> lw.removed.(ti) <- stamp
-      | Short_transistor ti -> lw.shorted.(ti) <- stamp
-      | Bridge_nodes _ -> ())
-    modifications;
-  List.iter
-    (fun ii ->
-      let inst = m.Mapping.instances.(ii) in
-      let n_ts = List.length inst.cell.Cell.transistors in
-      for k = 0 to n_ts - 1 do
-        let ti = inst.first_transistor + k in
-        if lw.removed.(ti) <> stamp then begin
-          let tr = m.Mapping.transistors.(ti) in
-          let a = intern tr.source in
-          let b = intern tr.drain in
-          if lw.shorted.(ti) = stamp then edge a b r_nmos 0 (-1)
-          else
-            match tr.channel with
-            | Cell.Nmos -> edge a b r_nmos 1 tr.gate
-            | Cell.Pmos -> edge a b r_pmos 2 tr.gate
-        end
-      done)
-    instances;
-  let endpoint g l =
-    if Network.is_primary_input lw.network g then begin
-      push lw.pi_local l;
-      push lw.pi_global g
-    end
-    else push lw.resolved l
-  in
-  let bridge node_a node_b =
-    let a = intern node_a in
-    let b = intern node_b in
-    edge a b r_bridge 0 (-1);
-    endpoint node_a a;
-    endpoint node_b b
-  in
-  List.iter
-    (function
-      | Bridge_nodes { node_a; node_b } -> bridge node_a node_b
-      | Remove_transistor _ | Short_transistor _ -> ())
-    modifications;
-  (gnd, vdd)
+  lw.e_chan.len <- 0;
+  lw.gnd <- intern_local lw m.gnd;
+  lw.vdd <- intern_local lw m.vdd;
+  resolve_instances lw m instances;
+  mark_devices lw modifications;
+  channel_edges lw m instances;
+  bridges lw modifications
+
+let slot lw g =
+  if lw.slot_mark.(g) = lw.stamp then lw.slot_id.(g)
+  else begin
+    let s = lw.ext.len in
+    lw.slot_mark.(g) <- lw.stamp;
+    lw.slot_id.(g) <- s;
+    push lw.ext g;
+    s
+  end
 
 (* The solved locals (the de-duplicated resolved list without rails, then
    the pads in [make]'s reversed order), the pads, the external slots (pads
    first, then gate operands in edge order) and the gate operands. *)
-let resolve lw ~gnd ~vdd =
-  let stamp = lw.stamp in
-  List.iter (fun b -> b.len <- 0) [ lw.ext; lw.e_gate; lw.solved; lw.pad_local; lw.pad_slot ];
+let resolve lw =
+  let stamp = lw.stamp and gnd = lw.gnd and vdd = lw.vdd in
+  lw.ext.len <- 0;
+  lw.e_gate.len <- 0;
+  lw.solved.len <- 0;
+  lw.pad_local.len <- 0;
+  lw.pad_slot.len <- 0;
   lw.pad_r.len <- 0;
   for i = 0 to lw.resolved.len - 1 do
     let l = lw.resolved.data.(i) in
@@ -516,22 +554,12 @@ let resolve lw ~gnd ~vdd =
     end
   done;
   let n_resolved = lw.solved.len in
-  let slot g =
-    if lw.slot_mark.(g) = stamp then lw.slot_id.(g)
-    else begin
-      let s = lw.ext.len in
-      lw.slot_mark.(g) <- stamp;
-      lw.slot_id.(g) <- s;
-      push lw.ext g;
-      s
-    end
-  in
   for p = lw.pi_local.len - 1 downto 0 do
     let l = lw.pi_local.data.(p) and g = lw.pi_global.data.(p) in
     lw.solved_mark.(g) <- stamp;
     push lw.solved l;
     push lw.pad_local l;
-    push lw.pad_slot (slot g);
+    push lw.pad_slot (slot lw g);
     push_float lw.pad_r (r_driver g)
   done;
   for e = 0 to lw.e_a.len - 1 do
@@ -542,63 +570,53 @@ let resolve lw ~gnd ~vdd =
          lw.local_mark.(g) = stamp
          && (lw.solved_mark.(g) = stamp || lw.local_id.(g) = gnd || lw.local_id.(g) = vdd)
        then lw.local_id.(g)
-       else -1 - slot g)
+       else -1 - slot lw g)
   done;
   n_resolved
 
-(* A new shape: the buffers' contents plus the derived CSR adjacency. *)
-let new_shape lw ~id ~gnd ~vdd ~n_resolved =
+let mask_of locals =
+  Array.fold_left (fun acc l -> acc lor (1 lsl l)) 0 locals
+
+(* A new shape: the buffers' contents plus the derived masks. *)
+let new_shape lw ~id ~n_resolved =
   let n = lw.globals.len in
-  let e_a = contents lw.e_a and e_b = contents lw.e_b and e_r = contents lw.e_r in
-  let m = Array.length e_a in
-  let adj_start = Array.make (n + 1) 0 in
-  for e = 0 to m - 1 do
-    adj_start.(e_a.(e) + 1) <- adj_start.(e_a.(e) + 1) + 1;
-    adj_start.(e_b.(e) + 1) <- adj_start.(e_b.(e) + 1) + 1
-  done;
-  for l = 1 to n do
-    adj_start.(l) <- adj_start.(l) + adj_start.(l - 1)
-  done;
-  let fill = Array.sub adj_start 0 n in
-  let adj_edge = Array.make (2 * m) 0 in
-  let adj_other = Array.make (2 * m) 0 in
-  let adj_r = Array.make (2 * m) 0.0 in
-  let add u other e =
-    adj_edge.(fill.(u)) <- e;
-    adj_other.(fill.(u)) <- other;
-    adj_r.(fill.(u)) <- e_r.(e);
-    fill.(u) <- fill.(u) + 1
-  in
-  for e = 0 to m - 1 do
-    add e_a.(e) e_b.(e) e;
-    add e_b.(e) e_a.(e) e
-  done;
+  let m = lw.e_a.len in
+  if n > max_locals || m > max_edges then
+    invalid_arg
+      (Printf.sprintf "Solver.lower: a region of %d locals and %d edges (at most %d and %d)"
+         n m max_locals max_edges);
   let e_chan = contents lw.e_chan and e_gate = contents lw.e_gate in
-  let operand = Array.make n false in
+  let operand_mask = ref 0 in
+  for e = 0 to Array.length e_chan - 1 do
+    if e_chan.(e) <> 0 && e_gate.(e) >= 0 then
+      operand_mask := !operand_mask lor (1 lsl e_gate.(e))
+  done;
+  let solved = contents lw.solved in
+  let incident = Array.make n 0 in
   for e = 0 to m - 1 do
-    if e_chan.(e) <> 0 && e_gate.(e) >= 0 then operand.(e_gate.(e)) <- true
+    let a = lw.e_a.data.(e) and b = lw.e_b.data.(e) in
+    incident.(a) <- incident.(a) lor (1 lsl e);
+    incident.(b) <- incident.(b) lor (1 lsl e)
   done;
   {
     id;
     n;
-    c_gnd = gnd;
-    c_vdd = vdd;
-    e_a;
-    e_b;
-    e_r;
+    c_gnd = lw.gnd;
+    c_vdd = lw.vdd;
+    e_a = contents lw.e_a;
+    e_b = contents lw.e_b;
+    e_r = contents lw.e_r;
     e_chan;
     e_gate;
-    adj_start;
-    adj_edge;
-    adj_other;
-    adj_r;
-    solved = contents lw.solved;
+    solved;
     n_resolved;
     n_ext = lw.ext.len;
     pad_local = contents lw.pad_local;
     pad_slot = contents lw.pad_slot;
     pad_r = contents lw.pad_r;
-    operand;
+    solved_mask = mask_of solved;
+    operand_mask = !operand_mask;
+    incident;
   }
 
 (* Shapes are compared field by field, floats by their bits. *)
@@ -617,6 +635,15 @@ let same_floats (b : float buf) a =
   in
   go 0
 
+(* The buffers hold [s]'s deciding fields. *)
+let lowered_is lw n_resolved (s : shape) =
+  s.n = lw.globals.len && s.c_gnd = lw.gnd && s.c_vdd = lw.vdd
+  && s.n_resolved = n_resolved && s.n_ext = lw.ext.len
+  && same_ints lw.e_a s.e_a && same_ints lw.e_b s.e_b && same_floats lw.e_r s.e_r
+  && same_ints lw.e_chan s.e_chan && same_ints lw.e_gate s.e_gate
+  && same_ints lw.solved s.solved && same_ints lw.pad_local s.pad_local
+  && same_ints lw.pad_slot s.pad_slot && same_floats lw.pad_r s.pad_r
+
 let hash_ints h (b : int buf) =
   let h = ref ((h * 31) + b.len) in
   for i = 0 to b.len - 1 do
@@ -631,35 +658,32 @@ let hash_floats h (b : float buf) =
   done;
   !h
 
+(* The first of [shapes] that the buffers hold. *)
+let rec find_lowered lw n_resolved = function
+  | [] -> None
+  | s :: rest -> if lowered_is lw n_resolved s then Some s else find_lowered lw n_resolved rest
+
 let lower lw ~instances ~modifications =
-  let gnd, vdd = collect lw ~instances ~modifications in
-  let n_resolved = resolve lw ~gnd ~vdd in
-  let same (s : shape) =
-    s.n = lw.globals.len && s.c_gnd = gnd && s.c_vdd = vdd
-    && s.n_resolved = n_resolved && s.n_ext = lw.ext.len
-    && same_ints lw.e_a s.e_a && same_ints lw.e_b s.e_b && same_floats lw.e_r s.e_r
-    && same_ints lw.e_chan s.e_chan && same_ints lw.e_gate s.e_gate
-    && same_ints lw.solved s.solved && same_ints lw.pad_local s.pad_local
-    && same_ints lw.pad_slot s.pad_slot && same_floats lw.pad_r s.pad_r
-  in
+  collect lw ~instances ~modifications;
+  let n_resolved = resolve lw in
   let hash = (((lw.globals.len * 31) + n_resolved) * 31) + lw.ext.len in
   let hash = hash_ints (hash_ints (hash_ints hash lw.e_a) lw.e_b) lw.e_gate in
   let hash = hash_ints (hash_ints hash lw.solved) lw.pad_slot in
   let hash = hash_floats (hash_floats hash lw.e_r) lw.pad_r in
   let shape =
-    match List.find_opt same (Hashtbl.find_all lw.shapes hash) with
+    match find_lowered lw n_resolved (Hashtbl.find_all lw.shapes hash) with
     | Some s -> s
     | None ->
-        let s = new_shape lw ~id:lw.shape_count ~gnd ~vdd ~n_resolved in
+        let s = new_shape lw ~id:lw.shape_count ~n_resolved in
         Hashtbl.add lw.shapes hash s;
         lw.shape_count <- lw.shape_count + 1;
         s
   in
-  {
-    shape;
-    solved_global = Array.map (fun l -> lw.globals.data.(l)) shape.solved;
-    ext_global = contents lw.ext;
-  }
+  let solved_global = Array.make (Array.length shape.solved) 0 in
+  for i = 0 to Array.length solved_global - 1 do
+    solved_global.(i) <- lw.globals.data.(shape.solved.(i))
+  done;
+  { shape; solved_global; ext_global = contents lw.ext }
 
 let shape cr = cr.shape
 let shape_id (s : shape) = s.id
@@ -671,41 +695,33 @@ let external_count (s : shape) = s.n_ext
 
 type scratch = {
   mutable values : Ternary.t array;
-  mutable reach : int array;  (* per local: one bit per pass below *)
-  mutable queue : int array;
+  mutable adj_on : int array;  (* per local: its neighbours over [on] edges *)
+  mutable adj_any : int array;  (* ... over [on] or [maybe] edges *)
   mutable dist_dn : float array;
   mutable dist_up : float array;
-  mutable visited : bool array;
-  mutable cond : int array;  (* per edge: [off], [on] or [maybe] *)
+  mutable on_edges : int;  (* the edges [on] this round *)
   mutable read_charge : bool;  (* the last solve read [charge] *)
   mutable rounds : int;  (* relaxation rounds of every solve so far *)
   mutable capped : int;  (* solves stopped by the round cap, unsettled *)
 }
 
 let scratch () =
-  { values = [||]; reach = [||]; queue = [||]; dist_dn = [||]; dist_up = [||];
-    visited = [||]; cond = [||]; read_charge = false; rounds = 0; capped = 0 }
+  { values = [||]; adj_on = [||]; adj_any = [||]; dist_dn = [||]; dist_up = [||];
+    on_edges = 0; read_charge = false; rounds = 0; capped = 0 }
 
 let ensure s (cr : shape) =
   let n = cr.n in
   if Array.length s.values < n then begin
     s.values <- Array.make n Ternary.VX;
-    s.reach <- Array.make n 0;
-    s.queue <- Array.make n 0;
+    s.adj_on <- Array.make n 0;
+    s.adj_any <- Array.make n 0;
     s.dist_dn <- Array.make n infinite;
-    s.dist_up <- Array.make n infinite;
-    s.visited <- Array.make n false
-  end;
-  let m = Array.length cr.e_chan in
-  if Array.length s.cond < m then s.cond <- Array.make m 0
+    s.dist_up <- Array.make n infinite
+  end
 
 let off = 0
 let on = 1
 let maybe = 2
-let def_dn = 1
-let def_up = 2
-let pos_dn = 4
-let pos_up = 8
 
 let is_rail (cr : shape) u = u = cr.c_gnd || u = cr.c_vdd
 
@@ -714,102 +730,126 @@ let is_rail (cr : shape) u = u = cr.c_gnd || u = cr.c_vdd
 let pad_matches v ~up ~definite =
   match v with Ternary.V1 -> up | Ternary.V0 -> not up | Ternary.VX -> not definite
 
-let accepts c ~definite = c = on || ((not definite) && c = maybe)
+(* The index of the lowest set bit of [x <> 0], for a bit below 62: a de
+   Bruijn multiply.  0x03f79d71b4cb0a89 is a 64-bit de Bruijn sequence, so
+   the six bits at 58 of [b * c] name [b]'s position; with 63-bit ints the
+   six bits at 57, the window of the next position, do the same for every
+   bit below 63. *)
+let debruijn = 0x03f79d71b4cb0a89
 
-(* The set of nodes [solve]'s [distances] leaves at a finite distance:
+let bit_index =
+  let t = Array.make 64 0 in
+  for k = 0 to 61 do
+    t.(((1 lsl k) * debruijn) lsr 57 land 63) <- k
+  done;
+  t
+
+let[@inline] lowest_bit x = bit_index.(((x land -x) * debruijn) lsr 57 land 63)
+
+(* The set of locals [solve]'s [distances] leaves at a finite distance:
    Dijkstra's frontier rules without the distances.  Every edge here has
    finite resistance, so a relaxation from a reached node always lowers an
-   infinite distance. *)
-let reach_pass (cr : shape) s ~ext ~source ~definite bit =
-  let reach = s.reach and queue = s.queue in
-  reach.(source) <- reach.(source) lor bit;
-  queue.(0) <- source;
-  let tail = ref 1 in
+   infinite distance.  The other rail is reached but conducts no further. *)
+let reach_set (cr : shape) s ~ext ~source ~definite =
+  let adj = if definite then s.adj_on else s.adj_any in
   let up = source = cr.c_vdd in
+  let seed = ref (1 lsl source) in
   for p = 0 to Array.length cr.pad_local - 1 do
-    let l = cr.pad_local.(p) in
-    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite && reach.(l) land bit = 0
-    then begin
-      reach.(l) <- reach.(l) lor bit;
-      queue.(!tail) <- l;
-      incr tail
-    end
+    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite then
+      seed := !seed lor (1 lsl cr.pad_local.(p))
   done;
-  let head = ref 0 in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    if not (is_rail cr u && u <> source) then
-      for k = cr.adj_start.(u) to cr.adj_start.(u + 1) - 1 do
-        let v = cr.adj_other.(k) in
-        if accepts s.cond.(cr.adj_edge.(k)) ~definite && reach.(v) land bit = 0
-        then begin
-          reach.(v) <- reach.(v) lor bit;
-          queue.(!tail) <- v;
-          incr tail
-        end
-      done
-  done
+  let stop = 1 lsl if up then cr.c_gnd else cr.c_vdd in
+  let reach = ref !seed and todo = ref (!seed land lnot stop) in
+  while !todo <> 0 do
+    let u = lowest_bit !todo in
+    todo := !todo land (!todo - 1);
+    let fresh = adj.(u) land lnot !reach in
+    reach := !reach lor fresh;
+    todo := !todo lor (fresh land lnot stop)
+  done;
+  !reach
 
-(* [solve]'s [distances], bit for bit: same seeding, same O(V^2) scan with
-   the lowest-index tie-break, same [dist.(u) +. r] sums. *)
-let shortest (cr : shape) s ~ext ~source ~definite dist =
-  let n = cr.n in
-  Array.fill dist 0 n infinite;
+(* [solve]'s [distances] for a definite pass, bit for bit: same seeding,
+   same scan for the nearest unvisited node with the lowest-index
+   tie-break, same [dist.(u) +. r] sums (a node's final distance is the
+   least of them, whatever the order of its relaxations).  The scan visits
+   only the nodes at a finite distance, in index order, and a visited node
+   relaxes the [on] edges at it. *)
+let shortest (cr : shape) s ~ext ~source dist =
+  Array.fill dist 0 cr.n infinite;
   dist.(source) <- 0.0;
   let up = source = cr.c_vdd in
+  let open_ = ref (1 lsl source) in
   for p = 0 to Array.length cr.pad_local - 1 do
     let l = cr.pad_local.(p) and r = cr.pad_r.(p) in
-    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite && r < dist.(l) then
-      dist.(l) <- r
+    if pad_matches ext.(cr.pad_slot.(p)) ~up ~definite:true && r < dist.(l) then begin
+      dist.(l) <- r;
+      open_ := !open_ lor (1 lsl l)
+    end
   done;
-  let visited = s.visited in
-  Array.fill visited 0 n false;
-  let continue = ref true in
-  while !continue do
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if (not visited.(i)) && dist.(i) < infinite then
-        if !best < 0 || dist.(i) < dist.(!best) then best := i
+  while !open_ <> 0 do
+    let best = ref (-1) and rest = ref !open_ in
+    while !rest <> 0 do
+      let i = lowest_bit !rest in
+      rest := !rest land (!rest - 1);
+      if !best < 0 || dist.(i) < dist.(!best) then best := i
     done;
-    if !best < 0 then continue := false
-    else begin
-      let u = !best in
-      visited.(u) <- true;
-      if not (is_rail cr u && u <> source) then
-        for k = cr.adj_start.(u) to cr.adj_start.(u + 1) - 1 do
-          if accepts s.cond.(cr.adj_edge.(k)) ~definite then begin
-            let v = cr.adj_other.(k) in
-            let d = dist.(u) +. cr.adj_r.(k) in
-            if d < dist.(v) then dist.(v) <- d
-          end
-        done
+    let u = !best in
+    open_ := !open_ land lnot (1 lsl u);
+    if not (is_rail cr u && u <> source) then begin
+      let edges = ref (cr.incident.(u) land s.on_edges) in
+      while !edges <> 0 do
+        let e = lowest_bit !edges in
+        edges := !edges land (!edges - 1);
+        let v = if cr.e_a.(e) = u then cr.e_b.(e) else cr.e_a.(e) in
+        let d = dist.(u) +. cr.e_r.(e) in
+        if d < dist.(v) then begin
+          (* A visited node is never improved: its distance is at most
+             [dist.(u)] and resistances are non-negative. *)
+          if dist.(v) = infinite then open_ := !open_ lor (1 lsl v);
+          dist.(v) <- d
+        end
+      done
     end
   done
 
-(* One relaxation round's four rail passes into [s.reach]; when some solved
-   node is definitely driven from both rails, also the exact definite
-   distances, which decide who wins the fight. *)
-let rail_passes (cr : shape) s ~ext =
-  Array.fill s.reach 0 cr.n 0;
-  reach_pass cr s ~ext ~source:cr.c_gnd ~definite:true def_dn;
-  reach_pass cr s ~ext ~source:cr.c_vdd ~definite:true def_up;
-  reach_pass cr s ~ext ~source:cr.c_gnd ~definite:false pos_dn;
-  reach_pass cr s ~ext ~source:cr.c_vdd ~definite:false pos_up;
-  let both = ref false in
-  for i = 0 to Array.length cr.solved - 1 do
-    if s.reach.(cr.solved.(i)) land (def_dn lor def_up) = def_dn lor def_up then
-      both := true
-  done;
-  if !both then begin
-    shortest cr s ~ext ~source:cr.c_gnd ~definite:true s.dist_dn;
-    shortest cr s ~ext ~source:cr.c_vdd ~definite:true s.dist_up
-  end
+(* Each edge's conduction under the current values, and the neighbour
+   masks it gives. *)
+let conduction (cr : shape) s ~ext values =
+  let adj_on = s.adj_on and adj_any = s.adj_any in
+  Array.fill adj_on 0 cr.n 0;
+  Array.fill adj_any 0 cr.n 0;
+  s.on_edges <- 0;
+  for e = 0 to Array.length cr.e_chan - 1 do
+    let chan = cr.e_chan.(e) in
+    let c =
+      if chan = 0 then on
+      else
+        let g = cr.e_gate.(e) in
+        match if g >= 0 then values.(g) else ext.(-1 - g) with
+        | Ternary.VX -> maybe
+        | Ternary.V1 -> if chan = 1 then on else off
+        | Ternary.V0 -> if chan = 1 then off else on
+    in
+    if c <> off then begin
+      let a = cr.e_a.(e) and b = cr.e_b.(e) in
+      adj_any.(a) <- adj_any.(a) lor (1 lsl b);
+      adj_any.(b) <- adj_any.(b) lor (1 lsl a);
+      if c = on then begin
+        s.on_edges <- s.on_edges lor (1 lsl e);
+        adj_on.(a) <- adj_on.(a) lor (1 lsl b);
+        adj_on.(b) <- adj_on.(b) lor (1 lsl a)
+      end
+    end
+  done
 
 let read_charge s = s.read_charge
 let rounds s = s.rounds
 let capped s = s.capped
 
+(* Each relaxation round decides the four rail passes as reach sets; when
+   some solved node is definitely driven from both rails, it also runs the
+   exact definite distances, which decide who wins the fight. *)
 let solve_compiled (cr : shape) s ~ext ~charge ~out =
   ensure s cr;
   s.read_charge <- false;
@@ -826,25 +866,21 @@ let solve_compiled (cr : shape) s ~ext ~charge ~out =
   let max_rounds = 4 * (cr.n + 2) in
   while (not !stable) && !rounds < max_rounds do
     incr rounds;
-    for e = 0 to Array.length cr.e_chan - 1 do
-      let chan = cr.e_chan.(e) in
-      s.cond.(e) <-
-        (if chan = 0 then on
-         else
-           let g = cr.e_gate.(e) in
-           match if g >= 0 then values.(g) else ext.(-1 - g) with
-           | Ternary.VX -> maybe
-           | Ternary.V1 -> if chan = 1 then on else off
-           | Ternary.V0 -> if chan = 1 then off else on)
-    done;
-    rail_passes cr s ~ext;
-    let reach = s.reach in
+    conduction cr s ~ext values;
+    let def_dn = reach_set cr s ~ext ~source:cr.c_gnd ~definite:true in
+    let def_up = reach_set cr s ~ext ~source:cr.c_vdd ~definite:true in
+    let pos_dn = reach_set cr s ~ext ~source:cr.c_gnd ~definite:false in
+    let pos_up = reach_set cr s ~ext ~source:cr.c_vdd ~definite:false in
+    if def_dn land def_up land cr.solved_mask <> 0 then begin
+      shortest cr s ~ext ~source:cr.c_gnd s.dist_dn;
+      shortest cr s ~ext ~source:cr.c_vdd s.dist_up
+    end;
     stable := true;
     for i = 0 to Array.length cr.solved - 1 do
       let l = cr.solved.(i) in
-      let r = reach.(l) in
-      let du = r land def_up <> 0 and dd = r land def_dn <> 0 in
-      let pu = r land pos_up <> 0 and pd = r land pos_dn <> 0 in
+      let bit = 1 lsl l in
+      let du = def_up land bit <> 0 and dd = def_dn land bit <> 0 in
+      let pu = pos_up land bit <> 0 and pd = pos_dn land bit <> 0 in
       let v =
         if du && dd then begin
           fight := true;
@@ -864,14 +900,14 @@ let solve_compiled (cr : shape) s ~ext ~charge ~out =
          without one, that round would recompute these values and fights. *)
       if v != values.(l) then begin
         values.(l) <- v;
-        if cr.operand.(l) then stable := false
+        if cr.operand_mask land bit <> 0 then stable := false
       end
     done;
     for p = 0 to Array.length cr.pad_local - 1 do
-      let r = reach.(cr.pad_local.(p)) in
+      let bit = 1 lsl cr.pad_local.(p) in
       match ext.(cr.pad_slot.(p)) with
-      | Ternary.V1 -> if r land def_dn <> 0 then fight := true
-      | Ternary.V0 -> if r land def_up <> 0 then fight := true
+      | Ternary.V1 -> if def_dn land bit <> 0 then fight := true
+      | Ternary.V0 -> if def_up land bit <> 0 then fight := true
       | Ternary.VX -> ()
     done
   done;

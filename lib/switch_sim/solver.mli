@@ -63,10 +63,11 @@ val solve :
 (** {2 Compiled regions}
 
     The production solver: {!solve} on a region lowered into arrays, with
-    results bit-identical to it.  Each relaxation round decides the rail
-    passes by reachability and runs the exact shortest-path passes only
-    when some node is driven definitely from both rails, since only then
-    do the distances themselves matter. *)
+    results bit-identical to it.  A region has at most 62 locals and 62
+    kept edges, so each relaxation round decides the four rail passes as
+    one-int reach sets, and runs the exact shortest-path passes only when
+    some node is driven definitely from both rails, since only then do the
+    distances themselves matter. *)
 
 type shape
 (** Everything a compiled solve reads: the region's topology over its
@@ -92,7 +93,9 @@ val lower :
     shape interned in the lowering's table.  The work is done in the
     lowering's buffers: what outlives the call is the two global maps
     and, when the shape is new, the shape.
-    @raise Invalid_argument as {!make} does. *)
+    @raise Invalid_argument as {!make} does, and for a region of more
+    than 62 locals (rails, solved nodes and gate terminals) or 62 kept
+    edges; the cell library's largest region has 18 and 25. *)
 
 val shape_count : lowering -> int
 (** Distinct shapes interned so far; their ids are [0 .. count - 1]. *)

@@ -34,6 +34,9 @@ type memo_stats = {
   mutable rounds_capped : int;
       (** Computed solves stopped at {!Solver.solve_compiled}'s
           [4 * (n + 2)]-round cap ({!Solver.capped}). *)
+  mutable cone_walks : int;
+      (** Region passes decided by a walk of the fault effect's fanout
+          cone; the others were decided by the observability table. *)
 }
 (** Memo counters of {!run}, summed over the runs they are passed to. *)
 
@@ -64,26 +67,55 @@ val run :
     grouped into tasks, one per region shape and one per open, which the
     workers of a domain pool claim dynamically ([domains] defaults to
     {!Dl_util.Parallel.default_domains}, clamped to the task count; pass
-    [pool] to reuse an existing pool, in which case [domains] is
-    ignored).  Each worker has its own buffers, solver scratch and cone
-    walker.  The result, [memo_stats] and the [on_voltage_detect] events
-    (buffered and replayed in the calling domain, in increasing vector
-    and then fault index) are identical for any pool size.
+    [pool] to reuse an existing pool, in which case [domains] is ignored).
+    Each worker has its own buffers, solver scratch and cone walker.  The
+    result, [memo_stats] and the [on_voltage_detect] events (buffered and
+    replayed in the calling domain, in increasing vector and then fault
+    index) are identical for any pool size.
 
-    Each region is lowered once ({!Solver.lower}); regions with equal
-    compiled arrays share one shape, and each shape has one solve memo,
-    shared by all its faults within the shape's task, keyed on the exact
-    inputs a solve reads (external values and charge).  An outcome computed
-    without reading charge is stored under an ext-only key and answers
-    for any charge.  The fault effect propagates through a reusable cone
-    walker ({!Dl_logic.Propagate.Cone}).  [region_solves] counts logical
-    region evaluations, a memo hit included.  Results are bit-identical to
-    {!Reference.run}.  [memo_stats], when given, is incremented by this
-    run's counts. *)
+    Each region is lowered once ({!Solver.lower}), on the calling domain
+    before the pool starts; regions with equal compiled arrays share one
+    shape, and each shape has one solve memo, shared by all its faults
+    within the shape's task, keyed on the exact inputs a solve reads
+    (external values and charge).  An outcome computed without reading
+    charge is stored under an ext-only key and answers for any charge.
+
+    A region is acyclic when no signal it drives reaches one of its
+    cells' inputs.  Its propagation cannot feed back, so it is solved once
+    per vector, and the solve decides the vector without a cone walk when
+    it leaves no signal definitely wrong (not detected), or exactly one and
+    no X: then the vector detects the fault exactly when the {!observability}
+    table says the wrong signal is observable there.  A definite open is
+    decided the same way.  Every other region pass walks the fault effect's
+    fanout cone through a reusable walker ({!Dl_logic.Propagate.Cone}), and
+    a feedback region iterates its solve and walk until its inputs settle.
+    [region_solves] counts logical region evaluations, a memo hit included.
+    Results are bit-identical to {!Reference.run}.  [memo_stats], when
+    given, is incremented by this run's counts. *)
 
 val shape_ids : Network.t -> Realistic.t array -> int array
 (** The shape id {!run} gives each fault's region ([-1] for interconnect
     opens, which have none): faults with equal ids share a memo. *)
+
+type observability
+(** Gate-level observability over a vector sequence: one bit per (node,
+    vector). *)
+
+val observability :
+  ?pool:Dl_util.Parallel.t ->
+  Dl_netlist.Circuit.t ->
+  nodes:int array ->
+  vectors:bool array array ->
+  observability
+(** The bits of [nodes] (distinct node ids): bit [(n, v)] is set when
+    flipping node [n] alone at vector [v] makes some primary output take
+    the wrong value.  It comes from the non-dropping [on_detect] stream of
+    [n]'s two stem stuck-ats ({!Dl_fault.Fault_sim.run_parallel_with}
+    [~engine:Wide ~drop_detected:false], on [pool]): stuck-at-0 fires
+    exactly where [n] is 1 and the flip is observed, stuck-at-1 where it
+    is 0.  Nodes outside [nodes] read [false]. *)
+
+val observable : observability -> node:int -> vector:int -> bool
 
 (** The original engine: a {!Solver.solve} per region evaluation and a
     {!Dl_logic.Propagate.run} per propagation.  Kept as the oracle of

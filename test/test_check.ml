@@ -64,7 +64,7 @@ let test_harness_unknown_check () =
 
 let test_registry_is_consistent () =
   let names = Oracle.names () in
-  Alcotest.(check int) "twenty-three checks" 23 (List.length names);
+  Alcotest.(check int) "twenty-four checks" 24 (List.length names);
   List.iter
     (fun n ->
       match Oracle.find n with
@@ -181,6 +181,23 @@ let test_swift_reference_repro () =
       let name, verdict = Harness.replay (Testcase.load_repro path) in
       Alcotest.(check string) "replayed check" "swift-reference" name;
       Alcotest.(check bool) "no longer failing" true (verdict = None))
+
+(* The observability table against flip walks on a real flow's input: the
+   mapped c432s_small and the vectors its default pipeline applies. *)
+let test_swift_observability_pipeline () =
+  let e =
+    Dl_core.Experiment.run
+      (Dl_core.Experiment.config ~domains:1 (Option.get (Dl_netlist.Benchmarks.by_name "c432s_small")))
+  in
+  let case =
+    { Testcase.seed = 7; circuit = e.mapped_circuit; vectors = e.vectors; faults = [||] }
+  in
+  let judge = match Oracle.find "swift-observability" with
+    | Some { Oracle.kind = Oracle.Case f; _ } -> f
+    | _ -> Alcotest.fail "swift-observability is not a case check"
+  in
+  Alcotest.(check bool) "some vectors" true (Array.length e.vectors > 16);
+  Alcotest.(check (option string)) "passes" None (judge case)
 
 (* The PODEM oracle also derives its faults from the case's circuit alone. *)
 let test_podem_reference_repro () =
@@ -323,6 +340,8 @@ let () =
           Alcotest.test_case "save/load/replay" `Quick test_repro_roundtrip;
           Alcotest.test_case "swift-reference replays" `Quick test_swift_reference_repro;
           Alcotest.test_case "podem-reference replays" `Quick test_podem_reference_repro;
+          Alcotest.test_case "swift-observability on c432s_small's vectors" `Quick
+            test_swift_observability_pipeline;
           Alcotest.test_case "out-of-range fault rejected on replay" `Quick
             test_out_of_range_repro;
         ] );

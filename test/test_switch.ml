@@ -490,7 +490,7 @@ let all_opens (c : Circuit.t) =
 
 let stats_fields (st : Swift.memo_stats) =
   [ st.shapes; st.full_hits; st.ext_only_hits; st.misses; st.rounds;
-    st.feedback_capped; st.rounds_capped ]
+    st.feedback_capped; st.rounds_capped; st.cone_walks ]
 
 (* The serial engine, pools of 1, 2 and 3 domains and the reference agree
    on detections and region solves in every drop mode; the engine's memo
@@ -734,6 +734,60 @@ let test_cap_counters_pool_independent () =
             (stats_fields st) (stats_fields st')))
     [ 2; 3 ]
 
+(* --- Acyclic regions ----------------------------------------------------------- *)
+
+(* x = NAND(a, b) feeds y = NAND(x, c); z = NAND(c, d) shares no path with
+   x.  Bridging x to y (one cell feeds the other) or x to the PI a (which
+   feeds x) can feed back into the region's own inputs, so every pass of
+   those faults walks the cone: the iterating path.  Bridging x to z
+   cannot, and a hard short leaves at most one definitely wrong node, so
+   the observability table decides every vector of it without a walk. *)
+let test_feedback_regions_iterate () =
+  let b = Circuit.Builder.create ~title:"chain" in
+  List.iter (Circuit.Builder.add_input b) [ "a"; "b"; "c"; "d" ];
+  Circuit.Builder.add_gate b "x" Gate.Nand [ "a"; "b" ];
+  Circuit.Builder.add_gate b "y" Gate.Nand [ "x"; "c" ];
+  Circuit.Builder.add_gate b "z" Gate.Nand [ "c"; "d" ];
+  List.iter (Circuit.Builder.add_output b) [ "y"; "z" ];
+  let c = Circuit.Builder.finalize b in
+  let m = Mapping.flatten c in
+  let net = Network.build m in
+  let node name = m.Mapping.signal_node.(Circuit.find c name) in
+  let bridge p q = fault (Realistic.Bridge { node_a = node p; node_b = node q }) in
+  let vectors = exhaustive_vectors c in
+  List.iter
+    (fun (p, q, iterates) ->
+      let faults = [| bridge p q |] in
+      let st = Swift.memo_stats () in
+      let r = Swift.run ~drop_when:`Never ~memo_stats:st ~domains:1 net ~faults ~vectors in
+      let slow = Swift.Reference.run ~drop_when:`Never net ~faults ~vectors in
+      let name what = Printf.sprintf "bridge %s-%s: %s" p q what in
+      Alcotest.(check bool) (name "detection = reference") true (r.detection = slow.detection);
+      Alcotest.(check int) (name "region solves = reference") slow.region_solves r.region_solves;
+      Alcotest.(check int) (name "cone walks")
+        (if iterates then r.region_solves else 0)
+        st.cone_walks;
+      check_same_as_reference net ~faults ~vectors)
+    [ ("x", "y", true); ("x", "a", true); ("x", "z", false) ]
+
+(* A pool wider than the task list: its extra workers claim nothing, and
+   detections, region solves and every memo counter are the serial run's.
+   ([check_same_as_reference] covers pools of 1, 2 and 3 domains.) *)
+let test_oversized_pool () =
+  let c, net, faults = realistic_faults "c432s_small" in
+  let faults = Array.sub faults 0 3 and vectors = random_vectors c 8 in
+  let outcome ?pool () =
+    let st = Swift.memo_stats () in
+    let r = Swift.run ~memo_stats:st ?pool ~domains:1 net ~faults ~vectors in
+    (r.detection, r.region_solves, stats_fields st)
+  in
+  let det, solves, st = outcome () in
+  Parallel.with_pool ~domains:4 (fun pool ->
+      let det', solves', st' = outcome ~pool () in
+      Alcotest.(check bool) "detections" true (det = det');
+      Alcotest.(check int) "region solves" solves solves';
+      Alcotest.(check (list int)) "memo counters" st st')
+
 let family_case seed =
   let fams = Array.of_list Generator.Family.all in
   let fam = fams.(seed mod Array.length fams) in
@@ -854,6 +908,9 @@ let () =
             test_swift_stage_independent_of_domains;
           Alcotest.test_case "cap counters independent of pool size" `Quick
             test_cap_counters_pool_independent;
+          Alcotest.test_case "feedback regions take the iterating path" `Quick
+            test_feedback_regions_iterate;
+          Alcotest.test_case "oversized pool = serial" `Quick test_oversized_pool;
           QCheck_alcotest.to_alcotest prop_pooled_families;
           QCheck_alcotest.to_alcotest prop_x_open_never_voltage_detected;
         ] );
