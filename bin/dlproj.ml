@@ -70,8 +70,16 @@ let jobs_arg =
            ~doc:"Worker domains for fault simulation (0 = one per \
                  recommended core). Results are identical at any setting.")
 
-let resolve_jobs jobs =
-  if jobs <= 0 then Dl_util.Parallel.default_domains () else jobs
+(* Each -j worker is a runtime domain, and the runtime holds at most
+   [Parallel.max_domains] at once: reject a larger request before any
+   work.  [workers] jobs run side by side, each with its own pool. *)
+let resolve_jobs ?(workers = 1) jobs =
+  let j = if jobs <= 0 then Dl_util.Parallel.default_domains () else jobs in
+  let max = Dl_util.Parallel.max_domains in
+  if workers * j > max then
+    if workers = 1 then die "-j must be at most %d, got %d" max j
+    else die "--workers x -j must be at most %d, got %d x %d" max workers j;
+  j
 
 (* ------------------------------------------------------------------ info *)
 
@@ -298,6 +306,7 @@ let pipeline_cmd =
     if not (target_yield > 0.0 && target_yield < 1.0) then
       die "--yield must be in (0, 1), got %g" target_yield;
     if max_random < 0 then die "--max-random must be >= 0";
+    let domains = resolve_jobs jobs in
     let c = load_circuit spec in
     check_writable_parent report;
     let mc =
@@ -326,7 +335,7 @@ let pipeline_cmd =
     let cfg =
       match
         Dl_core.Experiment.config ~seed ~max_random_vectors:max_random
-          ~target_yield ~domains:(resolve_jobs jobs)
+          ~target_yield ~domains
           ~collapse_faults:(not no_collapse) ?cache_dir:cache ?mc ?bootstrap
           ?ndet c
       with
@@ -555,6 +564,7 @@ let ndet_cmd =
   let run spec seed jobs n max_random =
     if n < 1 then die "-n must be >= 1";
     if max_random < 0 then die "--max-random must be >= 0";
+    let domains = resolve_jobs jobs in
     let c = Dl_netlist.Transform.decompose_for_cells (load_circuit spec) in
     let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
     let r =
@@ -579,7 +589,7 @@ let ndet_cmd =
       print_endline "empty test set: nothing to profile"
     else begin
       let profile =
-        Dl_fault.Fault_sim.run_ndet ~domains:(resolve_jobs jobs) ~drop_after:n
+        Dl_fault.Fault_sim.run_ndet ~domains ~drop_after:n
           c ~faults:testable ~vectors:r.vectors
       in
       let t = Table.create
@@ -872,6 +882,7 @@ let serve_cmd =
   let run socket tcp workers queue_capacity jobs cache peers =
     positive "--workers" workers;
     positive "--queue" queue_capacity;
+    let domains_per_worker = resolve_jobs ~workers jobs in
     let listen = endpoint_of socket tcp in
     let banner ep =
       Printf.printf "dlproj serving on %s (%d worker%s, queue %d)%s%s\n%!"
@@ -891,7 +902,7 @@ let serve_cmd =
     | [] ->
         let cfg =
           Dl_serve.Server.config ~workers ~queue_capacity
-            ~domains_per_worker:(resolve_jobs jobs) ?cache_dir:cache ~listen ()
+            ~domains_per_worker ?cache_dir:cache ~listen ()
         in
         Dl_serve.Server.run cfg
           ~on_ready:(fun s -> banner (Dl_serve.Server.bound s))
@@ -900,7 +911,7 @@ let serve_cmd =
            artifacts from the ring before computing, publish afterwards). *)
         let w =
           Dl_cluster.Worker.start ~workers ~queue_capacity
-            ~domains_per_worker:(resolve_jobs jobs) ?cache_dir:cache ~listen ()
+            ~domains_per_worker ?cache_dir:cache ~listen ()
         in
         let self = Dl_cluster.Worker.bound w in
         Dl_cluster.Worker.set_peers w (self :: peers);

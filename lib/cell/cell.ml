@@ -170,7 +170,6 @@ let for_gate kind ~arity =
       }
 
 let transistor_count c = List.length c.transistors
-let input_count c = List.length c.inputs
 
 let term_declared c = function
   | Vdd | Gnd -> true

@@ -37,8 +37,6 @@ val for_gate : Dl_netlist.Gate.kind -> arity:int -> t
 
 val transistor_count : t -> int
 
-val input_count : t -> int
-
 val validate : t -> unit
 (** Structural checks: every transistor terminal is declared, the output is
     reachable from both rails through channel terminals, gates of

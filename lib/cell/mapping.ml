@@ -125,8 +125,6 @@ let transistor_count net = Array.length net.transistors
 let instance_of_gate net gate_id =
   Array.find_opt (fun inst -> inst.gate_id = gate_id) net.instances
 
-let node_of_signal net signal = net.signal_node.(signal)
-
 let pp_summary ppf net =
   Format.fprintf ppf "%s: %d network nodes, %d transistors, %d cell instances"
     net.circuit.title net.node_count (transistor_count net)

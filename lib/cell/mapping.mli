@@ -48,7 +48,4 @@ val transistor_count : network -> int
 val instance_of_gate : network -> int -> instance option
 (** The cell instance implementing the given circuit node (None for PIs). *)
 
-val node_of_signal : network -> int -> int
-(** Network node of a circuit signal. *)
-
 val pp_summary : Format.formatter -> network -> unit

@@ -24,14 +24,6 @@ val generate :
     NAND-rich mix.
     @raise Invalid_argument for an unregistered [family] name. *)
 
-val remap_faults :
-  Circuit.t -> int option array -> Dl_fault.Stuck_at.t array ->
-  Dl_fault.Stuck_at.t array
-(** Carry fault sites across a structural transformation given the old-id
-    to new-id map ({!Dl_netlist.Transform.eliminate_node} /
-    [prune_dead]).  Faults whose site vanished are dropped; aliased
-    duplicates are collapsed to one. *)
-
 val with_circuit : t -> Circuit.t -> int option array -> t
 (** Replace the circuit (after surgery), remapping the fault set through
     the map.  Vectors are kept: PI count and order are stable under the

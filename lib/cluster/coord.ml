@@ -383,8 +383,6 @@ let workers_alive t =
         (fun w -> if w.alive then Some w.w_name else None)
         t.st.order)
 
-let stats t = stats t.st
-
 (* The prober leaves on its own once the listener is stopping. *)
 let stop t =
   Listener.stop t.listener;

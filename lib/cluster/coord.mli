@@ -69,10 +69,6 @@ val bound : t -> Dl_serve.Transport.endpoint
 val workers_alive : t -> string list
 (** Endpoint strings of workers currently considered live. *)
 
-val stats : t -> Dl_serve.Protocol.stats
-(** Coordinator-side counters; [queue_depth]/[in_flight] aggregate the
-    live workers. *)
-
 val stop : t -> unit
 (** Drain (stop accepting, wait up to 10 s for every in-flight relay to
     write its answer, then cut off the rest), close the connections,

@@ -2,7 +2,6 @@ type t = {
   (* Sorted by point; binary-searched by [home]. *)
   points : (int * string) array;
   members : string list;
-  replicas : int;
 }
 
 let default_replicas = 64
@@ -32,18 +31,10 @@ let create ?(replicas = default_replicas) members =
     |> Array.of_list
   in
   Array.sort compare points;
-  { points; members; replicas }
+  { points; members }
 
 let members t = t.members
 let is_empty t = t.members = []
-
-let add t member =
-  if List.mem member t.members then t
-  else create ~replicas:t.replicas (member :: t.members)
-
-let remove t member =
-  create ~replicas:t.replicas
-    (List.filter (fun m -> m <> member) t.members)
 
 (* Index of the first ring point clockwise of [p] (wrapping). *)
 let successor t p =

@@ -9,9 +9,6 @@
 
 type t
 
-val default_replicas : int
-(** 64 virtual nodes per member. *)
-
 val create : ?replicas:int -> string list -> t
 (** Members are deduplicated; order does not matter (two rings built from
     permutations of the same list are identical). *)
@@ -20,10 +17,6 @@ val members : t -> string list
 (** Sorted, deduplicated. *)
 
 val is_empty : t -> bool
-
-val add : t -> string -> t
-val remove : t -> string -> t
-(** Pure: they return a new ring. *)
 
 val home : t -> string -> string
 (** The member owning a key.

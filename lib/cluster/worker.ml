@@ -122,13 +122,10 @@ let start ?workers ?queue_capacity ?cache_capacity ?domains_per_worker
   { state; server }
 
 let bound t = Server.bound t.server
-let server t = t.server
 
 let set_peers t endpoints =
   let members = List.map Transport.to_string endpoints in
   locked t.state (fun () -> t.state.ring <- Hash_ring.create members)
-
-let peers t = locked t.state (fun () -> Hash_ring.members t.state.ring)
 
 let stop t = Server.stop t.server
 

@@ -28,11 +28,6 @@ val set_peers : t -> Dl_serve.Transport.endpoint list -> unit
     any time — late binding exists because ephemeral ports are only known
     after every worker has started. *)
 
-val peers : t -> string list
-(** Current ring membership as endpoint strings (sorted). *)
-
-val server : t -> Dl_serve.Server.t
-
 val stop : t -> unit
 (** Graceful drain ({!Dl_serve.Server.stop}). *)
 

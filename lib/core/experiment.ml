@@ -73,6 +73,9 @@ let validate cfg =
   if not (cfg.min_weight_ratio >= 0.0 && cfg.min_weight_ratio <= 1.0) then
     bad "min_weight_ratio must be in [0, 1], got %g" cfg.min_weight_ratio;
   at_least_1 "domains" (Some cfg.domains);
+  if cfg.domains > Dl_util.Parallel.max_domains then
+    bad "domains must be at most %d, got %d" Dl_util.Parallel.max_domains
+      cfg.domains;
   at_least_1 "rows" cfg.rows;
   at_least_1 "bootstrap" cfg.bootstrap;
   at_least_1 "ndet" cfg.ndet

@@ -109,8 +109,9 @@ val config : ?seed:int -> ?max_random_vectors:int -> ?target_yield:float ->
     stages.
     @raise Invalid_argument (one line naming the field) unless
     [0 < target_yield < 1], [max_random_vectors >= 0],
-    [0 <= min_weight_ratio <= 1] and [domains], [rows], [bootstrap],
-    [ndet] are >= 1.  {!stage_keys}, {!run} and {!run_stage} repeat the
+    [0 <= min_weight_ratio <= 1], [domains], [rows], [bootstrap],
+    [ndet] are >= 1 and [domains <= Dl_util.Parallel.max_domains].
+    {!stage_keys}, {!run} and {!run_stage} repeat the
     check, so a [{ cfg with ... }] update cannot bypass it. *)
 
 val stage_keys : config -> (string * string) list

@@ -46,9 +46,6 @@ let required_coverage ~yield ~params ~target_dl =
     Some (Numerics.clamp01 t)
   end
 
-let defect_level_curve ~yield ~params ~coverages =
-  Array.map (fun t -> (t, defect_level ~yield ~params ~coverage:t)) coverages
-
 type rmse_scale = Linear | Log10
 type fit = { params : params; rmse : float; rmse_scale : rmse_scale }
 

@@ -32,9 +32,6 @@ val required_coverage :
     Example 1); [None] when the target lies below the residual defect
     level, i.e. is unreachable with this detection technique. *)
 
-val defect_level_curve :
-  yield:float -> params:params -> coverages:float array -> (float * float) array
-
 type rmse_scale =
   | Linear  (** [rmse] is in the units of the fitted quantity itself. *)
   | Log10   (** [rmse] is in decades of the fitted quantity. *)

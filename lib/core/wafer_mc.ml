@@ -2,7 +2,6 @@ module Seeds = Dl_util.Seeds
 module Rng = Dl_util.Rng
 module Prob = Dl_util.Prob
 module Stats = Dl_util.Stats
-module Histogram = Dl_util.Histogram
 module B = Dl_util.Binary
 
 type band = {
@@ -231,14 +230,5 @@ let simulate ?(dies_per_wafer = 256) ?(wafers_per_lot = 4)
     defective = !defective;
     bands;
   }
-
-let histogram ?(bins = 20) band =
-  let hi =
-    Array.fold_left Float.max band.dl_point band.wafer_dls
-  in
-  let hi = if hi <= 0.0 then 1e-6 else hi *. 1.0000001 in
-  let h = Histogram.create (Linear { lo = 0.0; hi; bins }) in
-  Histogram.add_many h band.wafer_dls;
-  h
 
 let final_band t = t.bands.(Array.length t.bands - 1)

@@ -85,9 +85,5 @@ val simulate :
 val observed_yield : t -> float
 (** Fraction of defect-free dies. *)
 
-val histogram : ?bins:int -> band -> Dl_util.Histogram.t
-(** Linear histogram of the per-wafer DL samples at one point (default 20
-    bins over [0 .. max sample]). *)
-
 val final_band : t -> band
 (** The band at the last (highest-[k]) point. *)

@@ -12,9 +12,6 @@ val probability_of_weight : float -> float
 val yield_of_weights : float array -> float
 (** eq. 5. *)
 
-val total_weight_for_yield : float -> float
-(** [Σw] needed for a target yield: [-ln Y]. *)
-
 val scale_to_yield : weights:float array -> target_yield:float -> float array * float
 (** Multiply all weights by a common factor so that eq. 5 gives the target
     yield (the paper scales c432's yield to 0.75 this way: "scaling the

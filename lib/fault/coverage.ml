@@ -180,8 +180,6 @@ let final t =
     if n = 0 then 0.0 else t.cumulative.(n - 1) /. t.total_weight
   end
 
-let curve t ~ks = Array.map (fun k -> (k, at t k)) ks
-
 let log_spaced ~max ~points =
   if max < 1 then invalid_arg "Coverage.log_spaced: need max >= 1";
   if points < 1 then invalid_arg "Coverage.log_spaced: need points >= 1";

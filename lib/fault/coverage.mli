@@ -28,9 +28,6 @@ val at : t -> int -> float
 val final : t -> float
 (** Coverage with the complete vector set. *)
 
-val curve : t -> ks:int array -> (int * float) array
-(** Sample the curve at the given vector counts. *)
-
 val log_spaced : max:int -> points:int -> int array
 (** Roughly log-spaced distinct integers in [\[1, max\]], always including
     both endpoints — the natural x-axis for Fig. 4. *)

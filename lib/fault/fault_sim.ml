@@ -62,11 +62,6 @@ let engines = [ Reference; Wide ]
 
 let engine_to_string = function Reference -> "reference" | Wide -> "wide"
 
-let engine_of_string = function
-  | "reference" -> Some Reference
-  | "wide" -> Some Wide
-  | _ -> None
-
 (* Retired-early count, shared by every driver: with fault dropping every
    detected fault is retired at its detecting block. *)
 let dropped_of ~drop_detected first_detection =
@@ -938,37 +933,40 @@ let run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors =
       run_wide ~drop_detected ~on_detect ~workers:1 ~run_tasks:serial_tasks c
         ~faults ~vectors
 
-(* The reference engine has no pooled driver: it runs serially whatever
-   the pool, with the same results, counters and event stream.  For the
-   wide engine an empty fault universe returns at once (no good-machine
-   simulation, and the driver's shard clamp stays >= 1); a one-worker pool
-   runs serially; a [domains] request wider than the universe is clamped
-   before any domain is spawned — the extra workers could never hold a
-   fault, and an oversized request would hit the runtime's domain limit. *)
+(* The one place a pooled entry point picks its pool: the caller's pool
+   when given; otherwise none (serial) for the reference engine, which has
+   no pooled driver, or an empty universe; otherwise a fresh pool of
+   [domains] (default {!Parallel.default_domains}) clamped to the fault
+   count before any domain is spawned — the extra workers could never hold
+   a fault, and an oversized request would hit the runtime's domain
+   limit.  A clamp to one worker runs serially. *)
+let with_fault_pool ~engine ?domains ?pool ~n_faults f =
+  match pool with
+  | Some _ -> f pool
+  | None when engine = Reference || n_faults = 0 -> f None
+  | None -> (
+      match Option.map (fun d -> max 1 (min d n_faults)) domains with
+      | Some 1 -> f None
+      | domains -> Parallel.with_pool ?domains (fun pool -> f (Some pool)))
+
+(* The reference engine runs serially whatever the pool, with the same
+   results, counters and event stream, and so does a one-worker pool.  For
+   the wide engine an empty fault universe returns at once (no good-machine
+   simulation, and the driver's shard clamp stays >= 1). *)
 let run_pooled ~engine ~drop_detected ~on_detect ?domains ?pool c ~faults
     ~vectors =
-  let serial () =
-    run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors
+  let dispatch = function
+    | Some pool when engine = Wide && Parallel.size pool > 1 ->
+        run_wide ~drop_detected ~on_detect ~workers:(Parallel.size pool)
+          ~run_tasks:(Parallel.run pool) c ~faults ~vectors
+    | _ -> run_serial ~engine ~drop_detected ~on_detect c ~faults ~vectors
   in
-  let dispatch pool =
-    if Parallel.size pool = 1 then serial ()
-    else
-      run_wide ~drop_detected ~on_detect ~workers:(Parallel.size pool)
-        ~run_tasks:(Parallel.run pool) c ~faults ~vectors
-  in
-  match engine with
-  | Reference -> serial ()
-  | Wide when Array.length faults = 0 ->
-      { faults; first_detection = [||]; vectors_applied = Array.length vectors;
-        gate_evaluations = 0; stats = Stats.zero }
-  | Wide -> (
-      match pool with
-      | Some pool -> dispatch pool
-      | None ->
-          let domains =
-            Option.map (fun d -> max 1 (min d (Array.length faults))) domains
-          in
-          Parallel.with_pool ?domains dispatch)
+  if engine = Wide && Array.length faults = 0 then
+    { faults; first_detection = [||]; vectors_applied = Array.length vectors;
+      gate_evaluations = 0; stats = Stats.zero }
+  else
+    with_fault_pool ~engine ?domains ?pool ~n_faults:(Array.length faults)
+      dispatch
 
 let run_with ~engine ?(drop_detected = true) ?on_detect c ~faults ~vectors =
   check_faults c faults;
@@ -1094,11 +1092,9 @@ let run_ndet ?(engine = Wide) ?domains ?pool ?on_detect ~drop_after
                (Array.to_list !live))
     done
   in
-  (match (pool, domains) with
-  | Some pool, _ -> drive (Some pool)
-  | None, Some d when d > 1 && engine = Wide ->
-      Parallel.with_pool ~domains:d (fun pool -> drive (Some pool))
-  | None, _ -> drive None);
+  (* Without [domains] it runs serially. *)
+  with_fault_pool ~engine ~domains:(Option.value domains ~default:1) ?pool
+    ~n_faults drive;
   let dropped =
     Array.fold_left (fun acc k -> if k >= drop_after then acc + 1 else acc) 0
       counts

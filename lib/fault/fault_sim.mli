@@ -72,7 +72,7 @@ val engines : engine list
 (** All variants, [Reference] first. *)
 
 val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
+(** ["reference"] or ["wide"]; part of the fault-sim stage key. *)
 
 val run :
   ?drop_detected:bool ->
@@ -106,7 +106,7 @@ val run_parallel :
     [Domain.recommended_domain_count ()]; pass [pool] to reuse an existing
     {!Dl_util.Parallel} pool across calls, in which case [domains] is
     ignored).  Each worker keeps private scratch state while the circuit
-    and the good-machine words of each 64-vector block are shared
+    and the good-machine words of each 256-vector block are shared
     read-only, and per-fault results are merged back in fault-index order.
 
     The result is bit-for-bit identical to [run] on the same inputs:
@@ -225,7 +225,9 @@ val run_ndet :
     fault), in the underlying engine's replay order with chunk-global
     vector indices.  [engine] defaults to [Wide]; [domains]/[pool] select
     its parallel path (one pool is created up front and reused across all
-    chunks; [Reference] runs serially and creates none).  Raises
+    chunks, sized as in {!run_parallel}: [domains] is clamped to the fault
+    count, and [Reference], an empty universe or an omitted [domains] run
+    serially and create none).  Raises
     [Invalid_argument] if [drop_after < 1] or a fault is out of range. *)
 
 val ndet_kth_detection : ndet -> k:int -> int option array

@@ -38,10 +38,11 @@ let fanin_offsets (c : Circuit.t) =
   done;
   off
 
-(* Both polarities of the given stems (ascending ids), then of every branch
+(* Both polarities of every stem (ascending ids), then of every branch
    by (gate, pin): the order [compare] sorts into, built without a sort.
    The two faults of a site share its [site] value. *)
-let enumerate (c : Circuit.t) stems =
+let universe (c : Circuit.t) =
+  let stems = Array.init (Array.length c.nodes) Fun.id in
   let branching src = Array.length c.fanouts.(src) > 1 in
   let n_branches = ref 0 in
   Array.iter
@@ -64,9 +65,6 @@ let enumerate (c : Circuit.t) stems =
         nd.fanin)
     c.nodes;
   out
-
-let universe (c : Circuit.t) =
-  enumerate c (Array.init (Array.length c.nodes) Fun.id)
 
 (* Union-find over fault indices for equivalence collapsing. *)
 module Uf = struct
@@ -170,8 +168,3 @@ let collapse c faults =
   let kept = ref [] in
   Array.iteri (fun i f -> if Uf.find uf i = i then kept := f :: !kept) faults;
   Array.of_list (List.rev !kept)
-
-let checkpoints (c : Circuit.t) =
-  let inputs = Array.copy c.inputs in
-  Array.sort Int.compare inputs;
-  enumerate c inputs

@@ -38,8 +38,3 @@ val collapse : Circuit.t -> t array -> t array
 val equivalence_classes : Circuit.t -> t array -> t array array
 (** The partition underlying {!collapse}. *)
 
-val checkpoints : Circuit.t -> t array
-(** Checkpoint faults (primary inputs and fanout branches, both
-    polarities): a test set detecting all checkpoints detects all
-    single stuck-at faults in a fanout-free-reconvergent sense
-    (checkpoint theorem). *)

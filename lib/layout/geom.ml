@@ -9,8 +9,6 @@ let layer_name = function
   | Contact -> "contact"
   | Via -> "via"
 
-let all_layers = [ Diffusion_n; Diffusion_p; Poly; Metal1; Metal2; Contact; Via ]
-
 type rect = { layer : layer; x0 : int; y0 : int; x1 : int; y1 : int; net : int }
 
 let make_rect layer ~x0 ~y0 ~x1 ~y1 ~net =
@@ -44,10 +42,3 @@ let facing a b =
     else None
   end
 
-let bounding_box = function
-  | [] -> None
-  | r :: rest ->
-      let f (x0, y0, x1, y1) r =
-        (min x0 r.x0, min y0 r.y0, max x1 r.x1, max y1 r.y1)
-      in
-      Some (List.fold_left f (r.x0, r.y0, r.x1, r.y1) rest)

@@ -14,7 +14,6 @@ type layer =
   | Via      (** Metal1-to-metal2 vias. *)
 
 val layer_name : layer -> string
-val all_layers : layer list
 
 type rect = {
   layer : layer;
@@ -47,6 +46,3 @@ val facing : rect -> rect -> adjacency option
     horizontally or vertically facing edges with positive common run, the
     gap geometry between them — the input to bridge critical-area
     computation. *)
-
-val bounding_box : rect list -> (int * int * int * int) option
-(** [(x0, y0, x1, y1)] covering all rectangles. *)

@@ -56,9 +56,6 @@ let load_patterns4 (k : Kernel.t) (buf : Kernel.words) vectors ~base ~count =
 
 let run_flat4 (k : Kernel.t) (buf : Kernel.words) = Kernel.run_into4 k buf
 
-let outputs_of (c : Circuit.t) values =
-  Array.map (fun id -> values.(id)) c.outputs
-
 let bools_to_words bits = Array.map (fun b -> if b then -1L else 0L) bits
 
 let run_single c pi_bits =

@@ -36,9 +36,6 @@ val run_flat4 : Kernel.t -> Kernel.words -> unit
     Sub-word [w] of every node is bit-identical to {!run} over patterns
     [64w .. 64w+63] of the block, with zero per-gate allocation. *)
 
-val outputs_of : Circuit.t -> int64 array -> int64 array
-(** Project node values to primary outputs, in [c.outputs] order. *)
-
 val run_single : Circuit.t -> bool array -> bool array
 (** Single-pattern convenience wrapper (one bool per PI, returns one bool
     per node). *)

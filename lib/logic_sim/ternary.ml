@@ -5,12 +5,6 @@ let to_bool = function V0 -> Some false | V1 -> Some true | VX -> None
 
 let to_char = function V0 -> '0' | V1 -> '1' | VX -> 'X'
 
-let of_char = function
-  | '0' -> Some V0
-  | '1' -> Some V1
-  | 'x' | 'X' -> Some VX
-  | _ -> None
-
 let equal a b = a = b
 
 let inv = function V0 -> V1 | V1 -> V0 | VX -> VX
@@ -47,9 +41,3 @@ let eval kind inputs =
   | Gate.Nor -> inv (Array.fold_left bor V0 inputs)
   | Gate.Xor -> Array.fold_left bxor V0 inputs
   | Gate.Xnor -> inv (Array.fold_left bxor V0 inputs)
-
-let eval_checked kind inputs =
-  let n = Array.length inputs in
-  if not (Dl_netlist.Gate.arity_ok kind n) then
-    invalid_arg "Ternary.eval: arity violation";
-  eval kind inputs

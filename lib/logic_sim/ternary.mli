@@ -6,9 +6,6 @@ type t = V0 | V1 | VX
 val of_bool : bool -> t
 val to_bool : t -> bool option
 val to_char : t -> char
-val of_char : char -> t option
-(** '0', '1', 'x'/'X'. *)
-
 val equal : t -> t -> bool
 val inv : t -> t
 val band : t -> t -> t
@@ -20,6 +17,3 @@ val eval : Dl_netlist.Gate.kind -> t array -> t
     at 0 yields 0 even if others are X).  Arity is {e not} validated (gates in
     a finalized circuit were checked at construction); use {!eval_checked}
     for fanin arrays of unknown provenance. *)
-
-val eval_checked : Dl_netlist.Gate.kind -> t array -> t
-(** {!eval} preceded by an arity check; raises [Invalid_argument]. *)

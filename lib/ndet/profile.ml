@@ -4,7 +4,6 @@ module Coverage = Dl_fault.Coverage
 type t = Fault_sim.ndet
 
 let max_n (t : t) = t.drop_after
-let fault_count (t : t) = Array.length t.counts
 let counts (t : t) = t.counts
 let kth_firsts (t : t) ~k = Fault_sim.ndet_kth_detection t ~k
 

@@ -14,15 +14,8 @@ type t = Dl_fault.Fault_sim.ndet
 val max_n : t -> int
 (** The [drop_after] quota the profile was simulated with. *)
 
-val fault_count : t -> int
-
 val counts : t -> int array
 (** Per-fault detection counts, capped at [max_n]. *)
-
-val kth_firsts : t -> k:int -> int option array
-(** Vector index of each fault's k-th detection (1-based), [None] where the
-    fault was detected fewer than [k] times.  Raises [Invalid_argument]
-    unless [1 <= k <= max_n]. *)
 
 val detected_at_least : t -> k:int -> int
 (** Number of faults detected at least [k] times. *)

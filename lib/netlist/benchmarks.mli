@@ -21,17 +21,11 @@ val c499s : unit -> Circuit.t
     reconstructed from the published high-level model.  Built as [.bench]
     text and parsed with {!Bench_format.parse_string}. *)
 
-val c499s_text : unit -> string
-(** The [.bench] source of {!c499s}. *)
-
 val c880s : unit -> Circuit.t
 (** The c880-interface 8-bit ALU (60 inputs, 26 outputs): operand select,
     ripple-carry add, logic unit, function select, output mask, comparator,
     parity and a priority encoder.  Built as [.bench] text and parsed with
     {!Bench_format.parse_string}. *)
-
-val c880s_text : unit -> string
-(** The [.bench] source of {!c880s}. *)
 
 val c1355s : unit -> Circuit.t
 (** The c1355-interface 32-bit SEC circuit (41 inputs, 32 outputs):
@@ -39,17 +33,11 @@ val c1355s : unit -> Circuit.t
     XOR expanded — with each XOR emitted as the canonical 4-NAND macro, so
     the netlist is NAND-dominated at roughly c1355 scale. *)
 
-val c1355s_text : unit -> string
-(** The [.bench] source of {!c1355s}. *)
-
 val c1908s : unit -> Circuit.t
 (** The c1908-interface 16-bit SEC/DED circuit (33 inputs, 25 outputs):
     test-inject bus, 5-bit Hamming syndrome plus overall parity,
     single-error correction and double-error detection, with XORs as
     4-NAND macros. *)
-
-val c1908s_text : unit -> string
-(** The [.bench] source of {!c1908s}. *)
 
 val c2670s : unit -> Circuit.t
 (** The c2670-interface 12-bit ALU and controller (233 inputs, 140
@@ -57,18 +45,12 @@ val c2670s : unit -> Circuit.t
     arrays, a control decoder keyed into the slice parities, an equality
     bank and flags, with XORs as 4-NAND macros. *)
 
-val c2670s_text : unit -> string
-(** The [.bench] source of {!c2670s}. *)
-
 val c3540s : unit -> Circuit.t
 (** The c3540-interface 8-bit binary/BCD ALU (50 inputs, 22 outputs):
     two-level operand selection, ripple-carry adder with a BCD
     decimal-adjust stage, logic unit, bidirectional 1-bit shifter,
     masked result bus, comparator, flags, a 5-line priority encoder and
     enable-gated condition outputs. *)
-
-val c3540s_text : unit -> string
-(** The [.bench] source of {!c3540s}. *)
 
 val by_name : string -> Circuit.t option
 (** Lookup by benchmark name. *)

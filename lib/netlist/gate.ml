@@ -79,10 +79,6 @@ let eval_word kind inputs =
   | Xor -> fold Int64.logxor 0L
   | Xnor -> Int64.lognot (fold Int64.logxor 0L)
 
-let eval_word_checked kind inputs =
-  check kind inputs;
-  eval_word kind inputs
-
 let controlling_value = function
   | And | Nand -> Some false
   | Or | Nor -> Some true

@@ -41,10 +41,7 @@ val eval_checked : kind -> bool array -> bool
 val eval_word : kind -> int64 array -> int64
 (** Bitwise 64-way parallel evaluation: bit [i] of the result is the gate
     evaluated on bit [i] of each input word.  Arity is not validated (see
-    {!eval}); use {!eval_word_checked} for unvalidated inputs. *)
-
-val eval_word_checked : kind -> int64 array -> int64
-(** {!eval_word} preceded by an arity check. *)
+    {!eval}). *)
 
 val controlling_value : kind -> bool option
 (** The input value that forces the output regardless of other inputs

@@ -152,8 +152,3 @@ let prune_dead (c : Circuit.t) =
       invalid_arg
         (Printf.sprintf
            "Transform.prune_dead: dangling reference to dead node %d" id))
-
-let stats_delta before after =
-  Printf.sprintf "%s: %d -> %d nodes (depth %d -> %d)" before.Circuit.title
-    (Circuit.node_count before) (Circuit.node_count after) (Circuit.depth before)
-    (Circuit.depth after)

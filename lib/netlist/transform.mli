@@ -32,6 +32,3 @@ val eliminate_node : Circuit.t -> int -> Circuit.t * int option array
 val prune_dead : Circuit.t -> Circuit.t * int option array
 (** Remove every node from which no primary output is reachable (primary
     inputs are kept even when dead, preserving the PI interface). *)
-
-val stats_delta : Circuit.t -> Circuit.t -> string
-(** Human-readable summary of what a transformation changed. *)

@@ -56,8 +56,6 @@ let connect ?(max_frame = Protocol.default_max_frame) ?connect_timeout_s
   in
   attempt retries backoff_ms
 
-let endpoint t = t.endpoint
-
 let close t =
   if not t.closed then begin
     t.closed <- true;

@@ -23,8 +23,6 @@ val connect :
     @raise Protocol.Protocol_error once every attempt failed, with a
     message naming the failure mode. *)
 
-val endpoint : t -> Transport.endpoint
-
 val close : t -> unit
 (** Idempotent. *)
 

@@ -205,7 +205,6 @@ let drain t =
       t.draining <- true;
       Condition.broadcast t.cond)
 
-let draining t = locked t (fun () -> t.draining)
 let depth t = locked t (fun () -> Queue.length t.queue)
 let running t = locked t (fun () -> t.running)
 let cancelled t = locked t (fun () -> t.cancelled)

@@ -64,8 +64,6 @@ val drain : ('p, 'r) t -> unit
 (** Stop admitting: subsequent {!submit}s are [Rejected]; workers keep
     draining already-queued jobs until {!next} returns [`Drained]. *)
 
-val draining : ('p, 'r) t -> bool
-
 val depth : ('p, 'r) t -> int
 (** Queued (not yet dispatched) jobs, including not-yet-skipped cancelled
     ones. *)

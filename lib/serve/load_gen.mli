@@ -102,8 +102,6 @@ val run :
     re-established for the next request; unreachable sends are [Failed].
     @raise Unix.Unix_error only if the very first connections fail. *)
 
-val summarize : config -> elapsed_s:float -> record array -> report
-
 val report_to_json : report -> string
 (** One stable JSON object (fixed field order, round-trippable floats). *)
 

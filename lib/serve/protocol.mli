@@ -162,8 +162,6 @@ exception Protocol_error of string
     (oversized frame, truncated stream mid-frame, undecodable envelope).
     Socket-level failures raise [Unix.Unix_error] as usual. *)
 
-val write_frame : Unix.file_descr -> bytes -> unit
-
 val read_frame :
   ?max_frame:int -> ?deadline_s:float -> Unix.file_descr -> bytes option
 (** [None] on clean EOF at a frame boundary.  [deadline_s] bounds how long

@@ -18,6 +18,12 @@ let config ?(workers = 1) ?(queue_capacity = 16) ?(cache_capacity = 32)
     ?(max_frame = Protocol.default_max_frame) ?remote
     ?on_job_start ~listen () =
   if workers < 1 then invalid_arg "Server.config: workers < 1";
+  (* Each worker runs its jobs on a pool of its own. *)
+  if workers * domains_per_worker > Parallel.max_domains then
+    invalid_arg
+      (Printf.sprintf
+         "Server.config: workers x domains_per_worker must be at most %d"
+         Parallel.max_domains);
   { listen; workers; queue_capacity; cache_capacity;
     domains_per_worker; cache_dir; max_frame; remote;
     on_job_start }

@@ -40,7 +40,9 @@ val config :
   config
 (** Defaults: 1 worker, queue 16, cache 32,
     [Dl_util.Parallel.default_domains ()] domains per worker,
-    {!Protocol.default_max_frame}, no peer tier. *)
+    {!Protocol.default_max_frame}, no peer tier.
+    @raise Invalid_argument if [workers < 1], or if [workers] pools of
+    [domains_per_worker] could exceed {!Dl_util.Parallel.max_domains}. *)
 
 type t
 

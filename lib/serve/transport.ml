@@ -19,8 +19,6 @@ let of_string s =
       | _ -> Unix_socket s)
   | _ -> Unix_socket s
 
-let is_tcp = function Tcp _ -> true | Unix_socket _ -> false
-
 let resolve_host host =
   match Unix.inet_addr_of_string host with
   | addr -> addr

@@ -18,12 +18,6 @@ val of_string : string -> endpoint
     parses as {!Tcp}; anything else (including paths containing [/]) is a
     {!Unix_socket} path.  Raises [Invalid_argument] on the empty string. *)
 
-val is_tcp : endpoint -> bool
-
-val sockaddr : endpoint -> Unix.sockaddr
-(** Resolves the host for TCP endpoints.
-    @raise Unix.Unix_error [EHOSTUNREACH] when the name does not resolve. *)
-
 val connect : ?timeout_s:float -> endpoint -> Unix.file_descr
 (** Connected stream socket (TCP_NODELAY set on TCP).  [timeout_s]
     (default 5 s) bounds TCP connection establishment — a dead remote

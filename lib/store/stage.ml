@@ -14,7 +14,6 @@ type t = {
 }
 
 let create ?store ?remote () = { store; remote; rev_reports = [] }
-let store t = t.store
 
 let key ~stage ~codec ~config ~inputs =
   let buf = Buffer.create 256 in
@@ -103,13 +102,6 @@ let run t ~stage ~codec ?(config = []) ~inputs f =
               compute_and_store Miss))
 
 let reports t = List.rev t.rev_reports
-
-let cached r = r.outcome = Hit || r.outcome = Fetched
-
-let hits t = List.length (List.filter cached (reports t))
-
-let misses t =
-  List.length (List.filter (fun r -> not (cached r)) (reports t))
 
 let pp_reports ppf reports =
   Format.fprintf ppf "@[<v>";

@@ -37,8 +37,6 @@ type remote = {
 }
 
 val create : ?store:Store.t -> ?remote:remote -> unit -> t
-val store : t -> Store.t option
-
 val key :
   stage:string ->
   codec:'a Codec.t ->
@@ -65,12 +63,6 @@ val run :
 
 val reports : t -> report list
 (** In execution order. *)
-
-val hits : t -> int
-(** [Hit] + [Fetched] outcomes — answers that skipped the compute. *)
-
-val misses : t -> int
-(** [Miss] + [Uncached] outcomes. *)
 
 val pp_reports : Format.formatter -> report list -> unit
 (** Small per-stage table (stage, outcome, seconds, key prefix). *)

@@ -20,8 +20,6 @@ let open_ root =
     raise (Sys_error (root ^ ": not a directory"));
   { root }
 
-let root t = t.root
-
 let shard key = if String.length key >= 2 then String.sub key 0 2 else "xx"
 
 let object_path t key =

@@ -23,7 +23,6 @@ val open_ : string -> t
 (** Create the directory skeleton if needed.
     @raise Sys_error when the root cannot be created. *)
 
-val root : t -> string
 val object_path : t -> string -> string
 (** On-disk path of a key (whether or not it exists). *)
 
@@ -76,6 +75,3 @@ val gc : current:(string * int) list -> ?max_bytes:int -> t -> gc_report
     kept), and — when [max_bytes] is given — evict oldest-first (manifest
     insertion order) until the store fits.  Rewrites the manifest.  The
     pipeline's list is [Dl_core.Experiment.codec_versions]. *)
-
-val fold : t -> init:'a -> f:('a -> key:string -> path:string -> 'a) -> 'a
-(** Iterate every stored object (any order). *)

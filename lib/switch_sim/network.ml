@@ -41,19 +41,3 @@ let owner_instance t node = if t.owner.(node) < 0 then None else Some t.owner.(n
 
 let is_rail t node = node = t.mapping.gnd || node = t.mapping.vdd
 let is_primary_input t node = t.primary_input.(node)
-
-let other_end t ~transistor_index ~node =
-  let tr = t.mapping.transistors.(transistor_index) in
-  if tr.source = node then tr.drain
-  else if tr.drain = node then tr.source
-  else invalid_arg "Network.other_end: node is not a channel terminal"
-
-let instances_touching t node =
-  let acc = ref [] in
-  let add ti =
-    let inst = t.mapping.transistors.(ti).instance in
-    if inst >= 0 && not (List.mem inst !acc) then acc := inst :: !acc
-  in
-  List.iter add t.channel_edges.(node);
-  List.iter add t.gated_by.(node);
-  List.sort compare !acc

@@ -23,9 +23,3 @@ val owner_instance : t -> int -> int option
 
 val is_rail : t -> int -> bool
 val is_primary_input : t -> int -> bool
-
-val other_end : t -> transistor_index:int -> node:int -> int
-(** The opposite channel terminal of a transistor. *)
-
-val instances_touching : t -> int -> int list
-(** All instances with any terminal (gate or channel) on this node. *)

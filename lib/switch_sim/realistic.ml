@@ -21,8 +21,6 @@ let is_short f =
   | Bridge _ | Transistor_stuck_on _ -> true
   | Transistor_stuck_open _ | Input_open _ | Stem_open _ -> false
 
-let is_open f = not (is_short f)
-
 let kind_name = function
   | Bridge _ -> "bridge"
   | Transistor_stuck_open _ -> "ts-open"

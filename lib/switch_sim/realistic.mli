@@ -44,6 +44,4 @@ val is_short : t -> bool
 (** Bridges and stuck-ons (the defect classes CMOS defect statistics make
     dominant). *)
 
-val is_open : t -> bool
-
 val describe : t -> string

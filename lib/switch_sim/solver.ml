@@ -38,8 +38,6 @@ type t = {
   resolved : int list;          (* local ids whose values the region determines *)
 }
 
-let nodes t = List.map (fun l -> t.globals.(l)) t.resolved
-
 let observable_nodes t =
   List.map (fun l -> t.globals.(l)) t.resolved
   @ List.map (fun (_, g) -> g) t.pi_nodes
@@ -219,7 +217,6 @@ let solve t ~external_value ~charge =
     loop ();
     dist
   in
-  let debug = Sys.getenv_opt "DL_SOLVER_DEBUG" <> None in
   let fight = ref false in
   let stable = ref false in
   let rounds = ref 0 in
@@ -230,16 +227,6 @@ let solve t ~external_value ~charge =
     let def_up = distances t.vdd (fun c -> c = On) in
     let pos_dn = distances t.gnd (fun c -> c <> Off) in
     let pos_up = distances t.vdd (fun c -> c <> Off) in
-    if debug then begin
-      Printf.eprintf "round %d:\n" !rounds;
-      List.iter (fun l ->
-        Printf.eprintf "  node g%d l%d du=%.2f dd=%.2f pu=%.2f pd=%.2f val=%c\n"
-          t.globals.(l) l def_up.(l) def_dn.(l) pos_up.(l) pos_dn.(l)
-          (Ternary.to_char values.(l))) t.resolved;
-      Array.iteri (fun ei e ->
-        Printf.eprintf "  edge %d l%d-l%d r=%.2f cond=%s\n" ei e.endpoint_a e.endpoint_b e.resistance
-          (match conduction e with On -> "on" | Off -> "off" | Maybe -> "maybe")) t.edges
-    end;
     stable := true;
     List.iter
       (fun l ->

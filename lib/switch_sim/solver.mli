@@ -28,10 +28,6 @@ val make :
 (** Build a region over the given cell instances.  Bridged nodes that are
     primary-input signals get an implicit strong external driver. *)
 
-val nodes : t -> int list
-(** Global ids of all nodes resolved by this region (charge state should be
-    kept for these). *)
-
 val observable_nodes : t -> int list
 (** {!nodes} plus bridged pad-driven primary-input nodes: every node whose
     resolved value should be propagated downstream. *)
@@ -55,10 +51,7 @@ val solve :
     value of region nodes for floating-node retention ([Ternary.VX] for an
     unknown initial state).
 
-    This is the reference solver, kept as the oracle of {!solve_compiled}.
-    Diagnostics: set the [DL_SOLVER_DEBUG] environment variable to trace
-    every relaxation round (per-node rail distances, edge conduction) on
-    stderr; it applies to this function only. *)
+    This is the reference solver, kept as the oracle of {!solve_compiled}. *)
 
 (** {2 Compiled regions}
 

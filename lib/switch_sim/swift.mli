@@ -130,10 +130,6 @@ module Reference : sig
     result
 end
 
-val signal_of : Dl_cell.Mapping.network -> int -> int option
-(** The circuit node of a network node, when it is a signal node (not a
-    rail or a cell-internal node). *)
-
 val weighted_coverage : weights:float array -> detection array -> Dl_fault.Coverage.t
 (** Θ(k): voltage-detection coverage, fault [i] weighing [weights.(i)]
     (eq. 6). *)

@@ -6,7 +6,6 @@ type cursor = { data : bytes; mutable pos : int }
 
 let cursor data = { data; pos = 0 }
 let remaining c = Bytes.length c.data - c.pos
-let at_end c = remaining c = 0
 
 let need c n =
   if remaining c < n then
@@ -211,5 +210,3 @@ let crc32 ?(crc = 0l) data ~pos ~len =
     c := get t ((!c lxor Char.code (Bytes.get data j)) land 0xFF) lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
-
-let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -16,8 +16,6 @@ val cursor : bytes -> cursor
 (** Cursor at offset 0. *)
 
 val remaining : cursor -> int
-val at_end : cursor -> bool
-
 (** {2 Writing (into a [Buffer.t])} *)
 
 val write_varint : Buffer.t -> int -> unit
@@ -72,5 +70,3 @@ val read_bools_packed : cursor -> bool array
 val crc32 : ?crc:int32 -> bytes -> pos:int -> len:int -> int32
 (** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of a byte range.
     Pass [crc] to continue a running checksum. *)
-
-val crc32_string : string -> int32

@@ -13,32 +13,21 @@ type fit = {
   converged : bool;
 }
 
-let residual_sum ~model ~weights data p =
+let residual_sum ~model data p =
   let acc = ref 0.0 in
   Array.iteri
     (fun i x ->
       let r = model p x -. data.ys.(i) in
-      let w = match weights with None -> 1.0 | Some w -> w.(i) in
-      let term = w *. r *. r in
+      let term = r *. r in
       if Float.is_nan term then acc := infinity else acc := !acc +. term)
     data.xs;
   !acc
 
-let run ?tol ?max_iter ~model ~weights ~lo ~hi ~init data =
+let curve_fit ?tol ?max_iter ~model ~lo ~hi ~init data =
   if Array.length data.xs <> Array.length data.ys then
     invalid_arg "Fit.curve_fit: xs and ys differ in length";
   if Array.length data.xs = 0 then invalid_arg "Fit.curve_fit: empty data";
-  (match weights with
-  | Some w when Array.length w <> Array.length data.xs ->
-      invalid_arg "Fit.curve_fit_weighted: weights length mismatch"
-  | _ -> ());
-  let objective p = residual_sum ~model ~weights data p in
+  let objective p = residual_sum ~model data p in
   let r = Simplex.minimize_bounded ?tol ?max_iter ~f:objective ~lo ~hi init in
   let n = float_of_int (Array.length data.xs) in
   { params = r.xmin; rss = r.fmin; rmse = sqrt (r.fmin /. n); converged = r.converged }
-
-let curve_fit ?tol ?max_iter ~model ~lo ~hi ~init data =
-  run ?tol ?max_iter ~model ~weights:None ~lo ~hi ~init data
-
-let curve_fit_weighted ?tol ?max_iter ~model ~weights ~lo ~hi ~init data =
-  run ?tol ?max_iter ~model ~weights:(Some weights) ~lo ~hi ~init data

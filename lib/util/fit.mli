@@ -26,17 +26,3 @@ val curve_fit :
   fit
 (** [curve_fit ~model ~lo ~hi ~init data] minimizes
     [Σ_i (model p xs.(i) - ys.(i))²] over the box [\[lo, hi\]]. *)
-
-val curve_fit_weighted :
-  ?tol:float ->
-  ?max_iter:int ->
-  model:(float array -> float -> float) ->
-  weights:float array ->
-  lo:float array ->
-  hi:float array ->
-  init:float array ->
-  data ->
-  fit
-(** Weighted variant: residual [i] is scaled by [sqrt weights.(i)]. Useful
-    when fitting defect levels spanning several decades (weight ∝ 1/y²
-    approximates a relative-error fit). *)

@@ -63,19 +63,6 @@ let bin_edges t =
       Array.init (bins + 1) (fun i ->
           10.0 ** (llo +. ((lhi -. llo) *. float_of_int i /. float_of_int bins)))
 
-let bin_center t i =
-  let edges = bin_edges t in
-  if i < 0 || i >= Array.length t.counts then
-    invalid_arg "Histogram.bin_center: index out of range";
-  match t.binning with
-  | Linear _ -> (edges.(i) +. edges.(i + 1)) /. 2.0
-  | Log10 _ -> sqrt (edges.(i) *. edges.(i + 1))
-
-let mode_bin t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c > t.counts.(!best) then best := i) t.counts;
-  !best
-
 let to_rows t =
   let edges = bin_edges t in
   Array.to_list (Array.mapi (fun i c -> (edges.(i), edges.(i + 1), c)) t.counts)

@@ -28,14 +28,5 @@ val total : t -> int
 val bin_edges : t -> float array
 (** [bins + 1] edges in data space (for log bins, the exponentiated edges). *)
 
-val bin_center : t -> int -> float
-(** Center of bin [i] in data space (geometric center for log bins). *)
-
-val mode_bin : t -> int
-(** Index of the fullest bin (ties: leftmost). *)
-
-val to_rows : t -> (float * float * int) list
-(** [(lo, hi, count)] per bin, in order. *)
-
 val render : ?width:int -> t -> string
 (** ASCII bar rendering, one line per bin. *)

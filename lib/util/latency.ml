@@ -42,7 +42,6 @@ let add t ms =
 
 let count t = t.total
 let max_ms t = t.max
-let sum_ms t = t.sum
 let mean_ms t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
 
 let percentile t q =

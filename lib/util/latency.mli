@@ -9,8 +9,7 @@
     per-observation allocation.
 
     Not thread-safe; callers serialize access ({!Dl_serve.Metrics} wraps
-    one in its lock, the load generator merges per-client accumulators
-    after the run). *)
+    one in its lock). *)
 
 type t
 
@@ -27,11 +26,8 @@ val max_ms : t -> float
 (** Largest observation recorded so far ([0.0] when empty) — exact, not
     bucketed. *)
 
-val sum_ms : t -> float
-(** Sum of all observations (exact), for means over the whole run. *)
-
 val mean_ms : t -> float
-(** [sum_ms / count]; [0.0] when empty. *)
+(** Sum of all observations (exact) over [count]; [0.0] when empty. *)
 
 val percentile : t -> float -> float
 (** [percentile t q] for [q] in [\[0, 1\]]: an upper bucket edge covering

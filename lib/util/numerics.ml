@@ -1,6 +1,3 @@
-let log1p = Float.log1p
-let expm1 = Float.expm1
-
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
 let clamp01 x = clamp ~lo:0.0 ~hi:1.0 x
 
@@ -10,9 +7,6 @@ let pow1m y e =
   else if e = 0.0 then 1.0
   else if e = 1.0 then y
   else exp (e *. log y)
-
-let close ?(rtol = 1e-9) ?(atol = 1e-12) a b =
-  Float.abs (a -. b) <= atol +. (rtol *. Float.max (Float.abs a) (Float.abs b))
 
 let check_bracket name f lo hi =
   if not (lo <= hi) then invalid_arg (name ^ ": need lo <= hi");
@@ -38,89 +32,6 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
       in
       loop lo hi flo 0
 
-let brent ?(tol = 1e-13) ?(max_iter = 100) ~f lo hi =
-  match check_bracket "Numerics.brent" f lo hi with
-  | `Root r -> r
-  | `Bracket (flo, fhi) ->
-      (* Standard Brent: inverse quadratic interpolation guarded by secant
-         and bisection fallbacks (Numerical Recipes formulation). *)
-      let a = ref lo and b = ref hi and fa = ref flo and fb = ref fhi in
-      let c = ref !a and fc = ref !fa in
-      let d = ref (!b -. !a) and e = ref (!b -. !a) in
-      let result = ref None in
-      let iter = ref 0 in
-      while !result = None && !iter < max_iter do
-        incr iter;
-        if Float.abs !fc < Float.abs !fb then begin
-          a := !b; b := !c; c := !a;
-          fa := !fb; fb := !fc; fc := !fa
-        end;
-        let tol1 = (2.0 *. epsilon_float *. Float.abs !b) +. (0.5 *. tol) in
-        let xm = 0.5 *. (!c -. !b) in
-        if Float.abs xm <= tol1 || !fb = 0.0 then result := Some !b
-        else begin
-          if Float.abs !e >= tol1 && Float.abs !fa > Float.abs !fb then begin
-            let s = !fb /. !fa in
-            let p, q =
-              if !a = !c then
-                let p = 2.0 *. xm *. s in
-                (p, 1.0 -. s)
-              else begin
-                let q = !fa /. !fc and r = !fb /. !fc in
-                let p = s *. ((2.0 *. xm *. q *. (q -. r)) -. ((!b -. !a) *. (r -. 1.0))) in
-                (p, (q -. 1.0) *. (r -. 1.0) *. (s -. 1.0))
-              end
-            in
-            let p, q = if p > 0.0 then (p, -.q) else (-.p, q) in
-            let min1 = (3.0 *. xm *. q) -. Float.abs (tol1 *. q) in
-            let min2 = Float.abs (!e *. q) in
-            if 2.0 *. p < Float.min min1 min2 then begin
-              e := !d;
-              d := p /. q
-            end
-            else begin
-              d := xm;
-              e := xm
-            end
-          end
-          else begin
-            d := xm;
-            e := xm
-          end;
-          a := !b;
-          fa := !fb;
-          if Float.abs !d > tol1 then b := !b +. !d
-          else b := !b +. (if xm >= 0.0 then tol1 else -.tol1);
-          fb := f !b;
-          if (!fb > 0.0 && !fc > 0.0) || (!fb < 0.0 && !fc < 0.0) then begin
-            c := !a;
-            fc := !fa;
-            d := !b -. !a;
-            e := !d
-          end
-        end
-      done;
-      (match !result with Some r -> r | None -> !b)
-
-let golden_min ?(tol = 1e-10) ~f lo hi =
-  if not (lo <= hi) then invalid_arg "Numerics.golden_min: need lo <= hi";
-  let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
-  let rec loop a b x1 x2 f1 f2 =
-    if b -. a <= tol then 0.5 *. (a +. b)
-    else if f1 < f2 then begin
-      let b = x2 and x2 = x1 and f2 = f1 in
-      let x1 = b -. (phi *. (b -. a)) in
-      loop a b x1 x2 (f x1) f2
-    end
-    else begin
-      let a = x1 and x1 = x2 and f1 = f2 in
-      let x2 = a +. (phi *. (b -. a)) in
-      loop a b x1 x2 f1 (f x2)
-    end
-  in
-  let x1 = hi -. (phi *. (hi -. lo)) and x2 = lo +. (phi *. (hi -. lo)) in
-  loop lo hi x1 x2 (f x1) (f x2)
-
 let integrate ?(steps = 1024) ~f lo hi =
   if steps <= 0 then invalid_arg "Numerics.integrate: steps must be positive";
   let n = if steps mod 2 = 0 then steps else steps + 1 in
@@ -133,4 +44,3 @@ let integrate ?(steps = 1024) ~f lo hi =
   !acc *. h /. 3.0
 
 let ppm x = x *. 1e6
-let of_ppm x = x /. 1e6

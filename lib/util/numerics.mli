@@ -5,12 +5,6 @@
     avoid catastrophic cancellation where the naive formula would lose all
     precision. *)
 
-val log1p : float -> float
-(** Accurate [log (1 + x)] near zero. *)
-
-val expm1 : float -> float
-(** Accurate [exp x - 1] near zero. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 
 val clamp01 : float -> float
@@ -19,24 +13,10 @@ val pow1m : float -> float -> float
 (** [pow1m y e] computes [y ** e] as [exp (e * log y)] with the conventions
     [pow1m 0. 0. = 1.] and exact endpoints; requires [y >= 0]. *)
 
-val close : ?rtol:float -> ?atol:float -> float -> float -> bool
-(** Approximate float comparison: [|a-b| <= atol + rtol * max |a| |b|].
-    Defaults: [rtol = 1e-9], [atol = 1e-12]. *)
-
 val bisect :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
 (** [bisect ~f lo hi] finds a root of [f] in [\[lo, hi\]].  Requires a sign
     change over the bracket. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
-(** Brent's method: superlinear bracketed root finding.  Same contract as
-    {!bisect}, substantially fewer evaluations on smooth functions. *)
-
-val golden_min :
-  ?tol:float -> f:(float -> float) -> float -> float -> float
-(** Golden-section minimization of a unimodal function on [\[lo, hi\]];
-    returns the abscissa of the minimum. *)
 
 val integrate :
   ?steps:int -> f:(float -> float) -> float -> float -> float
@@ -45,6 +25,3 @@ val integrate :
 
 val ppm : float -> float
 (** Convert a fraction to parts-per-million. *)
-
-val of_ppm : float -> float
-(** Convert parts-per-million to a fraction. *)

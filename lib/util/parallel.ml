@@ -19,6 +19,9 @@ type t = {
 
 let default_domains () = Domain.recommended_domain_count ()
 
+(* [Max_domains] of the OCaml 5.1 runtime; [Domain.spawn] fails past it. *)
+let max_domains = 128
+
 (* Claim and execute tasks until the job's cursor is exhausted.  The last
    worker to complete a task signals the submitter. *)
 let execute t job =
@@ -64,6 +67,10 @@ let rec worker_loop t last_epoch =
 let create ?domains () =
   let size = match domains with None -> default_domains () | Some d -> d in
   if size < 1 then invalid_arg "Parallel.create: need at least one domain";
+  if size > max_domains then
+    invalid_arg
+      (Printf.sprintf "Parallel.create: at most %d domains, got %d" max_domains
+         size);
   let t =
     {
       size;

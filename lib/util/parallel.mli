@@ -19,10 +19,15 @@ val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], the pool size used when
     [?domains] is omitted. *)
 
+val max_domains : int
+(** 128, the runtime's limit on domains alive at once (the calling domain
+    included). *)
+
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains (default
     {!default_domains}), after a minor collection of the calling domain.
-    @raise Invalid_argument if [domains < 1]. *)
+    @raise Invalid_argument if [domains < 1] or [domains > max_domains],
+    before any domain is spawned. *)
 
 val size : t -> int
 (** Number of workers, including the calling domain. *)

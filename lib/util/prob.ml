@@ -40,16 +40,6 @@ let poisson_pmf ~lambda k =
   else if lambda = 0.0 then (if k = 0 then 1.0 else 0.0)
   else exp ((float_of_int k *. log lambda) -. lambda -. log_factorial k)
 
-let poisson_cdf ~lambda k =
-  if k < 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    for i = 0 to k do
-      acc := !acc +. poisson_pmf ~lambda i
-    done;
-    Float.min 1.0 !acc
-  end
-
 let poisson_sample rng ~lambda =
   if lambda < 0.0 then invalid_arg "Prob.poisson_sample: negative lambda";
   if lambda = 0.0 then 0
@@ -98,15 +88,6 @@ let gamma_mixing_sample rng ~alpha =
   (* alpha = infinity is the Poisson limit: a point mass at the mean. *)
   if Float.is_finite alpha then gamma_sample rng ~shape:alpha /. alpha else 1.0
 
-let negative_binomial_sample rng ~mean ~alpha =
-  if mean < 0.0 then invalid_arg "Prob.negative_binomial_sample: negative mean";
-  if alpha <= 0.0 then invalid_arg "Prob.negative_binomial_sample: alpha must be positive";
-  if mean = 0.0 then 0
-  else
-    (* Gamma-mixed Poisson: exactly the compound process behind
-       [negative_binomial_pmf]. *)
-    poisson_sample rng ~lambda:(mean *. gamma_mixing_sample rng ~alpha)
-
 let negative_binomial_pmf ~mean ~alpha k =
   if mean < 0.0 || alpha <= 0.0 then
     invalid_arg "Prob.negative_binomial_pmf: need mean >= 0 and alpha > 0";
@@ -119,17 +100,6 @@ let negative_binomial_pmf ~mean ~alpha k =
     in
     let p = mean /. (mean +. alpha) in
     exp (log_choose +. (kf *. log p) +. (alpha *. log (1.0 -. p)))
-  end
-
-let binomial_pmf ~n ~p k =
-  if n < 0 || p < 0.0 || p > 1.0 then invalid_arg "Prob.binomial_pmf: bad parameters";
-  if k < 0 || k > n then 0.0
-  else begin
-    let log_choose = log_factorial n -. log_factorial k -. log_factorial (n - k) in
-    let kf = float_of_int k and nf = float_of_int n in
-    if p = 0.0 then (if k = 0 then 1.0 else 0.0)
-    else if p = 1.0 then (if k = n then 1.0 else 0.0)
-    else exp (log_choose +. (kf *. log p) +. ((nf -. kf) *. log (1.0 -. p)))
   end
 
 let truncated_poisson_mean ~lambda =

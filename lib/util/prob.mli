@@ -8,8 +8,6 @@ val log_factorial : int -> float
 val poisson_pmf : lambda:float -> int -> float
 (** P[N = k] for N ~ Poisson(lambda). *)
 
-val poisson_cdf : lambda:float -> int -> float
-
 val poisson_sample : Rng.t -> lambda:float -> int
 (** Inversion for small lambda, normal approximation above 500. *)
 
@@ -23,17 +21,9 @@ val gamma_mixing_sample : Rng.t -> alpha:float -> float
     [gamma_sample ~shape:alpha / alpha].  [alpha = infinity] is the
     Poisson limit and returns exactly 1. *)
 
-val negative_binomial_sample : Rng.t -> mean:float -> alpha:float -> int
-(** One draw of the gamma-mixed Poisson behind {!negative_binomial_pmf}:
-    [poisson_sample ~lambda:(mean * gamma_mixing_sample ~alpha)].
-    Mean [mean], variance [mean + mean^2/alpha]; [alpha = infinity]
-    degenerates to {!poisson_sample}. *)
-
 val negative_binomial_pmf : mean:float -> alpha:float -> int -> float
 (** Stapper's clustered defect count: gamma-mixed Poisson with clustering
     parameter [alpha] ([alpha -> infinity] recovers Poisson). *)
-
-val binomial_pmf : n:int -> p:float -> int -> float
 
 val truncated_poisson_mean : lambda:float -> float
 (** E[N | N >= 1] for N ~ Poisson(lambda): the average number of faults on a

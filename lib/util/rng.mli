@@ -16,9 +16,6 @@ val of_state : int64 -> t
     at [s] — the hook {!Seeds} uses to turn a path digest into a stream.
     Prefer {!create} (which pre-mixes) for ad-hoc integer seeds. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)

@@ -40,8 +40,6 @@ let scope t segment =
     prefix = (if t.prefix = "" then segment else t.prefix ^ "/" ^ segment);
   }
 
-let path t = t.prefix
-
 let fingerprint t p =
   let segments =
     (if t.prefix = "" then [] else split_path t.prefix)

@@ -32,9 +32,6 @@ val scope : t -> string -> t
     prefix.  Scoping is associative: [scope (scope t "a") "b"] names the
     same streams as [scope t "a/b"]. *)
 
-val path : t -> string
-(** The accumulated path prefix ([""] at the root). *)
-
 val stream : t -> string -> Rng.t
 (** [stream t path] is the stream named by [path] under [t]'s prefix —
     a fresh, independently advancing generator on every call (two calls

@@ -29,14 +29,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let geometric_mean xs =
-  check_nonempty "Stats.geometric_mean" xs;
-  Array.iter
-    (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geometric_mean: non-positive value")
-    xs;
-  exp (mean (Array.map log xs))
-
 let min_max xs =
   check_nonempty "Stats.min_max" xs;
   Array.fold_left
@@ -61,59 +53,3 @@ let quantile xs q =
     let frac = pos -. float_of_int lo in
     ((1.0 -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
   end
-
-let median xs = quantile xs 0.5
-
-let check_paired name xs ys =
-  check_nonempty name xs;
-  if Array.length xs <> Array.length ys then
-    invalid_arg (name ^ ": arrays of different lengths")
-
-let correlation xs ys =
-  check_paired "Stats.correlation" xs ys;
-  let mx = mean xs and my = mean ys in
-  let sxy = ref 0.0 and sxx = ref 0.0 and syy = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let dx = x -. mx and dy = ys.(i) -. my in
-      sxy := !sxy +. (dx *. dy);
-      sxx := !sxx +. (dx *. dx);
-      syy := !syy +. (dy *. dy))
-    xs;
-  if !sxx = 0.0 || !syy = 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
-
-type linear_fit = { slope : float; intercept : float; r2 : float }
-
-let linear_regression xs ys =
-  check_paired "Stats.linear_regression" xs ys;
-  let mx = mean xs and my = mean ys in
-  let sxy = ref 0.0 and sxx = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let dx = x -. mx in
-      sxy := !sxy +. (dx *. (ys.(i) -. my));
-      sxx := !sxx +. (dx *. dx))
-    xs;
-  let slope = if !sxx = 0.0 then 0.0 else !sxy /. !sxx in
-  let intercept = my -. (slope *. mx) in
-  let ss_res = ref 0.0 and ss_tot = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let fitted = intercept +. (slope *. x) in
-      let r = ys.(i) -. fitted and d = ys.(i) -. my in
-      ss_res := !ss_res +. (r *. r);
-      ss_tot := !ss_tot +. (d *. d))
-    xs;
-  let r2 = if !ss_tot = 0.0 then 1.0 else 1.0 -. (!ss_res /. !ss_tot) in
-  { slope; intercept; r2 }
-
-let rmse xs ys =
-  check_paired "Stats.rmse" xs ys;
-  let acc = Array.mapi (fun i x -> (x -. ys.(i)) ** 2.0) xs in
-  sqrt (total acc /. float_of_int (Array.length xs))
-
-let max_abs_error xs ys =
-  check_paired "Stats.max_abs_error" xs ys;
-  let worst = ref 0.0 in
-  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. ys.(i)))) xs;
-  !worst

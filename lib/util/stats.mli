@@ -1,4 +1,4 @@
-(** Descriptive statistics and simple regression over float arrays. *)
+(** Descriptive statistics over float arrays. *)
 
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
@@ -7,9 +7,6 @@ val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 for singleton arrays. *)
 
 val stddev : float array -> float
-
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive values. *)
 
 val min_max : float array -> float * float
 
@@ -21,18 +18,3 @@ val quantile : float array -> float -> float
     statistics ([Float.compare] ordering). Does not mutate the input.
     @raise Invalid_argument on an empty array, [q] outside [\[0,1\]], or
     NaN in the data (NaN has no rank, so any answer would be arbitrary). *)
-
-val median : float array -> float
-
-val correlation : float array -> float array -> float
-(** Pearson correlation coefficient. *)
-
-type linear_fit = { slope : float; intercept : float; r2 : float }
-
-val linear_regression : float array -> float array -> linear_fit
-(** Ordinary least squares of [y] on [x]. *)
-
-val rmse : float array -> float array -> float
-(** Root mean squared error between paired arrays. *)
-
-val max_abs_error : float array -> float array -> float

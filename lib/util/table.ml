@@ -19,11 +19,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let default_float_fmt x = Printf.sprintf "%.6g" x
-
-let add_float_row t ?(fmt = default_float_fmt) values =
-  add_row t (List.map fmt values)
-
 let render t =
   let rows = List.rev t.rows in
   let ncols = Array.length t.headers in
@@ -60,4 +55,3 @@ let print t = print_string (render t)
 
 let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 let fmt_ppm x = Printf.sprintf "%.1f ppm" (1e6 *. x)
-let fmt_sci x = Printf.sprintf "%.3e" x

@@ -10,9 +10,6 @@ val create : (string * align) list -> t
 val add_row : t -> string list -> unit
 (** Append a row; must have exactly as many cells as there are columns. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> float list -> unit
-(** Convenience: formats every cell with [fmt] (default [%.6g]). *)
-
 val render : t -> string
 (** Render with a header rule, columns padded to the widest cell. *)
 
@@ -24,6 +21,3 @@ val fmt_pct : float -> string
 
 val fmt_ppm : float -> string
 (** Fraction as ppm with one decimal, e.g. [1e-4 -> "100.0 ppm"]. *)
-
-val fmt_sci : float -> string
-(** Scientific notation with three significant digits. *)

@@ -468,11 +468,7 @@ let test_wafer_mc_replay () =
   Alcotest.(check bool) "observed yield sane" true
     (let y = Wafer_mc.observed_yield a in
      y > 0.5 && y < 1.0);
-  Alcotest.(check int) "final band is last point" 256 (Wafer_mc.final_band a).k;
-  let h = Wafer_mc.histogram (Wafer_mc.final_band a) in
-  Alcotest.(check int) "histogram holds every wafer sample"
-    (Array.length (Wafer_mc.final_band a).wafer_dls)
-    (Dl_util.Histogram.total h)
+  Alcotest.(check int) "final band is last point" 256 (Wafer_mc.final_band a).k
 
 let test_wafer_mc_validation () =
   let weights, firsts = mc_universe () in

@@ -62,52 +62,6 @@ let test_clustered_fit () =
   checkf_eps 1e-3 "alpha recovered" alpha_true alpha_fit;
   Alcotest.(check bool) "tight" true (rmse < 1e-6)
 
-(* --- Detection probabilities ------------------------------------------------------ *)
-
-let test_detectability_analytic_curve () =
-  let d = Dl_fault.Detectability.of_probabilities [| 0.5; 0.5 |] in
-  checkf_eps 1e-12 "k=1" 0.5 (Dl_fault.Detectability.expected_coverage d 1);
-  checkf_eps 1e-12 "k=2" 0.75 (Dl_fault.Detectability.expected_coverage d 2);
-  checkf_eps 1e-12 "k=0" 0.0 (Dl_fault.Detectability.expected_coverage d 0)
-
-let test_detectability_estimate_matches_measured () =
-  let c = Benchmarks.c17 () in
-  let faults = Dl_fault.Stuck_at.collapse c (Dl_fault.Stuck_at.universe c) in
-  let d = Dl_fault.Detectability.estimate ~seed:3 ~samples:2000 c ~faults in
-  (* c17: every collapsed fault has detection probability >= 1/4ish *)
-  Array.iter
-    (fun p -> Alcotest.(check bool) "all detectable" true (p > 0.05))
-    (Dl_fault.Detectability.probabilities d);
-  (* the predicted curve should match an independent measured curve *)
-  let vectors = random_vectors c 64 in
-  let sim = Dl_fault.Fault_sim.run ~drop_detected:false c ~faults ~vectors in
-  let measured = Dl_fault.Coverage.make sim.first_detection in
-  List.iter
-    (fun k ->
-      let predicted = Dl_fault.Detectability.expected_coverage d k in
-      let got = Dl_fault.Coverage.at measured k in
-      Alcotest.(check bool)
-        (Printf.sprintf "close at k=%d" k)
-        true
-        (Float.abs (predicted -. got) < 0.15))
-    [ 1; 2; 4; 8; 16 ]
-
-let test_detectability_test_length () =
-  let d = Dl_fault.Detectability.of_probabilities [| 0.5 |] in
-  (* 1 - 0.5^k >= 0.99 at k = 7 *)
-  Alcotest.(check bool) "k for 99%" true
-    (Dl_fault.Detectability.test_length_for d ~target:0.99 = Some 7);
-  let undetectable = Dl_fault.Detectability.of_probabilities [| 0.5; 0.0 |] in
-  Alcotest.(check bool) "ceiling respected" true
-    (Dl_fault.Detectability.test_length_for undetectable ~target:0.9 = None)
-
-let test_detectability_hardest () =
-  let d = Dl_fault.Detectability.of_probabilities [| 0.9; 0.01; 0.5 |] in
-  match Dl_fault.Detectability.hardest d 2 with
-  | [ (1, _); (2, _) ] -> ()
-  | other ->
-      Alcotest.failf "unexpected hardest order (%d entries)" (List.length other)
-
 (* --- New generators -------------------------------------------------------------------------------- *)
 
 let test_cla_equals_ripple () =
@@ -422,14 +376,6 @@ let () =
           Alcotest.test_case "mean faults" `Quick test_clustered_mean_faults;
           Alcotest.test_case "required coverage" `Quick test_clustered_required_coverage;
           Alcotest.test_case "fit alpha" `Quick test_clustered_fit;
-        ] );
-      ( "detectability",
-        [
-          Alcotest.test_case "analytic curve" `Quick test_detectability_analytic_curve;
-          Alcotest.test_case "estimate matches measured" `Quick
-            test_detectability_estimate_matches_measured;
-          Alcotest.test_case "test length" `Quick test_detectability_test_length;
-          Alcotest.test_case "hardest" `Quick test_detectability_hardest;
         ] );
       ( "generators",
         [

@@ -333,10 +333,10 @@ let test_is_short_classification () =
     (Realistic.is_short (mk (Realistic.Bridge { node_a = 0; node_b = 1 })));
   Alcotest.(check bool) "ts-on" true
     (Realistic.is_short (mk (Realistic.Transistor_stuck_on 0)));
-  Alcotest.(check bool) "ts-open" true
-    (Realistic.is_open (mk (Realistic.Transistor_stuck_open 0)));
-  Alcotest.(check bool) "stem open" true
-    (Realistic.is_open
+  Alcotest.(check bool) "ts-open" false
+    (Realistic.is_short (mk (Realistic.Transistor_stuck_open 0)));
+  Alcotest.(check bool) "stem open" false
+    (Realistic.is_short
        (mk (Realistic.Stem_open { node = 0; policy = Realistic.Floats_low })))
 
 let () =

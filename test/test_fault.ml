@@ -23,26 +23,24 @@ let test_universe_sorted_unique () =
     Alcotest.(check bool) "strictly sorted" true (Stuck_at.compare u.(i) u.(i + 1) < 0)
   done
 
-(* [universe] and [checkpoints] emit faults already in [compare] order
-   without sorting: each must equal its own sorted copy, with no
-   duplicates, on circuits of every generator family. *)
+(* [universe] emits faults already in [compare] order without sorting: it
+   must equal its own sorted copy, with no duplicates, on circuits of
+   every generator family. *)
 let test_enumeration_sorted_random () =
   List.iter
     (fun family ->
       List.iter
         (fun seed ->
           let c = Generator.Family.build_by_name family ~seed ~gates:(15 + (seed * 23)) in
-          List.iter
-            (fun (what, faults) ->
-              let sorted = Array.copy faults in
-              Array.sort Stuck_at.compare sorted;
-              let label = Printf.sprintf "%s %s seed %d" what family seed in
-              Alcotest.(check bool) (label ^ " sorted") true (faults = sorted);
-              for i = 0 to Array.length faults - 2 do
-                Alcotest.(check bool) (label ^ " unique") true
-                  (not (Stuck_at.equal faults.(i) faults.(i + 1)))
-              done)
-            [ ("universe", Stuck_at.universe c); ("checkpoints", Stuck_at.checkpoints c) ])
+          let faults = Stuck_at.universe c in
+          let sorted = Array.copy faults in
+          Array.sort Stuck_at.compare sorted;
+          let label = Printf.sprintf "universe %s seed %d" family seed in
+          Alcotest.(check bool) (label ^ " sorted") true (faults = sorted);
+          for i = 0 to Array.length faults - 2 do
+            Alcotest.(check bool) (label ^ " unique") true
+              (not (Stuck_at.equal faults.(i) faults.(i + 1)))
+          done)
         [ 1; 2; 3; 4 ])
     (Generator.Family.names ())
 
@@ -78,12 +76,6 @@ let test_collapse_detection_equivalent () =
               cls)
           vectors)
     classes
-
-let test_checkpoints_subset () =
-  let c = Benchmarks.c17 () in
-  let cps = Stuck_at.checkpoints c in
-  (* c17 checkpoints: 5 PIs + 6 fanout branches = 11 lines, 22 faults *)
-  Alcotest.(check int) "checkpoint faults" 22 (Array.length cps)
 
 let test_to_string () =
   let c = Benchmarks.c17 () in
@@ -282,6 +274,33 @@ let test_parallel_degenerate_shapes () =
             c ~faults:universe ~vectors ~domains:3 ~drop_detected)
         [ true; false ])
     [ 1; 63; 65 ]
+
+(* A width above {!Parallel.max_domains} is refused by the pool itself, so
+   both pooled entry points must clamp to the fault count before they ask
+   for a pool: on a 3-fault universe they then match the serial runs. *)
+let test_pool_clamped_before_create () =
+  let c = Benchmarks.c17 () in
+  let faults = Array.sub (Stuck_at.universe c) 0 3 in
+  let r = Dl_util.Rng.create 17 in
+  let vectors =
+    Array.init 40 (fun _ ->
+        Array.init (Circuit.input_count c) (fun _ -> Dl_util.Rng.bool r))
+  in
+  let domains = Dl_util.Parallel.max_domains + 1 in
+  (match Dl_util.Parallel.with_pool ~domains (fun _ -> ()) with
+  | () -> Alcotest.fail "an oversized pool must be refused"
+  | exception Invalid_argument _ -> ());
+  let serial = Fault_sim.run ~drop_detected:false c ~faults ~vectors in
+  let par = Fault_sim.run_parallel ~drop_detected:false ~domains c ~faults ~vectors in
+  Alcotest.(check bool) "run_parallel identical" true
+    (serial.Fault_sim.first_detection = par.Fault_sim.first_detection
+    && serial.Fault_sim.gate_evaluations = par.Fault_sim.gate_evaluations);
+  let serial = Fault_sim.run_ndet ~drop_after:2 c ~faults ~vectors in
+  let par = Fault_sim.run_ndet ~domains ~drop_after:2 c ~faults ~vectors in
+  Alcotest.(check (array int)) "run_ndet counts" serial.Fault_sim.counts
+    par.Fault_sim.counts;
+  Alcotest.(check (array int)) "run_ndet detections"
+    serial.Fault_sim.detections par.Fault_sim.detections
 
 let test_parallel_sharding_deterministic () =
   (* Sharding is contiguous by fault index: repeated runs are identical in
@@ -639,14 +658,11 @@ let test_out_of_range_faults_rejected () =
       Stuck_at.Branch { gate = n; pin = 0 };
     ]
 
+(* The names are part of the fault-sim stage key: changing one moves
+   every cached fault-sim artifact. *)
 let test_engine_names () =
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "round-trip" true
-        (Fault_sim.engine_of_string (Fault_sim.engine_to_string e) = Some e))
-    Fault_sim.engines;
-  Alcotest.(check bool) "unknown rejected" true
-    (Fault_sim.engine_of_string "warp" = None)
+  Alcotest.(check (list string)) "names" [ "reference"; "wide" ]
+    (List.map Fault_sim.engine_to_string Fault_sim.engines)
 
 let test_wide_hot_path_allocation_free () =
   (* The wide PPSFP hot loop must be allocation-free in steady state:
@@ -800,55 +816,6 @@ let test_detections_in_order () =
     (let ks = Array.map fst evs in
      ks = [| 1; 4; 9 |])
 
-(* --- Detectability ---------------------------------------------------------- *)
-
-let test_detectability_estimate () =
-  let c = Benchmarks.c17 () in
-  let faults = Stuck_at.collapse c (Stuck_at.universe c) in
-  let d = Detectability.estimate ~seed:5 ~samples:256 c ~faults in
-  let ps = Detectability.probabilities d in
-  Alcotest.(check int) "one probability per fault" (Array.length faults)
-    (Array.length ps);
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "p in [0,1]" true (p >= 0.0 && p <= 1.0))
-    ps;
-  Alcotest.(check bool) "c17 faults are random-testable" true
-    (Detectability.mean_detectability d > 0.0);
-  (* The induced curve starts at zero, grows monotonically, and mirrors
-     the escape probability exactly. *)
-  Alcotest.(check (float 0.0)) "T(0) = 0" 0.0
-    (Detectability.expected_coverage d 0);
-  let prev = ref 0.0 in
-  List.iter
-    (fun k ->
-      let v = Detectability.expected_coverage d k in
-      Alcotest.(check bool)
-        (Printf.sprintf "monotone at k=%d" k)
-        true
-        (v >= !prev -. 1e-12 && v <= 1.0);
-      prev := v)
-    [ 1; 2; 4; 8; 16; 32; 64; 128 ];
-  Alcotest.(check (float 1e-12)) "escape = 1 - coverage"
-    (1.0 -. Detectability.expected_coverage d 16)
-    (Detectability.escape_probability d 16)
-
-let test_detectability_hardest_and_length () =
-  let d = Detectability.of_probabilities [| 0.9; 0.5; 0.01; 0.2 |] in
-  let hardest = Detectability.hardest d 2 in
-  Alcotest.(check (list int)) "two hardest faults" [ 2; 3 ]
-    (List.sort compare (List.map fst hardest));
-  (match Detectability.test_length_for d ~target:0.9 with
-  | Some k ->
-      Alcotest.(check bool) "reaches target" true
-        (Detectability.expected_coverage d k >= 0.9);
-      Alcotest.(check bool) "minimal" true
-        (k = 0 || Detectability.expected_coverage d (k - 1) < 0.9)
-  | None -> Alcotest.fail "0.9 must be reachable with all p > 0");
-  let d0 = Detectability.of_probabilities [| 1.0; 0.0 |] in
-  Alcotest.(check bool) "target above the testable fraction" true
-    (Detectability.test_length_for d0 ~target:0.9 = None)
-
 (* --- qcheck ----------------------------------------------------------------------- *)
 
 let prop_coverage_in_unit_range =
@@ -967,7 +934,6 @@ let () =
           Alcotest.test_case "collapse c17" `Quick test_collapse_c17;
           Alcotest.test_case "class detection equivalence" `Quick
             test_collapse_detection_equivalent;
-          Alcotest.test_case "checkpoints" `Quick test_checkpoints_subset;
           Alcotest.test_case "to_string" `Quick test_to_string;
         ] );
       ( "fault-sim",
@@ -988,12 +954,10 @@ let () =
           Alcotest.test_case "deterministic sharding" `Quick
             test_parallel_sharding_deterministic;
         ] );
-      ( "detectability",
+      ( "pool-clamping",
         [
-          Alcotest.test_case "estimate bounds and curve" `Quick
-            test_detectability_estimate;
-          Alcotest.test_case "hardest and test length" `Quick
-            test_detectability_hardest_and_length;
+          Alcotest.test_case "clamped before create" `Quick
+            test_pool_clamped_before_create;
         ] );
       ( "kernel",
         [

@@ -281,20 +281,6 @@ let prop_compaction_preserves =
 
 (* --- extended properties ------------------------------------------------------- *)
 
-let prop_detectability_curve_monotone =
-  QCheck.Test.make ~name:"expected coverage is monotone in k" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 20) (float_range 0.0 1.0))
-    (fun probs ->
-      let d = Dl_fault.Detectability.of_probabilities (Array.of_list probs) in
-      let prev = ref (-1.0) in
-      List.for_all
-        (fun k ->
-          let v = Dl_fault.Detectability.expected_coverage d k in
-          let ok = v >= !prev -. 1e-12 && v >= 0.0 && v <= 1.0 in
-          prev := v;
-          ok)
-        [ 0; 1; 2; 4; 8; 16; 64; 256 ])
-
 let prop_clustered_between_bounds =
   QCheck.Test.make ~name:"clustered DL bounded by endpoints" ~count:300
     QCheck.(
@@ -324,7 +310,6 @@ let () =
             prop_layout_no_shorts;
             prop_extraction_sites_valid;
             prop_compaction_preserves;
-            prop_detectability_curve_monotone;
             prop_clustered_between_bounds;
           ] );
     ]

@@ -59,11 +59,6 @@ let test_facing_symmetric () =
   let b = Geom.make_rect Geom.Poly ~x0:8 ~y0:4 ~x1:10 ~y1:20 ~net:1 in
   Alcotest.(check bool) "symmetric" true (Geom.facing a b = Geom.facing b a)
 
-let test_bounding_box () =
-  let a = Geom.make_rect Geom.Metal1 ~x0:0 ~y0:1 ~x1:5 ~y1:2 ~net:0 in
-  let b = Geom.make_rect Geom.Metal2 ~x0:(-3) ~y0:0 ~x1:2 ~y1:9 ~net:0 in
-  Alcotest.(check bool) "bbox" true (Geom.bounding_box [ a; b ] = Some (-3, 0, 5, 9))
-
 (* --- Cell templates --------------------------------------------------------------- *)
 
 let test_templates_have_pins () =
@@ -228,7 +223,6 @@ let () =
           Alcotest.test_case "facing vertical" `Quick test_facing_vertical;
           Alcotest.test_case "diagonal none" `Quick test_facing_diagonal_none;
           Alcotest.test_case "facing symmetric" `Quick test_facing_symmetric;
-          Alcotest.test_case "bounding box" `Quick test_bounding_box;
         ] );
       ( "templates",
         [

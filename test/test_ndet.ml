@@ -113,6 +113,29 @@ let test_ndet_parallel_identical () =
   Alcotest.(check (array int))
     "detections" serial.Fault_sim.detections par.Fault_sim.detections
 
+(* A [domains] request wider than the universe is clamped to the fault
+   count, as in [run_parallel]; an empty universe spawns nothing. *)
+let test_ndet_pool_sized_to_faults () =
+  let c = Benchmarks.c17 () in
+  let faults = Array.sub (universe c) 0 3 in
+  let vectors = random_vectors c 64 in
+  let serial = Fault_sim.run_ndet ~drop_after:2 c ~faults ~vectors in
+  let wide =
+    Fault_sim.run_ndet ~domains:(Array.length faults + 3) ~drop_after:2 c
+      ~faults ~vectors
+  in
+  Alcotest.(check (array int)) "counts" serial.Fault_sim.counts
+    wide.Fault_sim.counts;
+  Alcotest.(check (array int))
+    "detections" serial.Fault_sim.detections wide.Fault_sim.detections;
+  Alcotest.(check int) "gate evaluations" serial.Fault_sim.gate_evaluations
+    wide.Fault_sim.gate_evaluations;
+  let empty = Fault_sim.run_ndet ~domains:4 ~drop_after:2 c ~faults:[||] ~vectors in
+  Alcotest.(check bool) "empty universe: zero profile" true
+    (empty
+    = { Fault_sim.drop_after = 2; counts = [||]; detections = [||];
+        vectors_applied = 64; gate_evaluations = 0; stats = Fault_sim.Stats.zero })
+
 let test_ndet_monotone_in_n () =
   (* the same vector set: counts at larger n dominate counts at smaller n,
      and the k-th detection indices for k <= n agree across n *)
@@ -297,6 +320,8 @@ let () =
           Alcotest.test_case "engines-agree" `Quick test_ndet_engines_agree;
           Alcotest.test_case "parallel-identical" `Quick
             test_ndet_parallel_identical;
+          Alcotest.test_case "pool-sized-to-faults" `Quick
+            test_ndet_pool_sized_to_faults;
           Alcotest.test_case "monotone-in-n" `Quick test_ndet_monotone_in_n;
           Alcotest.test_case "invalid-args" `Quick test_ndet_invalid_args;
         ] );

@@ -57,10 +57,7 @@ let test_gate_controlling () =
 let test_gate_arity_violations () =
   Alcotest.check_raises "not with 2 inputs"
     (Invalid_argument "Gate.eval: NOT cannot take 2 inputs") (fun () ->
-      ignore (Gate.eval_checked Gate.Not [| true; false |]));
-  Alcotest.check_raises "word not with 2 inputs"
-    (Invalid_argument "Gate.eval: NOT cannot take 2 inputs") (fun () ->
-      ignore (Gate.eval_word_checked Gate.Not [| 0L; 1L |]))
+      ignore (Gate.eval_checked Gate.Not [| true; false |]))
 
 let test_gate_opcodes () =
   List.iter

@@ -803,6 +803,12 @@ let flag_cases =
         ([ "pipeline"; "c17"; "--max-random=-5" ], "--max-random");
         ([ "atpg"; "c17"; "--max-random=-5" ], "--max-random");
         ([ "ndet"; "c17"; "--max-random=-5" ], "--max-random");
+        ([ "pipeline"; "c17"; "-j"; "129" ], "-j must be at most 128");
+        ([ "ndet"; "c17"; "-j"; "129" ], "-j must be at most 128");
+        (* Rejected before the listener is set up (and [Server.config]
+           rejects it too), so no daemon starts. *)
+        ( [ "serve"; "--workers"; "2"; "-j"; "65"; "--socket"; tmp_socket () ],
+          "--workers x -j must be at most 128" );
         ([ "compact"; "c17"; "--vectors=-5" ], "--vectors");
         ([ "project"; "--target-ppm=-5" ], "--target-ppm");
         ([ "project"; "--yield"; "5" ], "--yield");
@@ -1113,6 +1119,9 @@ let test_invalid_config_rejected_before_any_stage () =
       ( "rows",
         (fun () -> Experiment.config ~rows:0 c),
         { good with rows = Some 0 } );
+      ( "domains",
+        (fun () -> Experiment.config ~domains:129 c),
+        { good with domains = 129 } );
     ]
   in
   List.iter
@@ -1134,8 +1143,19 @@ let test_invalid_config_rejected_before_any_stage () =
     (fun cfg -> ignore (Experiment.stage_keys cfg))
     [
       Experiment.config ~min_weight_ratio:0.0 ~max_random_vectors:0 ~rows:1 c;
-      Experiment.config ~min_weight_ratio:1.0 c;
+      Experiment.config ~min_weight_ratio:1.0 ~domains:128 c;
     ]
+
+(* [workers] pools of [domains_per_worker] must fit the runtime's domain
+   limit; checked on the config, so no server is started. *)
+let test_server_config_domain_bound () =
+  let listen = Transport.Unix_socket (tmp_socket ()) in
+  ignore (Server.config ~workers:2 ~domains_per_worker:64 ~listen ());
+  Alcotest.check_raises "2 x 65 domains"
+    (Invalid_argument
+       "Server.config: workers x domains_per_worker must be at most 128")
+    (fun () ->
+      ignore (Server.config ~workers:2 ~domains_per_worker:65 ~listen ()))
 
 let test_server_invalid_spec_not_queued () =
   let started = Atomic.make 0 in
@@ -1524,6 +1544,8 @@ let () =
             test_server_deadline_expires_queued_job;
           Alcotest.test_case "invalid spec is an error, not a job" `Quick
             test_server_invalid_spec_not_queued;
+          Alcotest.test_case "config bounds workers x domains" `Quick
+            test_server_config_domain_bound;
           Alcotest.test_case "past deadline expires on both paths" `Quick
             test_server_past_deadline_not_queued;
         ]
